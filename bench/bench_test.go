@@ -205,31 +205,51 @@ func TestTracedRunWritesTracesAndLayers(t *testing.T) {
 	}
 }
 
-func TestOpenLoopTimesFromDueTime(t *testing.T) {
-	due := []time.Duration{0, time.Millisecond, 2 * time.Millisecond}
-	lat, late, errs := openLoop(due, 1, func(i, _ int) error {
-		time.Sleep(20 * time.Millisecond)
-		if i == 2 {
-			return errors.New("refused")
+func TestSerialLoopFinishesBlocksAndCountsFailures(t *testing.T) {
+	var sent []int
+	lat, walls, failed, first := serialLoop(20*time.Millisecond, 3, 0, func(i int) (time.Duration, error) {
+		sent = append(sent, i)
+		if i >= 3 {
+			time.Sleep(10 * time.Millisecond)
 		}
-		return nil
+		if i == 2 {
+			return time.Millisecond, errors.New("refused")
+		}
+		return time.Duration(i+1) * time.Millisecond, nil
 	})
-	// One sender: operation 1 goes out only when operation 0 returns,
-	// about 19 ms after it was due, and its latency counts that wait.
-	if late[0] > 10 {
-		t.Errorf("operation 0 sent %.1f ms late", late[0])
+	// The first block is instant and the second takes 30 ms: the
+	// deadline falls inside the second block, which still runs to its
+	// end, and no third block starts.
+	if len(walls) != 2 || len(lat) != 6 {
+		t.Fatalf("%d blocks, %d latencies; want 2, 6", len(walls), len(lat))
 	}
-	if late[1] < 15 {
-		t.Errorf("operation 1 lateness %.1f ms, want >= 15 (the sender was busy)", late[1])
+	if fmt.Sprint(sent) != "[0 1 2 3 4 5]" {
+		t.Errorf("sent %v, want operations 0..5 in order", sent)
 	}
-	if lat[1] < late[1]+19 {
-		t.Errorf("operation 1 latency %.1f ms, want its lateness %.1f + its own 20 ms", lat[1], late[1])
+	// The latency is what send reported, not the wall around it.
+	if lat[0] != 1 || lat[5] != 6 {
+		t.Errorf("latencies %v, want send's own 1 ms and 6 ms", lat)
 	}
-	if !math.IsInf(lat[2], 1) || errs[2] == nil {
-		t.Errorf("failed operation: latency %v, error %v; want +Inf and the error", lat[2], errs[2])
+	if walls[1] < 0.03 {
+		t.Errorf("second block wall %.4f s, want >= its three 10 ms sends", walls[1])
 	}
-	if p99, n := percentile(lat, 99); !math.IsInf(p99, 1) || n != 3 {
-		t.Errorf("p99 = %v over %d samples, want +Inf over 3", p99, n)
+	if !math.IsInf(lat[2], 1) || failed != 1 || first == nil {
+		t.Errorf("failed operation: latency %v, %d failed, first %v; want +Inf, 1 and the error", lat[2], failed, first)
+	}
+	if p99, n := percentile(lat, 99); !math.IsInf(p99, 1) || n != 6 {
+		t.Errorf("p99 = %v over %d samples, want +Inf over 6", p99, n)
+	}
+}
+
+func TestSerialLoopRunsAtLeastMinOps(t *testing.T) {
+	// The deadline has passed before the first block ends; the loop
+	// still runs whole blocks until it has sent 7 operations.
+	lat, walls, _, _ := serialLoop(time.Nanosecond, 3, 7, func(int) (time.Duration, error) {
+		time.Sleep(time.Microsecond)
+		return time.Microsecond, nil
+	})
+	if len(walls) != 3 || len(lat) != 9 {
+		t.Errorf("%d blocks, %d operations; want 3 blocks, 9 operations", len(walls), len(lat))
 	}
 }
 

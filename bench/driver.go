@@ -33,8 +33,12 @@ type runner interface {
 
 // phaseOut is what every timed phase reports.
 type phaseOut struct {
-	// wall is the time taken by the workload's fixed unit of work.
+	// wall is the time taken by the workload's fixed unit of work: the
+	// median over the phase's units.
 	wall time.Duration
+	// units is how many units of work the phase ran: one for the batch
+	// workloads, the blocks of the serve ones. alloc_mb is per unit.
+	units int
 	// latency is each operation's latency in ms, +Inf for a failure:
 	// an HTTP request for the serve workloads, a simulated round for
 	// the batch ones.
@@ -64,7 +68,7 @@ func newRunner(name string) (runner, bool) {
 }
 
 // setupRepeats is how many times a run sets up; setup_s is the median.
-const setupRepeats = 3
+const setupRepeats = 5
 
 // timedRun is the untraced run that yields the end-to-end metrics.
 func timedRun(e *env, w runner) (*outcome, error) {
@@ -91,7 +95,7 @@ func timedRun(e *env, w runner) (*outcome, error) {
 	o.e2e["setup_s"] = median(setups)
 	o.e2e["wall_s"] = out.wall.Seconds()
 	o.latency(out.latency, out.timeOrdered)
-	o.e2e["alloc_mb"] = d.allocMB
+	o.e2e["alloc_mb"] = d.allocMB / float64(max(out.units, 1))
 	o.e2e["max_rss_mb"] = maxRSSMB()
 	e.logf("setup %.3fs (median of %d), timed phase %.3fs", o.e2e["setup_s"], setupRepeats, d.wall.Seconds())
 	return o, w.verify(e, out, nil, o)

@@ -2,73 +2,42 @@ package main
 
 import (
 	"math"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 )
 
-// poissonDue returns the due offsets of n arrivals of a Poisson
-// process at rate per second: exponential gaps, first arrival at 0.
-func poissonDue(rng *rand.Rand, n int, rate float64) []time.Duration {
-	due := make([]time.Duration, n)
-	var t float64
-	for i := range due {
-		due[i] = time.Duration(t * float64(time.Second))
-		t += rng.ExpFloat64() / rate
-	}
-	return due
-}
-
-// openLoop sends operation i when due[i] comes, whatever happened to
-// the earlier ones, from `senders` goroutines. Each operation is timed
-// from its due time, so a stall that makes later sends late counts
-// against them. It returns each operation's latency in ms (+Inf when
-// send failed), how late each was sent in ms, and the errors.
-func openLoop(due []time.Duration, senders int, send func(i, lane int) error) (latency, late []float64, errs []error) {
-	latency = make([]float64, len(due))
-	late = make([]float64, len(due))
-	errs = make([]error, len(due))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for lane := 0; lane < senders; lane++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(due) {
-					return
-				}
-				sleepUntil(start, due[i])
-				late[i] = ms(time.Since(start) - due[i])
-				errs[i] = send(i, lane)
-				latency[i] = ms(time.Since(start) - due[i])
-				if errs[i] != nil {
-					latency[i] = math.Inf(1)
+// serialLoop is the serve workloads' timed load: one client sends
+// operations back to back, each as soon as the previous one returned,
+// in blocks of `block`, until d has passed, at least minOps operations
+// are done, and the block under way is done. A slow spell of the host
+// thus lengthens the phase rather than thinning the latency samples.
+// send performs operation i and returns its latency, which it
+// times itself so that making the request is not counted. With one
+// operation in flight nothing queues, so a host that is a little slower
+// makes the latencies a little longer instead of making queues grow;
+// concurrent senders on two shared vCPUs measured the host's scheduler.
+// It returns each operation's latency in ms (+Inf when it failed), each
+// block's wall in s, and how many operations failed, with the first
+// error.
+func serialLoop(d time.Duration, block, minOps int, send func(i int) (time.Duration, error)) (latency, walls []float64, failed int, first error) {
+	deadline := time.Now().Add(d)
+	for len(walls) == 0 || len(latency) < minOps || time.Now().Before(deadline) {
+		start := time.Now()
+		for j := 0; j < block; j++ {
+			took, err := send(len(latency))
+			lat := ms(took)
+			if err != nil {
+				lat = math.Inf(1)
+				if failed++; first == nil {
+					first = err
 				}
 			}
-		}(lane)
-	}
-	wg.Wait()
-	return latency, late, errs
-}
-
-// sleepUntil blocks until offset due after start. It sleeps in
-// nanosleep(2), not time.Sleep: the runtime wakes sub-millisecond
-// sleeps up to 1 ms late, which would swamp the latency of a cached
-// read.
-func sleepUntil(start time.Time, due time.Duration) {
-	for {
-		wait := due - time.Since(start)
-		if wait <= 0 {
-			return
+			latency = append(latency, lat)
 		}
-		ts := syscall.NsecToTimespec(int64(wait))
-		_ = syscall.Nanosleep(&ts, nil) // EINTR: the loop sleeps the rest
+		walls = append(walls, time.Since(start).Seconds())
 	}
+	return latency, walls, failed, first
 }
 
 // closedLoop sends operations 0..n-1 from `clients` goroutines, each
@@ -94,32 +63,6 @@ func closedLoop(n, clients int, send func(i, lane int) error) (time.Duration, []
 	}
 	wg.Wait()
 	return time.Since(start), errs
-}
-
-// closedBatches sends operations 0..n-1 as `batches` back-to-back
-// closed-loop batches of equal size and returns each batch's wall time
-// in seconds; the median of those is steadier than one long batch.
-func closedBatches(n, batches, clients int, send func(i, lane int) error) ([]float64, []error) {
-	size := n / batches
-	walls := make([]float64, batches)
-	errs := make([]error, 0, n)
-	for b := range walls {
-		base := b * size
-		wall, e := closedLoop(size, clients, func(i, lane int) error { return send(base+i, lane) })
-		walls[b] = wall.Seconds()
-		errs = append(errs, e...)
-	}
-	return walls, errs
-}
-
-func countErrors(errs []error) int {
-	n := 0
-	for _, err := range errs {
-		if err != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // firstError returns the first non-nil error, for a check's detail.

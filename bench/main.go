@@ -2,7 +2,7 @@
 // against the simulator and the cliqued service through their public
 // packages, checks what they produced, and prints the metrics as JSON:
 //
-//	bash bench/run.sh --workload registry --seed 1 --seconds 20 --trace 0
+//	bash bench/run.sh --workload registry --seed 1 --seconds 10 --trace 0
 //	bash bench/run.sh -compare A.jsonl B.jsonl
 //
 // The metric names, units, directions and bounds live in BENCHMARK.json
@@ -34,11 +34,11 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // env is one invocation's settings, shared by every workload.
 type env struct {
 	seed     uint64
-	seconds  time.Duration // open-loop duration of the serve workloads
+	seconds  time.Duration // timed duration of the serve workloads
 	traceDir string
 	golden   string // registry golden report
 	toy      bool   // toy scale, for the package's smoke tests
-	procs    int    // nproc: senders, connections, grid and serve workers
+	procs    int    // nproc: set-up clients and connections, sweep check lanes
 	tmp      string // scratch directory inside the checkout
 	log      io.Writer
 }
@@ -54,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		name     = fs.String("workload", "", "workload to run: "+strings.Join(workloadNames(), ", "))
 		seed     = fs.Uint64("seed", 1, "seed the workload's inputs are generated from")
-		seconds  = fs.Int("seconds", 20, "open-loop duration of the serve workloads, in seconds")
+		seconds  = fs.Int("seconds", 10, "least timed duration of the serve workloads, in seconds")
 		traced   = fs.Int("trace", 0, "1 runs the traced pass and prints the per-layer metrics")
 		work     = fs.String("work", ".bench_build", "directory for scratch ledgers (tmp/) and the traced pass's <workload>.spans.json and <workload>.cpu.pprof (trace/)")
 		specPath = fs.String("spec", "BENCHMARK.json", "benchmark definition: metric names, units, directions and bounds")
@@ -183,7 +183,7 @@ type outcome struct {
 	samples           map[string]int
 	layers            map[string]float64
 	// info holds figures printed beside the metrics that are neither
-	// end-to-end nor per-layer, such as the serve capacity.
+	// end-to-end nor per-layer, such as the replayed engine stage.
 	info map[string]float64
 }
 

@@ -2,7 +2,7 @@
 # Builds the benchmark from the source tree this script sits in and runs
 # it from the tree's root, passing every argument through:
 #
-#   bash bench/run.sh --workload registry --seed 1 --seconds 20 --trace 0
+#   bash bench/run.sh --workload registry --seed 1 --seconds 10 --trace 0
 #   bash bench/run.sh -compare A.jsonl B.jsonl
 #
 # The build cache, module cache, temporary files, the go command's own

@@ -148,69 +148,72 @@ func (in *instance) close() {
 	os.RemoveAll(in.dir)
 }
 
-// serveLoad is the timed phase both serve workloads share: the open
-// loop over open, each request sent at its due time and timed from it,
-// then `batches` back-to-back closed-loop batches over closed, whose
-// median wall is wall_s. The server's counters are read before, between
-// and after.
+// serveLoad is the timed phase both serve workloads share: serialLoop
+// over requests drawn one at a time by next, in blocks of `block`, for
+// --seconds and at least minOps requests. wall_s is the median block
+// wall. The server's counters are read before and after. Every answer's
+// X-Request-Hash is checked on arrival, and check, when set, sees every
+// body; only the first `keep` requests and bodies are kept, so the
+// client's heap, which the server's collector scans too, does not grow
+// with the request count.
 type serveLoad struct {
-	open, closed       []*adhoc
-	due                []time.Duration
-	batches            int
-	openAns, closeAns  answers
-	late               []float64
-	before, mid, after svcMetrics
-	capacity           float64 // req/s: one batch over the median batch wall
-	// body, when set, receives each body on arrival and the answers do
-	// not keep them.
-	body func(q *adhoc, data []byte)
+	// next draws the next request from the seed's stream.
+	next                func() (*adhoc, error)
+	block, minOps, keep int
+	check               func(q *adhoc, data []byte)
+	reqs                []*adhoc // the first keep requests sent, in order
+	data                [][]byte // their bodies
+	badHash             int      // answers whose hash header is not the request's hash
+	firstBad            string
+	before, after       svcMetrics
 }
 
 func (l *serveLoad) run(e *env, d *daemon, sp *spanLog) (phaseOut, error) {
-	l.openAns, l.closeAns = newAnswers(len(l.open)), newAnswers(len(l.closed))
+	l.reqs, l.data, l.badHash, l.firstBad = nil, nil, 0, ""
 	var err error
 	if l.before, err = d.metrics(); err != nil {
 		return phaseOut{}, err
 	}
-	lat, late, errs := openLoop(l.due, e.procs, d.sender(l.open, l.openAns, sp, l.body))
-	if l.mid, err = d.metrics(); err != nil {
-		return phaseOut{}, err
-	}
-	walls, cerrs := closedBatches(len(l.closed), l.batches, e.procs, d.sender(l.closed, l.closeAns, sp, l.body))
+	lat, walls, failed, firstErr := serialLoop(e.seconds, l.block, l.minOps, func(i int) (time.Duration, error) {
+		q, err := l.next()
+		if err != nil {
+			return 0, err
+		}
+		hash, data, took, err := d.exchange(q, 0, sp)
+		if err != nil {
+			return took, err
+		}
+		if hash != q.hash {
+			if l.badHash == 0 {
+				l.firstBad = fmt.Sprintf("request %d: header %q, client hash %q", i, hash, q.hash)
+			}
+			l.badHash++
+		}
+		if l.check != nil {
+			l.check(q, data)
+		}
+		if len(l.reqs) < l.keep {
+			l.reqs, l.data = append(l.reqs, q), append(l.data, data)
+		}
+		return took, nil
+	})
 	if l.after, err = d.metrics(); err != nil {
 		return phaseOut{}, err
 	}
-	wall := median(walls)
-	l.late = late
-	l.capacity = float64(len(l.closed)/l.batches) / wall
-	errs = append(errs, cerrs...)
-	out := phaseOut{wall: time.Duration(wall * float64(time.Second)), latency: lat, timeOrdered: true,
-		attempted: len(errs), failed: countErrors(errs)}
-	if out.failed > 0 {
-		e.logf("%d requests failed, first: %v", out.failed, firstError(errs))
+	out := phaseOut{wall: time.Duration(median(walls) * float64(time.Second)), units: len(walls),
+		latency: lat, timeOrdered: true, attempted: len(lat), failed: failed}
+	if failed > 0 {
+		e.logf("%d requests failed, first: %v", failed, firstErr)
 	}
+	e.logf("%d requests in %d blocks of %d", len(lat), len(walls), l.block)
 	return out, nil
 }
 
-// verify checks every answer's hash header, counting a mismatch as a
-// failed request, and reports the capacity and the generator's
-// lateness, the latter also as a layer on the traced pass.
-func (l *serveLoad) verify(o *outcome, traced bool) {
-	bad, first := hashMismatches(l.open, l.openAns)
-	if n, f := hashMismatches(l.closed, l.closeAns); n > 0 {
-		if bad == 0 {
-			first = f
-		}
-		bad += n
-	}
-	o.failed += bad
-	o.check("hash_header_equals_request_hash", bad == 0, "%d answers, first: %s", bad, first)
-	late, _ := percentile(l.late, 99)
-	o.setInfo("capacity_rps", l.capacity)
-	o.setInfo("loadgen.late_p99_ms", late)
-	if traced {
-		o.layers["loadgen.late_p99_ms"] = late
-	}
+// verify counts the answers whose hash header was not the request's
+// own hash as failed requests.
+func (l *serveLoad) verify(o *outcome) {
+	o.failed += l.badHash
+	o.check("hash_header_equals_request_hash", l.badHash == 0, "%d answers, first: %s", l.badHash, l.firstBad)
 }
 
 // svcMetrics is the part of the server's /metrics the benchmark reads.
@@ -295,55 +298,14 @@ func requestHash(body []byte) (string, error) {
 	return req.Hash(), nil
 }
 
-// answers holds what came back for one request list: whether each
-// X-Request-Hash differed from the request's hash (and the header
-// then), and each body unless the list hands bodies to a callback on
-// arrival. Nothing else is kept, so the load generator adds little to
-// the heap the server's collector scans.
-type answers struct {
-	bad  []bool
-	hash []string
-	data [][]byte
-}
-
-func newAnswers(n int) answers {
-	return answers{bad: make([]bool, n), hash: make([]string, n), data: make([][]byte, n)}
-}
-
-// sender returns the send function of an open or closed loop over
-// reqs, recording each answer and a span per request. A non-nil body
-// receives each body instead of the answers keeping it.
-func (d *daemon) sender(reqs []*adhoc, got answers, sp *spanLog, body func(q *adhoc, data []byte)) func(i, lane int) error {
-	return func(i, lane int) error {
-		s := sp.begin("POST /v1/run", reqs[i].hash, -1, lane)
-		hash, data, err := d.post(reqs[i].body)
-		sp.end(s)
-		if err != nil {
-			return err
-		}
-		if hash != reqs[i].hash {
-			got.bad[i], got.hash[i] = true, hash
-		}
-		if body != nil {
-			body(reqs[i], data)
-		} else {
-			got.data[i] = data
-		}
-		return nil
-	}
-}
-
-// hashMismatches counts answers whose X-Request-Hash is not the
-// request's own hash, and describes the first.
-func hashMismatches(reqs []*adhoc, got answers) (int, string) {
-	bad, first := 0, ""
-	for i, q := range reqs {
-		if got.bad[i] {
-			if bad == 0 {
-				first = fmt.Sprintf("request %d: header %q, client hash %q", i, got.hash[i], q.hash)
-			}
-			bad++
-		}
-	}
-	return bad, first
+// exchange sends q and returns the answer's X-Request-Hash header, its
+// body and the request's latency: from just before the request is
+// written to its last body byte.
+func (d *daemon) exchange(q *adhoc, lane int, sp *spanLog) (string, []byte, time.Duration, error) {
+	s := sp.begin("POST /v1/run", q.hash, -1, lane)
+	t0 := time.Now()
+	hash, data, err := d.post(q.body)
+	took := time.Since(t0)
+	sp.end(s)
+	return hash, data, took, err
 }

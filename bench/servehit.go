@@ -4,16 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
-	"sync/atomic"
 )
 
 const (
-	// hitRate is the serve-hit open-loop arrival rate.
-	hitRate = 1000.0
-	// hitClosed is the closed-loop phase: hitBatches batches; wall_s is
-	// the median batch wall.
-	hitClosed  = 60000
-	hitBatches = 5
+	// hitBlock is the requests per block; wall_s is the median block
+	// wall, and p99_ms the median of the blocks' p99s.
+	hitBlock = p99Window
 	// hitSeeds is the number of seeds per (algorithm, n) key shape.
 	hitSeeds = 256
 	// hitReplay caps the requests the traced pass replays by stage.
@@ -31,16 +27,18 @@ type serveHit struct {
 	keys   []*adhoc
 	want   map[*adhoc][]byte // each key's body as set-up recorded it
 	openMS float64
-	diff   atomic.Int64 // bodies that differ from want
+	diff   int // bodies that differ from want
 }
 
 func (h *serveHit) setup(e *env) error {
-	rate, closed, seeds := hitRate, hitClosed, hitSeeds
+	seeds := hitSeeds
+	h.block, h.keep = hitBlock, hitReplay
 	if e.toy {
-		rate, closed, seeds = 100, 200, 16
+		seeds, h.block = 16, 100
 	}
 	rng := rand.New(rand.NewPCG(e.seed, 3))
 	h.keys = h.keys[:0]
+	shapes := 0
 	for _, alg := range []string{"exchange", "k-vc"} {
 		for _, n := range []int{32, 64} {
 			for j := 0; j < seeds; j++ {
@@ -50,25 +48,25 @@ func (h *serveHit) setup(e *env) error {
 				}
 				h.keys = append(h.keys, q)
 			}
+			shapes++
+		}
+	}
+	// The seed shuffles the keys within each shape, and the shapes take
+	// turns down the ranking, so every seed puts the same shapes, with
+	// the same body sizes, at the same ranks.
+	rank := make([]int, len(h.keys))
+	for s := 0; s < shapes; s++ {
+		for j, k := range rng.Perm(seeds) {
+			rank[j*shapes+s] = s*seeds + k
 		}
 	}
 	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(h.keys)-1))
-	rank := rng.Perm(len(h.keys))
-	draw := func(n int) []*adhoc {
-		reqs := make([]*adhoc, n)
-		for i := range reqs {
-			reqs[i] = h.keys[rank[zipf.Uint64()]]
-		}
-		return reqs
-	}
-	count := int(rate * e.seconds.Seconds())
-	h.open, h.closed = draw(count), draw(closed)
-	h.due, h.batches = poissonDue(rng, count, rate), hitBatches
+	h.next = func() (*adhoc, error) { return h.keys[rank[zipf.Uint64()]], nil }
 	// Bodies are compared on arrival rather than kept: the timed phase
-	// answers tens of thousands of them.
-	h.body = func(q *adhoc, data []byte) {
+	// answers a hundred thousand of them.
+	h.check = func(q *adhoc, data []byte) {
 		if !bytes.Equal(data, h.want[q]) {
-			h.diff.Add(1)
+			h.diff++
 		}
 	}
 	var err error
@@ -85,17 +83,22 @@ func (h *serveHit) setup(e *env) error {
 // populate computes every key through the first server, then reopens
 // the ledger under the server the timed phase uses.
 func (h *serveHit) populate(e *env) error {
-	got := newAnswers(len(h.keys))
-	_, errs := closedLoop(len(h.keys), e.procs, h.in.d.sender(h.keys, got, nil, nil))
+	got := make([][]byte, len(h.keys))
+	_, errs := closedLoop(len(h.keys), e.procs, func(i, lane int) error {
+		q := h.keys[i]
+		hash, data, _, err := h.in.d.exchange(q, lane, nil)
+		if err == nil && hash != q.hash {
+			err = fmt.Errorf("header %q, client hash %q", hash, q.hash)
+		}
+		got[i] = data
+		return err
+	})
 	if err := firstError(errs); err != nil {
 		return fmt.Errorf("computing the keys: %w", err)
 	}
-	if bad, first := hashMismatches(h.keys, got); bad > 0 {
-		return fmt.Errorf("computing the keys: %d hash mismatches, first: %s", bad, first)
-	}
 	h.want = make(map[*adhoc][]byte, len(h.keys))
 	for i, q := range h.keys {
-		h.want[q] = got.data[i]
+		h.want[q] = got[i]
 	}
 	open, err := h.in.reopen(e)
 	if err != nil {
@@ -114,7 +117,7 @@ func (h *serveHit) teardown() {
 }
 
 func (h *serveHit) run(e *env, sp *spanLog) (phaseOut, error) {
-	h.diff.Store(0)
+	h.diff = 0
 	return h.serveLoad.run(e, h.in.d, sp)
 }
 
@@ -123,18 +126,18 @@ func (h *serveHit) verify(e *env, out phaseOut, sp *spanLog, o *outcome) error {
 	jobs := h.after.JobsDone - h.before.JobsDone
 	o.check("no_simulation", simulated == 0 && jobs == 0,
 		"%d requests missed both tiers and %d jobs ran", simulated, jobs)
-	h.serveLoad.verify(o, sp != nil)
-	diff := h.diff.Load()
-	o.failed += int(diff)
+	h.serveLoad.verify(o)
+	diff := h.diff
+	o.failed += diff
 	o.check("bodies_equal_setup_bytes", diff == 0, "%d bodies differ from the bytes set-up recorded", diff)
 	if sp == nil {
 		return nil
 	}
-	hits := h.mid.CacheHits - h.before.CacheHits
-	total := hits + h.mid.CacheMisses - h.before.CacheMisses
+	hits := h.after.CacheHits - h.before.CacheHits
+	total := hits + h.after.CacheMisses - h.before.CacheMisses
 	if total > 0 {
 		o.layers["serve.mem_hit_ratio"] = float64(hits) / float64(total)
-		o.layers["serve.ledger_hit_ratio"] = float64(h.mid.LedgerHits-h.before.LedgerHits) / float64(total)
+		o.layers["serve.ledger_hit_ratio"] = float64(h.after.LedgerHits-h.before.LedgerHits) / float64(total)
 	}
 	o.layers["ledger.open_ms"] = h.openMS
 	return h.replay(sp, out, o)
@@ -146,8 +149,8 @@ func (h *serveHit) verify(e *env, out phaseOut, sp *spanLog, o *outcome) error {
 // median the request is a memory hit, so the client p50 minus the hash
 // p50 is what HTTP and the cache lookup cost.
 func (h *serveHit) replay(sp *spanLog, out phaseOut, o *outcome) error {
-	for i := 0; i < min(len(h.open), hitReplay); i++ {
-		q := h.open[i]
+	for i := 0; i < min(len(h.reqs), hitReplay); i++ {
+		q := h.reqs[i]
 		root := sp.begin("replay", q.hash, -1, 0)
 		s := sp.begin("serve.hash", q.hash, root, 0)
 		hash, err := requestHash(q.body)

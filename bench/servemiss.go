@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -22,13 +23,9 @@ var missAlgs = []string{"exchange", "k-vc", "triangle", "k-is", "boolmm-naive", 
 	"mst", "mst-sketch", "mst-sparse"}
 
 const (
-	// missRate is the serve-miss open-loop arrival rate: well under the
-	// closed-loop capacity (see README.md), and 1,000 samples in 20 s.
-	missRate = 50.0
-	// missClosed is the closed-loop phase: missBatches batches, each of
-	// 6 blocks of the 18 request shapes; wall_s is the median batch wall.
-	missClosed  = 432
-	missBatches = 4
+	// missMinOps is the fewest requests a timed phase sends, so that p99
+	// has ten samples beyond it however slow the host is.
+	missMinOps = p99Window
 	// missSampleEvery: every this-many-th answer is rerun directly.
 	missSampleEvery = 8
 	// replayCount caps the requests the traced pass replays by stage.
@@ -44,9 +41,10 @@ type serveMiss struct {
 }
 
 func (m *serveMiss) setup(e *env) error {
-	rate, closed, ns := missRate, missClosed, []int{64, 128}
+	ns := []int{64, 128}
+	m.minOps = missMinOps
 	if e.toy {
-		rate, closed, ns = 9, 36, []int{16, 32}
+		ns, m.minOps = []int{16, 32}, 0
 	}
 	var shapes []adhoc
 	for _, alg := range missAlgs {
@@ -54,27 +52,24 @@ func (m *serveMiss) setup(e *env) error {
 			shapes = append(shapes, adhoc{alg: alg, n: n})
 		}
 	}
-	rng := rand.New(rand.NewPCG(e.seed, 1))
-	count := int(rate * e.seconds.Seconds())
-	var err error
-	if m.open, err = mixedRequests(rng, shapes, count); err != nil {
-		return err
-	}
-	if m.closed, err = mixedRequests(rng, shapes, closed); err != nil {
-		return err
-	}
-	m.due, m.batches = poissonDue(rng, count, rate), missBatches
+	// A block holds every shape once, so wall_s is the wall of one
+	// request of each shape, back to back.
+	m.next, m.block = mixStream(rand.New(rand.NewPCG(e.seed, 1)), shapes), len(shapes)
+	// Every answer is kept: a sample of them is rerun directly.
+	m.keep = math.MaxInt
 	// One request per shape, on seeds the timed phase never uses, so the
 	// engine pools start warm as in a daemon that has been running.
-	warm, err := mixedRequests(rand.New(rand.NewPCG(e.seed, 2)), shapes, len(shapes))
-	if err != nil {
-		return err
-	}
+	warm := mixStream(rand.New(rand.NewPCG(e.seed, 2)), shapes)
+	var err error
 	if m.in, err = newInstance(e, "serve-miss"); err != nil {
 		return err
 	}
-	for _, q := range warm {
-		if _, _, err := m.in.d.post(q.body); err != nil {
+	for range shapes {
+		q, err := warm()
+		if err == nil {
+			_, _, err = m.in.d.post(q.body)
+		}
+		if err != nil {
 			m.teardown()
 			return fmt.Errorf("warm-up: %w", err)
 		}
@@ -87,24 +82,19 @@ func (m *serveMiss) teardown() {
 	m.in = nil
 }
 
-// mixedRequests draws n requests over shapes with fresh seeds. Each
-// block of len(shapes) requests holds every shape once in a seeded
+// mixStream returns a stream of requests over shapes with fresh seeds.
+// Each run of len(shapes) requests holds every shape once in a seeded
 // order, so every seed sees the same mix.
-func mixedRequests(rng *rand.Rand, shapes []adhoc, n int) ([]*adhoc, error) {
-	out := make([]*adhoc, 0, n)
-	for len(out) < n {
-		for _, j := range rng.Perm(len(shapes)) {
-			if len(out) == n {
-				break
-			}
-			q, err := newAdhoc(shapes[j].alg, shapes[j].n, rng.Uint64())
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, q)
+func mixStream(rng *rand.Rand, shapes []adhoc) func() (*adhoc, error) {
+	var perm []int
+	return func() (*adhoc, error) {
+		if len(perm) == 0 {
+			perm = rng.Perm(len(shapes))
 		}
+		s := shapes[perm[0]]
+		perm = perm[1:]
+		return newAdhoc(s.alg, s.n, rng.Uint64())
 	}
-	return out, nil
 }
 
 func (m *serveMiss) run(e *env, sp *spanLog) (phaseOut, error) {
@@ -112,15 +102,12 @@ func (m *serveMiss) run(e *env, sp *spanLog) (phaseOut, error) {
 }
 
 func (m *serveMiss) verify(e *env, out phaseOut, sp *spanLog, o *outcome) error {
-	m.serveLoad.verify(o, sp != nil)
+	m.serveLoad.verify(o)
 	mismatch, sampled := 0, 0
 	var firstErr error
-	for i := 0; i < len(m.open); i += missSampleEvery {
-		if m.openAns.data[i] == nil {
-			continue
-		}
+	for i := 0; i < len(m.reqs); i += missSampleEvery {
 		sampled++
-		if err := envelopeMatchesRun(m.open[i], m.openAns.data[i]); err != nil {
+		if err := envelopeMatchesRun(m.reqs[i], m.data[i]); err != nil {
 			mismatch++
 			if firstErr == nil {
 				firstErr = err
@@ -133,8 +120,8 @@ func (m *serveMiss) verify(e *env, out phaseOut, sp *spanLog, o *outcome) error 
 	if sp == nil {
 		return nil
 	}
-	o.layers["serve.queue_wait_mean_ms"] = histMeanMS(m.before.QueueWait, m.mid.QueueWait)
-	o.layers["serve.run_wall_mean_ms"] = histMeanMS(m.before.RunWall, m.mid.RunWall)
+	o.layers["serve.queue_wait_mean_ms"] = histMeanMS(m.before.QueueWait, m.after.QueueWait)
+	o.layers["serve.run_wall_mean_ms"] = histMeanMS(m.before.RunWall, m.after.RunWall)
 	return m.replay(e, sp, out, o)
 }
 
@@ -179,11 +166,8 @@ func (m *serveMiss) replay(e *env, sp *spanLog, out phaseOut, o *outcome) error 
 	}
 	defer led.Close()
 	var traces []*trace.RunTrace
-	for i := 0; i < min(len(m.open), replayCount); i++ {
-		q, data := m.open[i], m.openAns.data[i]
-		if data == nil {
-			continue
-		}
+	for i := 0; i < min(len(m.reqs), replayCount); i++ {
+		q, data := m.reqs[i], m.data[i]
 		alg, _ := workload.Get(q.alg)
 		root := sp.begin("replay", q.hash, -1, 0)
 		s := sp.begin("serve.hash", q.hash, root, 0)

@@ -23,7 +23,7 @@ type spanLog struct {
 
 type span struct {
 	name, req  string
-	lane       int // the goroutine's lane: sender, client or worker index
+	lane       int // the goroutine's lane: client or worker index
 	parent     int // index of the causing span, -1 for a root
 	start, end time.Duration
 }
