@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -551,6 +552,76 @@ func TestCollectiveBackendEquivalence(t *testing.T) {
 		}
 		if s.transcripts != ref.transcripts {
 			t.Errorf("%s transcripts diverge from reference", backend)
+		}
+	}
+}
+
+// TestRoutedPayloadsAreIndependent guards the shared backing array the
+// routers carve payloads from: overwriting one delivered payload, or
+// appending to it, must leave every other packet's payload unchanged.
+func TestRoutedPayloadsAreIndependent(t *testing.T) {
+	const n, w = 6, 3
+	routers := map[string]func(nd clique.Endpoint, ps []Packet) []Packet{
+		"Route":       func(nd clique.Endpoint, ps []Packet) []Packet { return Route(nd, ps, w, 9) },
+		"RouteDirect": func(nd clique.Endpoint, ps []Packet) []Packet { return RouteDirect(nd, ps, w) },
+	}
+	for name, route := range routers {
+		runBoth(t, clique.Config{N: n, WordsPerPair: 2}, func(nd *clique.Node) {
+			var ps []Packet
+			for dst := 0; dst < n; dst++ {
+				for i := 0; i < 3 && dst != nd.ID(); i++ {
+					ps = append(ps, Packet{Dst: dst, Payload: []uint64{uint64(nd.ID()), uint64(dst), uint64(i)}})
+				}
+			}
+			out := route(nd, ps)
+			if len(out) != 3*(n-1) {
+				nd.Fail("%s: got %d packets, want %d", name, len(out), 3*(n-1))
+			}
+			want := make([][]uint64, len(out))
+			for i, p := range out {
+				want[i] = slices.Clone(p.Payload)
+			}
+			for i := range out {
+				out[i].Payload = append(out[i].Payload, 0xdead, 0xbeef)
+				for j := range out {
+					if j != i && !slices.Equal(out[j].Payload[:w], want[j]) {
+						nd.Fail("%s: appending to packet %d changed packet %d: %v, want %v", name, i, j, out[j].Payload, want[j])
+					}
+				}
+				out[i].Payload[0] = ^out[i].Payload[0]
+				for j := range out {
+					if j != i && !slices.Equal(out[j].Payload[:w], want[j]) {
+						nd.Fail("%s: writing packet %d changed packet %d: %v, want %v", name, i, j, out[j].Payload, want[j])
+					}
+				}
+				out[i].Payload[0] = ^out[i].Payload[0]
+			}
+		})
+	}
+}
+
+// BenchmarkRoute times one balanced Route at the n = 216 shape of Figure
+// 1's APSP matrix products: every node sends 2n width-2 packets to
+// destinations spread over the clique.
+func BenchmarkRoute(b *testing.B) {
+	const n, w = 216, 2
+	packets := make([][]Packet, n)
+	for v := range packets {
+		packets[v] = make([]Packet, 2*n)
+		for j := range packets[v] {
+			packets[v][j] = Packet{Dst: (v*31 + j*17) % n, Payload: []uint64{uint64(j), uint64(v)}}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := clique.Run(clique.Config{N: n}, func(nd *clique.Node) {
+			if got := Route(nd, packets[nd.ID()], w, 7); len(got) != 2*n {
+				nd.Fail("delivered %d packets, want %d", len(got), 2*n)
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -39,8 +39,16 @@ func Route(nd clique.Endpoint, packets []Packet, w int, seed uint64) []Packet {
 	me := nd.ID()
 
 	// Phase 1: spread every packet to a pseudo-random intermediate.
-	// Wire format per packet: dst, src, payload words.
-	queues := make([][]uint64, n)
+	// Wire format per packet: dst, src, payload words. A first pass
+	// sizes each queue so the second appends without growing.
+	mid := func(idx int) int {
+		return int(splitmix64(seed^uint64(me)*0x100000001b3^uint64(idx)) % uint64(n))
+	}
+	sizes := make([]int, n)
+	for idx := range packets {
+		sizes[mid(idx)] += w + 2
+	}
+	queues := carveQueues(sizes)
 	for idx, p := range packets {
 		if len(p.Payload) != w {
 			nd.Fail("comm: packet %d has payload width %d, instance width is %d", idx, len(p.Payload), w)
@@ -48,11 +56,8 @@ func Route(nd clique.Endpoint, packets []Packet, w int, seed uint64) []Packet {
 		if p.Dst < 0 || p.Dst >= n {
 			nd.Fail("comm: packet %d has bad destination %d", idx, p.Dst)
 		}
-		mid := int(splitmix64(seed^uint64(me)*0x100000001b3^uint64(idx)) % uint64(n))
-		rec := make([]uint64, 0, w+2)
-		rec = append(rec, uint64(p.Dst), uint64(me))
-		rec = append(rec, p.Payload...)
-		queues[mid] = append(queues[mid], rec...)
+		m := mid(idx)
+		queues[m] = append(append(queues[m], uint64(p.Dst), uint64(me)), p.Payload...)
 	}
 	// Packets whose intermediate is the sender itself never hit the
 	// network in phase 1; hold them aside and let them join phase 2.
@@ -61,42 +66,72 @@ func Route(nd clique.Endpoint, packets []Packet, w int, seed uint64) []Packet {
 
 	in := AllToAll(nd, queues)
 
-	// Phase 2: every intermediate forwards to true destinations.
-	// Wire format per packet: src, payload words.
-	queues2 := make([][]uint64, n)
-	var local []Packet
-	forward := func(stream []uint64) {
+	// Phase 2: every intermediate forwards to true destinations, held
+	// packets first. Wire format per packet: src, payload words. Packets
+	// already at their destination collect in queues2[me] and are
+	// delivered ahead of the phase-2 arrivals.
+	streams := append([][]uint64{held}, in...)
+	clear(sizes)
+	for _, stream := range streams {
 		for off := 0; off+w+2 <= len(stream); off += w + 2 {
-			dst := int(stream[off])
-			src := stream[off+1]
-			payload := stream[off+2 : off+2+w]
-			if dst == me {
-				local = append(local, Packet{Src: int(src), Dst: me, Payload: append([]uint64(nil), payload...)})
-				continue
-			}
-			rec := make([]uint64, 0, w+1)
-			rec = append(rec, src)
-			rec = append(rec, payload...)
-			queues2[dst] = append(queues2[dst], rec...)
+			sizes[stream[off]] += w + 1
 		}
 	}
-	forward(held)
-	for p := 0; p < n; p++ {
-		forward(in[p])
+	queues2 := carveQueues(sizes)
+	for _, stream := range streams {
+		for off := 0; off+w+2 <= len(stream); off += w + 2 {
+			dst := stream[off]
+			queues2[dst] = append(queues2[dst], stream[off+1:off+2+w]...)
+		}
 	}
+	local := queues2[me]
+	queues2[me] = nil
 
-	in2 := AllToAll(nd, queues2)
+	return unmarshal(me, w, local, AllToAll(nd, queues2))
+}
 
-	out := local
-	for p := 0; p < n; p++ {
-		stream := in2[p]
+// carveQueues returns one empty queue per destination with capacity
+// sizes[t], all carved from a single backing array.
+func carveQueues(sizes []int) [][]uint64 {
+	total := 0
+	for _, size := range sizes {
+		total += size
+	}
+	backing := make([]uint64, total)
+	queues := make([][]uint64, len(sizes))
+	for t, size := range sizes {
+		queues[t] = backing[:0:size]
+		backing = backing[size:]
+	}
+	return queues
+}
+
+// unmarshal decodes the (src, payload) records of width w+1 in local and
+// then in each stream of in, in order, into packets addressed to me. The
+// output is sized once and the payloads are cap-limited slices of one
+// backing array, so appending to one payload never overwrites another.
+// It returns nil when there is nothing to deliver.
+func unmarshal(me, w int, local []uint64, in [][]uint64) []Packet {
+	total := len(local) / (w + 1)
+	for _, stream := range in {
+		total += len(stream) / (w + 1)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]Packet, 0, total)
+	backing := make([]uint64, total*w)
+	decode := func(stream []uint64) {
 		for off := 0; off+w+1 <= len(stream); off += w + 1 {
-			out = append(out, Packet{
-				Src:     int(stream[off]),
-				Dst:     me,
-				Payload: append([]uint64(nil), stream[off+1:off+1+w]...),
-			})
+			payload := backing[:w:w]
+			backing = backing[w:]
+			copy(payload, stream[off+1:off+1+w])
+			out = append(out, Packet{Src: int(stream[off]), Dst: me, Payload: payload})
 		}
+	}
+	decode(local)
+	for _, stream := range in {
+		decode(stream)
 	}
 	return out
 }
@@ -114,25 +149,10 @@ func RouteDirect(nd clique.Endpoint, packets []Packet, w int) []Packet {
 		if len(p.Payload) != w {
 			nd.Fail("comm: packet %d has payload width %d, instance width is %d", idx, len(p.Payload), w)
 		}
-		rec := make([]uint64, 0, w+1)
-		rec = append(rec, uint64(me))
-		rec = append(rec, p.Payload...)
 		if p.Dst == me {
 			nd.Fail("comm: RouteDirect packet addressed to self")
 		}
-		queues[p.Dst] = append(queues[p.Dst], rec...)
+		queues[p.Dst] = append(append(queues[p.Dst], uint64(me)), p.Payload...)
 	}
-	in := AllToAll(nd, queues)
-	var out []Packet
-	for p := 0; p < n; p++ {
-		stream := in[p]
-		for off := 0; off+w+1 <= len(stream); off += w + 1 {
-			out = append(out, Packet{
-				Src:     int(stream[off]),
-				Dst:     me,
-				Payload: append([]uint64(nil), stream[off+1:off+1+w]...),
-			})
-		}
-	}
-	return out
+	return unmarshal(me, w, nil, AllToAll(nd, queues))
 }

@@ -49,28 +49,66 @@ func Find(nd clique.Endpoint, row graph.Bitset, k int) Result {
 	return agreeOnWitness(nd, witness, k)
 }
 
-// searchDominating returns a k-subset of candidates dominating all of g,
-// or nil.
+// searchDominating returns the first k-subset of candidates, in
+// lexicographic order of candidate positions, that dominates all of g,
+// or nil. Each candidate's closed neighbourhood is precomputed as a
+// bitset and the search keeps one OR accumulator per depth, so a leaf
+// is one word-by-word compare of acc | N[c] against the all-ones set
+// (graph.IsDominatingSet's rule) and allocates nothing.
 func searchDominating(g *graph.Graph, candidates []int, k int) []int {
-	sel := make([]int, 0, k)
-	var rec func(start int) []int
-	rec = func(start int) []int {
-		if len(sel) == k {
-			if graph.IsDominatingSet(g, sel) {
-				return append([]int(nil), sel...)
-			}
-			return nil
-		}
-		for i := start; i < len(candidates); i++ {
-			sel = append(sel, candidates[i])
-			if got := rec(i + 1); got != nil {
-				return got
-			}
-			sel = sel[:len(sel)-1]
-		}
+	words := len(g.Row(0))
+	backing := make([]uint64, (len(candidates)+k)*words)
+	carve := func(i int) graph.Bitset { return backing[i*words : (i+1)*words : (i+1)*words] }
+	s := dsSearch{
+		n:      g.N,
+		closed: make([]graph.Bitset, len(candidates)),
+		acc:    make([]graph.Bitset, k),
+		pick:   make([]int, k),
+	}
+	for i, c := range candidates {
+		s.closed[i] = g.ClosedRowInto(carve(i), c)
+	}
+	for d := range s.acc {
+		s.acc[d] = carve(len(candidates) + d)
+	}
+	if !s.rec(0, 0) {
 		return nil
 	}
-	return rec(0)
+	out := make([]int, k)
+	for d, i := range s.pick {
+		out[d] = candidates[i]
+	}
+	return out
+}
+
+// dsSearch is the state of one searchDominating call.
+type dsSearch struct {
+	n      int
+	closed []graph.Bitset // closed[i] = N[candidates[i]]
+	acc    []graph.Bitset // acc[d] = union of the first d picks' closed[]
+	pick   []int          // candidate positions of the current subset
+}
+
+// rec extends the first d picks with positions >= start and reports
+// whether some extension dominates; pick then holds the first one.
+func (s *dsSearch) rec(d, start int) bool {
+	if d == len(s.pick)-1 {
+		for i := start; i < len(s.closed); i++ {
+			if s.acc[d].UnionIsFull(s.closed[i], s.n) {
+				s.pick[d] = i
+				return true
+			}
+		}
+		return false
+	}
+	for i := start; i < len(s.closed); i++ {
+		s.pick[d] = i
+		s.acc[d+1].SetUnion(s.acc[d], s.closed[i])
+		if s.rec(d+1, i+1) {
+			return true
+		}
+	}
+	return false
 }
 
 // agreeOnWitness publishes the lowest-id node's witness (if any) so that

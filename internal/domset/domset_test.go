@@ -1,10 +1,12 @@
 package domset
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/clique"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 func runFind(t *testing.T, g *graph.Graph, k int) (Result, *clique.Result) {
@@ -135,5 +137,96 @@ func TestRoundsGrowWithK(t *testing.T) {
 	if res3.Stats.Rounds <= res2.Stats.Rounds {
 		t.Errorf("k=3 rounds (%d) should exceed k=2 rounds (%d)",
 			res3.Stats.Rounds, res2.Stats.Rounds)
+	}
+}
+
+// searchDominatingNaive is the search searchDominating replaced: the same
+// lexicographic k-subset walk, but a fresh []bool domination check per
+// leaf. It is the reference for the differential test.
+func searchDominatingNaive(g *graph.Graph, candidates []int, k int) []int {
+	dominates := func(set []int) bool {
+		dominated := make([]bool, g.N)
+		for _, u := range set {
+			dominated[u] = true
+			g.Neighbors(u, func(v int) { dominated[v] = true })
+		}
+		for _, d := range dominated {
+			if !d {
+				return false
+			}
+		}
+		return true
+	}
+	sel := make([]int, 0, k)
+	var rec func(start int) []int
+	rec = func(start int) []int {
+		if len(sel) == k {
+			if dominates(sel) {
+				return append([]int(nil), sel...)
+			}
+			return nil
+		}
+		for i := start; i < len(candidates); i++ {
+			sel = append(sel, candidates[i])
+			if got := rec(i + 1); got != nil {
+				return got
+			}
+			sel = sel[:len(sel)-1]
+		}
+		return nil
+	}
+	return rec(0)
+}
+
+// TestSearchDominatingMatchesNaive requires the word-parallel search to
+// return the identical witness (or nil) as the naive walk, over every
+// labelled node's S_v and the full vertex set, on random and planted
+// instances.
+func TestSearchDominatingMatchesNaive(t *testing.T) {
+	hits := 0
+	for seed := uint64(0); seed < 70; seed++ {
+		n := 6 + int(seed*7%35) // 6..40
+		k := 1 + int(seed%4)
+		var g *graph.Graph
+		if seed%2 == 0 {
+			g = graph.Gnp(n, 0.15+0.1*float64(seed%5), seed)
+		} else {
+			g, _ = graph.PlantedDominatingSet(n, k, 0.1, seed)
+		}
+		all := make([]int, n)
+		for v := range all {
+			all[v] = v
+		}
+		cands := [][]int{all}
+		s := partition.New(n, k)
+		for v := 0; v < s.NumLabels(); v++ {
+			cands = append(cands, s.Union(v))
+		}
+		for _, c := range cands {
+			got, want := searchDominating(g, c, k), searchDominatingNaive(g, c, k)
+			if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("seed %d n=%d k=%d candidates %v: got %v, naive %v", seed, n, k, c, got, want)
+			}
+			if got != nil {
+				hits++
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no instance had a dominating set; the sweep checks only misses")
+	}
+}
+
+// BenchmarkSearchDominating times Theorem 9's local step at Figure 1's
+// k-DS shape: n = 216, k = 3, a planted instance, searched from the S_v
+// of a node whose label names three distinct parts (C(108, 3) leaves).
+func BenchmarkSearchDominating(b *testing.B) {
+	const n, k = 216, 3
+	g, _ := graph.PlantedDominatingSet(n, k, 0.1, n)
+	s := partition.New(n, k)
+	cands := s.Union(s.NodeForLabel([]int{3, 4, 5}))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		searchDominating(g, cands, k)
 	}
 }

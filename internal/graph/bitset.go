@@ -35,6 +35,37 @@ func (b Bitset) Clone() Bitset {
 	return append(Bitset(nil), b...)
 }
 
+// fullWord returns word w of the set holding every value in [0, n): all
+// ones, except for the high bits of the last word.
+func fullWord(n, w int) uint64 {
+	if rem := n - 64*w; rem < 64 {
+		return 1<<uint(rem) - 1
+	}
+	return ^uint64(0)
+}
+
+// SetUnion makes b the union of x and y, word by word. All three must
+// have the same length.
+func (b Bitset) SetUnion(x, y Bitset) {
+	x, y = x[:len(b)], y[:len(b)]
+	for i := range b {
+		b[i] = x[i] | y[i]
+	}
+}
+
+// UnionIsFull reports whether b ∪ o holds every value in [0, n),
+// comparing word by word against the all-ones set and stopping at the
+// first gap. Both must have (n+63)/64 words; it allocates nothing.
+func (b Bitset) UnionIsFull(o Bitset, n int) bool {
+	o = o[:len(b)]
+	for w := range b {
+		if b[w]|o[w] != fullWord(n, w) {
+			return false
+		}
+	}
+	return true
+}
+
 // IntersectsWith reports whether b and o share an element.
 func (b Bitset) IntersectsWith(o Bitset) bool {
 	m := len(b)

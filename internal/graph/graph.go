@@ -55,6 +55,14 @@ func (g *Graph) Degree(v int) int { return g.adj[v].Count() }
 // Row returns v's adjacency bitset. The caller must not modify it.
 func (g *Graph) Row(v int) Bitset { return g.adj[v] }
 
+// ClosedRowInto writes N[v], v together with its neighbours, into dst
+// (which must have as many words as a row) and returns dst.
+func (g *Graph) ClosedRowInto(dst Bitset, v int) Bitset {
+	copy(dst, g.adj[v])
+	dst.Set(v)
+	return dst
+}
+
 // Neighbors calls f for each neighbor of v in increasing order.
 func (g *Graph) Neighbors(v int, f func(u int)) { g.adj[v].Each(f) }
 

@@ -1,5 +1,7 @@
 package graph
 
+import "math/bits"
+
 // This file holds exponential-time centralized oracles. They are the
 // ground truth in tests and experiments: the congested clique model
 // allows unbounded local computation, and the paper repeatedly relies on
@@ -61,15 +63,19 @@ func IsClique(g *Graph, set []int) bool {
 }
 
 // IsDominatingSet reports whether every vertex of g is in set or adjacent
-// to a member of set.
+// to a member of set: the OR of the members' closed neighbourhoods N[u]
+// (see ClosedRowInto), taken word by word, must be the all-ones set. It
+// allocates nothing.
 func IsDominatingSet(g *Graph, set []int) bool {
-	dominated := make([]bool, g.N)
-	for _, u := range set {
-		dominated[u] = true
-		g.Neighbors(u, func(v int) { dominated[v] = true })
-	}
-	for _, d := range dominated {
-		if !d {
+	for w := range (g.N + 63) / 64 {
+		var acc uint64
+		for _, u := range set {
+			acc |= g.adj[u][w]
+			if u/64 == w {
+				acc |= 1 << (u % 64)
+			}
+		}
+		if acc != fullWord(g.N, w) {
 			return false
 		}
 	}
@@ -132,60 +138,73 @@ func HasIndependentSetOfSize(g *Graph, k int) bool {
 // candidate set and branch on excluding or including it, pruning when
 // the candidate count cannot beat the incumbent. Practical far beyond
 // the plain subset enumeration of FindIndependentSet.
+//
+// The candidate set is a bitset and every step is word-parallel: a
+// degree is popcount(adj[v] & cand) summed over words, and the include
+// and exclude branches are cand &^ adj[pick] and cand with pick cleared.
+// Each branch removes at least one vertex, so the recursion is at most
+// N deep; the candidate set of depth d lives in scratch row d, allocated
+// once per call, and a node writes both of its children into row d+1 in
+// turn. Nothing is allocated per branch node.
 func MaxIndependentSetSize(g *Graph) int {
-	cand := NewBitset(g.N)
-	for v := 0; v < g.N; v++ {
-		cand.Set(v)
+	words := (g.N + 63) / 64
+	backing := make([]uint64, (g.N+1)*words)
+	m := misSearch{adj: g.adj, scratch: make([]Bitset, g.N+1)}
+	for d := range m.scratch {
+		m.scratch[d] = backing[d*words : (d+1)*words : (d+1)*words]
 	}
-	best := 0
-	var rec func(cand Bitset, size int)
-	rec = func(cand Bitset, size int) {
-		cnt := cand.Count()
-		if size+cnt <= best {
-			return // cannot improve
-		}
-		if cnt == 0 {
-			if size > best {
-				best = size
-			}
-			return
-		}
-		// Branch vertex: maximum degree within the candidate set.
-		pick, pickDeg := -1, -1
-		cand.Each(func(v int) {
-			d := 0
-			g.Neighbors(v, func(u int) {
-				if cand.Has(u) {
-					d++
-				}
-			})
-			if d > pickDeg {
-				pick, pickDeg = v, d
-			}
-		})
-		if pickDeg == 0 {
-			// Remaining candidates are pairwise non-adjacent.
-			if size+cnt > best {
-				best = size + cnt
-			}
-			return
-		}
-		// Include pick: drop pick and its neighbours.
-		with := cand.Clone()
-		with.Clear(pick)
-		g.Neighbors(pick, func(u int) {
-			if with.Has(u) {
-				with.Clear(u)
-			}
-		})
-		rec(with, size+1)
-		// Exclude pick.
-		without := cand.Clone()
-		without.Clear(pick)
-		rec(without, size)
+	for w := range m.scratch[0] {
+		m.scratch[0][w] = fullWord(g.N, w)
 	}
-	rec(cand, 0)
-	return best
+	m.rec(0, 0)
+	return m.best
+}
+
+// misSearch is the state of one MaxIndependentSetSize call.
+type misSearch struct {
+	adj     []Bitset
+	scratch []Bitset // scratch[d] is the candidate set at depth d
+	best    int
+}
+
+func (m *misSearch) rec(d, size int) {
+	cand := m.scratch[d]
+	cnt := cand.Count()
+	if size+cnt <= m.best {
+		return // cannot improve
+	}
+	// Branch vertex: the first vertex of maximum degree within the
+	// candidate set.
+	pick, pickDeg := -1, -1
+	for w, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			v := w*64 + bits.TrailingZeros64(word)
+			deg := 0
+			for i, a := range m.adj[v] {
+				deg += bits.OnesCount64(a & cand[i])
+			}
+			if deg > pickDeg {
+				pick, pickDeg = v, deg
+			}
+		}
+	}
+	if pickDeg <= 0 {
+		// No candidates left, or they are pairwise non-adjacent.
+		m.best = size + cnt
+		return
+	}
+	next := m.scratch[d+1]
+	// Include pick: drop pick and its neighbours.
+	row := m.adj[pick]
+	for i := range next {
+		next[i] = cand[i] &^ row[i]
+	}
+	next.Clear(pick)
+	m.rec(d+1, size+1)
+	// Exclude pick.
+	copy(next, cand)
+	next.Clear(pick)
+	m.rec(d+1, size)
 }
 
 // FindClique returns a clique of size exactly k, or nil.

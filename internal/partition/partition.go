@@ -105,9 +105,11 @@ func (s Scheme) NodeForLabel(lbl []int) int {
 	return id
 }
 
-// Union returns S_v for a labelled node v: the sorted union of the parts
-// named by v's label (duplicate part names contribute once). Returns nil
-// for unlabelled nodes.
+// Union returns S_v for a labelled node v: the parts named by v's label,
+// in label order, each part's vertices ascending; a repeated part name
+// contributes only at its first occurrence. The result is sorted only
+// when the label's distinct digits are: label (2, 0, 1) yields part 2
+// first. Returns nil for unlabelled nodes.
 func (s Scheme) Union(v int) []int {
 	lbl := s.Label(v)
 	if lbl == nil {
@@ -129,17 +131,18 @@ func (s Scheme) Union(v int) []int {
 }
 
 // InUnion reports whether vertex u belongs to S_v, without materialising
-// the union.
+// the union or the label: it reads v's base-P label digits in place and
+// allocates nothing.
 func (s Scheme) InUnion(v, u int) bool {
-	lbl := s.Label(v)
-	if lbl == nil {
+	if v >= s.NumLabels() {
 		return false
 	}
 	t := s.PartOf(u)
-	for _, d := range lbl {
-		if d == t {
+	for i := 0; i < s.K; i++ {
+		if v%s.P == t {
 			return true
 		}
+		v /= s.P
 	}
 	return false
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -140,5 +141,59 @@ func TestDegenerateK1(t *testing.T) {
 		if len(lbl) != 1 || lbl[0] != v {
 			t.Errorf("k=1 label of %d = %v", v, lbl)
 		}
+	}
+}
+
+func TestInUnionMatchesLabelDigits(t *testing.T) {
+	// InUnion reads the label's base-P digits in place; it must agree
+	// with the materialised Label on every (n, k) shape, unlabelled
+	// nodes included.
+	for n := 1; n <= 70; n++ {
+		for k := 1; k <= 4; k++ {
+			s := New(n, k)
+			for v := 0; v < n; v++ {
+				lbl := s.Label(v)
+				for u := 0; u < n; u++ {
+					want := slices.Contains(lbl, s.PartOf(u))
+					if got := s.InUnion(v, u); got != want {
+						t.Fatalf("n=%d k=%d: InUnion(%d, %d) = %v, label %v says %v", n, k, v, u, got, lbl, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestInUnionAllocatesNothing(t *testing.T) {
+	s := New(216, 3)
+	v := s.NodeForLabel([]int{5, 0, 3})
+	if allocs := testing.AllocsPerRun(100, func() {
+		for u := 0; u < s.N; u++ {
+			s.InUnion(v, u)
+		}
+	}); allocs != 0 {
+		t.Errorf("InUnion sweep allocated %.1f objects, want 0", allocs)
+	}
+}
+
+func TestUnionInLabelOrder(t *testing.T) {
+	// Union lists parts in label order, not sorted: label (2, 0, 1)
+	// yields part 2 first. Witnesses depend on this order.
+	s := New(27, 3) // p = 3, parts of 9
+	got := s.Union(s.NodeForLabel([]int{2, 0, 1}))
+	var want []int
+	for _, t := range []int{2, 0, 1} {
+		lo, hi := s.PartBounds(t)
+		for u := lo; u < hi; u++ {
+			want = append(want, u)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Union of label (2,0,1) = %v, want %v", got, want)
+	}
+	// A repeated part contributes once, at its first occurrence.
+	got = s.Union(s.NodeForLabel([]int{1, 0, 1}))
+	if len(got) != 18 || got[0] != 9 || got[9] != 0 {
+		t.Errorf("Union of label (1,0,1) = %v, want part 1 then part 0", got)
 	}
 }
