@@ -21,15 +21,30 @@ func chunkEnd(off, k, wpp int) int {
 // optimal up to constants, since every node must receive (n-1)k words
 // over n-1 links.
 func BroadcastAll(nd clique.Endpoint, words []uint64, k int) [][]uint64 {
+	return BroadcastAllInto(nd, words, k, nil)
+}
+
+// BroadcastAllInto is BroadcastAll refilling a caller-provided table of
+// n rows (allocated when nil), each row truncated and reused, so
+// protocols that broadcast every phase allocate the table once.
+func BroadcastAllInto(nd clique.Endpoint, words []uint64, k int, out [][]uint64) [][]uint64 {
 	defer trace.Op(nd, "BroadcastAll", k)()
 	if len(words) != k {
 		nd.Fail("comm: BroadcastAll given %d words, contract is exactly k=%d", len(words), k)
 	}
 	n := nd.N()
 	me := nd.ID()
-	out := make([][]uint64, n)
+	if out == nil {
+		out = make([][]uint64, n)
+	} else if len(out) != n {
+		nd.Fail("comm: BroadcastAllInto table has %d entries, want n=%d", len(out), n)
+	}
 	for i := range out {
-		out[i] = make([]uint64, 0, k)
+		if out[i] == nil {
+			out[i] = make([]uint64, 0, k)
+		} else {
+			out[i] = out[i][:0]
+		}
 	}
 	out[me] = append(out[me], words...)
 

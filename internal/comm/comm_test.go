@@ -65,6 +65,34 @@ func TestBroadcastAll(t *testing.T) {
 	}
 }
 
+// TestBroadcastAllIntoReusesTable pins the Into form: a table reused
+// across calls, rows of any capacity, must hold exactly the latest
+// broadcast, under a budget that splits each payload over two rounds.
+func TestBroadcastAllIntoReusesTable(t *testing.T) {
+	const n, k = 5, 3
+	runBoth(t, clique.Config{N: n, WordsPerPair: 2}, func(nd *clique.Node) {
+		table := make([][]uint64, n)
+		table[0] = make([]uint64, 7) // longer than k: must be truncated
+		for call := 0; call < 3; call++ {
+			words := make([]uint64, k)
+			for i := range words {
+				words[i] = uint64(call*1000 + nd.ID()*10 + i)
+			}
+			table = BroadcastAllInto(nd, words, k, table)
+			for p := 0; p < n; p++ {
+				if len(table[p]) != k {
+					nd.Fail("call %d: row %d has %d words, want %d", call, p, len(table[p]), k)
+				}
+				for i, w := range table[p] {
+					if w != uint64(call*1000+p*10+i) {
+						nd.Fail("call %d: table[%d][%d] = %d", call, p, i, w)
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestBroadcastAllChunksAgainstBudget(t *testing.T) {
 	const n, k = 4, 6
 	res := runBoth(t, clique.Config{N: n, WordsPerPair: 3}, func(nd *clique.Node) {

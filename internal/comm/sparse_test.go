@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/clique"
@@ -78,6 +79,44 @@ func TestSendToFewCostsOnlyMessages(t *testing.T) {
 		}
 		if r.Stats.Rounds != 2 {
 			t.Errorf("%s: rounds = %d, want 2", backend, r.Stats.Rounds)
+		}
+	}
+}
+
+// TestSendToFewRejectsContractViolations pins every SendToFew
+// contract check on both backends: a repeated destination, a message
+// to self or outside 0..n-1, and a message longer than rounds·wpp
+// must each fail the run, whether the bad message travels alone or
+// beside valid ones.
+func TestSendToFewRejectsContractViolations(t *testing.T) {
+	const n, wpp, rounds = 6, 2, 2
+	ok := Msg{To: 4, Words: []uint64{9}}
+	cases := []struct {
+		name string
+		msgs []Msg
+		want string
+	}{
+		{"duplicate", []Msg{{To: 2, Words: []uint64{1}}, {To: 2, Words: []uint64{2}}}, "two messages for 2"},
+		{"duplicate after others", []Msg{{To: 2, Words: []uint64{1}}, ok, {To: 2, Words: []uint64{2}}}, "two messages for 2"},
+		{"self", []Msg{{To: 1, Words: []uint64{1}}}, "message to 1 from 1"},
+		{"self beside others", []Msg{ok, {To: 1, Words: []uint64{1}}}, "message to 1 from 1"},
+		{"out of range high", []Msg{{To: n, Words: []uint64{1}}}, "message to 6 from 1"},
+		{"out of range low", []Msg{ok, {To: -1, Words: []uint64{1}}}, "message to -1 from 1"},
+		{"oversize", []Msg{{To: 3, Words: make([]uint64, rounds*wpp+1)}}, "exceeds 2 rounds x 2 wpp"},
+		{"oversize beside others", []Msg{ok, {To: 3, Words: make([]uint64, rounds*wpp+1)}}, "exceeds 2 rounds x 2 wpp"},
+	}
+	for _, backend := range clique.Backends() {
+		for _, tc := range cases {
+			_, err := clique.Run(clique.Config{N: n, WordsPerPair: wpp, Backend: backend}, func(nd *clique.Node) {
+				var msgs []Msg
+				if nd.ID() == 1 {
+					msgs = tc.msgs
+				}
+				SendToFew(nd, msgs, rounds)
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s/%s: want error containing %q, got %v", backend, tc.name, tc.want, err)
+			}
 		}
 	}
 }

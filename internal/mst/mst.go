@@ -1,7 +1,7 @@
 package mst
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/clique"
@@ -28,11 +28,10 @@ func Find(nd clique.Endpoint, wRow []int64) []Edge {
 	n := nd.N()
 	me := nd.ID()
 
-	comp := make([]int, n) // current component of each vertex
-	for v := range comp {
-		comp[v] = v
-	}
-	var forest []Edge
+	m := newBoruvkaMerge(n)
+	comp := m.comp // current component of each vertex, relabelled by m.merge
+	pairs := make([]uint64, n)
+	weights := make([]uint64, n)
 
 	phases := 1
 	for c := 1; c < n; c *= 2 {
@@ -56,57 +55,26 @@ func Find(nd clique.Endpoint, wRow []int64) []Edge {
 		if best.U >= 0 {
 			pairWord = clique.PairWord(best.U, best.V, n)
 		}
-		pairs := comm.BroadcastWord(nd, pairWord)
-		rawWeights := comm.BroadcastWord(nd, uint64(best.W))
-		weights := make([]int64, n)
-		for v := 0; v < n; v++ {
-			weights[v] = int64(rawWeights[v])
-		}
+		comm.BroadcastWordInto(nd, pairWord, pairs)
+		comm.BroadcastWordInto(nd, uint64(best.W), weights)
 
 		// Deterministic global merge, identical at every node: for each
 		// component, the best announced outgoing edge; then union.
-		bestOf := make(map[int]Edge)
 		for v := 0; v < n; v++ {
-			if pairs[v] == noEdge {
-				continue
-			}
-			u, w := clique.UnpairWord(pairs[v], n)
-			e := Edge{U: u, V: w, W: weights[v]}
-			c := comp[e.U]
-			cur, ok := bestOf[c]
-			if !ok || better(e, cur) {
-				bestOf[c] = e
+			if pairs[v] != noEdge {
+				u, w := clique.UnpairWord(pairs[v], n)
+				m.offer(Edge{U: u, V: w, W: int64(weights[v])})
 			}
 		}
-		if len(bestOf) == 0 {
-			endPhase()
-			break // no component has an outgoing edge: forest complete
-		}
-		added := false
-		for _, e := range stableEdges(bestOf) {
-			if comp[e.U] == comp[e.V] {
-				continue // the reverse copy already merged us
-			}
-			forest = append(forest, normalize(e))
-			from, to := comp[e.U], comp[e.V]
-			if to > from {
-				from, to = to, from
-			}
-			for v := range comp {
-				if comp[v] == from {
-					comp[v] = to
-				}
-			}
-			added = true
-		}
+		added := m.merge()
 		endPhase()
 		if !added {
-			break
+			break // no component has an outgoing edge: forest complete
 		}
 	}
 
-	sort.Slice(forest, func(i, j int) bool { return less(forest[i], forest[j]) })
-	return forest
+	slices.SortFunc(m.forest, compareEdges)
+	return m.forest
 }
 
 // better orders candidate edges by (weight, min endpoint, max endpoint);
@@ -136,26 +104,22 @@ func less(a, b Edge) bool {
 	return a.V < b.V
 }
 
+// compareEdges is less as a three-way comparison, for slices.SortFunc.
+func compareEdges(a, b Edge) int {
+	switch {
+	case less(a, b):
+		return -1
+	case less(b, a):
+		return 1
+	}
+	return 0
+}
+
 func normalize(e Edge) Edge {
 	if e.U > e.V {
 		e.U, e.V = e.V, e.U
 	}
 	return e
-}
-
-// stableEdges returns the per-component best edges in a deterministic
-// order (map iteration order is not).
-func stableEdges(m map[int]Edge) []Edge {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]Edge, 0, len(m))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
 }
 
 // Weight sums an edge list.
@@ -178,33 +142,13 @@ func KruskalOracle(g *graph.Weighted) (int64, int) {
 // every node returns the full vector of component ids (the smallest
 // vertex id in each component), identical everywhere. Cost: one Find.
 func Components(nd clique.Endpoint, wRow []int64) []int {
-	n := nd.N()
-	forest := Find(nd, wRow)
-	comp := make([]int, n)
-	for v := range comp {
-		comp[v] = v
+	uf := newUnionFind(nd.N())
+	for _, e := range Find(nd, wRow) {
+		uf.union(e.U, e.V)
 	}
-	var find func(x int) int
-	find = func(x int) int {
-		for comp[x] != x {
-			comp[x] = comp[comp[x]]
-			x = comp[x]
-		}
-		return x
-	}
-	for _, e := range forest {
-		ru, rv := find(e.U), find(e.V)
-		if ru != rv {
-			if ru < rv {
-				comp[rv] = ru
-			} else {
-				comp[ru] = rv
-			}
-		}
-	}
-	out := make([]int, n)
+	out := make([]int, nd.N())
 	for v := range out {
-		out[v] = find(v)
+		out[v] = uf.find(v)
 	}
 	return out
 }

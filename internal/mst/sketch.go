@@ -1,7 +1,7 @@
 package mst
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/clique"
 	"repro/internal/comm"
@@ -53,11 +53,9 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 	// Phase A: seed contraction. Identical logic to Find's phases, but
 	// a fixed constant number of them, with pair and weight fused into
 	// one two-word broadcast.
-	comp := make([]int, n)
-	for v := range comp {
-		comp[v] = v
-	}
-	var forest []Edge
+	m := newBoruvkaMerge(n)
+	comp := m.comp
+	var announced [][]uint64 // reused by every seed phase
 	for phase := 0; phase < seedPhases; phase++ {
 		endPhase := trace.Phase(nd, "sketchmst/seed")
 		best := Edge{U: -1, W: graph.Inf}
@@ -73,47 +71,26 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 		if best.U >= 0 {
 			pairWord = clique.PairWord(best.U, best.V, n)
 		}
-		table := comm.BroadcastAll(nd, []uint64{pairWord, uint64(best.W)}, 2)
-		bestOf := make(map[int]Edge)
+		announced = comm.BroadcastAllInto(nd, []uint64{pairWord, uint64(best.W)}, 2, announced)
 		for v := 0; v < n; v++ {
-			if table[v][0] == noEdge {
-				continue
-			}
-			u, w := clique.UnpairWord(table[v][0], n)
-			e := Edge{U: u, V: w, W: int64(table[v][1])}
-			if cur, ok := bestOf[comp[e.U]]; !ok || better(e, cur) {
-				bestOf[comp[e.U]] = e
+			if a := announced[v]; a[0] != noEdge {
+				u, w := clique.UnpairWord(a[0], n)
+				m.offer(Edge{U: u, V: w, W: int64(a[1])})
 			}
 		}
-		for _, e := range stableEdges(bestOf) {
-			if comp[e.U] == comp[e.V] {
-				continue
-			}
-			forest = append(forest, normalize(e))
-			from, to := comp[e.U], comp[e.V]
-			if to > from {
-				from, to = to, from
-			}
-			for v := range comp {
-				if comp[v] == from {
-					comp[v] = to
-				}
-			}
-		}
+		m.merge()
 		endPhase()
 	}
 
 	// Component index after seeding: labels are minimum member ids, so
-	// the label doubles as the leader's node id.
+	// the label doubles as the leader's node id, and the leaders in
+	// ascending id are the components in ascending label.
 	comps := make([]int, 0, n)
-	seen := make(map[int]bool, n)
 	for v := 0; v < n; v++ {
-		if !seen[comp[v]] {
-			seen[comp[v]] = true
-			comps = append(comps, comp[v])
+		if comp[v] == v {
+			comps = append(comps, v)
 		}
 	}
-	sort.Ints(comps)
 	k := len(comps)
 	leader := me == comp[me]
 
@@ -253,16 +230,13 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 	for _, e := range contracted {
 		edges = append(edges, e)
 	}
-	sort.Slice(edges, func(i, j int) bool { return less(edges[i], edges[j]) })
-	uf := newUnionFind(n)
-	for v := 0; v < n; v++ {
-		uf.union(comp[v], v)
-	}
+	slices.SortFunc(edges, compareEdges)
+	forest := m.forest
 	for _, e := range edges {
-		if uf.union(e.U, e.V) {
+		if m.uf.union(e.U, e.V) { // m.uf still holds the seed partition
 			forest = append(forest, e)
 		}
 	}
-	sort.Slice(forest, func(i, j int) bool { return less(forest[i], forest[j]) })
+	slices.SortFunc(forest, compareEdges)
 	return forest, stats
 }

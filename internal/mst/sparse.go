@@ -1,7 +1,7 @@
 package mst
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/clique"
 	"repro/internal/comm"
@@ -288,7 +288,7 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 					nd.Fail("mst: SparseFind coordinator got %d-word report from %d", len(inB[p]), p)
 				}
 			}
-			sort.Slice(cands, func(i, j int) bool { return less(cands[i], cands[j]) })
+			slices.SortFunc(cands, compareEdges)
 			for _, e := range cands {
 				if uf.union(e.U, e.V) {
 					forest = append(forest, e)
@@ -369,13 +369,13 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 	}
 
 	if me == 0 {
-		sort.Slice(forest, func(i, j int) bool { return less(forest[i], forest[j]) })
+		slices.SortFunc(forest, compareEdges)
 		stats.Merges = len(forest)
-		comps := map[int]bool{}
 		for v := 0; v < n; v++ {
-			comps[uf.find(v)] = true
+			if uf.find(v) == v {
+				stats.Components++
+			}
 		}
-		stats.Components = len(comps)
 		return forest, stats
 	}
 	return nil, stats
