@@ -20,6 +20,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/subgraph"
 	"repro/internal/vcover"
+	"repro/internal/virtual"
 )
 
 // This file pins the tentpole guarantee of the execution-backend split:
@@ -235,7 +236,16 @@ func TestBackendEquivalenceNondetVerifier(t *testing.T) {
 // per-round send patterns and message lengths, derived purely from
 // (seed, id, round) — so each backend replays the identical program.
 func fuzzBackendProgram(seed int64, n, wpp int) clique.NodeFunc {
-	return func(nd *clique.Node) {
+	prog := fuzzEndpointProgram(seed, n, wpp, nil)
+	return func(nd *clique.Node) { prog(nd) }
+}
+
+// fuzzEndpointProgram is fuzzBackendProgram written against
+// clique.Endpoint, so it also runs as the virtual nodes of a simulated
+// clique. When senders is non-nil, node v appends its Senders list
+// after every Tick to senders[v].
+func fuzzEndpointProgram(seed int64, n, wpp int, senders [][][]int) func(nd clique.Endpoint) {
+	return func(nd clique.Endpoint) {
 		rng := rand.New(rand.NewSource(seed<<32 | int64(nd.ID())))
 		rounds := 2 + rng.Intn(4)
 		for r := 0; r < rounds; r++ {
@@ -250,24 +260,32 @@ func fuzzBackendProgram(seed int64, n, wpp int) clique.NodeFunc {
 				nd.Send(to, words...)
 			}
 			nd.Tick()
+			if senders != nil {
+				senders[nd.ID()] = append(senders[nd.ID()], nd.Senders(nil))
+			}
 		}
 	}
 }
 
 // checkBackendEquivalence replays the seed's program on every backend
-// and compares stats and full transcripts word for word.
+// and compares stats and full transcripts word for word, and the
+// per-round Senders lists of every node — which must also match the
+// same program run as the virtual nodes of a simulated clique.
 func checkBackendEquivalence(t *testing.T, seed int64, n, wpp int) {
 	t.Helper()
-	prog := fuzzBackendProgram(seed, n, wpp)
 	var refStats clique.Stats
 	var refTr []*clique.Transcript
+	var refSenders [][][]int
 	for i, backend := range clique.Backends() {
-		res, err := clique.Run(clique.Config{N: n, WordsPerPair: wpp, RecordTranscript: true, Backend: backend}, prog)
+		senders := make([][][]int, n)
+		prog := fuzzEndpointProgram(seed, n, wpp, senders)
+		res, err := clique.Run(clique.Config{N: n, WordsPerPair: wpp, RecordTranscript: true, Backend: backend},
+			func(nd *clique.Node) { prog(nd) })
 		if err != nil {
 			t.Fatalf("seed %d backend %s: %v", seed, backend, err)
 		}
 		if i == 0 {
-			refStats, refTr = res.Stats, res.Transcripts
+			refStats, refTr, refSenders = res.Stats, res.Transcripts, senders
 			continue
 		}
 		if res.Stats != refStats {
@@ -276,6 +294,24 @@ func checkBackendEquivalence(t *testing.T, seed int64, n, wpp int) {
 		if !reflect.DeepEqual(res.Transcripts, refTr) {
 			t.Errorf("seed %d: %s transcripts diverge", seed, backend)
 		}
+		if !reflect.DeepEqual(senders, refSenders) {
+			t.Errorf("seed %d: %s Senders %v != %v", seed, backend, senders, refSenders)
+		}
+	}
+	// The virtual clique: n virtual nodes hosted round-robin on a
+	// smaller real clique.
+	hosts := (n + 1) / 2
+	senders := make([][][]int, n)
+	prog := fuzzEndpointProgram(seed, n, wpp, senders)
+	_, err := clique.Run(clique.Config{N: hosts, WordsPerPair: 4, Backend: "lockstep"}, func(nd *clique.Node) {
+		virtual.Run(nd, virtual.Config{M: n, Host: func(v int) int { return v % hosts }, WordsPerPair: wpp},
+			func(vn *virtual.Node) { prog(vn) })
+	})
+	if err != nil {
+		t.Fatalf("seed %d virtual clique: %v", seed, err)
+	}
+	if !reflect.DeepEqual(senders, refSenders) {
+		t.Errorf("seed %d: virtual clique Senders %v != %v", seed, senders, refSenders)
 	}
 }
 

@@ -281,6 +281,19 @@ func (nd *Node) RecvAll() [][]uint64 {
 	return nd.rt.RecvAll(nd.id)
 }
 
+// Senders appends to buf the ids of the nodes that sent this node a
+// non-empty message in the most recently completed round, ascending,
+// and returns the result — exactly {p : len(Recv(p)) > 0}. Before the
+// first Tick it returns buf unchanged. On the lockstep backend the cost
+// is O(senders + n/64), so sparse receives pay for the peers that
+// spoke, not for n.
+func (nd *Node) Senders(buf []int) []int {
+	if nd.completed == 0 {
+		return buf
+	}
+	return nd.rt.Senders(nd.id, buf)
+}
+
 // Fail aborts the entire run with an algorithm-level error, e.g. when a
 // node detects its input violates a documented precondition.
 func (nd *Node) Fail(format string, args ...any) {
@@ -348,6 +361,9 @@ type Endpoint interface {
 	// RecvInto appends the words received from `from` in the last round
 	// to buf and returns caller-owned memory.
 	RecvInto(from int, buf []uint64) []uint64
+	// Senders appends the ids that sent a non-empty message in the last
+	// round to buf, ascending, and returns the result.
+	Senders(buf []int) []int
 	// Fail aborts the run with an algorithm-level error.
 	Fail(format string, args ...any)
 }

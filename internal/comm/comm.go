@@ -173,10 +173,8 @@ func Flags(nd clique.Endpoint, flag bool) []bool {
 	nd.Tick()
 	got := make([]bool, n)
 	got[me] = flag
-	for p := 0; p < n; p++ {
-		if p != me {
-			got[p] = len(nd.Recv(p)) > 0
-		}
+	for _, p := range nd.Senders(nil) {
+		got[p] = true
 	}
 	return got
 }
@@ -189,21 +187,18 @@ func Flags(nd clique.Endpoint, flag bool) []bool {
 // shape of the paper's kernelisation protocols (Theorem 11).
 func BroadcastRounds(nd clique.Endpoint, words []uint64, rounds int, on func(round, from int, w uint64)) {
 	defer trace.Op(nd, "BroadcastRounds", len(words))()
-	n := nd.N()
-	me := nd.ID()
 	if len(words) > rounds {
 		nd.Fail("comm: BroadcastRounds has %d words but only %d rounds", len(words), rounds)
 	}
+	var senders []int
 	for r := 0; r < rounds; r++ {
 		if r < len(words) {
 			buf := nd.BroadcastBuf(1)
 			buf[0] = words[r]
 		}
 		nd.Tick()
-		for p := 0; p < n; p++ {
-			if p == me {
-				continue
-			}
+		senders = nd.Senders(senders[:0])
+		for _, p := range senders {
 			if got := nd.Recv(p); len(got) == 1 {
 				on(r, p, got[0])
 			}

@@ -42,6 +42,20 @@
 //   - BroadcastBits: bit-packed broadcast at the honest O(log n)-bit
 //     word size.
 //
+// The sparse collectives (sparse.go) charge only the words actually
+// sent, for the message-frugal protocols whose silence must be free:
+//
+//   - SendToFew: at most one message per destination, received as a
+//     sender-ascending list appended to a caller-reused buffer.
+//   - SampledBroadcast: only the active nodes broadcast k words.
+//   - GatherSparse: only the active nodes' payloads reach the root.
+//
+// They, Flags and BroadcastRounds receive through Endpoint.Senders, so
+// on the lockstep backend a round costs each node O(senders that spoke
+// + n/64), not a probe of all n peers. SendToFew allocates nothing in
+// proportion to n; SampledBroadcast, GatherSparse and Flags still
+// return n-entry tables, one O(n) allocation per call.
+//
 // The packed plane (bits.go) moves dense boolean payloads at 64 matrix
 // entries per word over bitvec.Row values — ceil(bits/64) words per row
 // instead of one word per entry, the representation Le Gall's algebraic

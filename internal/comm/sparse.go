@@ -10,8 +10,10 @@ import (
 // the full table — every BroadcastAll costs n·k words per node whether
 // or not a node has anything to say. The message-frugal algorithms
 // (Pemmaraju–Sardeshmukh o(m)-message MST, sampled-sketch protocols)
-// need silence to be free, which the simulator already grants: an
-// empty link carries zero words and costs nothing. What the sparse
+// need silence to be free, in model words and in simulator time: an
+// empty link carries zero words, and receivers walk Endpoint.Senders
+// instead of probing every peer, so on the lockstep backend a round
+// costs each node O(senders that spoke + n/64). What the sparse
 // collectives add is the agreement structure — fixed round counts all
 // nodes can compute locally — so sparsity never buys a divergent
 // schedule across backends.
@@ -22,15 +24,27 @@ type Msg struct {
 	Words []uint64
 }
 
+// Delivery is one message a SendToFew call received: its sender and its
+// words, reassembled across the call's rounds.
+type Delivery struct {
+	From  int
+	Words []uint64
+}
+
 // SendToFew delivers every node's sparse message list, costing only
 // the words actually sent. All nodes must pass the same rounds value
 // (it is the agreement that keeps lockstep and goroutine schedules
 // identical), and rounds·wpp must bound every single message's length
-// — at most one message per destination per call. Returns the
-// received words indexed by sender; nil entries are silence. The
-// receiver sees each message exactly as sent (chunking across rounds
-// is reassembled).
-func SendToFew(nd clique.Endpoint, msgs []Msg, rounds int) [][]uint64 {
+// — at most one message per destination per call. The messages this
+// node received are appended to into in ascending sender order and the
+// result is returned; silent peers have no entry. The receiver sees
+// each message exactly as sent (chunking across rounds is
+// reassembled). Callers that pass the previous result truncated to
+// zero length (into[:0]) reuse both the list and its word buffers —
+// overwriting the previous result — so a steady-state call allocates
+// nothing in proportion to n: a round costs each node O(senders +
+// n/64).
+func SendToFew(nd clique.Endpoint, msgs []Msg, rounds int, into []Delivery) []Delivery {
 	total := 0
 	for _, m := range msgs {
 		total += len(m.Words)
@@ -42,41 +56,75 @@ func SendToFew(nd clique.Endpoint, msgs []Msg, rounds int) [][]uint64 {
 	if rounds < 1 {
 		nd.Fail("comm: SendToFew rounds = %d, need >= 1", rounds)
 	}
-	var seen []bool // duplicate check; a single message cannot repeat
+	// Duplicate check (a single message cannot repeat): one bit per
+	// destination, on the stack up to n = 1024.
+	var small [16]uint64
+	var seen []uint64
 	if len(msgs) > 1 {
-		seen = make([]bool, n)
+		if w := (n + 63) / 64; w <= len(small) {
+			seen = small[:w]
+		} else {
+			seen = make([]uint64, w)
+		}
 	}
 	for _, m := range msgs {
 		if m.To < 0 || m.To >= n || m.To == me {
 			nd.Fail("comm: SendToFew message to %d from %d, need another node in 0..%d", m.To, me, n-1)
 		}
 		if seen != nil {
-			if seen[m.To] {
+			bit := uint64(1) << uint(m.To&63)
+			if seen[m.To>>6]&bit != 0 {
 				nd.Fail("comm: SendToFew queued two messages for %d (contract is at most one)", m.To)
 			}
-			seen[m.To] = true
+			seen[m.To>>6] |= bit
 		}
 		if len(m.Words) > rounds*wpp {
 			nd.Fail("comm: SendToFew message of %d words to %d exceeds %d rounds x %d wpp",
 				len(m.Words), m.To, rounds, wpp)
 		}
 	}
-	in := make([][]uint64, n)
+	base := len(into)
+	var senders []int
 	for r := 0; r < rounds; r++ {
+		off := r * wpp
 		for _, m := range msgs {
-			off := r * wpp
 			if off < len(m.Words) {
 				nd.SendWords(m.To, m.Words[off:chunkEnd(off, len(m.Words), wpp)])
 			}
 		}
 		nd.Tick()
-		for p := 0; p < n; p++ {
-			if p != me && len(nd.Recv(p)) > 0 {
-				in[p] = nd.RecvInto(p, in[p])
+		senders = nd.Senders(senders[:0])
+		if r == 0 {
+			for _, p := range senders {
+				into = appendDelivery(into, p)
+				d := &into[len(into)-1]
+				d.Words = nd.RecvInto(p, d.Words)
 			}
+			continue
+		}
+		// Every message starts in round 0, so later rounds' senders are
+		// an ascending subset of the list: merge them in.
+		i := base
+		for _, p := range senders {
+			for into[i].From != p {
+				i++
+			}
+			into[i].Words = nd.RecvInto(p, into[i].Words)
 		}
 	}
-	return in
+	return into
+}
+
+// appendDelivery extends into by one entry from `from`, reusing the
+// entry's word buffer when into has spare capacity.
+func appendDelivery(into []Delivery, from int) []Delivery {
+	if len(into) < cap(into) {
+		into = into[:len(into)+1]
+		d := &into[len(into)-1]
+		d.From, d.Words = from, d.Words[:0]
+		return into
+	}
+	return append(into, Delivery{From: from})
 }
 
 // SampledBroadcast is a broadcast only the sampled nodes pay for:
@@ -106,15 +154,15 @@ func SampledBroadcast(nd clique.Endpoint, words []uint64, k int, active bool) []
 	if active {
 		in[me] = append(in[me], words...)
 	}
+	var senders []int
 	for off := 0; off < k; off += wpp {
 		if active {
 			nd.BroadcastWords(words[off:chunkEnd(off, k, wpp)])
 		}
 		nd.Tick()
-		for p := 0; p < n; p++ {
-			if p != me && len(nd.Recv(p)) > 0 {
-				in[p] = nd.RecvInto(p, in[p])
-			}
+		senders = nd.Senders(senders[:0])
+		for _, p := range senders {
+			in[p] = nd.RecvInto(p, in[p])
 		}
 	}
 	for p := 0; p < n; p++ {
@@ -150,16 +198,16 @@ func GatherSparse(nd clique.Endpoint, root int, words []uint64, k int) [][]uint6
 	if words != nil {
 		in[me] = append(in[me], words...)
 	}
+	var senders []int
 	for off := 0; off < k; off += wpp {
 		if words != nil && me != root {
 			nd.SendWords(root, words[off:chunkEnd(off, k, wpp)])
 		}
 		nd.Tick()
 		if me == root {
-			for p := 0; p < n; p++ {
-				if p != me && len(nd.Recv(p)) > 0 {
-					in[p] = nd.RecvInto(p, in[p])
-				}
+			senders = nd.Senders(senders[:0])
+			for _, p := range senders {
+				in[p] = nd.RecvInto(p, in[p])
 			}
 		}
 	}

@@ -27,7 +27,7 @@ func TestSendToFewDelivers(t *testing.T) {
 			if me%2 == 0 && me != 0 {
 				msgs = append(msgs, Msg{To: 0, Words: []uint64{uint64(me)}})
 			}
-			got[me] = SendToFew(nd, msgs, 3)
+			got[me] = deliveryTable(n, SendToFew(nd, msgs, 3, nil))
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", backend, err)
@@ -62,6 +62,74 @@ func TestSendToFewDelivers(t *testing.T) {
 	}
 }
 
+// deliveryTable spreads a SendToFew receive list into a table indexed
+// by sender, nil for silence, checking the list is strictly ascending.
+func deliveryTable(n int, ds []Delivery) [][]uint64 {
+	table := make([][]uint64, n)
+	for i, d := range ds {
+		if i > 0 && ds[i-1].From >= d.From {
+			panic(fmt.Sprintf("SendToFew receive list not ascending: %d after %d", d.From, ds[i-1].From))
+		}
+		table[d.From] = d.Words
+	}
+	return table
+}
+
+// TestSendToFewReusesBuffer checks the caller-reused receive list:
+// passing the previous result truncated to zero length refills the
+// same entries and word buffers, appends after existing entries keep
+// them, and the list stays sender-ascending across calls whose sender
+// sets differ.
+func TestSendToFewReusesBuffer(t *testing.T) {
+	const n, calls = 9, 4
+	for _, backend := range clique.Backends() {
+		_, err := clique.Run(clique.Config{N: n, WordsPerPair: 2, Backend: backend}, func(nd *clique.Node) {
+			me := nd.ID()
+			var in []Delivery
+			for c := 0; c < calls; c++ {
+				// In call c, node v sends c+1+v%3 words to (v+c+1) mod n
+				// when (v+c) is odd; the rest stay silent.
+				var msgs []Msg
+				if (me+c)%2 == 1 {
+					words := make([]uint64, c+1+me%3)
+					for i := range words {
+						words[i] = uint64(1000*c + 10*me + i)
+					}
+					msgs = append(msgs, Msg{To: (me + c + 1) % n, Words: words})
+				}
+				prev := in
+				in = SendToFew(nd, msgs, 3, in[:0])
+				if len(prev) > 0 && len(in) > 0 && &prev[0] != &in[0] {
+					nd.Fail("call %d reallocated a list with room to spare", c)
+				}
+				src := (me - c - 1 + 2*n) % n
+				var want []Delivery
+				if (src+c)%2 == 1 {
+					words := make([]uint64, c+1+src%3)
+					for i := range words {
+						words[i] = uint64(1000*c + 10*src + i)
+					}
+					want = append(want, Delivery{From: src, Words: words})
+				}
+				if fmt.Sprint(in) != fmt.Sprint(want) {
+					nd.Fail("call %d got %v, want %v", c, in, want)
+				}
+				if c == calls-1 {
+					// Appending keeps the entries already in the list.
+					keep := append([]Delivery{{From: -1}}, in...)
+					out := SendToFew(nd, nil, 1, keep)
+					if len(out) != len(keep) || out[0].From != -1 {
+						nd.Fail("append form dropped entries: %v", out)
+					}
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+	}
+}
+
 // TestSendToFewCostsOnlyMessages pins the sparse cost model: total
 // words sent equals the words queued, not n² per round.
 func TestSendToFewCostsOnlyMessages(t *testing.T) {
@@ -71,7 +139,7 @@ func TestSendToFewCostsOnlyMessages(t *testing.T) {
 		if nd.ID() == 3 {
 			msgs = append(msgs, Msg{To: 7, Words: []uint64{1, 2, 3, 4, 5}})
 		}
-		SendToFew(nd, msgs, 2)
+		SendToFew(nd, msgs, 2, nil)
 	})
 	for backend, r := range res {
 		if r.Stats.WordsSent != 5 {
@@ -112,7 +180,7 @@ func TestSendToFewRejectsContractViolations(t *testing.T) {
 				if nd.ID() == 1 {
 					msgs = tc.msgs
 				}
-				SendToFew(nd, msgs, rounds)
+				SendToFew(nd, msgs, rounds, nil)
 			})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s/%s: want error containing %q, got %v", backend, tc.name, tc.want, err)
@@ -230,7 +298,7 @@ func TestSparseCollectiveBackendEquivalence(t *testing.T) {
 						msgs = append(msgs, Msg{To: p, Words: []uint64{uint64(me*100 + p), uint64(p)}})
 					}
 				}
-				log = append(log, SendToFew(nd, msgs, 2))
+				log = append(log, SendToFew(nd, msgs, 2, nil))
 				var words []uint64
 				if me%2 == 1 {
 					words = []uint64{uint64(me), uint64(me * me), uint64(me + 42)}
@@ -266,6 +334,49 @@ func TestSparseCollectiveBackendEquivalence(t *testing.T) {
 		}
 		if s.transcripts != ref.transcripts {
 			t.Errorf("%s transcripts diverge from reference", backend)
+		}
+	}
+}
+
+// sendToFewBenchCalls is the number of SendToFew calls one benchmark
+// op makes, enough that the collective, not run setup, dominates.
+const sendToFewBenchCalls = 32
+
+// BenchmarkSendToFew times the message-frugal MST shape at n = 1024:
+// about 1% of the nodes (every hundredth) send one two-word message
+// per call and everyone else is silent, over sendToFewBenchCalls calls
+// in one lockstep run that reuse their receive list. A silent round
+// should cost each receiver O(senders + n/64) and allocate nothing in
+// proportion to n, so ns/op and allocs/op track the senders that
+// spoke, not n.
+func BenchmarkSendToFew(b *testing.B) {
+	const n = 1024
+	dst := func(v int) int { return (v*37 + 1) % n }
+	hits := make([]int, n)
+	for v := 0; v < n; v += 100 {
+		hits[dst(v)]++
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := clique.Run(clique.Config{N: n, WordsPerPair: 2, Backend: "lockstep"}, func(nd *clique.Node) {
+			me := nd.ID()
+			var msgs []Msg
+			if me%100 == 0 {
+				msgs = []Msg{{To: dst(me), Words: []uint64{uint64(me), 1}}}
+			}
+			var in []Delivery
+			got := 0
+			for c := 0; c < sendToFewBenchCalls; c++ {
+				in = SendToFew(nd, msgs, 1, in[:0])
+				got += len(in)
+			}
+			if got != sendToFewBenchCalls*hits[me] {
+				nd.Fail("received %d messages, want %d", got, sendToFewBenchCalls*hits[me])
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -279,7 +279,8 @@ const batchArenaThresholdWords = arenaThresholdWords
 // newBatchBoxes builds one mailbox per run. When the whole batch fits
 // the dense-arena budget, all runs share two word arenas laid out
 // run-major (run r's blocks are contiguous), carved into per-run
-// arenaBox views — one allocation (pooled through the word-scratch
+// arenaBox views, each with its own slice of one shared activity-mask
+// allocation — one word allocation (pooled through the word-scratch
 // pool) for the entire batch. Otherwise each run draws an independent
 // mailbox from the per-shape pool. release retires the storage; it must
 // be called after every run's coroutines have unwound.
@@ -292,9 +293,11 @@ func newBatchBoxes(batch, n, wpp int) (boxes []mailbox, release func()) {
 		words := GetScratch(2 * batch * chunk)
 		lens := make([]int32, 2*batch*n2)
 		sents := make([]senderStats, batch*n)
+		masks := make([]uint64, 3*batch*maskWords(n))
 		for r := range boxes {
 			base := 2 * r * chunk
 			lbase := 2 * r * n2
+			mbase := 3 * r * maskWords(n)
 			boxes[r] = &arenaBox{
 				n: n, wpp: wpp,
 				outW: words[base : base+chunk : base+chunk],
@@ -302,6 +305,7 @@ func newBatchBoxes(batch, n, wpp int) (boxes []mailbox, release func()) {
 				outL: lens[lbase : lbase+n2 : lbase+n2],
 				inL:  lens[lbase+n2 : lbase+2*n2 : lbase+2*n2],
 				sent: sents[r*n : (r+1)*n : (r+1)*n],
+				act:  newActivity(n, masks[mbase:mbase+3*maskWords(n)]),
 			}
 		}
 		return boxes, func() { PutScratch(words) }

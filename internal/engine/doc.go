@@ -17,6 +17,18 @@
 //     allocation on the exchange path and no contended barrier, which
 //     makes large instances (n >= 256) practical.
 //
+// The lockstep mailbox also records who sent to whom: an activity mask
+// of one bit per ordered pair, which each sender sets in its own
+// sender-major row as it queues a non-empty message. At exchange the
+// scheduler transposes it, 64x64 bits per tile, into a receiver-major
+// mask and resets only the mailbox rows or cells of the senders that
+// spoke, so a round costs the exchange O(active pairs + n²/64) instead
+// of O(n²). NodeRuntime.Senders reads the receiver-major mask: a node
+// lists the peers that spoke to it in O(senders + n/64), which is what
+// lets the sparse collectives in package comm pay for silence nothing,
+// as the model does. The goroutine backend answers Senders with a scan
+// of its inbox row.
+//
 // Both backends are required to be result- and round-count-identical for
 // every node program; the cross-backend tests in the repository root
 // enforce this.

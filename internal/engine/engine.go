@@ -231,6 +231,12 @@ type NodeRuntime interface {
 	// RecvAll returns node `to`'s full inbox for the most recently
 	// completed round, indexed by sender. Backend-owned, like Recv.
 	RecvAll(to int) [][]uint64
+	// Senders appends to buf, in ascending order, the ids p for which
+	// Recv(to, p) is non-empty in the most recently completed round,
+	// and returns the result. The lockstep backend reads its
+	// receiver-major activity mask, so the cost is O(senders + n/64)
+	// rather than a probe of all n senders.
+	Senders(to int, buf []int) []int
 	// Barrier blocks (or suspends) node `id` until every active node
 	// has arrived and the round's messages have been exchanged. It
 	// panics with Abort if the run was cancelled.

@@ -366,4 +366,14 @@ func (e *goroutineEngine) RecvAll(to int) [][]uint64 {
 	return e.inbox[to]
 }
 
+// Senders scans the (already transposed) inbox row of `to`.
+func (e *goroutineEngine) Senders(to int, buf []int) []int {
+	for p, words := range e.inbox[to] {
+		if len(words) != 0 {
+			buf = append(buf, p)
+		}
+	}
+	return buf
+}
+
 var _ NodeRuntime = (*goroutineEngine)(nil)

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -31,14 +32,21 @@ import (
 //
 // Mailboxes are double-buffered flat tables indexed from-major
 // (from*n+to) and reused across rounds, so the steady-state exchange
-// path allocates nothing. There is no physical transpose: delivery swaps
-// the two tables and Recv computes the sender-major index. Storage is
-// one of two layouts picked at Run time:
+// path allocates nothing. The words are never transposed: delivery
+// swaps the two tables and Recv computes the sender-major index. Beside
+// the words, every box keeps an activity mask, one bit per ordered pair
+// (see mask.go): senders set their own sender-major row as they queue,
+// and exchange transposes it, 64x64 bits at a time, into a
+// receiver-major mask, so Senders lists who spoke to a node in
+// O(senders + n/64) and exchange resets only the rows or cells of the
+// senders that spoke. A round in which s nodes send therefore costs the
+// mailbox O(active pairs + n²/64), not O(n²). Storage is one of two
+// layouts picked at Run time:
 //
 //   - arenaBox: one word arena with a fixed wpp-word block per ordered
 //     pair plus an int32 length table. Sends copy into the block;
-//     clearing a round is a single memclr of the lengths. This is the
-//     fast path and covers every realistic budget.
+//     retiring a round clears the length rows of its senders. This is
+//     the fast path and covers every realistic budget.
 //   - sliceBox: a [][]uint64 cell table whose cells keep their backing
 //     arrays (length reset, capacity reused). Fallback when n^2 * wpp
 //     is too large to preallocate densely.
@@ -53,16 +61,20 @@ const arenaThresholdWords = 1 << 24
 
 // mailbox is the storage layer of the lockstep engine. All methods are
 // called either from a single node's coroutine (send, broadcast, recv,
-// fillRow — each touching only that node's rows) or from the scheduler
-// between rounds (exchange, outCell).
+// fillRow, senders — each touching only that node's rows, including its
+// own row of the activity mask) or from the scheduler between rounds
+// (exchange, outCell).
 type mailbox interface {
 	// send queues words on the (from, to) link, panicking with the
-	// canonical budget Violation if the cell would overflow.
+	// canonical budget Violation if the cell would overflow. A
+	// non-empty send sets the pair's bit in the activity mask.
 	send(from, round, to int, words []uint64)
-	// broadcast queues words on every outgoing link of `from`.
+	// broadcast queues words on every outgoing link of `from`; a
+	// non-empty broadcast fills from's mask row word by word.
 	broadcast(from, round int, words []uint64)
 	// sendBuf reserves k words on the (from, to) link and returns the
-	// reserved storage for the caller to fill in place.
+	// reserved storage for the caller to fill in place; k > 0 marks the
+	// pair like send.
 	sendBuf(from, round, to, k int) []uint64
 	// recv returns the words delivered from -> to last round, nil if none.
 	recv(to, from int) []uint64
@@ -70,12 +82,20 @@ type mailbox interface {
 	recvInto(to, from int, buf []uint64) []uint64
 	// fillRow fills row[from] = recv(to, from) for all senders.
 	fillRow(to int, row [][]uint64)
+	// senders appends the ids whose from -> to cell was non-empty last
+	// round to buf, ascending, reading the receiver-major activity mask:
+	// O(senders + n/64), not O(n).
+	senders(to int, buf []int) []int
 	// outCell reads a queued (not yet delivered) cell; scheduler only.
 	outCell(from, to int) []uint64
-	// exchange delivers the queued round: swap buffers and reset the
-	// new out direction. It returns the run's cumulative word count and
-	// per-pair high-water mark, tracked incrementally at send time so
-	// no per-cell statistics pass is needed. Scheduler only.
+	// exchange delivers the queued round: swap buffers, rebuild the
+	// receiver-major activity mask from the sender-major one (a 64x64
+	// tile transpose, O(n²/64) words), and reset only the length rows
+	// (arenaBox) or cells (sliceBox) of the senders that spoke in the
+	// retired round. It returns the run's
+	// cumulative word count and per-pair high-water mark, tracked
+	// incrementally at send time so no per-cell statistics pass is
+	// needed. Scheduler only.
 	exchange() (cumWords int64, maxPair int)
 	// reset returns the box to its just-allocated state so a pooled box
 	// can be reused by a fresh run (see pool.go).
@@ -89,6 +109,7 @@ type arenaBox struct {
 	outW, inW []uint64
 	outL, inL []int32
 	sent      []senderStats
+	act       activity
 }
 
 // senderStats is the per-sender cumulative accounting, written only by
@@ -106,6 +127,7 @@ func newArenaBox(n, wpp int) *arenaBox {
 		outL: make([]int32, n*n),
 		inL:  make([]int32, n*n),
 		sent: make([]senderStats, n),
+		act:  newActivity(n, make([]uint64, 3*maskWords(n))),
 	}
 }
 
@@ -128,6 +150,9 @@ func (b *arenaBox) send(from, round, to int, words []uint64) {
 	if l+len(words) > b.wpp {
 		panic(budgetViolation(from, round, l+len(words), to, b.wpp))
 	}
+	if len(words) == 0 {
+		return
+	}
 	if len(words) == 1 {
 		b.outW[i*b.wpp+l] = words[0]
 	} else {
@@ -135,6 +160,7 @@ func (b *arenaBox) send(from, round, to int, words []uint64) {
 	}
 	newLen := int32(l + len(words))
 	b.outL[i] = newLen
+	b.act.mark(from, to)
 	s := &b.sent[from]
 	s.words += int64(len(words))
 	if newLen > s.max {
@@ -143,9 +169,13 @@ func (b *arenaBox) send(from, round, to int, words []uint64) {
 }
 
 func (b *arenaBox) broadcast(from, round int, words []uint64) {
+	if len(words) == 0 {
+		return
+	}
 	n, wpp := b.n, b.wpp
 	base := from * n
 	lens := b.outL[base : base+n : base+n]
+	b.act.markAll(from)
 	var queued int64
 	maxLen := int32(0)
 	if len(words) == 1 {
@@ -201,6 +231,9 @@ func (b *arenaBox) sendBuf(from, round, to, k int) []uint64 {
 	}
 	newLen := int32(l + k)
 	b.outL[i] = newLen
+	if k != 0 {
+		b.act.mark(from, to)
+	}
 	s := &b.sent[from]
 	s.words += int64(k)
 	if newLen > s.max {
@@ -250,13 +283,22 @@ func (b *arenaBox) outCell(from, to int) []uint64 {
 	return b.outW[base : base+l : base+l]
 }
 
+func (b *arenaBox) senders(to int, buf []int) []int { return b.act.senders(to, buf) }
+
 func (b *arenaBox) exchange() (int64, int) {
 	b.inW, b.outW = b.outW, b.inW
 	b.inL, b.outL = b.outL, b.inL
-	// The new out direction is last round's inbox; one memclr of the
-	// lengths retires it. The word arena needs no clearing at all —
-	// stale words past a cell's length are unreachable.
-	clear(b.outL)
+	b.act.deliver()
+	// The new out direction is last round's inbox; clearing the length
+	// rows of the senders that spoke in it retires it. The word arena
+	// needs no clearing at all — stale words past a cell's length are
+	// unreachable.
+	n := b.n
+	for from := 0; from < n; from++ {
+		if b.act.retire(from) {
+			clear(b.outL[from*n : from*n+n])
+		}
+	}
 	return foldSent(b.sent)
 }
 
@@ -266,6 +308,7 @@ func (b *arenaBox) reset() {
 	clear(b.outL)
 	clear(b.inL)
 	clear(b.sent)
+	b.act.reset()
 }
 
 // sliceBox is the dynamically-sized fallback: flat from-major cell
@@ -274,6 +317,7 @@ type sliceBox struct {
 	n, wpp  int
 	out, in [][]uint64
 	sent    []senderStats
+	act     activity
 }
 
 func newSliceBox(n, wpp int) *sliceBox {
@@ -282,6 +326,7 @@ func newSliceBox(n, wpp int) *sliceBox {
 		out:  make([][]uint64, n*n),
 		in:   make([][]uint64, n*n),
 		sent: make([]senderStats, n),
+		act:  newActivity(n, make([]uint64, 3*maskWords(n))),
 	}
 }
 
@@ -291,7 +336,11 @@ func (b *sliceBox) send(from, round, to int, words []uint64) {
 	if len(cell)+len(words) > b.wpp {
 		panic(budgetViolation(from, round, len(cell)+len(words), to, b.wpp))
 	}
+	if len(words) == 0 {
+		return
+	}
 	b.out[i] = append(cell, words...)
+	b.act.mark(from, to)
 	s := &b.sent[from]
 	s.words += int64(len(words))
 	if newLen := int32(len(cell) + len(words)); newLen > s.max {
@@ -300,8 +349,12 @@ func (b *sliceBox) send(from, round, to int, words []uint64) {
 }
 
 func (b *sliceBox) broadcast(from, round int, words []uint64) {
+	if len(words) == 0 {
+		return
+	}
 	n := b.n
 	row := b.out[from*n : from*n+n : from*n+n]
+	b.act.markAll(from)
 	var queued int64
 	maxLen := int32(0)
 	for to := 0; to < n; to++ {
@@ -341,6 +394,9 @@ func (b *sliceBox) sendBuf(from, round, to, k int) []uint64 {
 	}
 	cell = cell[:l+k]
 	b.out[i] = cell
+	if k != 0 {
+		b.act.mark(from, to)
+	}
 	s := &b.sent[from]
 	s.words += int64(k)
 	if newLen := int32(l + k); newLen > s.max {
@@ -370,13 +426,26 @@ func (b *sliceBox) outCell(from, to int) []uint64 {
 	return b.out[from*b.n+to]
 }
 
+func (b *sliceBox) senders(to int, buf []int) []int { return b.act.senders(to, buf) }
+
 func (b *sliceBox) exchange() (int64, int) {
 	b.in, b.out = b.out, b.in
-	// Reset last round's inbox (the new outbox) by length only; the
-	// backing arrays stay and are appended into next round.
-	for i, c := range b.out {
-		if len(c) != 0 {
-			b.out[i] = c[:0]
+	b.act.deliver()
+	// Reset last round's inbox (the new outbox) by length only, visiting
+	// just the cells its sender mask marks; the backing arrays stay and
+	// are appended into next round.
+	n, w := b.n, b.act.w
+	for from := 0; from < n; from++ {
+		row := b.act.out[from*w : from*w+w]
+		for j, x := range row {
+			if x == 0 {
+				continue
+			}
+			row[j] = 0
+			for ; x != 0; x &= x - 1 {
+				i := from*n + (j<<6 | bits.TrailingZeros64(x))
+				b.out[i] = b.out[i][:0]
+			}
 		}
 	}
 	return foldSent(b.sent)
@@ -396,6 +465,7 @@ func (b *sliceBox) reset() {
 		}
 	}
 	clear(b.sent)
+	b.act.reset()
 }
 
 type lockstepEngine struct {
@@ -435,10 +505,12 @@ type lockstepEngine struct {
 	transcripts []*Transcript
 
 	// Tracing state, nil/zero when tr is nil. lastRound anchors round
-	// wall time; pairsFn is built once so EndRound allocates nothing.
+	// wall time; pairsFn is built once so EndRound allocates nothing,
+	// and pairBuf is its reused sender list.
 	tr        trace.Tracer
 	lastRound time.Time
 	pairsFn   func(visit func(from, to, words int))
+	pairBuf   []int
 }
 
 // newLockstepEngine allocates the per-run node state shared by the
@@ -655,13 +727,13 @@ func (e *lockstepEngine) exchange() error {
 	return err
 }
 
-// visitPairs walks the just-delivered round via the mailbox's recv view.
+// visitPairs walks the just-delivered round in (to, from)-ascending
+// order, visiting only the pairs the receiver-major activity mask marks.
 func (e *lockstepEngine) visitPairs(visit func(from, to, words int)) {
 	for to := 0; to < e.n; to++ {
-		for from := 0; from < e.n; from++ {
-			if w := len(e.box.recv(to, from)); w != 0 {
-				visit(from, to, w)
-			}
+		e.pairBuf = e.box.senders(to, e.pairBuf[:0])
+		for _, from := range e.pairBuf {
+			visit(from, to, len(e.box.recv(to, from)))
 		}
 	}
 }
@@ -723,6 +795,10 @@ func (e *lockstepEngine) Recv(to, from int) []uint64 {
 func (e *lockstepEngine) RecvInto(to, from int, buf []uint64) []uint64 {
 	e.ops[to].recvInto++
 	return e.box.recvInto(to, from, buf)
+}
+
+func (e *lockstepEngine) Senders(to int, buf []int) []int {
+	return e.box.senders(to, buf)
 }
 
 // RecvAll materialises node `to`'s inbox row into a per-node scratch

@@ -111,13 +111,11 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 	if !leader {
 		up = append(up, comm.Msg{To: comp[me], Words: mine.Row})
 	}
-	rows := comm.SendToFew(nd, up, sketchRounds)
+	rows := comm.SendToFew(nd, up, sketchRounds, nil)
 	cut := mine // leaders fold members into their own sketch
 	if leader {
-		for p := 0; p < n; p++ {
-			if rows[p] != nil {
-				cut.MergeRow(rows[p])
-			}
+		for _, d := range rows {
+			cut.MergeRow(d.Words)
 		}
 	}
 	endB()
@@ -143,7 +141,7 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 		cands = append(cands, comm.Msg{To: c, Words: []uint64{clique.PairWord(e.U, e.V, n), uint64(e.W)}})
 	}
 	candRounds := (2 + nd.WordsPerPair() - 1) / nd.WordsPerPair()
-	recv := comm.SendToFew(nd, cands, candRounds)
+	recv := comm.SendToFew(nd, cands, candRounds, rows[:0])
 
 	// Leaders reduce received candidates per source component into
 	// their D-row: slot i holds the minimum edge between component
@@ -153,13 +151,10 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 	row := make([]uint64, 2*k+2)
 	if leader {
 		bestFrom := make(map[int]Edge, k)
-		for p := 0; p < n; p++ {
-			if recv[p] == nil {
-				continue
-			}
-			u, v := clique.UnpairWord(recv[p][0], n)
-			e := Edge{U: u, V: v, W: int64(recv[p][1])}
-			src := comp[p]
+		for _, d := range recv {
+			u, v := clique.UnpairWord(d.Words[0], n)
+			e := Edge{U: u, V: v, W: int64(d.Words[1])}
+			src := comp[d.From]
 			if cur, ok := bestFrom[src]; !ok || better(e, cur) {
 				bestFrom[src] = e
 			}

@@ -131,6 +131,11 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 		isolated = make([]bool, n)
 	}
 
+	// The per-phase message lists and SendToFew receive lists are reused
+	// across phases, so a silent node's phase allocates nothing.
+	var msgsA, msgsB, msgsD []comm.Msg
+	var inA, inB, inD []comm.Delivery
+
 	stats := SparseStats{}
 	maxPhases := 2*n*n + 64
 	for {
@@ -142,26 +147,24 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 
 		// Round A: members answer outstanding rejections with their
 		// next candidate (or an exhausted notice).
-		var msgsA []comm.Msg
+		msgsA = msgsA[:0]
 		if !stopped && label != me && replyDue {
 			msgsA = append(msgsA, comm.Msg{To: label, Words: proposalWords()})
 			replyDue = false
 		}
-		inA := comm.SendToFew(nd, msgsA, 1)
+		inA = comm.SendToFew(nd, msgsA, 1, inA[:0])
 		if label == me {
-			for p := 0; p < n; p++ {
-				if inA[p] == nil {
-					continue
-				}
+			for _, d := range inA {
+				p := d.From
 				if !roster[p] {
 					nd.Fail("mst: SparseFind leader %d got proposal from non-member %d", me, p)
 				}
-				if len(inA[p]) == 1 {
+				if len(d.Words) == 1 {
 					propState[p] = propExhausted
 					continue
 				}
-				u, v := clique.UnpairWord(inA[p][0], n)
-				propEdge[p] = Edge{U: u, V: v, W: int64(inA[p][1])}
+				u, v := clique.UnpairWord(d.Words[0], n)
+				propEdge[p] = Edge{U: u, V: v, W: int64(d.Words[1])}
 				propState[p] = propValid // validated below
 			}
 		}
@@ -170,7 +173,7 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 		// grown) roster, reject stale proposals, and either report
 		// isolation or forward the exact component minimum to the
 		// coordinator.
-		var msgsB []comm.Msg
+		msgsB = msgsB[:0]
 		var localIsolated, localCandOK bool
 		var localCand Edge
 		if label == me && !stopped {
@@ -246,9 +249,9 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 				}
 			}
 		}
-		inB := comm.SendToFew(nd, msgsB, 1)
+		inB = comm.SendToFew(nd, msgsB, 1, inB[:0])
 		if !stopped && label != me {
-			if got := inB[label]; got != nil {
+			if got := wordsFrom(inB, label); got != nil {
 				if len(got) != 1 {
 					nd.Fail("mst: SparseFind member %d got %d-word leader reply", me, len(got))
 				}
@@ -274,18 +277,15 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 			if localIsolated {
 				isolated[0] = true
 			}
-			for p := 1; p < n; p++ {
-				if inB[p] == nil {
-					continue
-				}
-				switch len(inB[p]) {
+			for _, d := range inB {
+				switch len(d.Words) {
 				case 1:
-					isolated[uf.find(p)] = true
+					isolated[uf.find(d.From)] = true
 				case 2:
-					u, v := clique.UnpairWord(inB[p][0], n)
-					cands = append(cands, normalize(Edge{U: u, V: v, W: int64(inB[p][1])}))
+					u, v := clique.UnpairWord(d.Words[0], n)
+					cands = append(cands, normalize(Edge{U: u, V: v, W: int64(d.Words[1])}))
 				default:
-					nd.Fail("mst: SparseFind coordinator got %d-word report from %d", len(inB[p]), p)
+					nd.Fail("mst: SparseFind coordinator got %d-word report from %d", len(d.Words), d.From)
 				}
 			}
 			slices.SortFunc(cands, compareEdges)
@@ -330,7 +330,7 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 		// hands its merged cut fingerprint over, so the new leader's
 		// fingerprint stays the XOR over all member incidence
 		// fingerprints (internal edges cancel — the cut, exactly).
-		var msgsD []comm.Msg
+		msgsD = msgsD[:0]
 		if newLabel != label {
 			dying := label == me
 			label = newLabel
@@ -341,14 +341,12 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 			msgsD = append(msgsD, comm.Msg{To: label, Words: words})
 			replyDue = false
 		}
-		inD := comm.SendToFew(nd, msgsD, 1)
+		inD = comm.SendToFew(nd, msgsD, 1, inD[:0])
 		if label == me {
-			for p := 0; p < n; p++ {
-				if inD[p] == nil {
-					continue
-				}
+			for _, d := range inD {
+				p := d.From
 				roster[p] = true
-				words := inD[p]
+				words := d.Words
 				if len(words) >= 5 { // registration + fingerprint
 					fp.MergeRow(words[len(words)-4:])
 					words = words[:len(words)-4]
@@ -379,4 +377,15 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 		return forest, stats
 	}
 	return nil, stats
+}
+
+// wordsFrom returns the words a SendToFew receive list holds from
+// sender p, or nil if p was silent.
+func wordsFrom(in []comm.Delivery, p int) []uint64 {
+	for _, d := range in {
+		if d.From == p {
+			return d.Words
+		}
+	}
+	return nil
 }

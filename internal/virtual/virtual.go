@@ -166,6 +166,17 @@ func (vn *Node) RecvInto(from int, buf []uint64) []uint64 {
 	return append(buf, vn.Recv(from)...)
 }
 
+// Senders appends the virtual nodes that sent to this one in the last
+// completed virtual round to buf, ascending, scanning the inbox.
+func (vn *Node) Senders(buf []int) []int {
+	for p, words := range vn.inbox {
+		if len(words) != 0 {
+			buf = append(buf, p)
+		}
+	}
+	return buf
+}
+
 // Fail aborts the entire (real) run.
 func (vn *Node) Fail(format string, args ...any) {
 	panic(fmt.Sprintf("virtual: node %d: %s", vn.id, fmt.Sprintf(format, args...)))
