@@ -16,17 +16,15 @@
 //
 // JSON output without -timing is deterministic: bit-identical across
 // repeat runs and across -parallel settings. With -timing it carries a
-// throughput block, two allocation probes (canonical exchange, packed
-// boolean MM), the trace-off throughput probe, and the batched
-// throughput probe (a batch of exchanges through one engine execution
-// vs the same runs serial), the figures the BENCH_*.json perf
-// trajectory and the CI regression gate track. -compare warns on
-// throughput and model-cost drift and FAILS (exit 1) when a probe's
-// allocs/op regresses beyond -alloc-regress-fail, the trace-off probe's
-// rounds/sec drops beyond -trace-regress-fail (the zero-cost-when-off
-// gate on the trace plane), or the batched probe's aggregate
-// sim-rounds/sec drops beyond -batch-regress-fail (the throughput gate
-// on the batched execution plane).
+// throughput block and a "probes" map with one measurement per row of
+// the exp probe table (exp.Probes: allocs/op of the canonical exchange
+// and the packed boolean MM, best-of-runs rounds/sec of the trace-off
+// exchange and of a batched exchange against its serial reference),
+// the figures the BENCH_*.json perf trajectory and the CI regression
+// gate track. -compare warns on throughput, model-cost and probe drift
+// beyond each probe's warn fraction, and FAILS (exit 1) when a probe
+// drifts beyond its fail fraction (or -fail-ci-factor baseline CI
+// half-widths) — the probe table holds both fractions.
 //
 // -trace=FILE runs every experiment with the round-level tracer
 // attached, writes a Chrome trace-event file to FILE (open it in
@@ -71,11 +69,8 @@ func main() {
 	compare := flag.String("compare", "", "baseline report JSON to compare this run against")
 	threshold := flag.Float64("regress-threshold", 0.25, "rounds/sec regression fraction that triggers a -compare warning when the baseline has no repeat distribution")
 	ciFactor := flag.Float64("ci-factor", exp.DefaultCIFactor, "warn when a metric drifts beyond this many baseline CI half-widths (variance-aware baselines)")
-	failCIFactor := flag.Float64("fail-ci-factor", 2*exp.DefaultCIFactor, "fail (exit 1) when a probe drifts beyond this many baseline CI half-widths")
-	allocFail := flag.Float64("alloc-regress-fail", 0.25, "allocs/op probe regression fraction beyond which -compare fails (exit 1) when the baseline has no distribution")
+	failCIFactor := flag.Float64("fail-ci-factor", exp.FailCIFactor, "fail (exit 1) when a probe drifts beyond this many baseline CI half-widths")
 	traceFile := flag.String("trace", "", "run with the round-level tracer and write a Chrome trace-event file (Perfetto) to this path")
-	traceFail := flag.Float64("trace-regress-fail", 0.01, "trace-off probe throughput regression fraction beyond which -compare fails (exit 1) when the baseline has no distribution")
-	batchFail := flag.Float64("batch-regress-fail", 0.25, "batched probe throughput regression fraction beyond which -compare fails (exit 1) when the baseline has no distribution")
 	list := flag.Bool("list", false, "print the experiment registry (id, artefact, title) and exit without running anything")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after a final GC) to this file")
@@ -185,28 +180,18 @@ func main() {
 			}
 		}
 
-		// The allocation probes need a quiet process, so they run after
-		// the worker pool has drained. Like Throughput, they ride the
-		// -timing opt-in (without it the report stays deterministic) —
-		// but only where something consumes them: the JSON envelope or
-		// -compare.
-		var bench, benchPacked, benchTraceOff, benchBatched *exp.BenchProbe
+		// The probes need a quiet process, so they run after the worker
+		// pool has drained. Like Throughput, they ride the -timing opt-in
+		// (without it the report stays deterministic) — but only where
+		// something consumes them: the JSON envelope or -compare.
+		var probes map[string]*exp.BenchProbe
 		if *timing && (*format == "json" || *compare != "") {
-			if bench, err = exp.MeasureBenchProbe(*backend); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			if benchPacked, err = exp.MeasurePackedProbe(*backend); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			if benchTraceOff, err = exp.MeasureTraceOffProbe(*backend); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			if benchBatched, err = exp.MeasureBatchedProbe(*backend); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
+			probes = map[string]*exp.BenchProbe{}
+			for _, p := range exp.Probes() {
+				if probes[p.Name], err = p.Measure(*backend); err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					return 1
+				}
 			}
 		}
 
@@ -217,10 +202,7 @@ func main() {
 			attachDist(exp.NewReport(*backend, opts, results, tim, true)).WriteText(os.Stdout)
 		case "json":
 			report := attachDist(exp.NewReport(*backend, opts, results, tim, *timing))
-			report.Bench = bench
-			report.BenchPacked = benchPacked
-			report.BenchTraceOff = benchTraceOff
-			report.BenchBatched = benchBatched
+			report.Probes = probes
 			if err := report.WriteJSON(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
@@ -229,15 +211,9 @@ func main() {
 
 		if *compare != "" {
 			current := attachDist(exp.NewReport(*backend, opts, results, tim, true))
-			current.Bench = bench
-			current.BenchPacked = benchPacked
-			current.BenchTraceOff = benchTraceOff
-			current.BenchBatched = benchBatched
+			current.Probes = probes
 			warnGate := exp.Gate{CIFactor: *ciFactor, Frac: *threshold}
-			allocGate := exp.Gate{CIFactor: *failCIFactor, Frac: *allocFail}
-			traceGate := exp.Gate{CIFactor: *failCIFactor, Frac: *traceFail}
-			batchGate := exp.Gate{CIFactor: *failCIFactor, Frac: *batchFail}
-			if err := compareBaseline(*compare, current, warnGate, allocGate, traceGate, batchGate); err != nil {
+			if err := compareBaseline(*compare, current, warnGate, *failCIFactor); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
@@ -271,13 +247,11 @@ func writeList(w io.Writer, format string) error {
 }
 
 // compareBaseline reports regressions against the stored baseline to
-// stderr in GitHub Actions annotation form. Throughput, model-cost and
-// missing-metric findings stay warn-only; an allocation-probe,
-// trace-off, or batched-throughput regression beyond its fatal gate is
-// an error annotation and fails the run — a hot path that started
-// allocating, a disabled tracer that started costing, or a batched
-// plane that lost its speedup is a bug, not a judgement call.
-func compareBaseline(path string, current *exp.Report, warnGate, allocGate, traceGate, batchGate exp.Gate) error {
+// stderr in GitHub Actions annotation form. Compare's findings are
+// warnings; a probe regression beyond its fail fraction (or
+// failCIFactor baseline CI half-widths) is an error annotation and
+// fails the run.
+func compareBaseline(path string, current *exp.Report, warnGate exp.Gate, failCIFactor float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("compare: %w", err)
@@ -287,31 +261,20 @@ func compareBaseline(path string, current *exp.Report, warnGate, allocGate, trac
 		return fmt.Errorf("compare: parsing %s: %w", path, err)
 	}
 	warns := exp.Compare(&baseline, current, warnGate)
-	// The fatal gates re-check the probes at the caller's gates, so a
-	// fail gate tighter than Compare's warn gate still bites.
-	fatal := exp.AllocRegressions(&baseline, current, allocGate)
-	fatal = append(fatal, exp.TraceOffRegressions(&baseline, current, traceGate)...)
-	fatal = append(fatal, exp.BatchedRegressions(&baseline, current, batchGate)...)
+	fatal := exp.FatalRegressions(&baseline, current, failCIFactor)
 	if len(warns) == 0 && len(fatal) == 0 {
 		fmt.Fprintf(os.Stderr, "compare: no regressions vs %s\n", path)
 		return nil
 	}
-	isFatal := func(w exp.Regression) bool {
-		for _, f := range fatal {
-			if f.What == w.What {
-				return true
-			}
-		}
-		return false
-	}
+	reported := map[string]bool{}
 	for _, f := range fatal {
+		reported[f.What] = true
 		fmt.Fprintf(os.Stderr, "::error title=benchmark regression::%s\n", f)
 	}
 	for _, w := range warns {
-		if (w.Kind == exp.RegressAllocs || w.Kind == exp.RegressTraceOff || w.Kind == exp.RegressBatched) && isFatal(w) {
-			continue // already reported as an error
+		if !reported[w.What] {
+			fmt.Fprintf(os.Stderr, "::warning title=benchmark regression::%s\n", w)
 		}
-		fmt.Fprintf(os.Stderr, "::warning title=benchmark regression::%s\n", w)
 	}
 	if len(fatal) > 0 {
 		return fmt.Errorf("compare: %d probe regression(s) beyond the fail thresholds vs %s", len(fatal), path)

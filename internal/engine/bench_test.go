@@ -200,8 +200,8 @@ func BenchmarkBackendBarrier(b *testing.B) {
 // serial loop over the same seed sweep, at the small-message shape
 // batching targets (per-round dispatch dominates an n=8 exchange).
 // rounds/sec is aggregate simulated rounds across the whole sweep; the
-// batched/serial ratio is the live form of the committed bench_batched
-// probe's speedup figure.
+// batched/serial ratio is the live form of the committed batched
+// probe's speedup figure (probes.batched in BENCH_baseline.json).
 func BenchmarkRunBatch(b *testing.B) {
 	const (
 		n            = 8

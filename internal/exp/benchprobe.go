@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/bitvec"
@@ -12,18 +13,12 @@ import (
 	"repro/internal/stats"
 )
 
-// BenchProbe is an allocation probe: a canonical hot-path workload
-// executed repeatedly while heap allocations are counted. Two probes
-// ship in every timed report: the canonical exchange (the per-round
-// gossip pattern the serving hot path runs continuously, through the
-// collective layer) and the packed boolean matrix product (the
-// bit-packed data plane's hot loop, exercising the pooled bitvec
-// scratch). AllocsPerOp is the measured heap-allocation count per
-// simulated run; like Throughput the probes are attached to a report
-// only when timing was requested, so the deterministic envelope is
-// unaffected. The committed baseline's values are the regression
-// references for CI's gate: allocation regressions beyond
-// cliquebench's -alloc-regress-fail fraction fail the bench job.
+// BenchProbe is one measurement of a probe-table row (see Probes): a
+// canonical hot-path workload run repeatedly while its metric is read.
+// Like Throughput, probes ride in a report's Probes map only when timing
+// was requested, so the deterministic envelope is unaffected. The
+// committed baseline's values are the references for Compare's warn
+// gate and FatalRegressions' fail gate.
 type BenchProbe struct {
 	Name         string  `json:"name"`
 	Backend      string  `json:"backend"`
@@ -32,22 +27,22 @@ type BenchProbe struct {
 	Rounds       int     `json:"rounds"`
 	Runs         int     `json:"runs"`
 	AllocsPerOp  float64 `json:"allocs_per_op,omitempty"`
-	// RoundsPerSec is the probe's best-of-runs throughput, set only by
-	// the trace-off probe (the allocation probes leave it 0: allocation
-	// counts are near-deterministic, wall time is not, and mixing the
-	// two would subject the alloc gate to timing noise).
+	// RoundsPerSec is the best-of-runs aggregate sim-rounds/sec, set
+	// only by RoundsPerSec probes (allocation probes leave it 0:
+	// allocation counts are near-deterministic, wall time is not, and
+	// mixing the two would subject the alloc gate to timing noise).
 	RoundsPerSec float64 `json:"rounds_per_sec,omitempty"`
 	// AllocsDist is the per-run allocation-count distribution behind
-	// AllocsPerOp; the variance-aware Compare gate widens its tolerance
-	// by the baseline's recorded spread.
+	// AllocsPerOp; the variance-aware gate widens its tolerance by the
+	// baseline's recorded spread.
 	AllocsDist *stats.Summary `json:"allocs_dist,omitempty"`
 	// RPSDist is the per-run rounds/sec distribution behind the
-	// trace-off probe's best-of-runs RoundsPerSec.
+	// best-of-runs RoundsPerSec.
 	RPSDist *stats.Summary `json:"rounds_per_sec_dist,omitempty"`
 	// Batch is the number of independent runs per batched engine
-	// execution; set only by the batched throughput probe.
+	// execution; set only by batched probes.
 	Batch int `json:"batch,omitempty"`
-	// SerialRoundsPerSec is the batched probe's reference measurement:
+	// SerialRoundsPerSec is a batched probe's reference measurement:
 	// the same runs executed back-to-back through the serial engine
 	// path, best-of-runs aggregate sim-rounds/sec.
 	SerialRoundsPerSec float64 `json:"serial_rounds_per_sec,omitempty"`
@@ -56,257 +51,150 @@ type BenchProbe struct {
 	Speedup float64 `json:"speedup,omitempty"`
 }
 
-// Canonical exchange shape: dense one-word gossip at the engine
-// microbenchmark's size, long enough that steady-state rounds dominate
-// setup.
+// probeShape is what makes two measurements comparable.
+type probeShape struct {
+	name, backend         string
+	n, wpp, rounds, batch int
+}
+
+func (s probeShape) String() string {
+	return fmt.Sprintf("%s/%s n=%d wpp=%d rounds=%d batch=%d", s.name, s.backend, s.n, s.wpp, s.rounds, s.batch)
+}
+
+func (b *BenchProbe) shape() probeShape {
+	return probeShape{b.Name, b.Backend, b.N, b.WordsPerPair, b.Rounds, b.Batch}
+}
+
+// value returns the gated figure for metric m and its distribution.
+func (b *BenchProbe) value(m ProbeMetric) (float64, *stats.Summary) {
+	if m == AllocsPerOp {
+		return b.AllocsPerOp, b.AllocsDist
+	}
+	return b.RoundsPerSec, b.RPSDist
+}
+
+// Every probe runs probeRounds rounds per run — long enough that
+// steady-state rounds dominate setup — and reads probeRuns runs after
+// one warm-up.
 const (
-	benchProbeN      = 64
-	benchProbeWPP    = 1
-	benchProbeRounds = 256
-	benchProbeRuns   = 5
+	probeRounds = 256
+	probeRuns   = 5
 )
 
-// benchProbeProgram is the canonical exchange node program: one
+// exchangeProgram is the canonical exchange node program: one
 // broadcast word per node per round, read back through the reused
 // collective table.
-func benchProbeProgram(nd *clique.Node) {
+func exchangeProgram(nd *clique.Node) {
 	var table []uint64
-	for r := 0; r < benchProbeRounds; r++ {
+	for r := 0; r < probeRounds; r++ {
 		table = comm.BroadcastWordInto(nd, uint64(nd.ID()+r), table)
 	}
 }
 
-// packedProbeProgram is the packed boolean-MM node program: one
+// packedMMProgram is the packed boolean-MM node program: one
 // word-parallel naive boolean product per round (at n=64 the packed row
 // is a single word, so each product costs exactly one round), the
 // steady-state loop of the bit-packed data plane.
-func packedProbeProgram(nd *clique.Node) {
+func packedMMProgram(nd *clique.Node) {
 	n := nd.N()
 	row := bitvec.NewRow(n)
 	for i := nd.ID() % 3; i < n; i += 3 {
 		row.Set(i)
 	}
-	for r := 0; r < benchProbeRounds; r++ {
+	for r := 0; r < probeRounds; r++ {
 		matmul.MulNaiveBits(nd, row, row)
 	}
 }
 
-// MeasureBenchProbe runs the canonical exchange workload on the given
-// backend and measures allocations per run (one warm-up run excluded,
-// so pooled mailboxes and lazily grown buffers do not bill the steady
-// state). It must run while no other simulations execute concurrently;
-// cliquebench measures after its worker pool has drained.
-func MeasureBenchProbe(backend string) (*BenchProbe, error) {
-	return measureProbe("exchange", backend, benchProbeProgram)
-}
-
-// MeasurePackedProbe is MeasureBenchProbe for the packed boolean-MM
-// workload: the allocation watchdog over the bitvec scratch pooling
-// that keeps cliqued's boolean serving loop allocation-flat.
-func MeasurePackedProbe(backend string) (*BenchProbe, error) {
-	return measureProbe("packed-mm", backend, packedProbeProgram)
-}
-
-// MeasureTraceOffProbe measures the steady-state throughput of the
-// canonical exchange with no tracer attached — the workload whose
-// baseline comparison gates the trace plane's zero-cost-when-off claim
-// (Compare warns, and cliquebench's -trace-regress-fail fails, beyond
-// 1%). Best-of-runs wall time is used, since the minimum over several
-// runs estimates undisturbed speed far more stably than a mean: a 1%
-// gate would otherwise drown in scheduler noise.
-func MeasureTraceOffProbe(backend string) (*BenchProbe, error) {
-	cfg := clique.Config{N: benchProbeN, WordsPerPair: benchProbeWPP, Backend: backend}
-	run := func() (time.Duration, error) {
-		start := time.Now()
-		res, err := clique.Run(cfg, benchProbeProgram)
-		wall := time.Since(start)
-		if err != nil {
-			return 0, err
-		}
-		if res.Stats.Rounds != benchProbeRounds {
-			return 0, fmt.Errorf("exp: trace-off probe ran %d rounds, want %d", res.Stats.Rounds, benchProbeRounds)
-		}
-		return wall, nil
-	}
-	if _, err := run(); err != nil { // warm-up
-		return nil, err
-	}
-	best := time.Duration(0)
-	samples := make([]float64, 0, benchProbeRuns)
-	for i := 0; i < benchProbeRuns; i++ {
-		wall, err := run()
-		if err != nil {
-			return nil, err
-		}
-		if best == 0 || wall < best {
-			best = wall
-		}
-		if wall > 0 {
-			samples = append(samples, benchProbeRounds/wall.Seconds())
-		}
-	}
-	rps := 0.0
-	if best > 0 {
-		rps = benchProbeRounds / best.Seconds()
-	}
-	dist := stats.Summarize(samples, 0)
-	return &BenchProbe{
-		Name:         "trace-off",
-		Backend:      backend,
-		N:            benchProbeN,
-		WordsPerPair: benchProbeWPP,
-		Rounds:       benchProbeRounds,
-		Runs:         benchProbeRuns,
-		RoundsPerSec: rps,
-		RPSDist:      &dist,
-	}, nil
-}
-
-// Batched probe shape: the small-message seed-sweep regime batching
-// targets. Per-round scheduling overhead dominates an n=8 exchange, so
-// cross-run amortisation shows up directly; at the canonical n=64 the
-// engine's cache-sized chunking deliberately keeps batched execution at
-// serial parity instead.
-const (
-	batchedProbeN     = 8
-	batchedProbeBatch = 8
-)
-
-// MeasureBatchedProbe measures the steady-state aggregate throughput of
-// the batched execution plane: batchedProbeBatch independent canonical
-// exchanges at the small seed-sweep shape driven through one
-// clique.RunBatch, against the same runs executed serially.
-// Best-of-runs wall time on both sides, for the same reason as the
-// trace-off probe: the minimum estimates undisturbed speed.
-// RoundsPerSec here is aggregate sim-rounds/sec across the whole batch
-// — the registry steady-state throughput figure the perf trajectory
-// gates — and Speedup is the batched/serial ratio.
-func MeasureBatchedProbe(backend string) (*BenchProbe, error) {
-	cfg := clique.Config{N: batchedProbeN, WordsPerPair: benchProbeWPP, Backend: backend}
-	progs := make([]clique.NodeFunc, batchedProbeBatch)
-	for i := range progs {
-		progs[i] = benchProbeProgram
-	}
-	const totalRounds = batchedProbeBatch * benchProbeRounds
+// Measure runs p on the given backend and reads its metric over
+// probeRuns runs after one warm-up (so pooled mailboxes and lazily
+// grown buffers do not bill the steady state). A batched probe also
+// measures its serial reference first. It must run while no other
+// simulations execute concurrently; cliquebench measures after its
+// worker pool has drained.
+func (p Probe) Measure(backend string) (*BenchProbe, error) {
+	cfg := clique.Config{N: p.N, WordsPerPair: p.WordsPerPair, Backend: backend}
 	check := func(res *clique.Result, err error) error {
 		if err != nil {
 			return err
 		}
-		if res.Stats.Rounds != benchProbeRounds {
-			return fmt.Errorf("exp: batched probe ran %d rounds, want %d", res.Stats.Rounds, benchProbeRounds)
+		if res.Stats.Rounds != probeRounds {
+			return fmt.Errorf("exp: %s probe ran %d rounds, want %d", p.Name, res.Stats.Rounds, probeRounds)
 		}
 		return nil
 	}
-	runBatched := func() (time.Duration, error) {
-		start := time.Now()
+	serial := func() error {
+		for range max(p.Batch, 1) {
+			if err := check(clique.Run(cfg, p.Program)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	bp := &BenchProbe{Name: p.Name, Backend: backend, N: p.N, WordsPerPair: p.WordsPerPair,
+		Rounds: probeRounds, Runs: probeRuns, Batch: p.Batch}
+	dist, err := p.sample(serial)
+	if err != nil {
+		return nil, err
+	}
+	if p.Metric == AllocsPerOp {
+		bp.AllocsPerOp, bp.AllocsDist = dist.Mean, &dist
+		return bp, nil
+	}
+	bp.RoundsPerSec, bp.RPSDist = dist.Max, &dist
+	if p.Batch == 0 {
+		return bp, nil
+	}
+	progs := slices.Repeat([]clique.NodeFunc{p.Program}, p.Batch)
+	batched := func() error {
 		results, errs := clique.RunBatch(cfg, progs)
-		wall := time.Since(start)
 		for i := range results {
 			if err := check(results[i], errs[i]); err != nil {
-				return 0, err
+				return err
 			}
-		}
-		return wall, nil
-	}
-	runSerial := func() (time.Duration, error) {
-		start := time.Now()
-		for range progs {
-			if err := check(clique.Run(cfg, benchProbeProgram)); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	best := func(run func() (time.Duration, error)) (time.Duration, []float64, error) {
-		if _, err := run(); err != nil { // warm-up
-			return 0, nil, err
-		}
-		var min time.Duration
-		samples := make([]float64, 0, benchProbeRuns)
-		for i := 0; i < benchProbeRuns; i++ {
-			wall, err := run()
-			if err != nil {
-				return 0, nil, err
-			}
-			if min == 0 || wall < min {
-				min = wall
-			}
-			if wall > 0 {
-				samples = append(samples, totalRounds/wall.Seconds())
-			}
-		}
-		return min, samples, nil
-	}
-	serialBest, _, err := best(runSerial)
-	if err != nil {
-		return nil, err
-	}
-	batchedBest, samples, err := best(runBatched)
-	if err != nil {
-		return nil, err
-	}
-	p := &BenchProbe{
-		Name:         "batched",
-		Backend:      backend,
-		N:            batchedProbeN,
-		WordsPerPair: benchProbeWPP,
-		Rounds:       benchProbeRounds,
-		Runs:         benchProbeRuns,
-		Batch:        batchedProbeBatch,
-	}
-	if batchedBest > 0 {
-		p.RoundsPerSec = totalRounds / batchedBest.Seconds()
-	}
-	if serialBest > 0 {
-		p.SerialRoundsPerSec = totalRounds / serialBest.Seconds()
-	}
-	if p.SerialRoundsPerSec > 0 {
-		p.Speedup = p.RoundsPerSec / p.SerialRoundsPerSec
-	}
-	dist := stats.Summarize(samples, 0)
-	p.RPSDist = &dist
-	return p, nil
-}
-
-func measureProbe(name, backend string, program clique.NodeFunc) (*BenchProbe, error) {
-	cfg := clique.Config{N: benchProbeN, WordsPerPair: benchProbeWPP, Backend: backend}
-	run := func() error {
-		res, err := clique.Run(cfg, program)
-		if err != nil {
-			return err
-		}
-		if res.Stats.Rounds != benchProbeRounds {
-			return fmt.Errorf("exp: bench probe %s ran %d rounds, want %d", name, res.Stats.Rounds, benchProbeRounds)
 		}
 		return nil
 	}
-	if err := run(); err != nil { // warm-up
+	if dist, err = p.sample(batched); err != nil {
 		return nil, err
 	}
-	// Per-run Mallocs deltas: the mean is AllocsPerOp (matching the old
-	// aggregate measurement — ReadMemStats itself does not allocate),
-	// and the spread feeds the variance-aware gate.
-	var before, after runtime.MemStats
-	runtime.GC()
-	samples := make([]float64, 0, benchProbeRuns)
-	runtime.ReadMemStats(&before)
-	for i := 0; i < benchProbeRuns; i++ {
-		if err := run(); err != nil {
-			return nil, err
-		}
-		runtime.ReadMemStats(&after)
-		samples = append(samples, float64(after.Mallocs-before.Mallocs))
-		before = after
+	bp.SerialRoundsPerSec = bp.RoundsPerSec
+	bp.RoundsPerSec, bp.RPSDist = dist.Max, &dist
+	if bp.SerialRoundsPerSec > 0 {
+		bp.Speedup = bp.RoundsPerSec / bp.SerialRoundsPerSec
 	}
-	dist := stats.Summarize(samples, 0)
-	return &BenchProbe{
-		Name:         name,
-		Backend:      backend,
-		N:            benchProbeN,
-		WordsPerPair: benchProbeWPP,
-		Rounds:       benchProbeRounds,
-		Runs:         benchProbeRuns,
-		AllocsPerOp:  dist.Mean,
-		AllocsDist:   &dist,
-	}, nil
+	return bp, nil
+}
+
+// sample runs fn once to warm up, then probeRuns times, and summarises
+// one reading of p.Metric per run: its heap allocations, or its
+// aggregate sim-rounds/sec (whose Max is the best-of-runs figure).
+func (p Probe) sample(fn func() error) (stats.Summary, error) {
+	if err := fn(); err != nil {
+		return stats.Summary{}, err
+	}
+	// Per-run Mallocs deltas; ReadMemStats itself does not allocate.
+	var before, after runtime.MemStats
+	if p.Metric == AllocsPerOp {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+	}
+	rounds := float64(max(p.Batch, 1) * probeRounds)
+	samples := make([]float64, 0, probeRuns)
+	for range probeRuns {
+		start := time.Now()
+		if err := fn(); err != nil {
+			return stats.Summary{}, err
+		}
+		wall := time.Since(start)
+		switch {
+		case p.Metric == AllocsPerOp:
+			runtime.ReadMemStats(&after)
+			samples = append(samples, float64(after.Mallocs-before.Mallocs))
+			before = after
+		case wall > 0:
+			samples = append(samples, rounds/wall.Seconds())
+		}
+	}
+	return stats.Summarize(samples, 0), nil
 }

@@ -271,50 +271,6 @@ func mustJSON(t *testing.T, v any) []byte {
 	return data
 }
 
-func TestCompareBenchProbe(t *testing.T) {
-	mk := func(allocs float64) *exp.Report {
-		return &exp.Report{
-			Schema:  exp.SchemaVersion,
-			Backend: "lockstep",
-			Bench: &exp.BenchProbe{
-				Name: "exchange", Backend: "lockstep", N: 64,
-				WordsPerPair: 1, Rounds: 256, Runs: 5, AllocsPerOp: allocs,
-			},
-		}
-	}
-	if warns := exp.Compare(mk(1000), mk(1050), exp.Gate{Frac: 0.25}); len(warns) != 0 {
-		t.Errorf("5%% allocation growth should pass the 10%% gate: %v", warns)
-	}
-	warns := exp.Compare(mk(1000), mk(2000), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || !strings.Contains(warns[0].String(), "allocs/op") {
-		t.Errorf("doubled allocations should warn: %v", warns)
-	}
-	shifted := mk(1000)
-	shifted.Bench.N = 128
-	warns = exp.Compare(shifted, mk(5000), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || !strings.Contains(warns[0].String(), "shape mismatch") {
-		t.Errorf("probe shape change should warn instead of comparing: %v", warns)
-	}
-	// A probe tracked by the baseline but absent from the current report
-	// is lost gate coverage, not a pass: it must surface as a
-	// RegressMissing finding instead of silently reporting "no
-	// regression".
-	warns = exp.Compare(mk(1000), &exp.Report{Schema: exp.SchemaVersion, Backend: "lockstep"}, exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || warns[0].Kind != exp.RegressMissing {
-		t.Errorf("vanished probe should be a %q finding: %v", exp.RegressMissing, warns)
-	}
-	if !strings.Contains(warns[0].String(), "missing from the current report") {
-		t.Errorf("missing-probe finding should say which side lost it: %v", warns[0])
-	}
-	// The mirror image — a probe the baseline never tracked — runs
-	// ungated and deserves the same kind of flag.
-	warns = exp.Compare(&exp.Report{Schema: exp.SchemaVersion, Backend: "lockstep"}, mk(1000), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || warns[0].Kind != exp.RegressMissing ||
-		!strings.Contains(warns[0].String(), "missing from the baseline") {
-		t.Errorf("ungated probe should be a %q finding: %v", exp.RegressMissing, warns)
-	}
-}
-
 // TestCompareVarianceAware pins the CI-based gate: with a repeat
 // distribution on the baseline, the warning threshold is
 // CIFactor × half-width below the mean instead of a fixed fraction.
@@ -360,107 +316,5 @@ func TestCompareVarianceAware(t *testing.T) {
 	}
 	if warns := exp.Compare(zbase, mk(90, nil), exp.Gate{}); len(warns) != 1 {
 		t.Errorf("10%% drop under a zero-variance baseline should warn: %v", warns)
-	}
-}
-
-// TestAllocRegressionsGate pins the fatal alloc gate's variance-aware
-// path: the tolerance follows the baseline's recorded spread plus the
-// absolute slack.
-func TestAllocRegressionsGate(t *testing.T) {
-	mk := func(allocs float64, dist *stats.Summary) *exp.Report {
-		return &exp.Report{
-			Schema:  exp.SchemaVersion,
-			Backend: "lockstep",
-			Bench: &exp.BenchProbe{
-				Name: "exchange", Backend: "lockstep", N: 64,
-				WordsPerPair: 1, Rounds: 256, Runs: 5,
-				AllocsPerOp: allocs, AllocsDist: dist,
-			},
-		}
-	}
-	d := stats.Summarize([]float64{990, 1000, 1010}, 0)
-	base := mk(d.Mean, &d)
-	hw := d.HalfWidth()
-	within := mk(1000+1.5*hw, nil)
-	if fatal := exp.AllocRegressions(base, within, exp.Gate{CIFactor: 2}); len(fatal) != 0 {
-		t.Errorf("rise inside 2 CI half-widths failed the gate: %v", fatal)
-	}
-	// Beyond 2 half-widths plus the 16-alloc absolute slack: fatal.
-	beyond := mk(1000+2*hw+17+0.5*hw, nil)
-	if fatal := exp.AllocRegressions(base, beyond, exp.Gate{CIFactor: 2}); len(fatal) != 1 {
-		t.Errorf("rise beyond the CI gate passed: %v", fatal)
-	}
-	// Distribution-free baseline falls back to the fraction.
-	nb := mk(1000, nil)
-	if fatal := exp.AllocRegressions(nb, mk(1300, nil), exp.Gate{Frac: 0.25}); len(fatal) != 1 {
-		t.Errorf("30%% rise passed the 25%% fallback gate: %v", fatal)
-	}
-	if fatal := exp.AllocRegressions(nb, mk(1200, nil), exp.Gate{Frac: 0.25}); len(fatal) != 0 {
-		t.Errorf("20%% rise failed the 25%% fallback gate: %v", fatal)
-	}
-}
-
-func TestComparePackedProbe(t *testing.T) {
-	mk := func(allocs float64) *exp.Report {
-		return &exp.Report{
-			Schema:  exp.SchemaVersion,
-			Backend: "lockstep",
-			BenchPacked: &exp.BenchProbe{
-				Name: "packed-mm", Backend: "lockstep", N: 64,
-				WordsPerPair: 1, Rounds: 256, Runs: 5, AllocsPerOp: allocs,
-			},
-		}
-	}
-	if warns := exp.Compare(mk(1000), mk(1050), exp.Gate{Frac: 0.25}); len(warns) != 0 {
-		t.Errorf("5%% allocation growth should pass the 10%% gate: %v", warns)
-	}
-	warns := exp.Compare(mk(1000), mk(2000), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || !strings.Contains(warns[0].String(), "packed-mm") {
-		t.Errorf("doubled packed-probe allocations should warn: %v", warns)
-	}
-	if warns[0].Kind != exp.RegressAllocs {
-		t.Errorf("allocation regression kind = %q, want %q", warns[0].Kind, exp.RegressAllocs)
-	}
-}
-
-func TestMeasurePackedProbe(t *testing.T) {
-	probe, err := exp.MeasurePackedProbe("lockstep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.Name != "packed-mm" || probe.N != 64 || probe.Rounds != 256 {
-		t.Errorf("unexpected probe shape: %+v", probe)
-	}
-	if probe.AllocsPerOp <= 0 {
-		t.Errorf("allocs/op = %v, want > 0", probe.AllocsPerOp)
-	}
-	// The packed product allocates its broadcast table from the pooled
-	// scratch and one output row per call; anything in the 10^5 range
-	// means the pooling came unhooked.
-	if probe.AllocsPerOp > 100_000 {
-		t.Errorf("allocs/op = %v; the packed boolean-MM path has regressed badly", probe.AllocsPerOp)
-	}
-}
-
-func TestMeasureBenchProbe(t *testing.T) {
-	probe, err := exp.MeasureBenchProbe("lockstep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.Name != "exchange" || probe.N != 64 || probe.Rounds != 256 {
-		t.Errorf("unexpected probe shape: %+v", probe)
-	}
-	if probe.AllocsPerOp <= 0 {
-		t.Errorf("allocs/op = %v, want > 0", probe.AllocsPerOp)
-	}
-	// The whole point of the batched collective plane: the canonical
-	// exchange (64 nodes x 256 rounds of one-word gossip) must stay
-	// around a thousand allocations per run, not the ~10^6 the
-	// hand-rolled per-round tables used to cost.
-	if probe.AllocsPerOp > 100_000 {
-		t.Errorf("allocs/op = %v; the batched exchange path has regressed badly", probe.AllocsPerOp)
-	}
-	if _, err := exp.MeasureBenchProbe("no-such-backend"); err == nil {
-		t.Error("unknown backend accepted")
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -319,7 +318,7 @@ func RunContext(ctx context.Context, ids []string, opts Options) ([]*Result, Tim
 
 // Report is the serialised envelope of a registry run: the JSON schema
 // cliquebench emits, CI archives, and the BENCH_*.json perf trajectory
-// stores. Everything outside Throughput is deterministic.
+// stores. Everything outside Throughput and Probes is deterministic.
 type Report struct {
 	Schema  string `json:"schema"`
 	Backend string `json:"backend"`
@@ -331,23 +330,10 @@ type Report struct {
 	// (cliquebench -timing); without it the whole Report is
 	// bit-identical run to run and across -parallel settings.
 	Throughput *Throughput `json:"throughput,omitempty"`
-	// Bench is the canonical-exchange allocation probe, attached under
-	// the same timing opt-in as Throughput.
-	Bench *BenchProbe `json:"bench,omitempty"`
-	// BenchPacked is the packed boolean-MM allocation probe, the
-	// watchdog over the bit-packed data plane's scratch pooling.
-	BenchPacked *BenchProbe `json:"bench_packed,omitempty"`
-	// BenchTraceOff is the trace-off steady-state throughput probe: the
-	// canonical exchange with no tracer attached, best-of-runs. Its
-	// baseline comparison is the <1% overhead gate on the trace plane's
-	// off path. Timing-gated like the other probes.
-	BenchTraceOff *BenchProbe `json:"bench_trace_off,omitempty"`
-	// BenchBatched is the batched-execution throughput probe: a batch of
-	// canonical exchanges through one engine execution versus the same
-	// runs serial, best-of-runs aggregate sim-rounds/sec. Its baseline
-	// comparison gates the batched plane's throughput claim. Timing-gated
-	// like the other probes.
-	BenchBatched *BenchProbe `json:"bench_batched,omitempty"`
+	// Probes holds one measurement per probe-table row (see Probes),
+	// keyed by probe name, attached under the same timing opt-in as
+	// Throughput.
+	Probes map[string]*BenchProbe `json:"probes,omitempty"`
 	// Build attributes the report to the producing binary (module
 	// version, VCS revision, toolchain, available backends). It is
 	// deterministic for a fixed binary, so envelopes stay bit-identical
@@ -389,357 +375,4 @@ func NewReport(backend string, opts Options, results []*Result, tim Timing, with
 		}
 	}
 	return r
-}
-
-// Kinds of Compare findings, for callers that escalate some of them
-// (cliquebench fails the bench job on RegressAllocs beyond its
-// -alloc-regress-fail gate; everything else stays warn-only).
-const (
-	RegressAllocs     = "allocs"
-	RegressThroughput = "throughput"
-	RegressModelCost  = "model-cost"
-	RegressMismatch   = "mismatch"
-	RegressTraceOff   = "trace-off"
-	RegressBatched    = "batched"
-	// RegressMissing flags a metric tracked on one side only: a baseline
-	// metric absent from the current report is lost gate coverage, and a
-	// current metric absent from the baseline runs ungated until the
-	// baseline is regenerated. Either way "nothing compared" is a
-	// finding, not silence.
-	RegressMissing = "missing"
-)
-
-// Gate configures how Compare and the fatal gates decide "regressed".
-//
-// When the baseline metric carries a sample distribution (Dist blocks,
-// written by cliquebench -repeats and the multi-run probes), the gate
-// is variance-aware: a value regresses when it falls outside the
-// baseline mean by more than CIFactor times the confidence-interval
-// half-width (plus a small relative floor, so a freakishly quiet
-// baseline cannot turn measurement noise into alerts). Baselines
-// without a distribution fall back to the fixed fraction Frac.
-type Gate struct {
-	// CIFactor scales the baseline CI half-width; 0 means
-	// DefaultCIFactor.
-	CIFactor float64
-	// Frac is the fixed-fraction fallback for distribution-free
-	// baselines; 0 means the metric's historical default (0.25
-	// throughput, 0.10 allocs, 0.01 trace-off).
-	Frac float64
-}
-
-// DefaultCIFactor is the half-width multiplier used when Gate.CIFactor
-// is unset: two 95% half-widths, roughly a four-sigma one-sided gate
-// for small repeat counts.
-const DefaultCIFactor = 2
-
-// minRelSlack is the relative-slack floor under the variance-aware
-// gate: even a zero-variance baseline tolerates this fraction of drift
-// before a timing metric alerts.
-const minRelSlack = 0.02
-
-func (g Gate) ciFactor() float64 {
-	if g.CIFactor > 0 {
-		return g.CIFactor
-	}
-	return DefaultCIFactor
-}
-
-func (g Gate) frac(metricDefault float64) float64 {
-	if g.Frac > 0 {
-		return g.Frac
-	}
-	return metricDefault
-}
-
-// gateSlack is the tolerated drift around basePoint: CIFactor
-// half-widths when a usable distribution exists (floored at
-// minRelSlack), frac·basePoint otherwise.
-func gateSlack(basePoint float64, dist *stats.Summary, ciFactor, frac float64) float64 {
-	if dist != nil && dist.N >= 2 {
-		slack := ciFactor * dist.HalfWidth()
-		if floor := minRelSlack * basePoint; slack < floor {
-			slack = floor
-		}
-		return slack
-	}
-	return frac * basePoint
-}
-
-// Regression is one warning produced by Compare.
-type Regression struct {
-	// What identifies the degraded quantity.
-	What string
-	// Kind classifies the finding (Regress* constants).
-	Kind string
-	// Baseline and Current are the compared values.
-	Baseline, Current float64
-}
-
-func (r Regression) String() string {
-	switch {
-	case r.Baseline == 0 && r.Current == 0:
-		return r.What
-	case r.Baseline == 0:
-		return fmt.Sprintf("%s: baseline 0, current %.0f", r.What, r.Current)
-	}
-	return fmt.Sprintf("%s: baseline %.0f, current %.0f (%+.1f%%)",
-		r.What, r.Baseline, r.Current, 100*(r.Current-r.Baseline)/r.Baseline)
-}
-
-// Compare checks a fresh report against a stored baseline and returns
-// warnings for simulator throughput regressions beyond the gate, for
-// any change in deterministic model costs (tolerance 0, since model
-// costs only move when an algorithm changed), and for metrics tracked
-// on one side only (RegressMissing). Throughput gating is
-// variance-aware when the baseline carries a repeat distribution: the
-// warning fires when the current mean falls below the baseline mean by
-// more than gate.CIFactor confidence-interval half-widths, so a noisy
-// runner widens its own tolerance instead of crying wolf. It never
-// fails a build on its own; CI surfaces the returned warnings.
-func Compare(baseline, current *Report, gate Gate) []Regression {
-	var warns []Regression
-	if baseline.Schema != current.Schema {
-		warns = append(warns, Regression{Kind: RegressMismatch, What: fmt.Sprintf("schema mismatch: baseline %q vs current %q", baseline.Schema, current.Schema)})
-		return warns
-	}
-	if baseline.Quick != current.Quick {
-		warns = append(warns, Regression{Kind: RegressMismatch, What: "quick-mode mismatch: baseline and current report are not comparable"})
-		return warns
-	}
-	probeGate := Gate{CIFactor: gate.CIFactor, Frac: allocWarnFraction}
-	traceGate := Gate{CIFactor: gate.CIFactor, Frac: traceOffWarnFraction}
-	warns = append(warns, missingMetric("bench probe", baseline.Bench != nil, current.Bench != nil)...)
-	warns = append(warns, missingMetric("packed bench probe", baseline.BenchPacked != nil, current.BenchPacked != nil)...)
-	warns = append(warns, missingMetric("trace-off probe", baseline.BenchTraceOff != nil, current.BenchTraceOff != nil)...)
-	warns = append(warns, missingMetric("batched probe", baseline.BenchBatched != nil, current.BenchBatched != nil)...)
-	warns = append(warns, missingMetric("throughput block", baseline.Throughput != nil, current.Throughput != nil)...)
-	warns = append(warns, compareProbe(baseline.Bench, current.Bench, probeGate)...)
-	warns = append(warns, compareProbe(baseline.BenchPacked, current.BenchPacked, probeGate)...)
-	warns = append(warns, compareTraceOff(baseline.BenchTraceOff, current.BenchTraceOff, traceGate)...)
-	warns = append(warns, compareBatched(baseline.BenchBatched, current.BenchBatched,
-		Gate{CIFactor: gate.CIFactor, Frac: batchedWarnFraction})...)
-	if baseline.Throughput != nil && current.Throughput != nil {
-		b := baseline.Throughput
-		slack := gateSlack(b.RoundsPerSec, b.Dist, gate.ciFactor(), gate.frac(throughputWarnFraction))
-		switch {
-		case b.Workers != current.Throughput.Workers:
-			warns = append(warns, Regression{Kind: RegressMismatch, What: fmt.Sprintf(
-				"worker-count mismatch (baseline %d, current %d): throughput not compared",
-				b.Workers, current.Throughput.Workers)})
-		case b.RoundsPerSec > 0 &&
-			current.Throughput.RoundsPerSec < b.RoundsPerSec-slack:
-			warns = append(warns, Regression{
-				What:     fmt.Sprintf("simulator throughput (rounds/sec, %s backend)", current.Backend),
-				Kind:     RegressThroughput,
-				Baseline: b.RoundsPerSec,
-				Current:  current.Throughput.RoundsPerSec,
-			})
-		}
-	}
-	base := map[string]*Result{}
-	for _, r := range baseline.Experiments {
-		base[r.ID] = r
-	}
-	var ids []string
-	for _, r := range current.Experiments {
-		ids = append(ids, r.ID)
-	}
-	sort.Strings(ids)
-	cur := map[string]*Result{}
-	for _, r := range current.Experiments {
-		cur[r.ID] = r
-	}
-	for _, id := range ids {
-		b, ok := base[id]
-		if !ok {
-			continue // new experiment: nothing to compare
-		}
-		c := cur[id]
-		if b.Sim.Rounds != c.Sim.Rounds {
-			warns = append(warns, Regression{
-				What:     fmt.Sprintf("%s: model cost changed (simulated rounds)", id),
-				Kind:     RegressModelCost,
-				Baseline: float64(b.Sim.Rounds), Current: float64(c.Sim.Rounds),
-			})
-		}
-	}
-	// A tracked experiment vanishing from the report is itself a
-	// coverage regression (renamed, unregistered, or a subset run).
-	var missing []string
-	for _, r := range baseline.Experiments {
-		if _, ok := cur[r.ID]; !ok {
-			missing = append(missing, r.ID)
-		}
-	}
-	if len(missing) > 0 {
-		sort.Strings(missing)
-		warns = append(warns, Regression{Kind: RegressMissing, What: fmt.Sprintf(
-			"baseline experiments missing from the current report: %s", strings.Join(missing, ", "))})
-	}
-	return warns
-}
-
-// missingMetric distinguishes "metric tracked on one side only" from
-// "no regression": a comparison that silently skips a gated metric is
-// itself a finding.
-func missingMetric(what string, inBase, inCurrent bool) []Regression {
-	switch {
-	case inBase && !inCurrent:
-		return []Regression{{Kind: RegressMissing, What: fmt.Sprintf(
-			"%s present in the baseline but missing from the current report: not compared (run with -timing)", what)}}
-	case !inBase && inCurrent:
-		return []Regression{{Kind: RegressMissing, What: fmt.Sprintf(
-			"%s missing from the baseline: running ungated (regenerate the baseline)", what)}}
-	}
-	return nil
-}
-
-// Fallback warn fractions for distribution-free baselines: the
-// pre-variance-aware fixed thresholds.
-const (
-	// throughputWarnFraction is the whole-registry rounds/sec drop
-	// beyond which Compare warns when the baseline has no repeat
-	// distribution.
-	throughputWarnFraction = 0.25
-	// allocWarnFraction is the allocs/op rise (plus a 16-alloc absolute
-	// slack for runtime noise) beyond which Compare warns. Allocation
-	// counts are deterministic up to that noise; a larger rise means a
-	// hot path started allocating.
-	allocWarnFraction = 0.10
-	// traceOffWarnFraction is the trace-off throughput drop beyond which
-	// Compare warns: the trace plane's claim is that a nil tracer costs
-	// under 1%, so the gate sits exactly there. The probe compares
-	// best-of-runs wall times, which keeps scheduler noise out of the 1%
-	// margin.
-	traceOffWarnFraction = 0.01
-	// allocAbsSlack is the absolute allocs/op slack on top of any gate,
-	// absorbing runtime bookkeeping noise.
-	allocAbsSlack = 16
-	// batchedWarnFraction is the batched-probe aggregate rounds/sec drop
-	// beyond which Compare warns when the baseline has no distribution.
-	// Batched throughput is a macro measurement (scheduler + mailbox +
-	// coroutine resume), so it tolerates the same fraction as the
-	// whole-registry throughput gate.
-	batchedWarnFraction = 0.25
-)
-
-// compareProbe checks one allocation probe against its baseline under
-// the gate; nil on either side (probes are timing-gated, and absence is
-// reported separately as RegressMissing) compares nothing.
-func compareProbe(b, c *BenchProbe, gate Gate) []Regression {
-	if b == nil || c == nil {
-		return nil
-	}
-	slack := gateSlack(b.AllocsPerOp, b.AllocsDist, gate.ciFactor(), gate.frac(allocWarnFraction))
-	switch {
-	case b.Name != c.Name || b.N != c.N || b.WordsPerPair != c.WordsPerPair ||
-		b.Rounds != c.Rounds || b.Backend != c.Backend:
-		return []Regression{{Kind: RegressMismatch, What: fmt.Sprintf(
-			"bench-probe shape mismatch (baseline %s/%s n=%d, current %s/%s n=%d): allocs not compared",
-			b.Name, b.Backend, b.N, c.Name, c.Backend, c.N)}}
-	case c.AllocsPerOp > b.AllocsPerOp+slack+allocAbsSlack:
-		return []Regression{{
-			What:     fmt.Sprintf("allocs/op on the %s benchmark probe (%s backend)", c.Name, c.Backend),
-			Kind:     RegressAllocs,
-			Baseline: b.AllocsPerOp,
-			Current:  c.AllocsPerOp,
-		}}
-	}
-	return nil
-}
-
-// compareTraceOff checks the trace-off throughput probe against its
-// baseline under the gate; nil on either side compares nothing. The
-// compared values are best-of-runs, with the tolerance widened by the
-// baseline's per-run spread when it recorded one.
-func compareTraceOff(b, c *BenchProbe, gate Gate) []Regression {
-	if b == nil || c == nil {
-		return nil
-	}
-	slack := gateSlack(b.RoundsPerSec, b.RPSDist, gate.ciFactor(), gate.frac(traceOffWarnFraction))
-	switch {
-	case b.Name != c.Name || b.N != c.N || b.WordsPerPair != c.WordsPerPair ||
-		b.Rounds != c.Rounds || b.Backend != c.Backend:
-		return []Regression{{Kind: RegressMismatch, What: fmt.Sprintf(
-			"trace-off probe shape mismatch (baseline %s/%s n=%d, current %s/%s n=%d): throughput not compared",
-			b.Name, b.Backend, b.N, c.Name, c.Backend, c.N)}}
-	case b.RoundsPerSec > 0 && c.RoundsPerSec < b.RoundsPerSec-slack:
-		return []Regression{{
-			What:     fmt.Sprintf("trace-off steady-state throughput (rounds/sec, %s backend)", c.Backend),
-			Kind:     RegressTraceOff,
-			Baseline: b.RoundsPerSec,
-			Current:  c.RoundsPerSec,
-		}}
-	}
-	return nil
-}
-
-// compareBatched checks the batched-execution throughput probe against
-// its baseline under the gate; nil on either side compares nothing. The
-// gated figure is the batched aggregate sim-rounds/sec (best-of-runs);
-// the serial reference and speedup ride along in the envelope but are
-// not gated separately, since the aggregate figure already moves when
-// either side does.
-func compareBatched(b, c *BenchProbe, gate Gate) []Regression {
-	if b == nil || c == nil {
-		return nil
-	}
-	slack := gateSlack(b.RoundsPerSec, b.RPSDist, gate.ciFactor(), gate.frac(batchedWarnFraction))
-	switch {
-	case b.Name != c.Name || b.N != c.N || b.WordsPerPair != c.WordsPerPair ||
-		b.Rounds != c.Rounds || b.Batch != c.Batch || b.Backend != c.Backend:
-		return []Regression{{Kind: RegressMismatch, What: fmt.Sprintf(
-			"batched probe shape mismatch (baseline %s/%s n=%d batch=%d, current %s/%s n=%d batch=%d): throughput not compared",
-			b.Name, b.Backend, b.N, b.Batch, c.Name, c.Backend, c.N, c.Batch)}}
-	case b.RoundsPerSec > 0 && c.RoundsPerSec < b.RoundsPerSec-slack:
-		return []Regression{{
-			What:     fmt.Sprintf("batched steady-state throughput (sim-rounds/sec, %s backend, batch %d)", c.Backend, c.Batch),
-			Kind:     RegressBatched,
-			Baseline: b.RoundsPerSec,
-			Current:  c.RoundsPerSec,
-		}}
-	}
-	return nil
-}
-
-// BatchedRegressions reports batched-throughput regressions beyond the
-// given gate — the fatal half of cliquebench's -batch-regress-fail
-// gate, mirroring TraceOffRegressions.
-func BatchedRegressions(baseline, current *Report, gate Gate) []Regression {
-	var out []Regression
-	for _, r := range compareBatched(baseline.BenchBatched, current.BenchBatched, gate) {
-		if r.Kind == RegressBatched {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// TraceOffRegressions reports trace-off throughput regressions beyond
-// the given gate — the fatal half of cliquebench's -trace-regress-fail
-// gate, mirroring AllocRegressions.
-func TraceOffRegressions(baseline, current *Report, gate Gate) []Regression {
-	var out []Regression
-	for _, r := range compareTraceOff(baseline.BenchTraceOff, current.BenchTraceOff, gate) {
-		if r.Kind == RegressTraceOff {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// AllocRegressions reports the allocation-probe regressions beyond the
-// given gate — Compare's probe check at a caller-chosen severity.
-// cliquebench uses it for the fatal -alloc-regress-fail gate, so a
-// fail gate tighter than Compare's own warn gate still bites.
-func AllocRegressions(baseline, current *Report, gate Gate) []Regression {
-	var out []Regression
-	for _, r := range append(compareProbe(baseline.Bench, current.Bench, gate),
-		compareProbe(baseline.BenchPacked, current.BenchPacked, gate)...) {
-		if r.Kind == RegressAllocs {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -122,73 +122,3 @@ func TestUntracedResultCarriesNoTraceBlock(t *testing.T) {
 		t.Fatalf("TraceSink-only run attached a trace block to the result: %+v", res.Trace)
 	}
 }
-
-// TestMeasureTraceOffProbe sanity-checks the zero-cost-when-off gate's
-// instrument: the probe must report a positive best-of-runs throughput
-// with the canonical shape the baseline comparison matches on.
-func TestMeasureTraceOffProbe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing probe")
-	}
-	probe, err := exp.MeasureTraceOffProbe("lockstep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.Name != "trace-off" || probe.Backend != "lockstep" {
-		t.Fatalf("probe identity %s/%s, want trace-off/lockstep", probe.Name, probe.Backend)
-	}
-	if probe.RoundsPerSec <= 0 {
-		t.Fatalf("probe rounds/sec = %v, want > 0", probe.RoundsPerSec)
-	}
-	if probe.AllocsPerOp != 0 {
-		t.Fatalf("trace-off probe set AllocsPerOp = %v; it must leave the alloc gate alone", probe.AllocsPerOp)
-	}
-}
-
-// TestCompareTraceOffProbe pins the 1% gate: a 2% throughput drop on
-// the trace-off probe is a RegressTraceOff finding, surfaced by both
-// Compare and the fatal TraceOffRegressions filter.
-func TestCompareTraceOffProbe(t *testing.T) {
-	probe := func(rps float64) *exp.BenchProbe {
-		return &exp.BenchProbe{Name: "trace-off", Backend: "lockstep",
-			N: 64, WordsPerPair: 1, Rounds: 256, Runs: 5, RoundsPerSec: rps}
-	}
-	report := func(rps float64) *exp.Report {
-		return &exp.Report{Schema: exp.SchemaVersion, Backend: "lockstep", BenchTraceOff: probe(rps)}
-	}
-	base := report(100000)
-
-	if warns := exp.Compare(base, report(99500), exp.Gate{Frac: 0.25}); len(warns) != 0 {
-		t.Fatalf("0.5%% drop warned: %+v", warns)
-	}
-	warns := exp.Compare(base, report(98000), exp.Gate{Frac: 0.25})
-	found := false
-	for _, w := range warns {
-		if w.Kind == exp.RegressTraceOff {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("2%% trace-off drop not flagged: %+v", warns)
-	}
-	if fatal := exp.TraceOffRegressions(base, report(98000), exp.Gate{Frac: 0.01}); len(fatal) != 1 {
-		t.Fatalf("fatal gate found %d regressions, want 1", len(fatal))
-	}
-	if fatal := exp.TraceOffRegressions(base, report(99500), exp.Gate{Frac: 0.01}); len(fatal) != 0 {
-		t.Fatalf("fatal gate fired inside the 1%% margin: %+v", fatal)
-	}
-	// A shape mismatch must not silently pass the fatal gate as "fine" —
-	// it is a mismatch warning, not a throughput regression.
-	mismatched := report(100000)
-	mismatched.BenchTraceOff.N = 32
-	warns = exp.Compare(base, mismatched, exp.Gate{Frac: 0.25})
-	found = false
-	for _, w := range warns {
-		if w.Kind == exp.RegressMismatch {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("probe shape mismatch not reported: %+v", warns)
-	}
-}

@@ -4,13 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/clique"
-	"repro/internal/domset"
-	"repro/internal/gather"
-	"repro/internal/graph"
-	"repro/internal/matmul"
-	"repro/internal/paths"
-	"repro/internal/subgraph"
-	"repro/internal/vcover"
+	"repro/internal/workload"
 )
 
 // Workload is one simulated algorithm on a generated instance,
@@ -31,60 +25,32 @@ type Workload struct {
 	Make func(n int) clique.NodeFunc
 }
 
+// fig1 is the E1 probe set in table order: each row names its
+// internal/workload catalogue entry, which supplies WPP and the node
+// program, seeded by n.
+var fig1 = []struct{ key, name, alg string }{
+	{"semiring-mm", "Boolean MM (3D)", "boolmm-3d"},
+	{"", "Boolean MM (naive)", "boolmm-naive"},
+	{"apsp-w-ud", "APSP w/ud (min,+ squaring)", "apsp"},
+	{"triangle", "Triangle detection", "triangle"},
+	{"k-is", "3-IS detection", "k-is"},
+	{"k-ds", "3-DS (Theorem 9)", "k-ds"},
+	{"k-vc", "3-VC (Theorem 11)", "k-vc"},
+	{"maxis", "MaxIS (full gather)", "maxis"},
+}
+
 // Fig1Workloads returns the E1 probe set in table order.
 func Fig1Workloads() []Workload {
-	return []Workload{
-		{"semiring-mm", "Boolean MM (3D)", 8, func(n int) clique.NodeFunc {
-			g := graph.Gnp(n, 0.5, uint64(n))
-			return func(nd *clique.Node) {
-				row := matmul.AdjacencyRow(g, nd.ID())
-				matmul.Mul3D(nd, matmul.Boolean{}, row, row)
-			}
-		}},
-		{"", "Boolean MM (naive)", 8, func(n int) clique.NodeFunc {
-			g := graph.Gnp(n, 0.5, uint64(n))
-			return func(nd *clique.Node) {
-				row := matmul.AdjacencyRow(g, nd.ID())
-				matmul.MulNaive(nd, matmul.Boolean{}, row, row)
-			}
-		}},
-		{"apsp-w-ud", "APSP w/ud (min,+ squaring)", 8, func(n int) clique.NodeFunc {
-			g := graph.GnpWeighted(n, 0.3, 40, false, uint64(n))
-			return func(nd *clique.Node) {
-				paths.APSP(nd, g.W[nd.ID()], matmul.Mul3D)
-			}
-		}},
-		{"triangle", "Triangle detection", 8, func(n int) clique.NodeFunc {
-			g := graph.Gnp(n, 0.2, uint64(n))
-			return func(nd *clique.Node) {
-				subgraph.DetectTriangle(nd, g.Row(nd.ID()))
-			}
-		}},
-		{"k-is", "3-IS detection", 8, func(n int) clique.NodeFunc {
-			g := graph.Gnp(n, 0.6, uint64(n))
-			return func(nd *clique.Node) {
-				subgraph.DetectIndependentSet(nd, g.Row(nd.ID()), 3)
-			}
-		}},
-		{"k-ds", "3-DS (Theorem 9)", 8, func(n int) clique.NodeFunc {
-			g, _ := graph.PlantedDominatingSet(n, 3, 0.1, uint64(n))
-			return func(nd *clique.Node) {
-				domset.Find(nd, g.Row(nd.ID()), 3)
-			}
-		}},
-		{"k-vc", "3-VC (Theorem 11)", 1, func(n int) clique.NodeFunc {
-			g, _ := graph.PlantedVertexCover(n, 3, 0.4, uint64(n))
-			return func(nd *clique.Node) {
-				vcover.Find(nd, g.Row(nd.ID()), 3)
-			}
-		}},
-		{"maxis", "MaxIS (full gather)", 1, func(n int) clique.NodeFunc {
-			g := graph.Gnp(n, 0.92, uint64(n)) // dense: keeps alpha tiny, local solve fast
-			return func(nd *clique.Node) {
-				gather.MaxIndependentSetSize(nd, g.Row(nd.ID()))
-			}
-		}},
+	ws := make([]Workload, len(fig1))
+	for i, r := range fig1 {
+		alg, ok := workload.Get(r.alg)
+		if !ok {
+			panic(fmt.Sprintf("exp: Figure 1 row %q names unknown workload %q", r.name, r.alg))
+		}
+		ws[i] = Workload{Key: r.key, Name: r.name, WPP: alg.WPP,
+			Make: func(n int) clique.NodeFunc { return alg.Make(n, uint64(n)) }}
 	}
+	return ws
 }
 
 // Fig1Workload looks one probe up by display name, for benchmark

@@ -306,15 +306,19 @@ func TestFindCliqueWitness(t *testing.T) {
 	g.AddEdge(2, 5)
 	g.AddEdge(5, 8)
 	g.AddEdge(2, 8)
-	found := false
-	var wit []int
+	// One slot per node: every node computes the answer, and each writes
+	// only its own slot.
+	founds := make([]bool, g.N)
+	wits := make([][]int, g.N)
 	_, err := clique.Run(clique.Config{N: g.N, WordsPerPair: 4}, func(nd *clique.Node) {
-		found, wit = FindClique(nd, g.Row(nd.ID()), 3)
+		founds[nd.ID()], wits[nd.ID()] = FindClique(nd, g.Row(nd.ID()), 3)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found || !graph.IsClique(g, wit) {
-		t.Fatalf("planted triangle not found: %v %v", found, wit)
+	for v := range founds {
+		if !founds[v] || !graph.IsClique(g, wits[v]) {
+			t.Fatalf("node %d: planted triangle not found: %v %v", v, founds[v], wits[v])
+		}
 	}
 }

@@ -21,9 +21,9 @@
 // O(n * spans). Round data comes from the engine and is global.
 //
 // When no Tracer is configured the whole plane folds to nil checks and
-// a shared no-op closure; the steady-state bench gate
-// (exp.MeasureTraceOffProbe, compared in CI against BENCH_baseline.json)
-// holds the trace-off overhead under 1%.
+// a shared no-op closure; the steady-state bench gate (the trace-off
+// row of exp.Probes, compared in CI against BENCH_baseline.json) holds
+// the trace-off overhead under 1%.
 //
 // A finished Collector yields a RunTrace, which serialises two ways:
 // Summary produces the deterministic-shape cliquetrace/v1 envelope

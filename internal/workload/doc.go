@@ -6,7 +6,8 @@
 // request with the same (algorithm, n, wpp, seed) provably run the
 // same program on the same instance.
 //
-// The catalogue deliberately mirrors the Figure 1 probe set of
-// exp.Fig1Workloads plus the substrates the paper's algorithms build
-// on, but with the seed exposed so clients can sweep instances.
+// The Figure 1 experiment draws its probe set from here too
+// (exp.Fig1Workloads names catalogue entries and seeds them by n); the
+// catalogue adds the substrates the paper's algorithms build on, with
+// the seed exposed so clients can sweep instances.
 package workload
