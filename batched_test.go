@@ -1,7 +1,9 @@
 package repro
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/clique"
@@ -44,22 +46,41 @@ func checkBatchedEquivalence(t *testing.T, cfg clique.Config, programs []clique.
 	}
 }
 
+// atEachProcs runs body once per worker count — the inline single
+// worker, an even and an uneven split of the node ids, and more workers
+// than the batch has nodes — as a procs=k subtest with
+// runtime.GOMAXPROCS(k) in force, restoring the previous value through
+// t.Cleanup. The batched scheduler shards node ids by GOMAXPROCS, so
+// each subtest drives a different shard layout.
+func atEachProcs(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	for _, k := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("procs=%d", k), func(t *testing.T) {
+			old := runtime.GOMAXPROCS(k)
+			t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+			body(t)
+		})
+	}
+}
+
 // TestBatchedEquivalenceAcrossWorkloads sweeps the whole algorithm
-// catalogue on both backends: three seeds per algorithm, batched vs
-// serial, transcripts recorded.
+// catalogue on both backends and at several worker counts: three seeds
+// per algorithm, batched vs serial, transcripts recorded.
 func TestBatchedEquivalenceAcrossWorkloads(t *testing.T) {
 	const n, batch = 16, 3
 	for _, alg := range workload.All() {
 		for _, backend := range clique.Backends() {
 			t.Run(alg.Name+"/"+backend, func(t *testing.T) {
-				cfg := clique.Config{N: n, WordsPerPair: alg.WPP,
-					RecordTranscript: true, Backend: backend}
-				programs := make([]clique.NodeFunc, batch)
-				for r := range programs {
-					programs[r] = alg.Make(n, uint64(r+1))
-				}
-				checkBatchedEquivalence(t, cfg, programs, func(run int) clique.NodeFunc {
-					return alg.Make(n, uint64(run+1))
+				atEachProcs(t, func(t *testing.T) {
+					cfg := clique.Config{N: n, WordsPerPair: alg.WPP,
+						RecordTranscript: true, Backend: backend}
+					programs := make([]clique.NodeFunc, batch)
+					for r := range programs {
+						programs[r] = alg.Make(n, uint64(r+1))
+					}
+					checkBatchedEquivalence(t, cfg, programs, func(run int) clique.NodeFunc {
+						return alg.Make(n, uint64(run+1))
+					})
 				})
 			})
 		}

@@ -55,26 +55,6 @@ func runBatchSerial(be Backend, cfg Config, batch int, body func(run, id int, rt
 	return results, errs
 }
 
-// batchChunkSlots caps the live-coroutine working set of one native
-// batch chunk. Batching pays off where per-round scheduling overhead
-// dominates — small n — and loses where the resident coroutine stacks
-// and mailboxes outgrow the cache: measured on a single-core host, the
-// canonical exchange speeds up 1.4x at n=8 with 8 runs per chunk,
-// decays through 1.1x at n=16, and inverts to 0.74x by n=64 with 16
-// runs resident. Capping chunks at ~64 slots (never fewer than 2 runs)
-// keeps every measured shape at or above serial speed.
-const batchChunkSlots = 64
-
-// batchChunkRuns is the native chunk width for an n-node shape: enough
-// runs to amortise round dispatch, few enough that the chunk's stacks
-// and arenas stay cache-resident.
-func batchChunkRuns(n int) int {
-	if c := batchChunkSlots / n; c > 2 {
-		return c
-	}
-	return 2
-}
-
 // RunBatch is the lockstep engine's native batch mode: every run keeps
 // its own lockstepEngine (mailbox views, per-node coroutines, stats)
 // while a single scheduler and worker pool drive all of them round by
@@ -82,9 +62,7 @@ func batchChunkRuns(n int) int {
 // settle pass per round scans violations, counts survivors, and
 // exchanges each live run's mailbox — so the per-round fixed costs that
 // dominate small-message workloads are paid once per batch instead of
-// once per run. Large batches execute as a sequence of cache-sized
-// chunks (batchChunkRuns runs at a time); chunking is invisible in the
-// results, which stay bit-identical to serial runs.
+// once per run. Results stay bit-identical to serial runs.
 func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, rt NodeRuntime)) ([]*Result, []error) {
 	if batch <= 0 {
 		return nil, nil
@@ -103,28 +81,6 @@ func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, 
 		// one has nothing to amortise.
 		return runBatchSerial(b, cfg, batch, body)
 	}
-	if chunk := batchChunkRuns(cfg.N); batch > chunk {
-		results := make([]*Result, 0, batch)
-		errs := make([]error, 0, batch)
-		for lo := 0; lo < batch; lo += chunk {
-			hi := lo + chunk
-			if hi > batch {
-				hi = batch
-			}
-			res, e := b.runBatchChunk(cfg, hi-lo, func(run, id int, rt NodeRuntime) {
-				body(lo+run, id, rt)
-			})
-			results = append(results, res...)
-			errs = append(errs, e...)
-		}
-		return results, errs
-	}
-	return b.runBatchChunk(cfg, batch, body)
-}
-
-// runBatchChunk drives one cache-sized chunk of runs through the shared
-// scheduler. cfg is validated and defaulted by the caller.
-func (b lockstepBackend) runBatchChunk(cfg Config, batch int, body func(run, id int, rt NodeRuntime)) ([]*Result, []error) {
 	n := cfg.N
 
 	boxes, releaseBoxes := newBatchBoxes(batch, n, cfg.WordsPerPair)
@@ -148,35 +104,29 @@ func (b lockstepBackend) runBatchChunk(cfg Config, batch int, body func(run, id 
 		e.start(func(id int, rt NodeRuntime) { body(r, id, rt) })
 	}
 
-	// The worker pool shards the global (run, node) slot space
-	// contiguously, so a given node of a given run is always resumed by
-	// the same worker in the same within-shard order. All per-slot state
-	// (live, vio, mailbox rows) is owned by that slot's coroutine, and
-	// halted runs are skipped whole — determinism holds for any worker
-	// count, exactly as in the serial scheduler.
-	total := batch * n
+	// The worker pool shards node ids exactly as serial Run does: worker
+	// w owns nodes [w*n/W, (w+1)*n/W) of every run in the batch, with
+	// W = min(GOMAXPROCS, n), so every run's nodes spread over all
+	// workers and a long run never finishes on one core after its short
+	// siblings halt. A given node of a given run is always resumed by
+	// the same worker in the same within-shard order (ascending run, then
+	// ascending id). All per-slot state (live, vio, mailbox rows) is
+	// owned by that slot's coroutine, and halted runs are skipped whole
+	// — determinism holds for any worker count, exactly as in the serial
+	// scheduler.
 	workers := runtime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
+	if workers > n {
+		workers = n
 	}
 	halted := make([]bool, batch)
-	// sweep resumes the live nodes of the live runs in global slot range
-	// [lo, hi), run-major — the shard body shared by the single-worker
-	// inline path and the worker pool.
+	// sweep resumes nodes [lo, hi) of every live run — the shard body
+	// shared by the single-worker inline path and the worker pool.
 	sweep := func(lo, hi int) {
-		for r := lo / n; r*n < hi; r++ {
+		for r, e := range engines {
 			if halted[r] {
 				continue
 			}
-			e := engines[r]
-			v0, v1 := 0, n
-			if s := lo - r*n; s > 0 {
-				v0 = s
-			}
-			if s := hi - r*n; s < n {
-				v1 = s
-			}
-			for v := v0; v < v1; v++ {
+			for v := lo; v < hi; v++ {
 				if !e.live[v] {
 					continue
 				}
@@ -192,7 +142,7 @@ func (b lockstepBackend) runBatchChunk(cfg Config, batch int, body func(run, id 
 		starts = make([]chan struct{}, workers)
 		for w := 0; w < workers; w++ {
 			starts[w] = make(chan struct{}, 1)
-			lo, hi := w*total/workers, (w+1)*total/workers
+			lo, hi := w*n/workers, (w+1)*n/workers
 			go func(start <-chan struct{}, lo, hi int) {
 				for range start {
 					sweep(lo, hi)
@@ -216,7 +166,7 @@ func (b lockstepBackend) runBatchChunk(cfg Config, batch int, body func(run, id 
 		// channel round-trip per round, the dominant fixed cost on small
 		// machines.
 		if workers == 1 {
-			sweep(0, total)
+			sweep(0, n)
 		} else {
 			wg.Add(workers)
 			for _, s := range starts {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -73,13 +74,35 @@ func checkBatchEquivalence(t *testing.T, native, serial []*Result, nativeErrs, s
 	}
 }
 
+// batchProcs are the worker counts the batched ≡ serial tests run at:
+// the inline single-worker path, an even and an uneven split of the
+// node ids, and more workers than nodes (clamped to n).
+var batchProcs = []int{1, 2, 3, 8}
+
+// atEachProcs runs body once per worker count in batchProcs, as a
+// procs=k subtest with runtime.GOMAXPROCS(k) in force and the previous
+// value restored by t.Cleanup. The scheduler reads GOMAXPROCS when a
+// batch starts, so each subtest drives a different shard layout.
+func atEachProcs(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	for _, k := range batchProcs {
+		t.Run(fmt.Sprintf("procs=%d", k), func(t *testing.T) {
+			old := runtime.GOMAXPROCS(k)
+			t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+			body(t)
+		})
+	}
+}
+
 func TestRunBatchMatchesSerial(t *testing.T) {
 	for _, batch := range []int{2, 3, 7, 16} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			cfg := Config{N: batchTestN, WordsPerPair: 4, RecordTranscript: true}
-			body := func(run, id int, rt NodeRuntime) { batchProgram(run, 5+run%3)(id, rt) }
-			native, serial, nativeErrs, serialErrs := runPair(t, cfg, batch, body)
-			checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
+			atEachProcs(t, func(t *testing.T) {
+				cfg := Config{N: batchTestN, WordsPerPair: 4, RecordTranscript: true}
+				body := func(run, id int, rt NodeRuntime) { batchProgram(run, 5+run%3)(id, rt) }
+				native, serial, nativeErrs, serialErrs := runPair(t, cfg, batch, body)
+				checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
+			})
 		})
 	}
 }
@@ -87,55 +110,79 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 // TestRunBatchUnevenLengths pins the per-run early-exit schedule: runs
 // end at different rounds (run r executes r+1 rounds), and a finished
 // run must stop being charged rounds while the rest of the batch
-// continues.
+// continues. n = 5 is below the largest worker count, so the procs=8
+// pass also covers more workers than nodes.
 func TestRunBatchUnevenLengths(t *testing.T) {
-	cfg := Config{N: 5, WordsPerPair: 2}
-	body := func(run, id int, rt NodeRuntime) {
-		for r := 0; r <= run; r++ {
-			rt.Broadcast(id, r, []uint64{uint64(run)})
-			rt.Barrier(id)
+	atEachProcs(t, func(t *testing.T) {
+		cfg := Config{N: 5, WordsPerPair: 2}
+		body := func(run, id int, rt NodeRuntime) {
+			for r := 0; r <= run; r++ {
+				rt.Broadcast(id, r, []uint64{uint64(run)})
+				rt.Barrier(id)
+			}
 		}
-	}
-	native, serial, nativeErrs, serialErrs := runPair(t, cfg, 6, body)
-	checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
-	for r, res := range native {
-		if res.Stats.Rounds != r+1 {
-			t.Fatalf("run %d: got %d rounds, want %d", r, res.Stats.Rounds, r+1)
+		native, serial, nativeErrs, serialErrs := runPair(t, cfg, 6, body)
+		checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
+		for r, res := range native {
+			if res.Stats.Rounds != r+1 {
+				t.Fatalf("run %d: got %d rounds, want %d", r, res.Stats.Rounds, r+1)
+			}
 		}
-	}
+	})
+}
+
+// TestRunBatchSkewedLengths is the mixed-length shape of a Figure 1
+// batch: run 0 halts after one round while run 1 runs 200, so for all
+// but the first round the batch has a single live run, which every
+// worker must keep driving across its own node shard.
+func TestRunBatchSkewedLengths(t *testing.T) {
+	atEachProcs(t, func(t *testing.T) {
+		cfg := Config{N: batchTestN, WordsPerPair: 4, RecordTranscript: true}
+		rounds := []int{1, 200}
+		body := func(run, id int, rt NodeRuntime) { batchProgram(run, rounds[run])(id, rt) }
+		native, serial, nativeErrs, serialErrs := runPair(t, cfg, len(rounds), body)
+		checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
+		for r, res := range native {
+			if res.Stats.Rounds != rounds[r] {
+				t.Fatalf("run %d: got %d rounds, want %d", r, res.Stats.Rounds, rounds[r])
+			}
+		}
+	})
 }
 
 // TestRunBatchViolationIsolation checks the violation contract: a run
 // that overflows its budget fails with the canonical lowest-id error
 // while every other run of the batch completes untouched.
 func TestRunBatchViolationIsolation(t *testing.T) {
-	const bad = 2
-	cfg := Config{N: 6, WordsPerPair: 1}
-	body := func(run, id int, rt NodeRuntime) {
-		rt.Broadcast(id, 0, []uint64{uint64(id)})
-		if run == bad && id >= 3 {
-			// Nodes 3, 4, 5 all overflow in round 1; the run's error must
-			// name node 3, the lowest violator.
+	atEachProcs(t, func(t *testing.T) {
+		const bad = 2
+		cfg := Config{N: 6, WordsPerPair: 1}
+		body := func(run, id int, rt NodeRuntime) {
+			rt.Broadcast(id, 0, []uint64{uint64(id)})
+			if run == bad && id >= 3 {
+				// Nodes 3, 4, 5 all overflow in round 1; the run's error must
+				// name node 3, the lowest violator.
+				rt.Barrier(id)
+				rt.Broadcast(id, 1, []uint64{1, 2})
+			}
 			rt.Barrier(id)
-			rt.Broadcast(id, 1, []uint64{1, 2})
 		}
-		rt.Barrier(id)
-	}
-	native, serial, nativeErrs, serialErrs := runPair(t, cfg, 5, body)
-	checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
-	for r, err := range nativeErrs {
-		if r == bad {
-			if err == nil {
-				t.Fatalf("run %d: want violation, got nil", r)
+		native, serial, nativeErrs, serialErrs := runPair(t, cfg, 5, body)
+		checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
+		for r, err := range nativeErrs {
+			if r == bad {
+				if err == nil {
+					t.Fatalf("run %d: want violation, got nil", r)
+				}
+				want := "clique: node 3 round 1: bandwidth exceeded sending 2 words to 0 (budget 1 words/pair/round)"
+				if err.Error() != want {
+					t.Fatalf("run %d: got %q, want %q", r, err, want)
+				}
+			} else if err != nil {
+				t.Fatalf("run %d: unexpected error %v", r, err)
 			}
-			want := "clique: node 3 round 1: bandwidth exceeded sending 2 words to 0 (budget 1 words/pair/round)"
-			if err.Error() != want {
-				t.Fatalf("run %d: got %q, want %q", r, err, want)
-			}
-		} else if err != nil {
-			t.Fatalf("run %d: unexpected error %v", r, err)
 		}
-	}
+	})
 }
 
 // TestRunBatchMaxRounds checks that the round limit applies per run.
@@ -161,21 +208,23 @@ func TestRunBatchMaxRounds(t *testing.T) {
 // TestRunBatchPanicIsolation checks that a node panic fails its own run
 // with the canonical error and leaves sibling runs intact.
 func TestRunBatchPanicIsolation(t *testing.T) {
-	cfg := Config{N: 4, WordsPerPair: 1}
-	body := func(run, id int, rt NodeRuntime) {
-		rt.Broadcast(id, 0, []uint64{1})
-		rt.Barrier(id)
-		if run == 0 && id == 2 {
-			panic("boom")
+	atEachProcs(t, func(t *testing.T) {
+		cfg := Config{N: 4, WordsPerPair: 1}
+		body := func(run, id int, rt NodeRuntime) {
+			rt.Broadcast(id, 0, []uint64{1})
+			rt.Barrier(id)
+			if run == 0 && id == 2 {
+				panic("boom")
+			}
+			rt.Broadcast(id, 1, []uint64{2})
+			rt.Barrier(id)
 		}
-		rt.Broadcast(id, 1, []uint64{2})
-		rt.Barrier(id)
-	}
-	native, serial, nativeErrs, serialErrs := runPair(t, cfg, 4, body)
-	checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
-	if nativeErrs[0] == nil || nativeErrs[0].Error() != "clique: node 2 panicked: boom" {
-		t.Fatalf("run 0: got %v", nativeErrs[0])
-	}
+		native, serial, nativeErrs, serialErrs := runPair(t, cfg, 4, body)
+		checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
+		if nativeErrs[0] == nil || nativeErrs[0].Error() != "clique: node 2 panicked: boom" {
+			t.Fatalf("run 0: got %v", nativeErrs[0])
+		}
+	})
 }
 
 // TestRunBatchBroadcastOnly checks the broadcast-clique law is enforced

@@ -197,56 +197,74 @@ func BenchmarkBackendBarrier(b *testing.B) {
 }
 
 // BenchmarkRunBatch measures the cross-run batched scheduler against a
-// serial loop over the same seed sweep, at the small-message shape
-// batching targets (per-round dispatch dominates an n=8 exchange).
-// rounds/sec is aggregate simulated rounds across the whole sweep; the
-// batched/serial ratio is the live form of the committed batched
-// probe's speedup figure (probes.batched in BENCH_baseline.json).
+// serial loop over the same seed sweep. batched/serial is the
+// small-message shape batching targets (per-round dispatch dominates
+// an n=8 exchange, eight 256-round runs); the batched/serial ratio is
+// the live form of the committed batched probe's speedup figure
+// (probes.batched in BENCH_baseline.json). skewed-batched/skewed-serial
+// is a Figure 1 batch: n=64, one run of 8 rounds beside one of 256,
+// each node doing some local compute every round, so the batch is a
+// single live run for most of its rounds and only a node-sharded
+// scheduler keeps every worker busy. rounds/sec is aggregate simulated
+// rounds across the whole sweep.
 func BenchmarkRunBatch(b *testing.B) {
-	const (
-		n            = 8
-		roundsPerRun = 256
-		batch        = 8
-	)
-	body := func(id int, rt NodeRuntime) {
-		for r := 0; r < roundsPerRun; r++ {
-			buf := rt.BroadcastBuf(id, r, 1)
-			buf[0] = uint64(id + r)
-			rt.Barrier(id)
-		}
-	}
-	cfg := Config{N: n, WordsPerPair: 1}
 	be, err := New("lockstep")
 	if err != nil {
 		b.Fatal(err)
 	}
-	check := func(b *testing.B, res *Result, err error) {
-		b.Helper()
-		if err != nil {
-			b.Fatal(err)
+	for _, shape := range []struct {
+		prefix string
+		n      int
+		rounds []int // per run of the sweep
+		work   int   // local multiply-adds per node-round
+	}{
+		{"", 8, []int{256, 256, 256, 256, 256, 256, 256, 256}, 0},
+		{"skewed-", 64, []int{8, 256}, 2048},
+	} {
+		total := 0
+		for _, r := range shape.rounds {
+			total += r
 		}
-		if res.Stats.Rounds != roundsPerRun {
-			b.Fatalf("rounds = %d", res.Stats.Rounds)
+		cfg := Config{N: shape.n, WordsPerPair: 1}
+		body := func(run, id int, rt NodeRuntime) {
+			x := uint64(id)
+			for r := 0; r < shape.rounds[run]; r++ {
+				for k := 0; k < shape.work; k++ {
+					x = x*6364136223846793005 + 1442695040888963407
+				}
+				buf := rt.BroadcastBuf(id, r, 1)
+				buf[0] = x + uint64(r)
+				rt.Barrier(id)
+			}
 		}
+		check := func(b *testing.B, run int, res *Result, err error) {
+			b.Helper()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Stats.Rounds != shape.rounds[run] {
+				b.Fatalf("run %d: rounds = %d", run, res.Stats.Rounds)
+			}
+		}
+		b.Run(shape.prefix+"batched", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				results, errs := RunBatch(be, cfg, len(shape.rounds), body)
+				for r := range results {
+					check(b, r, results[r], errs[r])
+				}
+			}
+			b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
+		})
+		b.Run(shape.prefix+"serial", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for r := range shape.rounds {
+					res, err := be.Run(cfg, func(id int, rt NodeRuntime) { body(r, id, rt) })
+					check(b, r, res, err)
+				}
+			}
+			b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
+		})
 	}
-	b.Run("batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			results, errs := RunBatch(be, cfg, batch, func(run, id int, rt NodeRuntime) { body(id, rt) })
-			for r := range results {
-				check(b, results[r], errs[r])
-			}
-		}
-		b.ReportMetric(float64(batch*roundsPerRun)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
-	})
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < batch; r++ {
-				res, err := be.Run(cfg, body)
-				check(b, res, err)
-			}
-		}
-		b.ReportMetric(float64(batch*roundsPerRun)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
-	})
 }

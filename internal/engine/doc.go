@@ -35,8 +35,9 @@
 //
 // Independent runs of the same shape — seed sweeps — can execute as one
 // batched lockstep execution (RunBatch): a single scheduler drives all
-// runs round by round in cache-sized chunks over a shared run-major
-// mailbox arena, amortising per-round dispatch while keeping every
-// run's result bit-identical to a serial Run. Backends without native
-// batching fall back to an equivalent serial loop.
+// runs round by round over a shared run-major mailbox arena, its
+// workers sharding node ids exactly as a serial Run does (each owns the
+// same id range of every run), amortising per-round dispatch while
+// keeping every run's result bit-identical to a serial Run. Backends
+// without native batching fall back to an equivalent serial loop.
 package engine

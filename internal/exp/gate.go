@@ -63,9 +63,10 @@ var probes = []Probe{
 		Metric: RoundsPerSec, Kind: RegressTraceOff, Warn: 0.01, Fail: 0.01},
 	// The batched execution plane at the small seed-sweep shape, where
 	// per-round scheduling dominates an n=8 exchange so cross-run
-	// amortisation shows directly (at n=64 the engine's cache-sized
-	// chunking deliberately keeps batching at serial parity). A macro
-	// measurement, so it gets the whole-registry throughput fraction.
+	// amortisation shows directly; at larger n local compute dominates
+	// and a batch runs at serial speed, its node ids sharded over the
+	// workers as in a serial run. A macro measurement, so it gets the
+	// whole-registry throughput fraction.
 	{Name: "batched", N: 8, WordsPerPair: 1, Batch: 8, Program: exchangeProgram,
 		Metric: RoundsPerSec, Kind: RegressBatched, Warn: 0.25, Fail: 0.25},
 }
