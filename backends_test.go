@@ -125,13 +125,13 @@ func backendCases() []backendCase {
 				func() any { return out }
 		}},
 		{"route", 4, 32, func(n int) (clique.NodeFunc, func() any) {
-			out := make([][]comm.Packet, n)
+			out := make([][]uint64, n)
 			return func(nd *clique.Node) {
-					var ps []comm.Packet
+					recs := make([]uint64, 0, 2*16)
 					for i := 0; i < 16; i++ {
-						ps = append(ps, comm.Packet{Dst: (nd.ID() + i + 1) % n, Payload: []uint64{uint64(nd.ID()*100 + i)}})
+						recs = append(recs, uint64((nd.ID()+i+1)%n), uint64(nd.ID()*100+i))
 					}
-					out[nd.ID()] = comm.Route(nd, ps, 1, 9)
+					out[nd.ID()] = comm.Route(nd, recs, 1, 9)
 				},
 				func() any { return out }
 		}},

@@ -347,11 +347,11 @@ func BenchmarkSub_Routing(b *testing.B) {
 	for _, load := range []int{8, 32} {
 		b.Run(fmt.Sprintf("load=%d", load), func(b *testing.B) {
 			benchRounds(b, 32, 4, func(nd *clique.Node) {
-				var ps []comm.Packet
+				recs := make([]uint64, 0, 2*load)
 				for i := 0; i < load; i++ {
-					ps = append(ps, comm.Packet{Dst: (nd.ID() + i + 1) % 32, Payload: []uint64{uint64(i)}})
+					recs = append(recs, uint64((nd.ID()+i+1)%32), uint64(i))
 				}
-				comm.Route(nd, ps, 1, 9)
+				comm.Route(nd, recs, 1, 9)
 			})
 		})
 	}
@@ -378,25 +378,27 @@ func BenchmarkSub_AllBroadcast(b *testing.B) {
 
 func BenchmarkAblation_RouterBalanced(b *testing.B) {
 	benchRounds(b, 16, 4, func(nd *clique.Node) {
-		var ps []comm.Packet
+		var recs []uint64
 		if nd.ID() == 0 {
+			recs = make([]uint64, 0, 2*96)
 			for i := 0; i < 96; i++ {
-				ps = append(ps, comm.Packet{Dst: 1, Payload: []uint64{uint64(i)}})
+				recs = append(recs, 1, uint64(i))
 			}
 		}
-		comm.Route(nd, ps, 1, 5)
+		comm.Route(nd, recs, 1, 5)
 	})
 }
 
 func BenchmarkAblation_RouterDirect(b *testing.B) {
 	benchRounds(b, 16, 4, func(nd *clique.Node) {
-		var ps []comm.Packet
+		var recs []uint64
 		if nd.ID() == 0 {
+			recs = make([]uint64, 0, 2*96)
 			for i := 0; i < 96; i++ {
-				ps = append(ps, comm.Packet{Dst: 1, Payload: []uint64{uint64(i)}})
+				recs = append(recs, 1, uint64(i))
 			}
 		}
-		comm.RouteDirect(nd, ps, 1)
+		comm.RouteDirect(nd, recs, 1)
 	})
 }
 

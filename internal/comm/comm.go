@@ -379,8 +379,15 @@ func AllToAllWord(nd clique.Endpoint, out []uint64) (in []uint64, ok []bool) {
 // the stream this node owes node t (queue[own id] must be empty). All
 // nodes agree on the number of rounds via a one-round max-reduction,
 // then ship wordsPerPair words per link per round. Returns the
-// concatenated stream received from each sender. Rounds:
-// 1 + ceil(maxLinkLoad / wordsPerPair).
+// concatenated stream received from each sender (nil for senders that
+// owed nothing). Rounds: 1 + ceil(maxLinkLoad / wordsPerPair).
+//
+// Every non-empty stream starts in the first data round, so that round's
+// senders are the only ones. A sender whose first chunk is shorter than
+// wordsPerPair has already sent its whole stream; any other stream is
+// bounded by the agreed maximum. All streams are carved from one backing
+// array sized by those bounds; the sizes are capacity hints only, and
+// later rounds receive through Endpoint.Senders.
 func AllToAll(nd clique.Endpoint, queue [][]uint64) [][]uint64 {
 	n := nd.N()
 	me := nd.ID()
@@ -402,6 +409,7 @@ func AllToAll(nd clique.Endpoint, queue [][]uint64) [][]uint64 {
 
 	in := make([][]uint64, n)
 	wpp := nd.WordsPerPair()
+	senders := make([]int, 0, n)
 	for off := 0; off < max; off += wpp {
 		for t := 0; t < n; t++ {
 			if t == me || off >= len(queue[t]) {
@@ -410,13 +418,38 @@ func AllToAll(nd clique.Endpoint, queue [][]uint64) [][]uint64 {
 			nd.SendWords(t, queue[t][off:chunkEnd(off, len(queue[t]), wpp)])
 		}
 		nd.Tick()
-		for p := 0; p < n; p++ {
-			if p != me {
-				in[p] = nd.RecvInto(p, in[p])
-			}
+		senders = nd.Senders(senders[:0])
+		if off == 0 {
+			carveStreams(nd, senders, wpp, max, in)
+		}
+		for _, p := range senders {
+			in[p] = nd.RecvInto(p, in[p])
 		}
 	}
 	return in
+}
+
+// carveStreams gives every first-round sender p an empty stream in[p]
+// carved from one backing array: room for its first chunk alone when
+// that chunk is shorter than wpp (the stream is complete), else for the
+// agreed maximum stream length max.
+func carveStreams(nd clique.Endpoint, senders []int, wpp, max int, in [][]uint64) {
+	size := func(p int) int {
+		if k := len(nd.Recv(p)); k < wpp {
+			return k
+		}
+		return max
+	}
+	total := 0
+	for _, p := range senders {
+		total += size(p)
+	}
+	backing := make([]uint64, total)
+	for _, p := range senders {
+		k := size(p)
+		in[p] = backing[:0:k]
+		backing = backing[k:]
+	}
 }
 
 // BroadcastBits has every node broadcast an arbitrary bit vector (all

@@ -347,7 +347,7 @@ func routeInstance(t *testing.T, n, perNode int, skewed bool, seed uint64) *cliq
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 99))
 	sentTo := make([][][2]uint64, n) // per destination: (src, tag)
-	instance := make([][]Packet, n)
+	instance := make([][]uint64, n)
 	for v := 0; v < n; v++ {
 		for i := 0; i < perNode; i++ {
 			dst := rng.IntN(n)
@@ -358,23 +358,23 @@ func routeInstance(t *testing.T, n, perNode int, skewed bool, seed uint64) *cliq
 				dst = (dst + 1) % n
 			}
 			tag := uint64(v*1000 + i)
-			instance[v] = append(instance[v], Packet{Dst: dst, Payload: []uint64{tag}})
+			instance[v] = append(instance[v], uint64(dst), tag)
 			sentTo[dst] = append(sentTo[dst], [2]uint64{uint64(v), tag})
 		}
 	}
 	var ref *clique.Result
-	got := make([][]Packet, n)
+	got := make([][]uint64, n)
 	res := runBoth(t, clique.Config{N: n, WordsPerPair: 4}, func(nd *clique.Node) {
 		got[nd.ID()] = Route(nd, instance[nd.ID()], 1, 42)
 	})
 	for v := 0; v < n; v++ {
-		if len(got[v]) != len(sentTo[v]) {
-			t.Fatalf("node %d received %d packets, want %d", v, len(got[v]), len(sentTo[v]))
+		if len(got[v]) != 2*len(sentTo[v]) {
+			t.Fatalf("node %d received %d words, want %d records", v, len(got[v]), len(sentTo[v]))
 		}
 		want := append([][2]uint64(nil), sentTo[v]...)
-		have := make([][2]uint64, len(got[v]))
-		for i, p := range got[v] {
-			have[i] = [2]uint64{uint64(p.Src), p.Payload[0]}
+		have := make([][2]uint64, 0, len(want))
+		for off := 0; off < len(got[v]); off += 2 {
+			have = append(have, [2]uint64{got[v][off], got[v][off+1]})
 		}
 		sortPairs(want)
 		sortPairs(have)
@@ -411,7 +411,7 @@ func TestRouteEmpty(t *testing.T) {
 	const n = 5
 	runBoth(t, clique.Config{N: n}, func(nd *clique.Node) {
 		if out := Route(nd, nil, 1, 7); len(out) != 0 {
-			nd.Fail("empty route returned %d packets", len(out))
+			nd.Fail("empty route returned %d words", len(out))
 		}
 	})
 }
@@ -419,8 +419,9 @@ func TestRouteEmpty(t *testing.T) {
 func TestRouteSelfAddressed(t *testing.T) {
 	const n = 4
 	runBoth(t, clique.Config{N: n, WordsPerPair: 4}, func(nd *clique.Node) {
-		out := Route(nd, []Packet{{Dst: nd.ID(), Payload: []uint64{uint64(nd.ID())}}}, 1, 3)
-		if len(out) != 1 || out[0].Payload[0] != uint64(nd.ID()) || out[0].Src != nd.ID() {
+		me := uint64(nd.ID())
+		out := Route(nd, []uint64{me, me}, 1, 3)
+		if !slices.Equal(out, []uint64{me, me}) {
 			nd.Fail("self-route failed: %v", out)
 		}
 	})
@@ -429,22 +430,46 @@ func TestRouteSelfAddressed(t *testing.T) {
 func TestRouteWidePayload(t *testing.T) {
 	const n = 5
 	runBoth(t, clique.Config{N: n, WordsPerPair: 2}, func(nd *clique.Node) {
-		var ps []Packet
+		var recs []uint64
 		for dst := 0; dst < n; dst++ {
 			if dst != nd.ID() {
-				ps = append(ps, Packet{Dst: dst, Payload: []uint64{uint64(nd.ID()), uint64(dst), 7}})
+				recs = append(recs, uint64(dst), uint64(nd.ID()), uint64(dst), 7)
 			}
 		}
-		out := Route(nd, ps, 3, 11)
-		if len(out) != n-1 {
-			nd.Fail("got %d packets, want %d", len(out), n-1)
+		out := Route(nd, recs, 3, 11)
+		if len(out) != 4*(n-1) {
+			nd.Fail("got %d words, want %d records", len(out), n-1)
 		}
-		for _, p := range out {
-			if p.Payload[0] != uint64(p.Src) || p.Payload[1] != uint64(nd.ID()) || p.Payload[2] != 7 {
-				nd.Fail("corrupted payload %v from %d", p.Payload, p.Src)
+		for off := 0; off < len(out); off += 4 {
+			src, payload := out[off], out[off+1:off+4]
+			if payload[0] != src || payload[1] != uint64(nd.ID()) || payload[2] != 7 {
+				nd.Fail("corrupted payload %v from %d", payload, src)
 			}
 		}
 	})
+}
+
+// TestRouteRejectsContractViolations pins Route's and RouteDirect's
+// input checks: a ragged record run, a destination outside the clique,
+// and (RouteDirect only) a record addressed to the sender.
+func TestRouteRejectsContractViolations(t *testing.T) {
+	const n = 4
+	cases := map[string]func(nd *clique.Node){
+		"ragged":          func(nd *clique.Node) { Route(nd, []uint64{1, 2, 3}, 1, 1) },
+		"bad-destination": func(nd *clique.Node) { Route(nd, []uint64{n, 5}, 1, 1) },
+		"direct-ragged":   func(nd *clique.Node) { RouteDirect(nd, []uint64{1}, 2) },
+		"direct-bad-destination": func(nd *clique.Node) {
+			RouteDirect(nd, []uint64{^uint64(0), 5}, 1)
+		},
+		"direct-self": func(nd *clique.Node) { RouteDirect(nd, []uint64{uint64(nd.ID()), 5}, 1) },
+	}
+	for name, f := range cases {
+		for _, backend := range clique.Backends() {
+			if _, err := clique.Run(clique.Config{N: n, Backend: backend}, f); err == nil {
+				t.Errorf("%s on %s: run succeeded, want a contract violation", name, backend)
+			}
+		}
+	}
 }
 
 func TestRouteScalesWithLoad(t *testing.T) {
@@ -458,27 +483,27 @@ func TestRouteScalesWithLoad(t *testing.T) {
 }
 
 func TestDirectVsBalancedOnSkew(t *testing.T) {
-	// Adversarial-for-direct instance: node 0 sends L packets all to
+	// Adversarial-for-direct instance: node 0 sends L records all to
 	// node 1. Direct routing needs ~L rounds on the single link; the
 	// balanced router spreads phase 1 across n intermediates.
 	const n, L = 16, 64
 	run := func(balanced bool) int {
 		var rounds int
 		for _, r := range runBoth(t, clique.Config{N: n, WordsPerPair: 4}, func(nd *clique.Node) {
-			var ps []Packet
+			var recs []uint64
 			if nd.ID() == 0 {
 				for i := 0; i < L; i++ {
-					ps = append(ps, Packet{Dst: 1, Payload: []uint64{uint64(i)}})
+					recs = append(recs, 1, uint64(i))
 				}
 			}
-			var got []Packet
+			var got []uint64
 			if balanced {
-				got = Route(nd, ps, 1, 5)
+				got = Route(nd, recs, 1, 5)
 			} else {
-				got = RouteDirect(nd, ps, 1)
+				got = RouteDirect(nd, recs, 1)
 			}
-			if nd.ID() == 1 && len(got) != L {
-				nd.Fail("node 1 got %d packets, want %d", len(got), L)
+			if nd.ID() == 1 && len(got) != 2*L {
+				nd.Fail("node 1 got %d words, want %d records", len(got), L)
 			}
 		}) {
 			rounds = r.Stats.Rounds
@@ -554,7 +579,7 @@ func TestCollectiveBackendEquivalence(t *testing.T) {
 					}
 				}
 				log = append(log, AllToAll(nd, queues))
-				log = append(log, Route(nd, []Packet{{Dst: (me + 1) % n, Payload: []uint64{uint64(me), 9}}}, 2, 77))
+				log = append(log, Route(nd, []uint64{uint64((me + 1) % n), uint64(me), 9}, 2, 77))
 				outputs[me] = fmt.Sprintf("%v", log)
 			})
 		if err != nil {
@@ -584,68 +609,69 @@ func TestCollectiveBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestRoutedPayloadsAreIndependent guards the shared backing array the
-// routers carve payloads from: overwriting one delivered payload, or
-// appending to it, must leave every other packet's payload unchanged.
+// TestRoutedPayloadsAreIndependent pins that the routers' result is
+// caller-owned: overwriting or appending to a delivered record run
+// changes neither the sender's input records nor what a later call
+// with the same input delivers.
 func TestRoutedPayloadsAreIndependent(t *testing.T) {
 	const n, w = 6, 3
-	routers := map[string]func(nd clique.Endpoint, ps []Packet) []Packet{
-		"Route":       func(nd clique.Endpoint, ps []Packet) []Packet { return Route(nd, ps, w, 9) },
-		"RouteDirect": func(nd clique.Endpoint, ps []Packet) []Packet { return RouteDirect(nd, ps, w) },
+	routers := map[string]func(nd clique.Endpoint, recs []uint64) []uint64{
+		"Route":       func(nd clique.Endpoint, recs []uint64) []uint64 { return Route(nd, recs, w, 9) },
+		"RouteDirect": func(nd clique.Endpoint, recs []uint64) []uint64 { return RouteDirect(nd, recs, w) },
 	}
 	for name, route := range routers {
 		runBoth(t, clique.Config{N: n, WordsPerPair: 2}, func(nd *clique.Node) {
-			var ps []Packet
+			var recs []uint64
 			for dst := 0; dst < n; dst++ {
-				for i := 0; i < 3 && dst != nd.ID(); i++ {
-					ps = append(ps, Packet{Dst: dst, Payload: []uint64{uint64(nd.ID()), uint64(dst), uint64(i)}})
+				// Route also delivers records addressed to the sender,
+				// which never touch the network.
+				for i := 0; i < 3 && (dst != nd.ID() || name == "Route"); i++ {
+					recs = append(recs, uint64(dst), uint64(nd.ID()), uint64(dst), uint64(i))
 				}
 			}
-			out := route(nd, ps)
-			if len(out) != 3*(n-1) {
-				nd.Fail("%s: got %d packets, want %d", name, len(out), 3*(n-1))
+			sent := slices.Clone(recs)
+			out := route(nd, recs)
+			records := 3 * (n - 1)
+			if name == "Route" {
+				records += 3
 			}
-			want := make([][]uint64, len(out))
-			for i, p := range out {
-				want[i] = slices.Clone(p.Payload)
+			if len(out) != records*(w+1) {
+				nd.Fail("%s: got %d words, want %d records", name, len(out), records)
 			}
+			want := slices.Clone(out)
 			for i := range out {
-				out[i].Payload = append(out[i].Payload, 0xdead, 0xbeef)
-				for j := range out {
-					if j != i && !slices.Equal(out[j].Payload[:w], want[j]) {
-						nd.Fail("%s: appending to packet %d changed packet %d: %v, want %v", name, i, j, out[j].Payload, want[j])
-					}
-				}
-				out[i].Payload[0] = ^out[i].Payload[0]
-				for j := range out {
-					if j != i && !slices.Equal(out[j].Payload[:w], want[j]) {
-						nd.Fail("%s: writing packet %d changed packet %d: %v, want %v", name, i, j, out[j].Payload, want[j])
-					}
-				}
-				out[i].Payload[0] = ^out[i].Payload[0]
+				out[i] = ^out[i]
+			}
+			_ = append(out[:len(out)/2], 0xdead, 0xbeef) // overwrites in place
+			_ = append(out, 0xdead, 0xbeef)              // grows past the end
+			if !slices.Equal(recs, sent) {
+				nd.Fail("%s: writing the result changed the input records", name)
+			}
+			if again := route(nd, recs); !slices.Equal(again, want) {
+				nd.Fail("%s: a later call delivered %v, want %v", name, again, want)
 			}
 		})
 	}
 }
 
 // BenchmarkRoute times one balanced Route at the n = 216 shape of Figure
-// 1's APSP matrix products: every node sends 2n width-2 packets to
+// 1's APSP matrix products: every node sends 2n width-2 records to
 // destinations spread over the clique.
 func BenchmarkRoute(b *testing.B) {
 	const n, w = 216, 2
-	packets := make([][]Packet, n)
-	for v := range packets {
-		packets[v] = make([]Packet, 2*n)
-		for j := range packets[v] {
-			packets[v][j] = Packet{Dst: (v*31 + j*17) % n, Payload: []uint64{uint64(j), uint64(v)}}
+	recs := make([][]uint64, n)
+	for v := range recs {
+		recs[v] = make([]uint64, 0, 2*n*(w+1))
+		for j := 0; j < 2*n; j++ {
+			recs[v] = append(recs[v], uint64((v*31+j*17)%n), uint64(j), uint64(v))
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := clique.Run(clique.Config{N: n}, func(nd *clique.Node) {
-			if got := Route(nd, packets[nd.ID()], w, 7); len(got) != 2*n {
-				nd.Fail("delivered %d packets, want %d", len(got), 2*n)
+			if got := Route(nd, recs[nd.ID()], w, 7); len(got) != 2*n*(w+1) {
+				nd.Fail("delivered %d words, want %d records", len(got), 2*n)
 			}
 		})
 		if err != nil {

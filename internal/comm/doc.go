@@ -36,9 +36,13 @@
 //   - AllToAllWord: one word to every peer, one round (transposes,
 //     label-consistency checks).
 //   - AllToAll: arbitrary per-destination streams, the raw substrate
-//     under Route.
-//   - Route / RouteDirect: Lenzen's balanced packet routing [43] and
-//     its unbalanced ablation baseline.
+//     under Route. It receives through Endpoint.Senders and carves
+//     every stream from one backing array sized after the first round.
+//   - Route / RouteDirect: Lenzen's balanced routing [43] and its
+//     unbalanced ablation baseline. Both take one flat slice of
+//     [dst, payload...] records and return one caller-owned slice of
+//     [src, payload...] records, so a routed instance costs the words
+//     it moves, not a heap object per message.
 //   - BroadcastBits: bit-packed broadcast at the honest O(log n)-bit
 //     word size.
 //

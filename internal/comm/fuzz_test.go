@@ -14,31 +14,58 @@ import (
 // order, (b) the round count matches the collective's contract
 // (1 + ceil(maxLinkLoad / wpp), zero-traffic instances pay only the
 // max-reduction round), and (c) both backends agree on Stats.
+//
+// Every instance mixes the stream lengths AllToAll's receive sizing
+// tells apart: empty, shorter than wpp (complete after one round),
+// exactly wpp, longer than wpp, and one heaviest stream that sets the
+// agreed maximum. At wpp = 1 the short stream is empty.
 func FuzzAllToAllChunking(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(1))
 	f.Add(uint64(7), uint8(6), uint8(3))
 	f.Add(uint64(42), uint8(3), uint8(7))
 	f.Add(uint64(99), uint8(8), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw, wppRaw uint8) {
-		n := 2 + int(nRaw%7)     // 2..8 nodes
+		n := 3 + int(nRaw%7)     // 3..9 nodes, at least six links
 		wpp := 1 + int(wppRaw%8) // 1..8 words per pair
 
 		rng := rand.New(rand.NewPCG(seed, uint64(n*100+wpp)))
-		queues := make([][][]uint64, n) // queues[v][t] = words v owes t
-		maxLoad := 0
+		lengths := []func() int{
+			func() int { return 0 },
+			func() int { return max(0, min(wpp-1, 1+rng.IntN(wpp))) },
+			func() int { return wpp },
+			func() int { return wpp + 1 + rng.IntN(wpp) },
+		}
+		heaviest := func() int { return 2*wpp + 1 + rng.IntN(wpp) }
+		var links [][2]int
 		for v := 0; v < n; v++ {
-			queues[v] = make([][]uint64, n)
 			for dst := 0; dst < n; dst++ {
-				if dst == v {
-					continue
+				if dst != v {
+					links = append(links, [2]int{v, dst})
 				}
-				l := rng.IntN(3 * wpp)
-				for i := 0; i < l; i++ {
-					queues[v][dst] = append(queues[v][dst], uint64(v)<<32|uint64(dst)<<16|uint64(i))
-				}
-				if l > maxLoad {
-					maxLoad = l
-				}
+			}
+		}
+		rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
+		queues := make([][][]uint64, n) // queues[v][t] = words v owes t
+		for v := range queues {
+			queues[v] = make([][]uint64, n)
+		}
+		maxLoad := 0
+		for i, link := range links {
+			var l int
+			switch {
+			case i == 0:
+				l = heaviest()
+			case i <= len(lengths):
+				l = lengths[i-1]()
+			default:
+				l = lengths[rng.IntN(len(lengths))]()
+			}
+			v, dst := link[0], link[1]
+			for j := 0; j < l; j++ {
+				queues[v][dst] = append(queues[v][dst], uint64(v)<<32|uint64(dst)<<16|uint64(j))
+			}
+			if l > maxLoad {
+				maxLoad = l
 			}
 		}
 
@@ -86,5 +113,22 @@ func FuzzAllToAllChunking(f *testing.F) {
 				t.Fatalf("%s stats %+v diverge from reference %+v", backend, res.Stats, *refStats)
 			}
 		}
+	})
+}
+
+// FuzzRoute holds Route and RouteDirect to the reference packet router
+// (route_ref_test.go) on fuzzed instances: record-for-record equal
+// deliveries and equal rounds and words, on every backend.
+func FuzzRoute(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(0), uint8(2), uint8(1))
+	f.Add(uint64(7), uint8(26), uint8(1), uint8(2), uint8(2))
+	f.Add(uint64(42), uint8(1), uint8(4), uint8(7), uint8(3))
+	f.Add(uint64(99), uint8(0), uint8(1), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, wRaw, wppRaw, kindRaw uint8) {
+		n := 1 + int(nRaw%32)    // 1..32 nodes
+		w := 1 + int(wRaw%5)     // 1..5 payload words
+		wpp := 1 + int(wppRaw%8) // 1..8 words per pair
+		kind := routeKinds[int(kindRaw)%len(routeKinds)]
+		checkRouteMatchesReference(t, routeCase(kind, n, w, seed), w, wpp, seed)
 	})
 }

@@ -5,15 +5,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Packet is one routed message: a fixed-width payload bound for Dst.
-// Within a single Route call all packets must have the same payload
-// width, which keeps the wire format self-delimiting.
-type Packet struct {
-	Src     int
-	Dst     int
-	Payload []uint64
-}
-
 // splitmix64 is the fixed hash used to pick routing intermediates. It is
 // part of the (uniform, deterministic) algorithm, playing the role of
 // Lenzen's explicit balancing computation.
@@ -24,42 +15,45 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Route delivers an arbitrary multiset of fixed-width packets and returns
-// the packets addressed to this node, with Src filled in. All nodes must
-// call Route together (it is a global operation), and every packet in the
-// instance must have payload width w. Cost: O((s + r) * (w + 2) /
-// wordsPerPair) rounds plus a constant, where s*n and r*n bound per-node
-// send and receive counts — the Lenzen [43] regime.
+// Route delivers an arbitrary multiset of fixed-width messages. recs is
+// a flat run of len(recs)/(w+1) records [dst, payload...], each with w
+// payload words. Route returns one flat run of [src, payload...] records
+// addressed to this node: records that never left it first, then the
+// arrivals by sender ascending, each sender's in stream order. The
+// result is caller-owned and never aliases recs. All nodes must call
+// Route together (it is a global operation) with the same w. Cost:
+// O((s + r) * (w + 2) / wordsPerPair) rounds plus a constant, where s*n
+// and r*n bound per-node send and receive counts — the Lenzen [43]
+// regime.
 //
 // seed selects the intermediate assignment; algorithms fix it so the
 // whole computation stays deterministic.
-func Route(nd clique.Endpoint, packets []Packet, w int, seed uint64) []Packet {
-	defer trace.Op(nd, "Route", len(packets)*(w+2))()
+func Route(nd clique.Endpoint, recs []uint64, w int, seed uint64) []uint64 {
+	count := records(nd, recs, w)
+	defer trace.Op(nd, "Route", count*(w+2))()
 	n := nd.N()
 	me := nd.ID()
 
-	// Phase 1: spread every packet to a pseudo-random intermediate.
-	// Wire format per packet: dst, src, payload words. A first pass
+	// Phase 1: spread every record to a pseudo-random intermediate.
+	// Wire format per record: dst, src, payload words. A first pass
 	// sizes each queue so the second appends without growing.
 	mid := func(idx int) int {
 		return int(splitmix64(seed^uint64(me)*0x100000001b3^uint64(idx)) % uint64(n))
 	}
 	sizes := make([]int, n)
-	for idx := range packets {
+	for idx := 0; idx < count; idx++ {
 		sizes[mid(idx)] += w + 2
 	}
 	queues := carveQueues(sizes)
-	for idx, p := range packets {
-		if len(p.Payload) != w {
-			nd.Fail("comm: packet %d has payload width %d, instance width is %d", idx, len(p.Payload), w)
-		}
-		if p.Dst < 0 || p.Dst >= n {
-			nd.Fail("comm: packet %d has bad destination %d", idx, p.Dst)
+	for idx, off := 0, 0; idx < count; idx, off = idx+1, off+w+1 {
+		dst := recs[off]
+		if dst >= uint64(n) {
+			nd.Fail("comm: record %d has bad destination %d", idx, int64(dst))
 		}
 		m := mid(idx)
-		queues[m] = append(append(queues[m], uint64(p.Dst), uint64(me)), p.Payload...)
+		queues[m] = append(append(queues[m], dst, uint64(me)), recs[off+1:off+1+w]...)
 	}
-	// Packets whose intermediate is the sender itself never hit the
+	// Records whose intermediate is the sender itself never hit the
 	// network in phase 1; hold them aside and let them join phase 2.
 	held := queues[me]
 	queues[me] = nil
@@ -67,9 +61,9 @@ func Route(nd clique.Endpoint, packets []Packet, w int, seed uint64) []Packet {
 	in := AllToAll(nd, queues)
 
 	// Phase 2: every intermediate forwards to true destinations, held
-	// packets first. Wire format per packet: src, payload words. Packets
-	// already at their destination collect in queues2[me] and are
-	// delivered ahead of the phase-2 arrivals.
+	// records first. Wire format per record: src, payload words — the
+	// output format. Records already at their destination collect in
+	// queues2[me] and are delivered ahead of the phase-2 arrivals.
 	streams := append([][]uint64{held}, in...)
 	clear(sizes)
 	for _, stream := range streams {
@@ -87,7 +81,17 @@ func Route(nd clique.Endpoint, packets []Packet, w int, seed uint64) []Packet {
 	local := queues2[me]
 	queues2[me] = nil
 
-	return unmarshal(me, w, local, AllToAll(nd, queues2))
+	return concat(local, AllToAll(nd, queues2))
+}
+
+// records checks the flat record contract of Route and RouteDirect —
+// len(recs) a multiple of the record width w+1 — and returns the
+// record count.
+func records(nd clique.Endpoint, recs []uint64, w int) int {
+	if w < 0 || len(recs)%(w+1) != 0 {
+		nd.Fail("comm: %d words is not a whole number of width-%d records", len(recs), w+1)
+	}
+	return len(recs) / (w + 1)
 }
 
 // carveQueues returns one empty queue per destination with capacity
@@ -106,53 +110,50 @@ func carveQueues(sizes []int) [][]uint64 {
 	return queues
 }
 
-// unmarshal decodes the (src, payload) records of width w+1 in local and
-// then in each stream of in, in order, into packets addressed to me. The
-// output is sized once and the payloads are cap-limited slices of one
-// backing array, so appending to one payload never overwrites another.
-// It returns nil when there is nothing to deliver.
-func unmarshal(me, w int, local []uint64, in [][]uint64) []Packet {
-	total := len(local) / (w + 1)
+// concat returns local followed by every stream of in, in sender order,
+// in one exactly sized caller-owned slice (nil when all are empty).
+func concat(local []uint64, in [][]uint64) []uint64 {
+	total := len(local)
 	for _, stream := range in {
-		total += len(stream) / (w + 1)
+		total += len(stream)
 	}
 	if total == 0 {
 		return nil
 	}
-	out := make([]Packet, 0, total)
-	backing := make([]uint64, total*w)
-	decode := func(stream []uint64) {
-		for off := 0; off+w+1 <= len(stream); off += w + 1 {
-			payload := backing[:w:w]
-			backing = backing[w:]
-			copy(payload, stream[off+1:off+1+w])
-			out = append(out, Packet{Src: int(stream[off]), Dst: me, Payload: payload})
-		}
-	}
-	decode(local)
+	out := make([]uint64, 0, total)
+	out = append(out, local...)
 	for _, stream := range in {
-		decode(stream)
+		out = append(out, stream...)
 	}
 	return out
 }
 
-// RouteDirect is the ablation baseline: every packet travels straight to
-// its destination with no balancing. Its round count is 1 + the maximum
-// number of words any single ordered pair must carry, so skewed instances
-// degrade to Theta(max pair load) instead of O(s + r).
-func RouteDirect(nd clique.Endpoint, packets []Packet, w int) []Packet {
-	defer trace.Op(nd, "RouteDirect", len(packets)*(w+1))()
+// RouteDirect is the ablation baseline: every record travels straight
+// to its destination with no balancing. It takes and returns records in
+// Route's formats; a record addressed to the sender itself is a
+// contract violation. Its round count is 1 + the maximum number of
+// words any single ordered pair must carry, so skewed instances degrade
+// to Theta(max pair load) instead of O(s + r).
+func RouteDirect(nd clique.Endpoint, recs []uint64, w int) []uint64 {
+	count := records(nd, recs, w)
+	defer trace.Op(nd, "RouteDirect", count*(w+1))()
 	n := nd.N()
 	me := nd.ID()
-	queues := make([][]uint64, n)
-	for idx, p := range packets {
-		if len(p.Payload) != w {
-			nd.Fail("comm: packet %d has payload width %d, instance width is %d", idx, len(p.Payload), w)
+	sizes := make([]int, n)
+	for idx, off := 0, 0; idx < count; idx, off = idx+1, off+w+1 {
+		dst := recs[off]
+		if dst >= uint64(n) {
+			nd.Fail("comm: record %d has bad destination %d", idx, int64(dst))
 		}
-		if p.Dst == me {
-			nd.Fail("comm: RouteDirect packet addressed to self")
+		if dst == uint64(me) {
+			nd.Fail("comm: RouteDirect record addressed to self")
 		}
-		queues[p.Dst] = append(append(queues[p.Dst], uint64(me)), p.Payload...)
+		sizes[dst] += w + 1
 	}
-	return unmarshal(me, w, nil, AllToAll(nd, queues))
+	queues := carveQueues(sizes)
+	for off := 0; off < len(recs); off += w + 1 {
+		dst := recs[off]
+		queues[dst] = append(append(queues[dst], uint64(me)), recs[off+1:off+1+w]...)
+	}
+	return concat(nil, AllToAll(nd, queues))
 }

@@ -509,11 +509,11 @@ func expSubstrates(c *Ctx) {
 	rt := c.Table("routing rounds vs per-node load (n=32, uniform destinations)", "load", "rounds")
 	for _, load := range c.Sizes([]int{8, 16, 32, 64}, []int{8, 16}) {
 		r := c.Rounds(32, 4, func(nd *clique.Node) {
-			var ps []comm.Packet
+			recs := make([]uint64, 0, 2*load)
 			for i := 0; i < load; i++ {
-				ps = append(ps, comm.Packet{Dst: (nd.ID() + i + 1) % 32, Payload: []uint64{uint64(i)}})
+				recs = append(recs, uint64((nd.ID()+i+1)%32), uint64(i))
 			}
-			comm.Route(nd, ps, 1, 9)
+			comm.Route(nd, recs, 1, 9)
 		})
 		rt.Row(Int(load), Int(r))
 	}
@@ -549,16 +549,17 @@ func expAblation(c *Ctx) {
 	const n, L = 16, 96
 	mk := func(balanced bool) int {
 		return c.Rounds(n, 4, func(nd *clique.Node) {
-			var ps []comm.Packet
+			var recs []uint64
 			if nd.ID() == 0 {
+				recs = make([]uint64, 0, 2*L)
 				for i := 0; i < L; i++ {
-					ps = append(ps, comm.Packet{Dst: 1, Payload: []uint64{uint64(i)}})
+					recs = append(recs, 1, uint64(i))
 				}
 			}
 			if balanced {
-				comm.Route(nd, ps, 1, 5)
+				comm.Route(nd, recs, 1, 5)
 			} else {
-				comm.RouteDirect(nd, ps, 1)
+				comm.RouteDirect(nd, recs, 1)
 			}
 		})
 	}

@@ -119,36 +119,40 @@ func Mul3D(nd clique.Endpoint, s Semiring, aRow, bRow []int64) []int64 {
 
 	// Step 1: distribute input entries. Entry A[r][c] goes to nodes
 	// (part(r), x, part(c)) for all x; entry B[r][c] goes to
-	// (x, part(c), part(r)) for all x. Payload: [tag*n^2 + r*n + c,
+	// (x, part(c), part(r)) for all x. Record: [dst, tag*n^2 + r*n + c,
 	// value] where tag 0 marks A, 1 marks B.
-	var packets []comm.Packet
+	nz := 0
+	for c := 0; c < n; c++ {
+		if aRow[c] != zero {
+			nz++
+		}
+		if bRow[c] != zero {
+			nz++
+		}
+	}
+	recs := make([]uint64, 0, nz*q*3)
 	myPart := p.of(me)
 	for c := 0; c < n; c++ {
 		cp := p.of(c)
 		if aRow[c] != zero {
 			key := uint64(me)*un + uint64(c)
 			for x := 0; x < q; x++ {
-				packets = append(packets, comm.Packet{
-					Dst:     idOf(myPart, x, cp, q),
-					Payload: []uint64{key, uint64(aRow[c])},
-				})
+				recs = append(recs, uint64(idOf(myPart, x, cp, q)), key, uint64(aRow[c]))
 			}
 		}
 		if bRow[c] != zero {
 			key := un*un + uint64(me)*un + uint64(c)
 			for x := 0; x < q; x++ {
-				packets = append(packets, comm.Packet{
-					Dst:     idOf(x, cp, myPart, q),
-					Payload: []uint64{key, uint64(bRow[c])},
-				})
+				recs = append(recs, uint64(idOf(x, cp, myPart, q)), key, uint64(bRow[c]))
 			}
 		}
 	}
-	in := comm.Route(nd, packets, 2, seedBase)
+	in := comm.Route(nd, recs, 2, seedBase)
 
 	// Step 2: assemble local blocks and multiply. Node (i, j, k) holds
 	// aBlk = A[P_i][P_k] and bBlk = B[P_k][P_j], both padded to
-	// seg x seg with zeros (which annihilate).
+	// seg x seg with zeros (which annihilate). Delivered records are
+	// [src, key, value].
 	var partial [][]int64
 	isWorker := me < q*q*q
 	var ti, tj, tk int
@@ -159,9 +163,9 @@ func Mul3D(nd clique.Endpoint, s Semiring, aRow, bRow []int64) []int64 {
 		iLo, _ := p.bounds(ti)
 		jLo, _ := p.bounds(tj)
 		kLo, _ := p.bounds(tk)
-		for _, pkt := range in {
-			key := pkt.Payload[0]
-			val := int64(pkt.Payload[1])
+		for off := 0; off < len(in); off += 3 {
+			key := in[off+1]
+			val := int64(in[off+2])
 			tag := key / (un * un)
 			r := int(key / un % un)
 			c := int(key % un)
@@ -176,29 +180,35 @@ func Mul3D(nd clique.Endpoint, s Semiring, aRow, bRow []int64) []int64 {
 
 	// Step 3: reduce over k. Within the (i, j, *) fibre the block rows
 	// are split into q chunks; chunk c is summed at node (i, j, c).
-	// Payload: [localRow*seg + col, value].
+	// Record: [dst, localRow*seg + col, value].
 	chunk := (seg + q - 1) / q
-	var redPkts []comm.Packet
+	var redRecs []uint64
 	if isWorker {
-		for c := 0; c < q; c++ {
-			dst := idOf(ti, tj, c, q)
-			if dst == me {
-				continue // my own chunk is summed locally below
-			}
-			for lr := c * chunk; lr < (c+1)*chunk && lr < seg; lr++ {
-				for col := 0; col < seg; col++ {
-					if partial[lr][col] == zero {
-						continue
+		// eachRemote visits the nonzero partial entries of every chunk
+		// but my own, which is summed locally below.
+		eachRemote := func(f func(dst, lr, col int)) {
+			for c := 0; c < q; c++ {
+				dst := idOf(ti, tj, c, q)
+				if dst == me {
+					continue
+				}
+				for lr := c * chunk; lr < (c+1)*chunk && lr < seg; lr++ {
+					for col, v := range partial[lr] {
+						if v != zero {
+							f(dst, lr, col)
+						}
 					}
-					redPkts = append(redPkts, comm.Packet{
-						Dst:     dst,
-						Payload: []uint64{uint64(lr*seg + col), uint64(partial[lr][col])},
-					})
 				}
 			}
 		}
+		nz := 0
+		eachRemote(func(int, int, int) { nz++ })
+		redRecs = make([]uint64, 0, nz*3)
+		eachRemote(func(dst, lr, col int) {
+			redRecs = append(redRecs, uint64(dst), uint64(lr*seg+col), uint64(partial[lr][col]))
+		})
 	}
-	redIn := comm.Route(nd, redPkts, 2, seedBase+1)
+	redIn := comm.Route(nd, redRecs, 2, seedBase+1)
 
 	// Sum my chunk: block rows [tk*chunk, (tk+1)*chunk).
 	var sum [][]int64
@@ -207,59 +217,67 @@ func Mul3D(nd clique.Endpoint, s Semiring, aRow, bRow []int64) []int64 {
 		for lr := tk * chunk; lr < (tk+1)*chunk && lr < seg; lr++ {
 			copy(sum[lr-tk*chunk], partial[lr])
 		}
-		for _, pkt := range redIn {
-			lr := int(pkt.Payload[0]) / seg
-			col := int(pkt.Payload[0]) % seg
+		for off := 0; off < len(redIn); off += 3 {
+			lr := int(redIn[off+1]) / seg
+			col := int(redIn[off+1]) % seg
 			r := lr - tk*chunk
 			if r < 0 || r >= chunk {
 				nd.Fail("matmul: reduction row %d outside chunk %d", lr, tk)
 			}
-			sum[r][col] = s.Add(sum[r][col], int64(pkt.Payload[1]))
+			sum[r][col] = s.Add(sum[r][col], int64(redIn[off+2]))
 		}
 	}
 
 	// Step 4: ship result entries to row owners. After the reduction,
 	// node (i, j, k) exclusively holds C entries for global rows
-	// iLo + k*chunk .. and columns P_j. Payload: [col, value].
-	var outPkts []comm.Packet
+	// iLo + k*chunk .. and columns P_j. Record: [dst, col, value].
+	var outRecs []uint64
 	if isWorker {
 		iLo, _ := p.bounds(ti)
 		jLo, jHi := p.bounds(tj)
-		for r := 0; r < chunk; r++ {
-			global := iLo + tk*chunk + r
-			if global >= n || tk*chunk+r >= seg {
-				continue
-			}
-			for col := jLo; col < jHi; col++ {
-				if sum[r][col-jLo] == zero {
-					continue
+		rows := min(chunk, seg-tk*chunk, n-iLo-tk*chunk)
+		nz := 0
+		for r := 0; r < rows; r++ {
+			for _, v := range sum[r][:jHi-jLo] {
+				if v != zero {
+					nz++
 				}
-				outPkts = append(outPkts, comm.Packet{
-					Dst:     global,
-					Payload: []uint64{uint64(col), uint64(sum[r][col-jLo])},
-				})
+			}
+		}
+		outRecs = make([]uint64, 0, nz*3)
+		for r := 0; r < rows; r++ {
+			global := iLo + tk*chunk + r
+			for col := jLo; col < jHi; col++ {
+				if v := sum[r][col-jLo]; v != zero {
+					outRecs = append(outRecs, uint64(global), uint64(col), uint64(v))
+				}
 			}
 		}
 	}
-	outIn := comm.Route(nd, outPkts, 2, seedBase+2)
+	outIn := comm.Route(nd, outRecs, 2, seedBase+2)
 
 	out := make([]int64, n)
 	for j := range out {
 		out[j] = zero
 	}
-	for _, pkt := range outIn {
-		out[pkt.Payload[0]] = int64(pkt.Payload[1])
+	for off := 0; off < len(outIn); off += 3 {
+		out[outIn[off+1]] = int64(outIn[off+2])
 	}
 	return out
 }
 
+// zeroBlock returns a rows x cols block filled with the semiring zero,
+// its cap-limited rows carved from one backing array.
 func zeroBlock(s Semiring, rows, cols int) [][]int64 {
+	backing := make([]int64, rows*cols)
+	if zero := s.Zero(); zero != 0 {
+		for i := range backing {
+			backing[i] = zero
+		}
+	}
 	blk := make([][]int64, rows)
 	for i := range blk {
-		blk[i] = make([]int64, cols)
-		for j := range blk[i] {
-			blk[i][j] = s.Zero()
-		}
+		blk[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
 	}
 	return blk
 }

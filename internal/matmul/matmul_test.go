@@ -144,14 +144,34 @@ func TestMulNaiveMatchesLocal(t *testing.T) {
 }
 
 func TestMul3DMatchesLocal(t *testing.T) {
-	// Includes non-perfect-cube sizes and the degenerate q=1 case.
+	// Includes non-perfect-cube sizes and the degenerate q=1 case, on
+	// every backend and at per-pair budgets that split the routed
+	// records across rounds (wpp 1 and 3) or not (wpp 8); both backends
+	// must agree on Stats.
 	for _, n := range []int{5, 8, 12, 27, 30} {
 		for _, s := range []Semiring{Boolean{}, Ring{}, MinPlus{}} {
 			a := randomMatrix(n, 4, 0.5, s, uint64(n))
 			b := randomMatrix(n, 4, 0.5, s, uint64(n)+1)
-			got, _ := runDistributedMul(t, n, Mul3D, s, a, b, 8)
-			if want := MulLocal(s, a, b); !matEqual(got, want) {
-				t.Errorf("%s n=%d: 3D product differs from local", s.Name(), n)
+			want := MulLocal(s, a, b)
+			for _, wpp := range []int{1, 3, 8} {
+				var ref *clique.Stats
+				for _, backend := range clique.Backends() {
+					got := make([][]int64, n)
+					res, err := clique.Run(clique.Config{N: n, WordsPerPair: wpp, Backend: backend}, func(nd *clique.Node) {
+						got[nd.ID()] = Mul3D(nd, s, a[nd.ID()], b[nd.ID()])
+					})
+					if err != nil {
+						t.Fatalf("%s n=%d wpp=%d %s: %v", s.Name(), n, wpp, backend, err)
+					}
+					if !matEqual(got, want) {
+						t.Errorf("%s n=%d wpp=%d %s: 3D product differs from local", s.Name(), n, wpp, backend)
+					}
+					if ref == nil {
+						ref = &res.Stats
+					} else if res.Stats != *ref {
+						t.Errorf("%s n=%d wpp=%d: %s stats %+v, reference %+v", s.Name(), n, wpp, backend, res.Stats, *ref)
+					}
+				}
 			}
 		}
 	}

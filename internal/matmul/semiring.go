@@ -89,12 +89,8 @@ func (MinPlus) Name() string { return "min-plus" }
 func MulLocal(s Semiring, a, b [][]int64) [][]int64 {
 	n := len(a)
 	skipZero := isAnnihilating(s)
-	c := make([][]int64, n)
-	for i := range c {
-		row := make([]int64, len(b[0]))
-		for j := range row {
-			row[j] = s.Zero()
-		}
+	c := zeroBlock(s, n, len(b[0]))
+	for i, row := range c {
 		for k, aik := range a[i] {
 			if skipZero && aik == s.Zero() {
 				continue
@@ -104,7 +100,6 @@ func MulLocal(s Semiring, a, b [][]int64) [][]int64 {
 				row[j] = s.Add(row[j], s.Mul(aik, bk[j]))
 			}
 		}
-		c[i] = row
 	}
 	return c
 }

@@ -44,7 +44,7 @@ func Sort(nd clique.Endpoint, keys []uint64, maxKey uint64) SortResult {
 	// for stability across passes, initialised by local position after a
 	// first routing that balances counts. We simply carry (key) and
 	// recompute ranks each pass from the counting information, routing
-	// (key) packets; stability comes from rank ordering within the pass.
+	// (key) records; stability comes from rank ordering within the pass.
 	type item struct {
 		key  uint64
 		rank int // global rank from the previous pass (stability tiebreak)
@@ -113,28 +113,33 @@ func Sort(nd clique.Endpoint, keys []uint64, maxKey uint64) SortResult {
 		}
 
 		// Compute each item's global rank for this pass and route it to
-		// its block owner, payload (key, rank).
-		var packets []comm.Packet
+		// its block owner as the record [dst, key, rank]. A first pass
+		// ranks the items and counts the remote ones so the records are
+		// built in place.
+		owner := func(rank int) int { return min(rank/block, n-1) }
 		seen := make([]uint64, n) // per-bucket local index among my items
-		var kept []item
-		for _, it := range items {
+		remote := 0
+		for i, it := range items {
 			b := int(it.key / div % uint64(n))
-			rank := int(bucketStart[b] + offFromBucket[b] + seen[b])
+			items[i].rank = int(bucketStart[b] + offFromBucket[b] + seen[b])
 			seen[b]++
-			dst := rank / block
-			if dst >= n {
-				dst = n - 1
+			if owner(items[i].rank) != me {
+				remote++
 			}
-			if dst == me {
-				kept = append(kept, item{key: it.key, rank: rank})
-				continue
-			}
-			packets = append(packets, comm.Packet{Dst: dst, Payload: []uint64{it.key, uint64(rank)}})
 		}
-		recv := comm.Route(nd, packets, 2, 0x5072+uint64(pass))
+		recs := make([]uint64, 0, 3*remote)
+		kept := make([]item, 0, len(items)-remote)
+		for _, it := range items {
+			if dst := owner(it.rank); dst != me {
+				recs = append(recs, uint64(dst), it.key, uint64(it.rank))
+			} else {
+				kept = append(kept, it)
+			}
+		}
+		recv := comm.Route(nd, recs, 2, 0x5072+uint64(pass))
 		items = kept
-		for _, p := range recv {
-			items = append(items, item{key: p.Payload[0], rank: int(p.Payload[1])})
+		for off := 0; off < len(recv); off += 3 {
+			items = append(items, item{key: recv[off+1], rank: int(recv[off+2])})
 		}
 		sort.Slice(items, func(i, j int) bool { return items[i].rank < items[j].rank })
 		div *= uint64(n)

@@ -32,8 +32,8 @@ const (
 // (graph.PrivateAssignment), so every edge enters the routing instance
 // exactly once. Edges travel bit-packed: all vertices of one part share
 // their coverage decision, so a node ships its owned adjacency toward a
-// labelled node as per-part 64-edge mask words ([key, mask] packets)
-// instead of one packet per edge — up to 64 edges per routed payload.
+// labelled node as per-part 64-edge mask words ([key, mask] records)
+// instead of one record per edge — up to 64 edges per routed payload.
 func GatherEdges(nd clique.Endpoint, row graph.Bitset, s partition.Scheme, scope Scope) *graph.Graph {
 	n := nd.N()
 	me := nd.ID()
@@ -64,36 +64,44 @@ func GatherEdges(nd clique.Endpoint, row graph.Bitset, s partition.Scheme, scope
 		}
 	}
 
-	// slots is the per-part mask-word count; packet key = t*slots + slot.
+	// slots is the per-part mask-word count; record key = t*slots + slot.
+	// visit walks the records in order: a counting pass sizes recs
+	// exactly and a second pass builds them in place.
 	slots := (s.Size + bitvec.WordBits - 1) / bitvec.WordBits
-	var packets []comm.Packet
-	for t := 0; t < s.P; t++ {
-		lo, hi := s.PartBounds(t)
-		for slot := 0; slot*bitvec.WordBits < hi-lo; slot++ {
-			base := lo + slot*bitvec.WordBits
-			mask := owned.Word64(base, min(bitvec.WordBits, hi-base))
-			if mask == 0 {
-				continue
-			}
-			key := uint64(t*slots + slot)
-			for w := 0; w < s.NumLabels(); w++ {
-				if covered(w, t) {
-					packets = append(packets, comm.Packet{Dst: w, Payload: []uint64{key, mask}})
+	visit := func(emit func(w int, key, mask uint64)) {
+		for t := 0; t < s.P; t++ {
+			lo, hi := s.PartBounds(t)
+			for slot := 0; slot*bitvec.WordBits < hi-lo; slot++ {
+				base := lo + slot*bitvec.WordBits
+				mask := owned.Word64(base, min(bitvec.WordBits, hi-base))
+				if mask == 0 {
+					continue
+				}
+				key := uint64(t*slots + slot)
+				for w := 0; w < s.NumLabels(); w++ {
+					if covered(w, t) {
+						emit(w, key, mask)
+					}
 				}
 			}
 		}
 	}
+	count := 0
+	visit(func(int, uint64, uint64) { count++ })
+	recs := make([]uint64, 0, 3*count)
+	visit(func(w int, key, mask uint64) { recs = append(recs, uint64(w), key, mask) })
 	bitvec.PutRow(owned)
-	in := comm.Route(nd, packets, 2, 0x5e1)
+	in := comm.Route(nd, recs, 2, 0x5e1)
 
 	local := graph.New(n)
 	row.Each(func(u int) { local.AddEdge(me, u) })
-	for _, pkt := range in {
-		t, slot := int(pkt.Payload[0])/slots, int(pkt.Payload[0])%slots
+	for off := 0; off < len(in); off += 3 {
+		src, key := int(in[off]), int(in[off+1])
+		t, slot := key/slots, key%slots
 		lo, _ := s.PartBounds(t)
 		base := lo + slot*bitvec.WordBits
-		for mask := pkt.Payload[1]; mask != 0; mask &= mask - 1 {
-			local.AddEdge(pkt.Src, base+bits.TrailingZeros64(mask))
+		for m := in[off+2]; m != 0; m &= m - 1 {
+			local.AddEdge(src, base+bits.TrailingZeros64(m))
 		}
 	}
 	return local
