@@ -120,31 +120,11 @@ type Result = engine.Result
 // Run executes f at every node of an N-node congested clique and returns
 // the aggregate cost of the execution. Outputs are collected by the
 // caller's closure. Run returns an error if any node exceeded the message
-// budget, panicked, or the round limit was hit.
+// budget, panicked, or the round limit was hit. It is a batch of one:
+// RunBatch(cfg, []NodeFunc{f}).
 func Run(cfg Config, f NodeFunc) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	be, err := engine.New(cfg.Backend)
-	if err != nil {
-		return nil, fmt.Errorf("clique: %w", err)
-	}
-	rec, _ := cfg.Tracer.(trace.SpanRecorder)
-	if rec == nil && engine.TraceForced() {
-		// CLIQUE_FORCE_TRACE: drive the span-recording paths with a
-		// throwaway collector (CI runs tests this way under -race).
-		rec = trace.NewCollector("forced", cfg.N, cfg.WordsPerPair)
-	}
-	return be.Run(cfg.engineConfig(), func(id int, rt engine.NodeRuntime) {
-		nd := &Node{id: id, n: cfg.N, wpp: cfg.WordsPerPair, rt: rt}
-		if id == 0 {
-			// Spans are recorded from node 0 only: the model is uniform,
-			// so node 0's phase structure is the run's phase structure.
-			nd.tr = rec
-		}
-		f(nd)
-	})
+	results, errs := RunBatch(cfg, []NodeFunc{f})
+	return results[0], errs[0]
 }
 
 // Node is the per-node handle passed to a NodeFunc. All methods must be

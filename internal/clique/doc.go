@@ -20,7 +20,7 @@
 // "goroutine" runs one goroutine per node with a barrier per round, and
 // "lockstep" resumes the programs as coroutines on a sharded worker pool
 // with reused mailbox buffers. The two are result-identical; lockstep is
-// deterministic and much faster at large n. Seed sweeps of one shape
-// can run through RunBatch, which batches the runs in a single lockstep
-// execution with bit-identical per-run results.
+// deterministic and much faster at large n. RunBatch is the one entry
+// point: seed sweeps of one shape run as a single lockstep execution
+// with bit-identical per-run results, and Run is a batch of one.
 package clique

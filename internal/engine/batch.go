@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"time"
 )
 
 // Cross-run batched execution: one scheduler drives B independent
@@ -11,16 +12,18 @@ import (
 // Seed sweeps — registry repeat loops, cliquegrid cells, cliqued queue
 // jobs — are embarrassingly batchable: the runs share their round
 // structure but not their data, so the only coupling is the scheduler.
+// It is the lockstep backend's only scheduler: a serial Run is a batch
+// of one.
 //
 // The contract is strict bit-identity: run r of a batch produces exactly
-// the (*Result, error) that a serial Run of the same program would —
-// same Stats, same Transcripts, same canonical lowest-id violation.
-// Runs are independent: one run's violation or early return halts that
-// run alone while the rest of the batch proceeds.
+// the (*Result, error) that a Run of the same program would — same
+// Stats, same Transcripts, same canonical lowest-id violation. Runs are
+// independent: one run's violation or early return halts that run alone
+// while the rest of the batch proceeds.
 
 // BatchBackend is the optional Backend extension for native cross-run
-// batching. Backends without it are batched by RunBatch's serial
-// fallback, which is trivially equivalent.
+// batching. Backends without it are batched by runBatchSerial, one Run
+// per entry, which is trivially equivalent.
 type BatchBackend interface {
 	Backend
 
@@ -33,7 +36,7 @@ type BatchBackend interface {
 
 // RunBatch executes `batch` independent runs of the same configuration
 // on the given backend, natively batched when the backend supports it
-// and serially otherwise. Per-run results are bit-identical to serial
+// and one Run per entry otherwise. Per-run results are bit-identical to
 // Run calls either way.
 func RunBatch(be Backend, cfg Config, batch int, body func(run, id int, rt NodeRuntime)) ([]*Result, []error) {
 	if batch <= 0 {
@@ -45,7 +48,8 @@ func RunBatch(be Backend, cfg Config, batch int, body func(run, id int, rt NodeR
 	return runBatchSerial(be, cfg, batch, body)
 }
 
-// runBatchSerial is the reference batching: one serial Run per entry.
+// runBatchSerial batches a backend without a native batch mode, and a
+// traced lockstep batch, as one Run per entry.
 func runBatchSerial(be Backend, cfg Config, batch int, body func(run, id int, rt NodeRuntime)) ([]*Result, []error) {
 	results := make([]*Result, batch)
 	errs := make([]error, batch)
@@ -55,14 +59,15 @@ func runBatchSerial(be Backend, cfg Config, batch int, body func(run, id int, rt
 	return results, errs
 }
 
-// RunBatch is the lockstep engine's native batch mode: every run keeps
-// its own lockstepEngine (mailbox views, per-node coroutines, stats)
-// while a single scheduler and worker pool drive all of them round by
-// round. One dispatch resumes the live nodes of every live run, and one
-// settle pass per round scans violations, counts survivors, and
-// exchanges each live run's mailbox — so the per-round fixed costs that
-// dominate small-message workloads are paid once per batch instead of
-// once per run. Results stay bit-identical to serial runs.
+// RunBatch is the lockstep engine's scheduler: every run keeps its own
+// lockstepEngine (mailbox views, per-node coroutines, stats) while a
+// single scheduler and worker pool drive all of them round by round.
+// One dispatch resumes the live nodes of every live run, and one settle
+// pass per round scans violations, counts survivors, and exchanges each
+// live run's mailbox — so the per-round fixed costs that dominate
+// small-message workloads are paid once per batch instead of once per
+// run. A batch of one is a serial Run, and the only kind that carries a
+// tracer.
 func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, rt NodeRuntime)) ([]*Result, []error) {
 	if batch <= 0 {
 		return nil, nil
@@ -75,10 +80,10 @@ func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, 
 		return make([]*Result, batch), errs
 	}
 	cfg = cfg.withDefaults()
-	if batch == 1 || effectiveTracer(cfg) != nil {
-		// A tracer accumulates one run's round reports, so traced
-		// executions stay serial (bit-identical by contract); a batch of
-		// one has nothing to amortise.
+	tr := effectiveTracer(cfg)
+	if tr != nil && batch > 1 {
+		// A tracer accumulates one run's round reports, so a traced
+		// batch runs as batches of one (bit-identical by contract).
 		return runBatchSerial(b, cfg, batch, body)
 	}
 	n := cfg.N
@@ -95,6 +100,10 @@ func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, 
 		e.box = boxes[r]
 		engines[r] = e
 	}
+	if tr != nil {
+		e := engines[0]
+		e.tr, e.lastRound, e.pairsFn = tr, time.Now(), e.visitPairs
+	}
 	defer func() {
 		for _, e := range engines {
 			e.stopAll()
@@ -104,16 +113,15 @@ func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, 
 		e.start(func(id int, rt NodeRuntime) { body(r, id, rt) })
 	}
 
-	// The worker pool shards node ids exactly as serial Run does: worker
-	// w owns nodes [w*n/W, (w+1)*n/W) of every run in the batch, with
+	// The worker pool shards node ids: worker w owns nodes
+	// [w*n/W, (w+1)*n/W) of every run in the batch, with
 	// W = min(GOMAXPROCS, n), so every run's nodes spread over all
 	// workers and a long run never finishes on one core after its short
 	// siblings halt. A given node of a given run is always resumed by
 	// the same worker in the same within-shard order (ascending run, then
 	// ascending id). All per-slot state (live, vio, mailbox rows) is
 	// owned by that slot's coroutine, and halted runs are skipped whole
-	// — determinism holds for any worker count, exactly as in the serial
-	// scheduler.
+	// — determinism holds for any worker count.
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -175,11 +183,11 @@ func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, 
 			wg.Wait()
 		}
 
-		// Settle runs in ascending order. Each run follows exactly the
-		// serial schedule: violations surface between rounds (error is
-		// the lowest-id violator, the round is not exchanged); a round no
-		// node finished with Tick is not exchanged or counted; otherwise
-		// the run's mailbox exchanges and its clock advances.
+		// Settle runs in ascending order. Violations surface between
+		// rounds (error is the lowest-id violator, the round is not
+		// exchanged); a round no node finished with Tick is not
+		// exchanged or counted, like the goroutine backend; otherwise the
+		// run's mailbox exchanges and its clock advances.
 		for r, e := range engines {
 			if halted[r] {
 				continue
@@ -222,22 +230,23 @@ func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, 
 }
 
 // batchArenaThresholdWords caps the shared batch arena at the same
-// 128 MiB of words per direction as the serial arena; larger batches
+// 128 MiB of words per direction as a single run's arena; larger batches
 // fall back to independently pooled per-run mailboxes.
 const batchArenaThresholdWords = arenaThresholdWords
 
-// newBatchBoxes builds one mailbox per run. When the whole batch fits
-// the dense-arena budget, all runs share two word arenas laid out
+// newBatchBoxes builds one mailbox per run. When a batch of two or more
+// fits the dense-arena budget, all runs share two word arenas laid out
 // run-major (run r's blocks are contiguous), carved into per-run
 // arenaBox views, each with its own slice of one shared activity-mask
 // allocation — one word allocation (pooled through the word-scratch
-// pool) for the entire batch. Otherwise each run draws an independent
-// mailbox from the per-shape pool. release retires the storage; it must
-// be called after every run's coroutines have unwound.
+// pool) for the entire batch. Otherwise — a batch of one, or one over
+// the budget — each run draws an independent mailbox from the
+// per-shape pool. release retires the storage; it must be called after
+// every run's coroutines have unwound.
 func newBatchBoxes(batch, n, wpp int) (boxes []mailbox, release func()) {
 	boxes = make([]mailbox, batch)
 	perRun := int64(n) * int64(n) * int64(wpp)
-	if total := int64(batch) * perRun; perRun <= arenaThresholdWords && total <= batchArenaThresholdWords {
+	if total := int64(batch) * perRun; batch > 1 && perRun <= arenaThresholdWords && total <= batchArenaThresholdWords {
 		n2 := n * n
 		chunk := n2 * wpp
 		words := GetScratch(2 * batch * chunk)

@@ -39,8 +39,9 @@ func batchProgram(run int, rounds int) func(id int, rt NodeRuntime) {
 
 const batchTestN = 9
 
-// runPair executes the same batch natively and serially on the lockstep
-// backend and returns both result sets.
+// runPair executes the same batch natively on the lockstep backend and
+// serially on the reference scheduler (refRun), and returns both result
+// sets.
 func runPair(t *testing.T, cfg Config, batch int, body func(run, id int, rt NodeRuntime)) (native, serial []*Result, nativeErrs, serialErrs []error) {
 	t.Helper()
 	be, err := New("lockstep")
@@ -48,7 +49,7 @@ func runPair(t *testing.T, cfg Config, batch int, body func(run, id int, rt Node
 		t.Fatal(err)
 	}
 	native, nativeErrs = be.(BatchBackend).RunBatch(cfg, batch, body)
-	serial, serialErrs = runBatchSerial(be, cfg, batch, body)
+	serial, serialErrs = refRunBatch(cfg, batch, body)
 	return native, serial, nativeErrs, serialErrs
 }
 
@@ -95,7 +96,7 @@ func atEachProcs(t *testing.T, body func(t *testing.T)) {
 }
 
 func TestRunBatchMatchesSerial(t *testing.T) {
-	for _, batch := range []int{2, 3, 7, 16} {
+	for _, batch := range []int{1, 2, 3, 7, 16} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			atEachProcs(t, func(t *testing.T) {
 				cfg := Config{N: batchTestN, WordsPerPair: 4, RecordTranscript: true}
@@ -247,14 +248,14 @@ func TestRunBatchBroadcastOnly(t *testing.T) {
 }
 
 // TestRunBatchInvalidConfig checks that a bad configuration fails every
-// run with the same validation error a serial Run would return.
+// run with the same validation error the reference scheduler returns.
 func TestRunBatchInvalidConfig(t *testing.T) {
 	be, _ := New("lockstep")
 	results, errs := RunBatch(be, Config{N: 0}, 3, func(run, id int, rt NodeRuntime) {})
 	if len(results) != 3 || len(errs) != 3 {
 		t.Fatalf("got %d results / %d errors, want 3 / 3", len(results), len(errs))
 	}
-	_, wantErr := be.Run(Config{N: 0}, func(id int, rt NodeRuntime) {})
+	_, wantErr := refRun(Config{N: 0}, func(id int, rt NodeRuntime) {})
 	for r := range errs {
 		if results[r] != nil {
 			t.Fatalf("run %d: non-nil result for invalid config", r)
@@ -266,7 +267,7 @@ func TestRunBatchInvalidConfig(t *testing.T) {
 }
 
 // TestRunBatchEmptyAndSingle pins the degenerate shapes: zero runs
-// return nothing, one run round-trips through the serial fallback.
+// return nothing, one run round-trips through the same scheduler.
 func TestRunBatchEmptyAndSingle(t *testing.T) {
 	be, _ := New("lockstep")
 	if res, errs := RunBatch(be, Config{N: 3}, 0, nil); res != nil || errs != nil {
@@ -281,7 +282,7 @@ func TestRunBatchEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestRunBatchGoroutineFallback checks the generic serial fallback used
+// TestRunBatchGoroutineFallback checks the one-Run-per-entry batching used
 // for backends without native batching.
 func TestRunBatchGoroutineFallback(t *testing.T) {
 	be, err := New("goroutine")
@@ -340,6 +341,22 @@ func TestRunBatchSharesArena(t *testing.T) {
 		if got := uintptr(unsafe.Pointer(&ab.outW[0])); got != want {
 			t.Fatalf("run %d: outW not run-major in the shared arena", r)
 		}
+	}
+}
+
+// TestRunBatchOfOneTakesPooledBox checks that a batch of one — every
+// serial Run — draws its mailbox from the per-shape pool, as the serial
+// scheduler always did, rather than a one-run slice of a shared arena.
+func TestRunBatchOfOneTakesPooledBox(t *testing.T) {
+	h0, m0 := PoolStats()
+	boxes, release := newBatchBoxes(1, 8, 2)
+	h1, m1 := PoolStats()
+	release()
+	if got := (h1 + m1) - (h0 + m0); got != 1 {
+		t.Fatalf("batch of one drew %d pooled mailboxes, want 1", got)
+	}
+	if _, ok := boxes[0].(*arenaBox); !ok {
+		t.Fatalf("got %T, want *arenaBox", boxes[0])
 	}
 }
 

@@ -33,11 +33,13 @@
 // every node program; the cross-backend tests in the repository root
 // enforce this.
 //
-// Independent runs of the same shape — seed sweeps — can execute as one
-// batched lockstep execution (RunBatch): a single scheduler drives all
-// runs round by round over a shared run-major mailbox arena, its
-// workers sharding node ids exactly as a serial Run does (each owns the
-// same id range of every run), amortising per-round dispatch while
-// keeping every run's result bit-identical to a serial Run. Backends
-// without native batching fall back to an equivalent serial loop.
+// The lockstep backend has one scheduler, RunBatch: a single scheduler
+// drives B independent runs of the same shape — seed sweeps — round by
+// round, its workers sharding node ids (each owns the same id range of
+// every run), amortising per-round dispatch while keeping every run's
+// result bit-identical to running it alone. A serial Run is a batch of
+// one, and the only kind that carries a tracer; batches of two or more
+// share a run-major mailbox arena, a batch of one draws a pooled
+// per-run mailbox. Backends without native batching, and traced
+// batches, run one Run per entry.
 package engine

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/trace"
@@ -513,9 +511,9 @@ type lockstepEngine struct {
 	pairBuf   []int
 }
 
-// newLockstepEngine allocates the per-run node state shared by the
-// serial and batched schedulers. The mailbox and tracer are attached by
-// the caller, which also owns their lifecycles.
+// newLockstepEngine allocates one run's node state. The mailbox and
+// tracer are attached by the scheduler, which also owns their
+// lifecycles.
 func newLockstepEngine(cfg Config, n int) *lockstepEngine {
 	e := &lockstepEngine{cfg: cfg, n: n}
 	e.rows = make([][][]uint64, n)
@@ -554,102 +552,11 @@ func (e *lockstepEngine) stopAll() {
 	}
 }
 
-func (lockstepBackend) Run(cfg Config, body func(id int, rt NodeRuntime)) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	n := cfg.N
-
-	e := newLockstepEngine(cfg, n)
-	if e.tr = effectiveTracer(cfg); e.tr != nil {
-		e.lastRound = time.Now()
-		e.pairsFn = e.visitPairs
-	}
-	e.box = getBox(n, cfg.WordsPerPair)
-	// Retire the mailbox to the pool once every coroutine has unwound
-	// (the stop defer below runs first, LIFO): node programs may touch
-	// their rows right up to the Abort that unwinds them.
-	defer func() { putBox(e.box) }()
-
-	e.start(body)
-	liveCount := n
-	// Whatever happens below, unwind every still-suspended coroutine so
-	// their goroutines are released.
-	defer e.stopAll()
-
-	// The worker pool: each worker owns a fixed contiguous shard of
-	// nodes for the whole run, so a given node is always resumed by the
-	// same worker, in the same within-shard order.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	starts := make([]chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		starts[w] = make(chan struct{}, 1)
-		lo, hi := w*n/workers, (w+1)*n/workers
-		go func(start <-chan struct{}, lo, hi int) {
-			for range start {
-				for v := lo; v < hi; v++ {
-					if !e.live[v] {
-						continue
-					}
-					if _, ok := e.next[v](); !ok {
-						e.live[v] = false
-					}
-				}
-				wg.Done()
-			}
-		}(starts[w], lo, hi)
-	}
-	defer func() {
-		for _, s := range starts {
-			close(s)
-		}
-	}()
-
-	var err error
-	for liveCount > 0 {
-		// Resume every live node one round step: from its last Tick
-		// (or its start) to its next Tick (or its return).
-		wg.Add(workers)
-		for _, s := range starts {
-			s <- struct{}{}
-		}
-		wg.Wait()
-
-		// Model violations surface only between rounds, so the run's
-		// error is deterministically the lowest-id violator.
-		for v := 0; v < n; v++ {
-			if e.vio[v] != nil {
-				err = e.vio[v]
-				break
-			}
-		}
-		if err != nil {
-			break
-		}
-		liveCount = 0
-		for v := 0; v < n; v++ {
-			if e.live[v] {
-				liveCount++
-			}
-		}
-		if liveCount == 0 {
-			// Every program returned during this step; like the
-			// goroutine backend, a round no node finishes with Tick
-			// is not exchanged or counted.
-			break
-		}
-		if err = e.exchange(); err != nil {
-			break
-		}
-	}
-
-	foldBatchOps(e.ops)
-	return finish(e.stats, e.transcripts, n), err
+// Run is a batch of one: the lockstep backend has a single scheduler,
+// RunBatch's, and a serial run is its one-entry case.
+func (b lockstepBackend) Run(cfg Config, body func(id int, rt NodeRuntime)) (*Result, error) {
+	results, errs := b.RunBatch(cfg, 1, func(_, id int, rt NodeRuntime) { body(id, rt) })
+	return results[0], errs[0]
 }
 
 // program wraps one node's body as a coroutine sequence. Yielding happens

@@ -41,11 +41,12 @@ type Options struct {
 	// cumulative counts. It may be called concurrently under Parallel.
 	Progress func(done, total int)
 	// Batch groups algorithm cells sharing an (algorithm, n, wpp) shape
-	// — seed sweeps — into one batched engine execution per repeat.
-	// Model costs are bit-identical to serial runs; each repeat's wall
-	// clock is measured per batch and attributed to cells by their share
-	// of the batch's rounds, so per-cell throughput stays comparable.
-	// Experiment cells and shapes that appear once run serially.
+	// — seed sweeps — into one batched engine execution per repeat;
+	// without it every algorithm cell is a batch of one. Model costs are
+	// the same either way; each repeat's wall clock is measured per batch
+	// and attributed to cells by their share of the batch's rounds, so
+	// per-cell throughput stays comparable. Experiment cells always run
+	// alone.
 	Batch bool
 }
 
@@ -130,9 +131,11 @@ func Run(ctx context.Context, spec *Spec, opts Options) (*Report, []RunRecord, e
 		}
 	}
 
+	// Algorithm groups — a single cell unless Batch grouped a seed sweep —
+	// run through one batched runner; experiment cells run alone.
 	execGroup := func(g []int) {
-		if len(g) == 1 {
-			recs, err := runCell(ctx, cells[g[0]], backend, repeats, warmup, progress)
+		if c := cells[g[0]]; c.Kind != CellAlgorithm {
+			recs, err := runCell(ctx, c, backend, repeats, warmup, progress)
 			if err != nil {
 				setErr(err)
 				return
@@ -218,12 +221,12 @@ func batchGroups(cells []Cell) [][]int {
 	return groups
 }
 
-// runCellsBatched executes a same-shape group of algorithm cells:
-// every warmup and repeat is one batched engine execution covering the
-// whole group. Per-cell model costs come from the per-run results
-// (bit-identical to serial runs); the batch's wall clock is attributed
-// to cells proportionally to their rounds. The per-cell determinism
-// check is identical to runCell's.
+// runCellsBatched executes a same-shape group of algorithm cells — a
+// group of one when Batch is off: every warmup and repeat is one batched
+// engine execution covering the whole group. Per-cell model costs come
+// from the per-run results (bit-identical to serial runs); the batch's
+// wall clock is attributed to cells proportionally to their rounds. The
+// per-cell determinism check is identical to runCell's.
 func runCellsBatched(ctx context.Context, group []Cell, backend string, repeats, warmup int, progress func()) ([][]RunRecord, error) {
 	alg, ok := workload.Get(group[0].Algorithm)
 	if !ok {
@@ -237,7 +240,7 @@ func runCellsBatched(ctx context.Context, group []Cell, backend string, repeats,
 		}
 		start := time.Now()
 		// Instance generation is rebuilt per execution and stays inside
-		// the timed region, exactly as in the serial path.
+		// the timed region.
 		progs := make([]clique.NodeFunc, len(group))
 		for j, c := range group {
 			progs[j] = alg.Make(c.N, c.Seed)
@@ -294,35 +297,21 @@ func runCellsBatched(ctx context.Context, group []Cell, backend string, repeats,
 	return recs, nil
 }
 
-// runCell executes one cell: warmup runs discarded, repeats recorded,
-// and the model-cost determinism of the repeats verified.
+// runCell executes one experiment cell: warmup runs discarded, repeats
+// recorded, and the model-cost determinism of the repeats verified.
 func runCell(ctx context.Context, c Cell, backend string, repeats, warmup int, progress func()) ([]RunRecord, error) {
+	if c.Kind != CellExperiment {
+		return nil, fmt.Errorf("grid: cell %d: unknown kind %q", c.Index, c.Kind)
+	}
 	one := func() (rounds, words, wallNS int64, err error) {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, 0, fmt.Errorf("grid: cell %d (%s): %w", c.Index, c.GroupKey(), err)
 		}
-		switch c.Kind {
-		case CellAlgorithm:
-			alg, ok := workload.Get(c.Algorithm)
-			if !ok {
-				return 0, 0, 0, fmt.Errorf("grid: cell %d: unknown algorithm %q", c.Index, c.Algorithm)
-			}
-			cfg := clique.Config{N: c.N, WordsPerPair: c.WPP, Backend: backend}
-			start := time.Now()
-			res, err := clique.Run(cfg, alg.Make(c.N, c.Seed))
-			wall := time.Since(start)
-			if err != nil {
-				return 0, 0, 0, fmt.Errorf("grid: cell %d (%s): %w", c.Index, c.GroupKey(), err)
-			}
-			return int64(res.Stats.Rounds), res.Stats.WordsSent, wall.Nanoseconds(), nil
-		case CellExperiment:
-			res, tim, err := exp.RunOneContext(ctx, c.Experiment, exp.Options{Backend: backend, Quick: c.Quick})
-			if err != nil {
-				return 0, 0, 0, fmt.Errorf("grid: cell %d (%s): %w", c.Index, c.GroupKey(), err)
-			}
-			return res.Sim.Rounds, res.Sim.Words, tim.SimWall.Nanoseconds(), nil
+		res, tim, err := exp.RunOneContext(ctx, c.Experiment, exp.Options{Backend: backend, Quick: c.Quick})
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("grid: cell %d (%s): %w", c.Index, c.GroupKey(), err)
 		}
-		return 0, 0, 0, fmt.Errorf("grid: cell %d: unknown kind %q", c.Index, c.Kind)
+		return res.Sim.Rounds, res.Sim.Words, tim.SimWall.Nanoseconds(), nil
 	}
 
 	for i := 0; i < warmup; i++ {

@@ -48,8 +48,13 @@ func adhocParams(req exp.Request) (Algorithm, int, error) {
 
 // adhocExperiment wraps an ad-hoc request as an ephemeral Experiment so
 // it runs through the same counted exp.Ctx as registry experiments and
-// produces the same envelope shape.
-func adhocExperiment(req exp.Request) (exp.Experiment, error) {
+// produces the same envelope shape. With res nil the body simulates the
+// request through c.Run. With a precomputed result — a run that already
+// executed inside a batched engine execution — it folds that result's
+// cost into the Ctx (exp.Ctx.Record), wall being the run's attributed
+// share of the batch's wall clock. The table and metrics come from the
+// one body either way, so the two envelopes cannot drift apart.
+func adhocExperiment(req exp.Request, res *clique.Result, wall time.Duration) (exp.Experiment, error) {
 	alg, wpp, err := adhocParams(req)
 	if err != nil {
 		return exp.Experiment{}, err
@@ -60,42 +65,20 @@ func adhocExperiment(req exp.Request) (exp.Experiment, error) {
 		Title:    fmt.Sprintf("%s (n=%d, seed=%d)", alg.Title, req.N, req.Seed),
 		Run: func(c *exp.Ctx) {
 			t := c.Table("", "n", "wpp", "rounds", "words", "bits", "max pair words")
-			res, err := c.Run(clique.Config{N: req.N, WordsPerPair: wpp}, alg.Make(req.N, req.Seed))
-			if err != nil {
-				c.Failf("%v", err)
+			res := res
+			if res == nil {
+				var err error
+				if res, err = c.Run(clique.Config{N: req.N, WordsPerPair: wpp}, alg.Make(req.N, req.Seed)); err != nil {
+					c.Failf("%v", err)
+				}
+			} else {
+				c.Record(res, wall)
 			}
-			adhocRow(c, t, req.N, wpp, res)
+			t.Row(exp.Int(req.N), exp.Int(wpp), exp.Int(res.Stats.Rounds),
+				exp.Int64(res.Stats.WordsSent), exp.Int64(res.Stats.BitsSent),
+				exp.Int(res.Stats.MaxPairWords))
+			c.Metric("rounds", float64(res.Stats.Rounds), "rounds")
+			c.Metric("words", float64(res.Stats.WordsSent), "words")
 		},
 	}, nil
-}
-
-// adhocResultExperiment is adhocExperiment for a run that already
-// executed inside a batched engine execution: the body folds the
-// precomputed result's cost into the counted Ctx (exp.Ctx.Record) and
-// emits exactly the table and metrics the serial body would, so the
-// marshalled envelope is byte-identical to the serial path's. wall is
-// the run's attributed share of the batch's wall clock, feeding the
-// same progress/throughput plumbing a serial run would.
-func adhocResultExperiment(req exp.Request, alg Algorithm, wpp int, res *clique.Result, wall time.Duration) exp.Experiment {
-	return exp.Experiment{
-		ID:       "adhoc:" + alg.Name,
-		Artefact: "ad-hoc",
-		Title:    fmt.Sprintf("%s (n=%d, seed=%d)", alg.Title, req.N, req.Seed),
-		Run: func(c *exp.Ctx) {
-			t := c.Table("", "n", "wpp", "rounds", "words", "bits", "max pair words")
-			c.Record(res, wall)
-			adhocRow(c, t, req.N, wpp, res)
-		},
-	}
-}
-
-// adhocRow emits the one-row table and scalar metrics shared by the
-// serial and batched ad-hoc bodies — one definition, so the two
-// envelopes cannot drift apart.
-func adhocRow(c *exp.Ctx, t *exp.TableBuilder, n, wpp int, res *clique.Result) {
-	t.Row(exp.Int(n), exp.Int(wpp), exp.Int(res.Stats.Rounds),
-		exp.Int64(res.Stats.WordsSent), exp.Int64(res.Stats.BitsSent),
-		exp.Int(res.Stats.MaxPairWords))
-	c.Metric("rounds", float64(res.Stats.Rounds), "rounds")
-	c.Metric("words", float64(res.Stats.WordsSent), "words")
 }

@@ -42,7 +42,9 @@
 // text: a full queue sheds with 503 plus a Retry-After estimate from
 // the recent-jobs wall-time window (jobs_shed); a job exceeding its
 // wall budget — Config.JobTimeout, optionally shrunk per-request via
-// timeout_ms — answers 504 (errJobTimeout); a contained worker panic
+// timeout_ms — answers 504 (errJobTimeout); a coalesced job keeps its
+// own budget, checked at the batch's shared run boundary exactly as a
+// serial job's is at its run's; a contained worker panic
 // or any other run failure answers 500; shutdown answers 503. With
 // Config.Ledger set, computed untraced envelopes are appended to the
 // crash-safe store (internal/ledger) before the response is released

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,6 +63,113 @@ func TestJobDeadline504(t *testing.T) {
 	// mean cancellation is not taking effect at the boundary.
 	if elapsed > 1500*time.Millisecond {
 		t.Fatalf("deadline response took %v — cancellation latency unbounded", elapsed)
+	}
+}
+
+// TestBatchedJobDeadline504 is TestJobDeadline504's batched twin: jobs
+// coalesced behind a stalled leader run as one batched execution, which
+// stalls at the same injection point. Each job's budget runs from the
+// start of the batch, so every job in it must answer 504, exactly as
+// each would have on the serial path.
+func TestBatchedJobDeadline504(t *testing.T) {
+	installFaults(t, "stall@job.run:ms=300")
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8, BatchWidth: 4, JobTimeout: 30 * time.Millisecond})
+
+	const jobs = 4 // a leader plus three same-shape followers
+	codes := make([]int, jobs)
+	bodies := make([]string, jobs)
+	var wg sync.WaitGroup
+	post := func(i int) {
+		defer wg.Done()
+		rec := do(t, s, "POST", "/v1/run", fmt.Sprintf(`{"algorithm":"exchange","n":8,"seed":%d}`, 100+i))
+		codes[i], bodies[i] = rec.Code, rec.Body.String()
+	}
+	wg.Add(1)
+	go post(0)
+	// Queue the followers only once the single worker holds the leader,
+	// so they coalesce into one batch behind it.
+	for deadline := time.Now().Add(5 * time.Second); s.metrics.jobsRunning.Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never picked up the leader")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i < jobs; i++ {
+		wg.Add(1)
+		go post(i)
+	}
+	wg.Wait()
+
+	if got := s.metrics.batches.Value(); got < 1 {
+		t.Fatalf("batches = %d: the followers never coalesced", got)
+	}
+	for i := range codes {
+		if codes[i] != http.StatusGatewayTimeout {
+			t.Fatalf("job %d: status %d, want 504 (body: %s)", i, codes[i], bodies[i])
+		}
+		if !strings.Contains(bodies[i], "deadline") {
+			t.Fatalf("job %d: 504 body does not name the deadline: %s", i, bodies[i])
+		}
+	}
+}
+
+// TestBatchedRunOutlastingBudget200 pins where the batched path checks
+// a job's budget: once, at the run boundary, as the serial path does.
+// Every run here starts in time and then parks past its budget; the
+// serial job and every job in the batch must still answer with their
+// envelope, not errJobTimeout, and the two must be byte-identical.
+func TestBatchedRunOutlastingBudget200(t *testing.T) {
+	const budget = 50 * time.Millisecond
+	const width = 3
+	entries := func() []*entry {
+		es := make([]*entry, width)
+		for i := range es {
+			es[i] = adhocEntry("test-block", 4, 1, uint64(i+1))
+			es[i].timeout = budget
+		}
+		return es
+	}
+	// park runs body while the test-block runs are parked on the gate,
+	// opening it only once every budget has run out.
+	park := func(body func()) {
+		release := armBlockGate()
+		defer release()
+		go func() {
+			time.Sleep(6 * budget)
+			release()
+		}()
+		start := time.Now()
+		body()
+		if time.Since(start) < budget {
+			t.Fatalf("the runs took %v, inside the %v budget", time.Since(start), budget)
+		}
+	}
+
+	serial := entries()
+	park(func() {
+		s := bareServer(Config{Workers: 1})
+		for _, e := range serial {
+			go s.runJob(e)
+		}
+		for _, e := range serial {
+			<-e.done
+		}
+	})
+	batched := entries()
+	park(func() {
+		bareServer(Config{Workers: 1, BatchWidth: width}).runJobBatch(batched)
+	})
+	for i := range batched {
+		if serial[i].err != nil {
+			t.Fatalf("serial job %d: %v", i, serial[i].err)
+		}
+		if batched[i].err != nil {
+			t.Fatalf("batched job %d: %v, want the serial envelope", i, batched[i].err)
+		}
+		if !bytes.Equal(batched[i].data, serial[i].data) {
+			t.Fatalf("job %d: batched envelope differs from serial:\nbatched: %s\nserial:  %s",
+				i, batched[i].data, serial[i].data)
+		}
 	}
 }
 

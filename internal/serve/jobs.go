@@ -300,10 +300,24 @@ func (s *Server) runJobBatch(group []*entry) {
 
 // executeBatch is runJobBatch's fallible body: one clique.RunBatch over
 // the group's programs, then one envelope per job. A panic fails every
-// job that has not already been decided.
+// job that has not already been decided. Each job keeps its own
+// wall-clock budget, measured from the start of the batch and checked,
+// as on the serial path, once at the run boundary the batch's runs
+// share: a job already past its deadline there answers errJobTimeout
+// and is left out of the batch, and a run that starts in time is
+// allowed to finish.
 func (s *Server) executeBatch(group []*entry) (data [][]byte, errs []error) {
 	data = make([][]byte, len(group))
 	errs = make([]error, len(group))
+	ctxs := make([]context.Context, len(group))
+	for i, e := range group {
+		ctxs[i] = s.baseCtx
+		if e.timeout > 0 {
+			var cancel context.CancelFunc
+			ctxs[i], cancel = context.WithTimeout(s.baseCtx, e.timeout)
+			defer cancel()
+		}
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err := fmt.Errorf("job %s panicked: %v", group[0].req.Kind, r)
@@ -334,34 +348,50 @@ func (s *Server) executeBatch(group []*entry) (data [][]byte, errs []error) {
 	if backend == "" {
 		backend = clique.DefaultBackend
 	}
-	cfg := clique.Config{N: group[0].req.N, WordsPerPair: wpp, Backend: backend}
-	progs := make([]clique.NodeFunc, len(group))
+	// The run boundary: a job already past its deadline fails here, as
+	// a serial job does before its run, and the rest run as one batch.
+	var live []int
+	var progs []clique.NodeFunc
 	for i, e := range group {
-		progs[i] = alg.Make(e.req.N, e.req.Seed)
+		if err := ctxs[i].Err(); err != nil {
+			errs[i] = s.classifyDeadline(ctxs[i], e.timeout, fmt.Errorf("exp adhoc:%s: %w", alg.Name, err))
+			continue
+		}
+		live = append(live, i)
+		progs = append(progs, alg.Make(e.req.N, e.req.Seed))
 	}
+	if len(live) == 0 {
+		return data, errs
+	}
+	cfg := clique.Config{N: group[0].req.N, WordsPerPair: wpp, Backend: backend}
 	start := time.Now()
 	results, runErrs := clique.RunBatch(cfg, progs)
 	wall := time.Since(start)
 	var totalRounds int64
-	for i := range group {
-		if runErrs[i] == nil {
-			totalRounds += int64(results[i].Stats.Rounds)
+	for k := range live {
+		if runErrs[k] == nil {
+			totalRounds += int64(results[k].Stats.Rounds)
 		}
 	}
-	for i, e := range group {
-		if runErrs[i] != nil {
+	for k, i := range live {
+		e := group[i]
+		if runErrs[k] != nil {
 			// The serial body Failf()s a run error under the experiment
 			// id; reproduce that exact shape.
-			errs[i] = fmt.Errorf("exp adhoc:%s: %v", alg.Name, runErrs[i])
+			errs[i] = fmt.Errorf("exp adhoc:%s: %v", alg.Name, runErrs[k])
 			continue
 		}
 		runWall := time.Duration(0)
 		if totalRounds > 0 {
-			runWall = time.Duration(int64(wall) * int64(results[i].Stats.Rounds) / totalRounds)
+			runWall = time.Duration(int64(wall) * int64(results[k].Stats.Rounds) / totalRounds)
+		}
+		experiment, err := adhocExperiment(e.req, results[k], runWall)
+		if err != nil {
+			errs[i] = err
+			continue
 		}
 		opts := exp.Options{Backend: e.req.Backend, Quick: e.req.Quick, Progress: e.publishProgress}
-		res, tim, err := exp.RunExperiment(s.baseCtx,
-			adhocResultExperiment(e.req, alg, wpp, results[i], runWall), opts)
+		res, tim, err := exp.RunExperiment(s.baseCtx, experiment, opts)
 		if err != nil {
 			errs[i] = err
 			continue
@@ -387,7 +417,7 @@ func (s *Server) experimentFor(req exp.Request) (exp.Experiment, error) {
 		}
 		return e, nil
 	case exp.KindAdhoc:
-		return adhocExperiment(req)
+		return adhocExperiment(req, nil, 0)
 	}
 	return exp.Experiment{}, fmt.Errorf("unknown request kind %q", req.Kind)
 }
