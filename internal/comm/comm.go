@@ -39,9 +39,15 @@ func BroadcastAllInto(nd clique.Endpoint, words []uint64, k int, out [][]uint64)
 	} else if len(out) != n {
 		nd.Fail("comm: BroadcastAllInto table has %d entries, want n=%d", len(out), n)
 	}
+	// Fresh rows are carved from one n·k-word array instead of n
+	// allocations: SketchFind builds an n-row table per node per run.
+	var fresh []uint64
 	for i := range out {
 		if out[i] == nil {
-			out[i] = make([]uint64, 0, k)
+			if fresh == nil {
+				fresh = make([]uint64, n*k)
+			}
+			out[i] = fresh[i*k : i*k : (i+1)*k]
 		} else {
 			out[i] = out[i][:0]
 		}

@@ -1,6 +1,9 @@
 package counting
 
-import "math/big"
+import (
+	"math/big"
+	"math/bits"
+)
 
 // Params identifies a protocol class.
 type Params struct {
@@ -20,8 +23,11 @@ func (p Params) ProtocolCountLog2() *big.Int {
 	exp := p.M + p.L + p.B*p.T*(p.N-1)
 	out := big.NewInt(1)
 	out.Lsh(out, uint(exp)) // 2^exp
-	out.Add(out, big.NewInt(int64(2*p.B*p.N*p.N)))
-	return out
+	// 2bn², built in big.Int: the int64 product wraps for huge b.
+	pairs := big.NewInt(int64(p.B))
+	pairs.Mul(pairs, big.NewInt(int64(p.N)))
+	pairs.Mul(pairs, big.NewInt(int64(p.N)))
+	return out.Add(out, pairs.Lsh(pairs, 1))
 }
 
 // FunctionCountLog2 returns log2 of the number of Boolean functions on
@@ -34,9 +40,31 @@ func (p Params) FunctionCountLog2() *big.Int {
 
 // HardFunctionExists reports whether Lemma 1 guarantees a function with
 // no (n, b, M+L, t)-protocol: the protocol count bound is strictly below
-// the function count.
+// the function count, 2^exp + 2bn² < 2^(nL) with exp = M + L + bt(n−1).
+//
+// It compares exponents instead of building the two powers of two,
+// which MaxHardRounds' search would otherwise do at up to ~10⁹ bits:
+// exp ≥ nL already fails; below that 2^(nL) − 2^exp ≥ 2^(nL−1), which
+// for nL > 62 exceeds any 2bn² under 2^62; and for nL ≤ 62 both sides
+// fit an int64. Only a 2bn² of 2^62 or more with nL > 62, far outside
+// any instance here, takes the big.Int form.
 func (p Params) HardFunctionExists() bool {
-	return p.ProtocolCountLog2().Cmp(p.FunctionCountLog2()) < 0
+	exp := p.M + p.L + p.B*p.T*(p.N-1)
+	nl := p.N * p.L
+	if exp >= nl {
+		return false
+	}
+	hi, bn2 := bits.Mul64(uint64(p.B), uint64(p.N)*uint64(p.N))
+	if p.N >= 1<<31 || hi != 0 || bn2 >= 1<<61 {
+		if nl <= 62 {
+			return false // 2bn² ≥ 2^62 ≥ 2^(nL)
+		}
+		return p.ProtocolCountLog2().Cmp(p.FunctionCountLog2()) < 0
+	}
+	if nl > 62 {
+		return true
+	}
+	return int64(1)<<exp+int64(2*bn2) < int64(1)<<nl
 }
 
 // MaxHardRounds returns the largest t such that a hard function still

@@ -226,3 +226,72 @@ func TestEvalTable(t *testing.T) {
 		t.Error("low-bit XOR reported hard")
 	}
 }
+
+// hardBig is Lemma 1's comparison in its defining big.Int form, the
+// oracle HardFunctionExists' closed form is held to.
+func hardBig(p Params) bool {
+	return p.ProtocolCountLog2().Cmp(p.FunctionCountLog2()) < 0
+}
+
+// TestHardFunctionExistsMatchesBigInt pins the closed-form Lemma 1 check
+// to the big.Int comparison over a grid of small classes, at the int64
+// edges nL = 62, 63 and 64 (with exp just below, at and above nL and
+// the 2bn² term straddling 2^nL − 2^exp), with b = 0, and on classes
+// whose 2bn² reaches 2^62, which take the big.Int form.
+func TestHardFunctionExistsMatchesBigInt(t *testing.T) {
+	check := func(p Params) {
+		t.Helper()
+		if got, want := p.HardFunctionExists(), hardBig(p); got != want {
+			t.Fatalf("%+v: HardFunctionExists = %v, big.Int form %v", p, got, want)
+		}
+	}
+	for n := 1; n <= 40; n++ {
+		for b := 0; b <= 12; b++ {
+			for L := 0; L <= 40; L++ {
+				for T := 0; T <= 6; T++ {
+					for _, M := range []int{0, 1, 3, 17} {
+						check(Params{N: n, B: b, L: L, T: T, M: M})
+					}
+				}
+			}
+		}
+	}
+	// Around the int64 edge (every nL up to 320, so nL = 62, 63 and 64
+	// by several (n, L) factorings): exp swept through M across nL, and
+	// b at the values where 2bn² meets 2^nL − 2^exp (the sharpest
+	// comparison) or, past nL = 62, where 2bn² crosses 2^62.
+	for n := 2; n <= 8; n++ {
+		for L := 1; L <= 40; L++ {
+			nl := n * L
+			for M := 0; L+M <= nl+1; M++ {
+				exp := L + M
+				bs := []int{0, 1, 1<<61/(n*n) - 1, 1<<61/(n*n) + 1, 1 << 58}
+				if exp < nl && nl <= 62 {
+					edge := int((int64(1)<<nl - int64(1)<<exp) / int64(2*n*n))
+					bs = append(bs, edge-1, edge, edge+1)
+				}
+				for _, b := range bs {
+					if b >= 0 {
+						check(Params{N: n, B: b, L: L, M: M})
+					}
+				}
+			}
+		}
+	}
+	// 2bn² ≥ 2^62 with nL > 62 takes the big.Int form; at nL = 64,
+	// exp = 63 the room is 2^64 − 2^63 = 2^63 = 8·2^60, so these are
+	// both outcomes.
+	for _, c := range []struct {
+		p    Params
+		want bool
+	}{
+		{Params{N: 2, B: 1<<60 - 1, L: 32, M: 31}, true},
+		{Params{N: 2, B: 1 << 60, L: 32, M: 31}, false},
+		{Params{N: 1 << 10, B: 1 << 45, L: 1}, true},
+	} {
+		check(c.p)
+		if got := c.p.HardFunctionExists(); got != c.want {
+			t.Errorf("%+v: HardFunctionExists = %v, want %v", c.p, got, c.want)
+		}
+	}
+}

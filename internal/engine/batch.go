@@ -238,8 +238,9 @@ const batchArenaThresholdWords = arenaThresholdWords
 // fits the dense-arena budget, all runs share two word arenas laid out
 // run-major (run r's blocks are contiguous), carved into per-run
 // arenaBox views, each with its own slice of one shared activity-mask
-// allocation — one word allocation (pooled through the word-scratch
-// pool) for the entire batch. Otherwise — a batch of one, or one over
+// allocation and its own broadcast plane, carved from the same word
+// allocation after the arenas — one word allocation (pooled through the
+// word-scratch pool) for the entire batch. Otherwise — a batch of one, or one over
 // the budget — each run draws an independent mailbox from the
 // per-shape pool. release retires the storage; it must be called after
 // every run's coroutines have unwound.
@@ -249,14 +250,19 @@ func newBatchBoxes(batch, n, wpp int) (boxes []mailbox, release func()) {
 	if total := int64(batch) * perRun; batch > 1 && perRun <= arenaThresholdWords && total <= batchArenaThresholdWords {
 		n2 := n * n
 		chunk := n2 * wpp
-		words := GetScratch(2 * batch * chunk)
+		// The broadcast planes (2·n·wpp words per run) follow every
+		// run's arenas in the same allocation.
+		planes := 2 * batch * chunk
+		words := GetScratch(planes + 2*batch*n*wpp)
 		lens := make([]int32, 2*batch*n2)
 		sents := make([]senderStats, batch*n)
 		masks := make([]uint64, 3*batch*maskWords(n))
+		cells := make([][]uint64, 2*batch*n)
 		for r := range boxes {
 			base := 2 * r * chunk
 			lbase := 2 * r * n2
 			mbase := 3 * r * maskWords(n)
+			pbase := planes + 2*r*n*wpp
 			boxes[r] = &arenaBox{
 				n: n, wpp: wpp,
 				outW: words[base : base+chunk : base+chunk],
@@ -265,6 +271,8 @@ func newBatchBoxes(batch, n, wpp int) (boxes []mailbox, release func()) {
 				inL:  lens[lbase+n2 : lbase+2*n2 : lbase+2*n2],
 				sent: sents[r*n : (r+1)*n : (r+1)*n],
 				act:  newActivity(n, masks[mbase:mbase+3*maskWords(n)]),
+				pl: newPlane(n, wpp, cells[2*r*n:2*(r+1)*n:2*(r+1)*n],
+					words[pbase:pbase+2*n*wpp:pbase+2*n*wpp]),
 			}
 		}
 		return boxes, func() { PutScratch(words) }

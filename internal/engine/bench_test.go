@@ -268,3 +268,51 @@ func BenchmarkRunBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBroadcast is the dense broadcast round at sweep-large scale
+// (n = 1024): each round every node stages a wpp-word BroadcastBuf,
+// ticks, and reads all n−1 Recvs — the shape of comm.BroadcastWordInto
+// and of one BroadcastAllInto chunk. wpp = 1 runs on the dense arena,
+// wpp = 32 (n²·wpp past arenaThresholdWords) on the sliceBox fallback,
+// so the pair covers both layouts' broadcast plane.
+func BenchmarkBroadcast(b *testing.B) {
+	const n, roundsPerRun = 1024, 8
+	for _, c := range []struct {
+		layout string
+		wpp    int
+	}{{"arena", 1}, {"slice", 32}} {
+		b.Run(fmt.Sprintf("%s/n=%d/wpp=%d", c.layout, n, c.wpp), func(b *testing.B) {
+			if arena := n*n*c.wpp <= arenaThresholdWords; arena != (c.layout == "arena") {
+				b.Fatalf("wpp=%d does not select the %s layout", c.wpp, c.layout)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := lockstepBackend{}.Run(Config{N: n, WordsPerPair: c.wpp}, func(id int, rt NodeRuntime) {
+					var sum uint64
+					for r := 0; r < roundsPerRun; r++ {
+						buf := rt.BroadcastBuf(id, r, c.wpp)
+						for j := range buf {
+							buf[j] = uint64(id + r + j)
+						}
+						rt.Barrier(id)
+						for p := 0; p < n; p++ {
+							if p != id {
+								sum += rt.Recv(id, p)[c.wpp-1]
+							}
+						}
+					}
+					if sum == 0 {
+						panic("no words received")
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Stats.Rounds != roundsPerRun {
+					b.Fatalf("rounds = %d", res.Stats.Rounds)
+				}
+			}
+			b.ReportMetric(float64(roundsPerRun)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
+		})
+	}
+}

@@ -29,6 +29,17 @@
 // as the model does. The goroutine backend answers Senders with a scan
 // of its inbox row.
 //
+// A lockstep broadcast is written once. When its sender has queued
+// nothing else in the round, the words go to the sender's cell of a
+// sender-major broadcast plane rather than into n−1 pair cells, and
+// every receiver reads that one cell: the simulator stops storing and
+// re-reading n−1 copies, while the model still charges (n−1)·k words.
+// A later send or broadcast from the same sender in the same round
+// first spills the plane into its cells, so mixed rounds keep the cell
+// path's word order, budget checks, violations, Stats and transcripts.
+// Receivers of one broadcast may therefore be handed the same slice;
+// NodeRuntime.Recv's results were always read-only.
+//
 // Both backends are required to be result- and round-count-identical for
 // every node program; the cross-backend tests in the repository root
 // enforce this.

@@ -38,8 +38,16 @@ import (
 // receiver-major mask, so Senders lists who spoke to a node in
 // O(senders + n/64) and exchange resets only the rows or cells of the
 // senders that spoke. A round in which s nodes send therefore costs the
-// mailbox O(active pairs + n²/64), not O(n²). Storage is one of two
-// layouts picked at Run time:
+// mailbox O(active pairs + n²/64), not O(n²). A broadcast is stored
+// once: when its sender has queued nothing else yet in the round, its
+// words go to the sender's cell of a write-once broadcast plane (see
+// plane.go) instead of n−1 pair cells, and every receiver reads that
+// one cell, so receivers of one broadcast share the same read-only
+// slice. Any later send, sendBuf or broadcast from the sender in the
+// same round first spills the plane into its n−1 cells, so word order,
+// budget checks, violation text, Stats and transcripts are the cell
+// path's. Storage is one of two layouts picked at Run time, each with
+// its own plane:
 //
 //   - arenaBox: one word arena with a fixed wpp-word block per ordered
 //     pair plus an int32 length table. Sends copy into the block;
@@ -65,10 +73,14 @@ const arenaThresholdWords = 1 << 24
 type mailbox interface {
 	// send queues words on the (from, to) link, panicking with the
 	// canonical budget Violation if the cell would overflow. A
-	// non-empty send sets the pair's bit in the activity mask.
+	// non-empty send sets the pair's bit in the activity mask. Like
+	// every queueing method, it first spills a plane broadcast of from
+	// queued earlier in the round into from's cells.
 	send(from, round, to int, words []uint64)
 	// broadcast queues words on every outgoing link of `from`; a
-	// non-empty broadcast fills from's mask row word by word.
+	// non-empty broadcast fills from's mask row word by word. A sender
+	// that has queued nothing yet in the round stores the words once,
+	// on the box's broadcast plane.
 	broadcast(from, round int, words []uint64)
 	// sendBuf reserves k words on the (from, to) link and returns the
 	// reserved storage for the caller to fill in place; k > 0 marks the
@@ -86,11 +98,11 @@ type mailbox interface {
 	senders(to int, buf []int) []int
 	// outCell reads a queued (not yet delivered) cell; scheduler only.
 	outCell(from, to int) []uint64
-	// exchange delivers the queued round: swap buffers, rebuild the
-	// receiver-major activity mask from the sender-major one (a 64x64
-	// tile transpose, O(n²/64) words), and reset only the length rows
-	// (arenaBox) or cells (sliceBox) of the senders that spoke in the
-	// retired round. It returns the run's
+	// exchange delivers the queued round: swap buffers and planes,
+	// rebuild the receiver-major activity mask from the sender-major one
+	// (a 64x64 tile transpose, O(n²/64) words), and reset only the
+	// plane cells and the length rows (arenaBox) or cells (sliceBox) of
+	// the senders that spoke in the retired round. It returns the run's
 	// cumulative word count and per-pair high-water mark, tracked
 	// incrementally at send time so no per-cell statistics pass is
 	// needed. Scheduler only.
@@ -101,13 +113,15 @@ type mailbox interface {
 }
 
 // arenaBox stores each ordered pair's words in a fixed block of wpp
-// words: arena[(from*n+to)*wpp:] with the used length in lens[from*n+to].
+// words: arena[(from*n+to)*wpp:] with the used length in lens[from*n+to],
+// and plane broadcasts in a preallocated n·wpp-word plane.
 type arenaBox struct {
 	n, wpp    int
 	outW, inW []uint64
 	outL, inL []int32
 	sent      []senderStats
 	act       activity
+	pl        plane
 }
 
 // senderStats is the per-sender cumulative accounting, written only by
@@ -126,6 +140,7 @@ func newArenaBox(n, wpp int) *arenaBox {
 		inL:  make([]int32, n*n),
 		sent: make([]senderStats, n),
 		act:  newActivity(n, make([]uint64, 3*maskWords(n))),
+		pl:   newPlane(n, wpp, make([][]uint64, 2*n), make([]uint64, 2*n*wpp)),
 	}
 }
 
@@ -143,6 +158,7 @@ func foldSent(sent []senderStats) (int64, int) {
 }
 
 func (b *arenaBox) send(from, round, to int, words []uint64) {
+	b.spill(from)
 	i := from*b.n + to
 	l := int(b.outL[i])
 	if l+len(words) > b.wpp {
@@ -167,51 +183,30 @@ func (b *arenaBox) send(from, round, to int, words []uint64) {
 }
 
 func (b *arenaBox) broadcast(from, round int, words []uint64) {
-	if len(words) == 0 {
+	if len(words) == 0 || b.pl.broadcast(&b.act, &b.sent[from], from, round, b.wpp, words) {
 		return
 	}
+	b.spill(from)
 	n, wpp := b.n, b.wpp
 	base := from * n
 	lens := b.outL[base : base+n : base+n]
 	b.act.markAll(from)
 	var queued int64
 	maxLen := int32(0)
-	if len(words) == 1 {
-		// Single-word messages are the model's common case; writing the
-		// word directly skips a memmove call per link.
-		w := words[0]
-		for to := 0; to < n; to++ {
-			if to == from {
-				continue
-			}
-			l := int(lens[to])
-			if l+1 > wpp {
-				panic(budgetViolation(from, round, l+1, to, wpp))
-			}
-			b.outW[(base+to)*wpp+l] = w
-			newLen := int32(l + 1)
-			lens[to] = newLen
-			queued++
-			if newLen > maxLen {
-				maxLen = newLen
-			}
+	for to := 0; to < n; to++ {
+		if to == from {
+			continue
 		}
-	} else {
-		for to := 0; to < n; to++ {
-			if to == from {
-				continue
-			}
-			l := int(lens[to])
-			if l+len(words) > wpp {
-				panic(budgetViolation(from, round, l+len(words), to, wpp))
-			}
-			copy(b.outW[(base+to)*wpp+l:], words)
-			newLen := int32(l + len(words))
-			lens[to] = newLen
-			queued += int64(len(words))
-			if newLen > maxLen {
-				maxLen = newLen
-			}
+		l := int(lens[to])
+		if l+len(words) > wpp {
+			panic(budgetViolation(from, round, l+len(words), to, wpp))
+		}
+		copy(b.outW[(base+to)*wpp+l:], words)
+		newLen := int32(l + len(words))
+		lens[to] = newLen
+		queued += int64(len(words))
+		if newLen > maxLen {
+			maxLen = newLen
 		}
 	}
 	s := &b.sent[from]
@@ -221,7 +216,27 @@ func (b *arenaBox) broadcast(from, round int, words []uint64) {
 	}
 }
 
+// spill moves from's queued plane broadcast into its n−1 cells, before
+// from queues anything else in the round. The cells are empty: the
+// plane is only taken by a sender that had queued nothing.
+func (b *arenaBox) spill(from int) {
+	words := b.pl.take(from)
+	if words == nil {
+		return
+	}
+	n, wpp, k := b.n, b.wpp, len(words)
+	for to := 0; to < n; to++ {
+		if to == from {
+			continue
+		}
+		i := from*n + to
+		copy(b.outW[i*wpp:i*wpp+k], words)
+		b.outL[i] = int32(k)
+	}
+}
+
 func (b *arenaBox) sendBuf(from, round, to, k int) []uint64 {
+	b.spill(from)
 	i := from*b.n + to
 	l := int(b.outL[i])
 	if l+k > b.wpp {
@@ -242,6 +257,9 @@ func (b *arenaBox) sendBuf(from, round, to, k int) []uint64 {
 }
 
 func (b *arenaBox) recv(to, from int) []uint64 {
+	if w, ok := b.pl.recv(to, from); ok {
+		return w
+	}
 	i := from*b.n + to
 	l := int(b.inL[i])
 	if l == 0 {
@@ -252,6 +270,9 @@ func (b *arenaBox) recv(to, from int) []uint64 {
 }
 
 func (b *arenaBox) recvInto(to, from int, buf []uint64) []uint64 {
+	if w, ok := b.pl.recv(to, from); ok {
+		return append(buf, w...)
+	}
 	i := from*b.n + to
 	l := int(b.inL[i])
 	if l == 0 {
@@ -265,7 +286,9 @@ func (b *arenaBox) fillRow(to int, row [][]uint64) {
 	n, wpp := b.n, b.wpp
 	i := to
 	for from := 0; from < n; from++ {
-		if l := int(b.inL[i]); l != 0 {
+		if w, ok := b.pl.recv(to, from); ok {
+			row[from] = w
+		} else if l := int(b.inL[i]); l != 0 {
 			base := i * wpp
 			row[from] = b.inW[base : base+l : base+l]
 		} else {
@@ -276,6 +299,9 @@ func (b *arenaBox) fillRow(to int, row [][]uint64) {
 }
 
 func (b *arenaBox) outCell(from, to int) []uint64 {
+	if w, ok := b.pl.queued(from, to); ok {
+		return w
+	}
 	i := from*b.n + to
 	base, l := i*b.wpp, int(b.outL[i])
 	return b.outW[base : base+l : base+l]
@@ -287,13 +313,16 @@ func (b *arenaBox) exchange() (int64, int) {
 	b.inW, b.outW = b.outW, b.inW
 	b.inL, b.outL = b.outL, b.inL
 	b.act.deliver()
+	b.pl.deliver()
 	// The new out direction is last round's inbox; clearing the length
-	// rows of the senders that spoke in it retires it. The word arena
-	// needs no clearing at all — stale words past a cell's length are
-	// unreachable.
+	// rows of the senders that spoke in it retires it, except for plane
+	// broadcasters, whose rows were never written. The word arena needs
+	// no clearing at all — stale words past a cell's length are
+	// unreachable. A sender with a plane broadcast always spoke (n ≥ 2),
+	// so every plane cell is retired here.
 	n := b.n
 	for from := 0; from < n; from++ {
-		if b.act.retire(from) {
+		if b.act.retire(from) && !b.pl.retire(from) {
 			clear(b.outL[from*n : from*n+n])
 		}
 	}
@@ -307,15 +336,18 @@ func (b *arenaBox) reset() {
 	clear(b.inL)
 	clear(b.sent)
 	b.act.reset()
+	b.pl.reset()
 }
 
 // sliceBox is the dynamically-sized fallback: flat from-major cell
-// tables whose cells are reset by length and keep their capacity.
+// tables whose cells are reset by length and keep their capacity, and
+// a plane whose cells grow on first use the same way.
 type sliceBox struct {
 	n, wpp  int
 	out, in [][]uint64
 	sent    []senderStats
 	act     activity
+	pl      plane
 }
 
 func newSliceBox(n, wpp int) *sliceBox {
@@ -325,10 +357,12 @@ func newSliceBox(n, wpp int) *sliceBox {
 		in:   make([][]uint64, n*n),
 		sent: make([]senderStats, n),
 		act:  newActivity(n, make([]uint64, 3*maskWords(n))),
+		pl:   newPlane(n, wpp, make([][]uint64, 2*n), nil),
 	}
 }
 
 func (b *sliceBox) send(from, round, to int, words []uint64) {
+	b.spill(from)
 	i := from*b.n + to
 	cell := b.out[i]
 	if len(cell)+len(words) > b.wpp {
@@ -347,9 +381,10 @@ func (b *sliceBox) send(from, round, to int, words []uint64) {
 }
 
 func (b *sliceBox) broadcast(from, round int, words []uint64) {
-	if len(words) == 0 {
+	if len(words) == 0 || b.pl.broadcast(&b.act, &b.sent[from], from, round, b.wpp, words) {
 		return
 	}
+	b.spill(from)
 	n := b.n
 	row := b.out[from*n : from*n+n : from*n+n]
 	b.act.markAll(from)
@@ -376,7 +411,23 @@ func (b *sliceBox) broadcast(from, round int, words []uint64) {
 	}
 }
 
+// spill moves from's queued plane broadcast into its n−1 (empty) cells,
+// like arenaBox.spill.
+func (b *sliceBox) spill(from int) {
+	words := b.pl.take(from)
+	if words == nil {
+		return
+	}
+	row := b.out[from*b.n : from*b.n+b.n]
+	for to := range row {
+		if to != from {
+			row[to] = append(row[to], words...)
+		}
+	}
+}
+
 func (b *sliceBox) sendBuf(from, round, to, k int) []uint64 {
+	b.spill(from)
 	i := from*b.n + to
 	cell := b.out[i]
 	l := len(cell)
@@ -404,6 +455,9 @@ func (b *sliceBox) sendBuf(from, round, to, k int) []uint64 {
 }
 
 func (b *sliceBox) recv(to, from int) []uint64 {
+	if w, ok := b.pl.recv(to, from); ok {
+		return w
+	}
 	if s := b.in[from*b.n+to]; len(s) != 0 {
 		return s[:len(s):len(s)]
 	}
@@ -411,6 +465,9 @@ func (b *sliceBox) recv(to, from int) []uint64 {
 }
 
 func (b *sliceBox) recvInto(to, from int, buf []uint64) []uint64 {
+	if w, ok := b.pl.recv(to, from); ok {
+		return append(buf, w...)
+	}
 	return append(buf, b.in[from*b.n+to]...)
 }
 
@@ -421,6 +478,9 @@ func (b *sliceBox) fillRow(to int, row [][]uint64) {
 }
 
 func (b *sliceBox) outCell(from, to int) []uint64 {
+	if w, ok := b.pl.queued(from, to); ok {
+		return w
+	}
 	return b.out[from*b.n+to]
 }
 
@@ -429,12 +489,18 @@ func (b *sliceBox) senders(to int, buf []int) []int { return b.act.senders(to, b
 func (b *sliceBox) exchange() (int64, int) {
 	b.in, b.out = b.out, b.in
 	b.act.deliver()
+	b.pl.deliver()
 	// Reset last round's inbox (the new outbox) by length only, visiting
-	// just the cells its sender mask marks; the backing arrays stay and
-	// are appended into next round.
+	// just the cells its sender mask marks — none for a plane
+	// broadcaster; the backing arrays stay and are appended into next
+	// round.
 	n, w := b.n, b.act.w
 	for from := 0; from < n; from++ {
 		row := b.act.out[from*w : from*w+w]
+		if b.pl.retire(from) {
+			clear(row)
+			continue
+		}
 		for j, x := range row {
 			if x == 0 {
 				continue
@@ -464,6 +530,7 @@ func (b *sliceBox) reset() {
 	}
 	clear(b.sent)
 	b.act.reset()
+	b.pl.reset()
 }
 
 type lockstepEngine struct {

@@ -40,6 +40,17 @@ func (a *activity) mark(from, to int) {
 	a.out[from*a.w+to>>6] |= 1 << uint(to&63)
 }
 
+// idle reports whether from has marked no link in the queued round,
+// i.e. queued no word yet.
+func (a *activity) idle(from int) bool {
+	for _, x := range a.out[from*a.w : from*a.w+a.w] {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // markAll records a non-empty cell on every outgoing link of from: the
 // row is filled word by word, with from's own bit and the bits past n
 // left clear.

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -24,8 +25,10 @@ func sliceWPP(n int) int { return arenaThresholdWords/(n*n) + 1 }
 // SendBuf of 0 and k words, Broadcast, BroadcastBuf of 0 and k words
 // (pending until the next operation or Barrier), silence, and a pending
 // BroadcastBuf flushed by the program's return — while staying inside
-// the per-pair budget. With bcastOnly it only broadcasts or stays
-// silent, the broadcast clique's law. After every Barrier (and before
+// the per-pair budget. Broadcasts come first in a round (the lockstep
+// mailbox's write-once plane), after unicast sends, and twice or three
+// times in one round (the plane spilled into cells). With bcastOnly it
+// only broadcasts or stays silent, the broadcast clique's law. After every Barrier (and before
 // the first) it checks that Senders(id) is exactly the ascending set
 // {p : len(Recv(id, p)) > 0}, reporting mismatches through fail.
 func sendersProgram(seed int64, n, wpp int, bcastOnly bool, fail func(format string, args ...any)) func(id int, rt NodeRuntime) {
@@ -50,8 +53,7 @@ func sendersProgram(seed int64, n, wpp int, bcastOnly bool, fail func(format str
 		check(-1)
 		for r := 0; r < rounds; r++ {
 			clear(used)
-			// Broadcast first, so its words fit every link.
-			if kb := rng.Intn(min(wpp, 2) + 1); n > 1 && rng.Intn(3) != 0 {
+			broadcast := func(kb int) {
 				if rng.Intn(2) == 0 {
 					words := make([]uint64, kb)
 					for i := range words {
@@ -65,8 +67,12 @@ func sendersProgram(seed int64, n, wpp int, bcastOnly bool, fail func(format str
 					}
 				}
 				for to := range used {
-					used[to] = kb
+					used[to] += kb
 				}
+			}
+			// Broadcast first, so its words fit every link.
+			if kb := rng.Intn(min(wpp, 2) + 1); n > 1 && rng.Intn(3) != 0 {
+				broadcast(kb)
 			}
 			if !bcastOnly && n > 1 {
 				for s := rng.Intn(4); s > 0; s-- {
@@ -92,6 +98,13 @@ func sendersProgram(seed int64, n, wpp int, bcastOnly bool, fail func(format str
 						rt.SendBuf(id, r, to, 0)
 					}
 					used[to] += k
+				}
+			}
+			// Broadcast again after the unicasts, up to twice, in what
+			// every link has left.
+			for extra := rng.Intn(3); extra > 0 && n > 1; extra-- {
+				if room := wpp - slices.Max(used); room > 0 {
+					broadcast(rng.Intn(min(room, 2) + 1))
 				}
 			}
 			if r == rounds-1 && n > 1 && rng.Intn(2) == 0 {
@@ -126,25 +139,44 @@ func (f *sendersFailer) fail(format string, args ...any) {
 
 // checkSenders runs the Senders property for one seed and shape on
 // every backend, serially and — on the lockstep backend — as a native
-// batch, and fails t with the first mismatches.
+// batch, and fails t with the first mismatches. Every lockstep run
+// must also deliver, round by round, exactly the goroutine backend's
+// words: their transcripts and Stats must be equal.
 func checkSenders(t *testing.T, seed int64, n, wpp int, bcastOnly bool) {
 	t.Helper()
-	cfg := Config{N: n, WordsPerPair: wpp, BroadcastOnly: bcastOnly}
+	cfg := Config{N: n, WordsPerPair: wpp, BroadcastOnly: bcastOnly, RecordTranscript: true}
 	f := &sendersFailer{}
-	for _, name := range Names() {
-		be, _ := New(name)
-		if _, err := be.Run(cfg, sendersProgram(seed, n, wpp, bcastOnly, f.fail)); err != nil {
-			t.Fatalf("%s seed %d n=%d wpp=%d: %v", name, seed, n, wpp, err)
+	const batch = 3
+	want := make([]*Result, batch)
+	for r := range want {
+		res, err := goroutineBackend{}.Run(cfg, sendersProgram(seed+int64(r), n, wpp, bcastOnly, f.fail))
+		if err != nil {
+			t.Fatalf("goroutine seed %d n=%d wpp=%d: %v", seed+int64(r), n, wpp, err)
+		}
+		want[r] = res
+	}
+	same := func(what string, r int, got *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s seed %d n=%d wpp=%d: %v", what, seed+int64(r), n, wpp, err)
+		}
+		if got.Stats != want[r].Stats {
+			t.Fatalf("%s seed %d n=%d wpp=%d: stats %+v, goroutine %+v", what, seed+int64(r), n, wpp, got.Stats, want[r].Stats)
+		}
+		for v, tr := range got.Transcripts {
+			if !reflect.DeepEqual(tr, want[r].Transcripts[v]) {
+				t.Fatalf("%s seed %d n=%d wpp=%d: node %d's transcript differs from the goroutine backend's",
+					what, seed+int64(r), n, wpp, v)
+			}
 		}
 	}
-	be, _ := New("lockstep")
-	_, errs := RunBatch(be, cfg, 3, func(run, id int, rt NodeRuntime) {
+	res, err := lockstepBackend{}.Run(cfg, sendersProgram(seed, n, wpp, bcastOnly, f.fail))
+	same("lockstep", 0, res, err)
+	results, errs := RunBatch(lockstepBackend{}, cfg, batch, func(run, id int, rt NodeRuntime) {
 		sendersProgram(seed+int64(run), n, wpp, bcastOnly, f.fail)(id, rt)
 	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("batched run %d seed %d n=%d wpp=%d: %v", r, seed, n, wpp, err)
-		}
+	for r := range results {
+		same(fmt.Sprintf("batched run %d", r), r, results[r], errs[r])
 	}
 	for _, m := range f.msgs {
 		t.Errorf("seed %d n=%d wpp=%d broadcastOnly=%v: %s", seed, n, wpp, bcastOnly, m)
@@ -152,8 +184,9 @@ func checkSenders(t *testing.T, seed int64, n, wpp int, bcastOnly bool) {
 }
 
 // TestSendersMatchesRecv pins Senders to its definition after every
-// round, on both backends, serial and batched, across the arena and
-// sliceBox layouts, and in the broadcast-only model.
+// round, and lockstep delivery to the goroutine backend's, serial and
+// batched, across the arena and sliceBox layouts, and in the
+// broadcast-only model.
 func TestSendersMatchesRecv(t *testing.T) {
 	for _, n := range sendersShapes {
 		for _, wpp := range []int{1, 3} {
