@@ -21,13 +21,11 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hierarchy"
 	"repro/internal/matmul"
-	"repro/internal/mst"
 	"repro/internal/nondet"
-	"repro/internal/paths"
 	"repro/internal/reduction"
-	"repro/internal/routing"
 	"repro/internal/subgraph"
 	"repro/internal/vcover"
+	"repro/internal/workload"
 )
 
 // benchBackend selects the execution engine for every root benchmark:
@@ -54,32 +52,20 @@ func benchRounds(b *testing.B, n, wpp int, f clique.NodeFunc) {
 }
 
 // ---------------------------------------------------------------------
-// E1 / Figure 1: round scaling of the implemented problems. The
-// workloads come from the experiment registry (exp.Fig1Workloads), the
-// same instances and node programs the cliquebench report runs, so the
-// benchmarks and the report cannot drift apart.
+// E1 / Figure 1 and the catalogue: every internal/workload entry at
+// its default word budget, seeded by n as the Figure 1 experiment seeds
+// it, so triangle/n=64 is exactly the E1 instance. An entry is
+// benchmarked the moment it is registered.
 
-// benchFig1Workload benchmarks one registry probe at the given sizes.
-func benchFig1Workload(b *testing.B, name string, ns []int) {
-	b.Helper()
-	w, err := exp.Fig1Workload(name)
-	if err != nil {
-		b.Fatal(err)
+func BenchmarkWorkloads(b *testing.B) {
+	for _, alg := range workload.All() {
+		for _, n := range []int{27, 64, 125} {
+			f := alg.Make(n, uint64(n))
+			b.Run(fmt.Sprintf("%s/n=%d", alg.Name, n), func(b *testing.B) {
+				benchRounds(b, n, alg.WPP, f)
+			})
+		}
 	}
-	for _, n := range ns {
-		f := w.Make(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchRounds(b, n, w.WPP, f)
-		})
-	}
-}
-
-func BenchmarkFig1_BooleanMM3D(b *testing.B) {
-	benchFig1Workload(b, "Boolean MM (3D)", []int{27, 64, 125})
-}
-
-func BenchmarkFig1_BooleanMMNaive(b *testing.B) {
-	benchFig1Workload(b, "Boolean MM (naive)", []int{27, 64, 125})
 }
 
 // BenchmarkFig1_BooleanMMPackedSteady is the steady-state form of the
@@ -104,39 +90,6 @@ func BenchmarkFig1_BooleanMMPackedSteady(b *testing.B) {
 			})
 		})
 	}
-}
-
-func BenchmarkFig1_APSP(b *testing.B) {
-	benchFig1Workload(b, "APSP w/ud (min,+ squaring)", []int{27, 64})
-}
-
-func BenchmarkFig1_Triangle(b *testing.B) {
-	benchFig1Workload(b, "Triangle detection", []int{27, 64, 125})
-}
-
-func BenchmarkFig1_TransitiveClosure(b *testing.B) {
-	n := 27
-	g := graph.Gnp(n, 0.1, 5)
-	benchRounds(b, n, 8, func(nd *clique.Node) {
-		row := make([]int64, n)
-		g.Neighbors(nd.ID(), func(u int) { row[u] = 1 })
-		paths.TransitiveClosure(nd, row, matmul.Mul3D)
-	})
-}
-
-func BenchmarkFig1_SSSP(b *testing.B) {
-	for _, n := range []int{32, 64, 128} {
-		g := graph.GnpWeighted(n, 0.2, 30, false, uint64(n))
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchRounds(b, n, 1, func(nd *clique.Node) {
-				paths.SSSP(nd, g.W[nd.ID()], 0)
-			})
-		})
-	}
-}
-
-func BenchmarkFig1_MaxISFullGather(b *testing.B) {
-	benchFig1Workload(b, "MaxIS (full gather)", []int{32, 64})
 }
 
 // ---------------------------------------------------------------------
@@ -357,16 +310,6 @@ func BenchmarkSub_Routing(b *testing.B) {
 	}
 }
 
-func BenchmarkSub_Sorting(b *testing.B) {
-	benchRounds(b, 16, 4, func(nd *clique.Node) {
-		keys := make([]uint64, 8)
-		for i := range keys {
-			keys[i] = uint64((nd.ID()*131 + i*37) % 256)
-		}
-		routing.Sort(nd, keys, 256)
-	})
-}
-
 func BenchmarkSub_AllBroadcast(b *testing.B) {
 	benchRounds(b, 64, 4, func(nd *clique.Node) {
 		comm.BroadcastAll(nd, make([]uint64, 64), 64)
@@ -429,18 +372,7 @@ func BenchmarkFitExponent(b *testing.B) {
 	}
 }
 
-// Extension benchmarks: MST and the labelling problems.
-
-func BenchmarkExt_MST(b *testing.B) {
-	for _, n := range []int{32, 128} {
-		g := graph.GnpWeighted(n, 0.3, 60, false, uint64(n))
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchRounds(b, n, 1, func(nd *clique.Node) {
-				mst.Find(nd, g.W[nd.ID()])
-			})
-		})
-	}
-}
+// Extension benchmark: the labelling problems.
 
 func BenchmarkExt_LabellingCheck(b *testing.B) {
 	p := nondet.MaximalMatchingProblem()

@@ -1,258 +1,38 @@
-// Command cliquerun executes a single congested clique algorithm on a
-// generated instance and prints the model costs — a command-line window
-// into the simulator.
+// Command cliquerun runs one entry of the workload catalogue
+// (internal/workload) on its generated instance and prints node 0's
+// answer, the centralized oracle's and the model costs — a
+// command-line window into the simulator.
 //
 // Usage:
 //
-//	cliquerun -alg triangle -n 64 -p 0.1 -seed 7
-//	cliquerun -alg kds -n 64 -k 2
-//	cliquerun -alg apsp -n 27
-//	cliquerun -alg sort -n 16 -format=json   # machine-readable result
-//	cliquerun -alg mst -trace=mst.json       # Chrome trace for Perfetto
-//	cliquerun -alg dot            # print the Figure 1 map as Graphviz
+//	cliquerun -alg triangle -n 64 -seed 7
+//	cliquerun -alg k-ds -n 64 -backend goroutine
+//	cliquerun -alg apsp -n 27 -wpp 2          # override the entry's word budget
+//	cliquerun -alg sort -n 16 -format=json    # machine-readable result
+//	cliquerun -alg mst -trace=mst.json        # Chrome trace for Perfetto
+//	cliquerun -alg dot                        # print the Figure 1 map as Graphviz
 //
-// Algorithms: triangle, kis, kclique, kcycle, kpath, kds, kvc, bfs, sssp,
-// apsp, tc, mm, mm3d, mst, sort, maxis, kcol, dot.
+// -alg takes any catalogue name, or dot.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/clique"
-	"repro/internal/domset"
 	"repro/internal/fgc"
-	"repro/internal/gather"
-	"repro/internal/graph"
-	"repro/internal/matmul"
-	"repro/internal/mst"
-	"repro/internal/paths"
-	"repro/internal/routing"
-	"repro/internal/subgraph"
 	"repro/internal/trace"
-	"repro/internal/vcover"
+	"repro/internal/workload"
 )
 
 func main() {
-	alg := flag.String("alg", "triangle", "algorithm to run")
-	n := flag.Int("n", 32, "number of nodes")
-	k := flag.Int("k", 3, "parameter k (kis, kclique, kcycle, kds, kvc, kcol)")
-	p := flag.Float64("p", 0.2, "edge probability of the random input")
-	seed := flag.Uint64("seed", 1, "generator seed")
-	wpp := flag.Int("wpp", 4, "words per pair per round")
-	maxW := flag.Int64("maxw", 20, "max edge weight for weighted problems")
-	backend := flag.String("backend", "lockstep",
-		"execution backend ("+strings.Join(clique.Backends(), ", ")+")")
-	format := flag.String("format", "text", "output format (text, json)")
-	traceFile := flag.String("trace", "", "run with the round-level tracer and write a Chrome trace-event file (Perfetto) to this path")
-	flag.Parse()
-	wppSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "wpp" {
-			wppSet = true
-		}
-	})
-	if *backend == "" {
-		*backend = clique.DefaultBackend
-	}
-	if *format != "text" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "unknown format %q (text, json)\n", *format)
-		os.Exit(2)
-	}
-
-	if *alg == "dot" {
-		fmt.Print(fgc.Figure1(*k).DOT())
-		return
-	}
-
-	g := graph.Gnp(*n, *p, *seed)
-	w := graph.GnpWeighted(*n, *p, *maxW, false, *seed)
-	var answer string
-
-	var elapsed time.Duration
-	run := func(f clique.NodeFunc) *clique.Result {
-		cfg := clique.Config{N: *n, WordsPerPair: *wpp, Backend: *backend}
-		var col *trace.Collector
-		if *traceFile != "" {
-			col = trace.NewCollector(*alg, *n, *wpp)
-			col.SetBackend(*backend)
-			cfg.Tracer = col
-		}
-		start := time.Now()
-		res, err := clique.Run(cfg, f)
-		elapsed = time.Since(start)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if col != nil {
-			f, err := os.Create(*traceFile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := trace.WriteChrome(f, []*trace.RunTrace{col.Finish()}); err != nil {
-				f.Close()
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return res
-	}
-
-	var res *clique.Result
-	switch *alg {
-	case "triangle":
-		var out bool
-		res = run(func(nd *clique.Node) { out = subgraph.DetectTriangle(nd, g.Row(nd.ID())) })
-		answer = fmt.Sprintf("triangle=%v (oracle %v)", out, graph.HasTriangle(g))
-	case "kis":
-		var out bool
-		res = run(func(nd *clique.Node) { out = subgraph.DetectIndependentSet(nd, g.Row(nd.ID()), *k) })
-		answer = fmt.Sprintf("%d-IS=%v (oracle %v)", *k, out, graph.HasIndependentSetOfSize(g, *k))
-	case "kclique":
-		var out bool
-		res = run(func(nd *clique.Node) { out = subgraph.DetectClique(nd, g.Row(nd.ID()), *k) })
-		answer = fmt.Sprintf("%d-clique=%v (oracle %v)", *k, out, graph.HasCliqueOfSize(g, *k))
-	case "kcycle":
-		var out bool
-		res = run(func(nd *clique.Node) { out = subgraph.DetectCycle(nd, g.Row(nd.ID()), *k) })
-		answer = fmt.Sprintf("%d-cycle=%v (oracle %v)", *k, out, graph.HasCycleOfLength(g, *k))
-	case "kds":
-		var out domset.Result
-		res = run(func(nd *clique.Node) { out = domset.Find(nd, g.Row(nd.ID()), *k) })
-		answer = fmt.Sprintf("%d-DS found=%v witness=%v (oracle %v)", *k, out.Found, out.Witness,
-			graph.HasDominatingSetOfSize(g, *k))
-	case "kvc":
-		var out vcover.Result
-		res = run(func(nd *clique.Node) { out = vcover.Find(nd, g.Row(nd.ID()), *k) })
-		answer = fmt.Sprintf("%d-VC found=%v cover=%v (oracle %v)", *k, out.Found, out.Cover,
-			graph.HasVertexCoverOfSize(g, *k))
-	case "bfs":
-		res = run(func(nd *clique.Node) { paths.BFS(nd, g.Row(nd.ID()), 0) })
-		answer = "BFS tree from node 0 built"
-	case "sssp":
-		var d0 int64
-		res = run(func(nd *clique.Node) {
-			r := paths.SSSP(nd, w.W[nd.ID()], 0)
-			if nd.ID() == *n-1 {
-				d0 = r.Dist
-			}
-		})
-		answer = fmt.Sprintf("SSSP done; dist(0, n-1) = %d", d0)
-	case "apsp":
-		res = run(func(nd *clique.Node) { paths.APSP(nd, w.W[nd.ID()], matmul.Mul3D) })
-		answer = "exact APSP via (min,+) squaring"
-	case "tc":
-		res = run(func(nd *clique.Node) {
-			row := make([]int64, *n)
-			g.Neighbors(nd.ID(), func(u int) { row[u] = 1 })
-			paths.TransitiveClosure(nd, row, matmul.Mul3D)
-		})
-		answer = "transitive closure"
-	case "mm":
-		res = run(func(nd *clique.Node) {
-			row := matmul.AdjacencyRow(g, nd.ID())
-			matmul.MulNaive(nd, matmul.Boolean{}, row, row)
-		})
-		answer = "A^2 over the Boolean semiring (naive schedule)"
-	case "mm3d":
-		res = run(func(nd *clique.Node) {
-			row := matmul.AdjacencyRow(g, nd.ID())
-			matmul.Mul3D(nd, matmul.Boolean{}, row, row)
-		})
-		answer = "A^2 over the Boolean semiring (3D schedule)"
-	case "kpath":
-		var out bool
-		res = run(func(nd *clique.Node) { out = subgraph.DetectPath(nd, g.Row(nd.ID()), *k) })
-		answer = fmt.Sprintf("%d-path=%v (oracle %v)", *k, out, graph.HasSimplePathOfLength(g, *k))
-	case "mst":
-		var wt int64
-		res = run(func(nd *clique.Node) { wt = mst.Weight(mst.Find(nd, w.W[nd.ID()])) })
-		oracle, _ := mst.KruskalOracle(w)
-		answer = fmt.Sprintf("MSF weight %d (oracle %d)", wt, oracle)
-	case "mstsketch":
-		if !wppSet && *wpp < 32 {
-			*wpp = 32 // catalogue default: fit the sketch exchange in O(1) rounds
-		}
-		var wt int64
-		var st mst.SketchStats
-		res = run(func(nd *clique.Node) {
-			forest, s := mst.SketchFind(nd, w.W[nd.ID()], *seed)
-			wt, st = mst.Weight(forest), s
-		})
-		oracle, _ := mst.KruskalOracle(w)
-		answer = fmt.Sprintf("MSF weight %d (oracle %d), %d components seeded, cut samples %d/%d",
-			wt, oracle, st.Components, st.SampleOK, st.SampleTotal)
-	case "mstsparse":
-		if !wppSet && *wpp < 8 {
-			*wpp = 8 // catalogue default; SparseFind needs wpp >= 6
-		}
-		var wt int64
-		var st mst.SparseStats
-		res = run(func(nd *clique.Node) {
-			forest, s := mst.SparseFind(nd, w.W[nd.ID()], *seed)
-			if nd.ID() == 0 {
-				wt, st = mst.Weight(forest), s
-			}
-		})
-		oracle, _ := mst.KruskalOracle(w)
-		answer = fmt.Sprintf("MSF weight %d (oracle %d) in %d phases, %d merges",
-			wt, oracle, st.Phases, st.Merges)
-	case "sort":
-		res = run(func(nd *clique.Node) {
-			keys := make([]uint64, 8)
-			for i := range keys {
-				keys[i] = uint64((nd.ID()*131 + i*37) % (*n * *n))
-			}
-			routing.Sort(nd, keys, uint64(*n**n))
-		})
-		answer = "global radix sort of 8 keys/node"
-	case "maxis":
-		var alpha int
-		res = run(func(nd *clique.Node) { alpha = gather.MaxIndependentSetSize(nd, g.Row(nd.ID())) })
-		answer = fmt.Sprintf("alpha(G) = %d", alpha)
-	case "kcol":
-		var ok bool
-		res = run(func(nd *clique.Node) { ok = gather.KColorable(nd, g.Row(nd.ID()), *k) })
-		answer = fmt.Sprintf("%d-colourable=%v", *k, ok)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *alg)
-		os.Exit(2)
-	}
-
-	roundsPerSec := float64(res.Stats.Rounds) / elapsed.Seconds()
-	switch *format {
-	case "text":
-		fmt.Printf("algorithm : %s\n", *alg)
-		fmt.Printf("backend   : %s\n", *backend)
-		fmt.Printf("instance  : n=%d p=%.2f seed=%d (%d edges)\n", *n, *p, *seed, g.NumEdges())
-		fmt.Printf("result    : %s\n", answer)
-		fmt.Printf("cost      : %d rounds, %d words, %d bits, busiest link %d words/round\n",
-			res.Stats.Rounds, res.Stats.WordsSent, res.Stats.BitsSent, res.Stats.MaxPairWords)
-		fmt.Printf("wall      : %v (%.0f rounds/sec on the %s backend)\n", elapsed.Round(time.Microsecond), roundsPerSec, *backend)
-	case "json":
-		// A single-run sibling of the cliquebench report schema: the
-		// model costs are deterministic, the wall block is measured.
-		out := runReport{
-			Schema: "cliquerun/v1", Algorithm: *alg, Backend: *backend,
-			N: *n, P: *p, Seed: *seed, Edges: g.NumEdges(), Answer: answer,
-			Rounds: res.Stats.Rounds, Words: res.Stats.WordsSent,
-			Bits: res.Stats.BitsSent, MaxPairWords: res.Stats.MaxPairWords,
-			WallNS: elapsed.Nanoseconds(), RoundsPerSec: roundsPerSec,
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown format %q (text, json)\n", *format)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "cliquerun:", err)
 		os.Exit(2)
 	}
 }
@@ -263,9 +43,8 @@ type runReport struct {
 	Algorithm    string  `json:"algorithm"`
 	Backend      string  `json:"backend"`
 	N            int     `json:"n"`
-	P            float64 `json:"p"`
 	Seed         uint64  `json:"seed"`
-	Edges        int     `json:"edges"`
+	WordsPerPair int     `json:"words_per_pair"`
 	Answer       string  `json:"answer"`
 	Rounds       int     `json:"rounds"`
 	Words        int64   `json:"words"`
@@ -273,4 +52,89 @@ type runReport struct {
 	MaxPairWords int     `json:"max_pair_words"`
 	WallNS       int64   `json:"wall_ns"`
 	RoundsPerSec float64 `json:"rounds_per_sec"`
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cliquerun", flag.ExitOnError)
+	name := fs.String("alg", "triangle", "catalogue algorithm to run ("+strings.Join(workload.Names(), ", ")+"), or dot")
+	n := fs.Int("n", 32, "number of nodes")
+	seed := fs.Uint64("seed", 1, "instance seed")
+	wpp := fs.Int("wpp", 0, "words per pair per round (0: the algorithm's default)")
+	backend := fs.String("backend", "lockstep", "execution backend ("+strings.Join(clique.Backends(), ", ")+")")
+	format := fs.String("format", "text", "output format (text, json)")
+	traceFile := fs.String("trace", "", "run with the round-level tracer and write a Chrome trace-event file (Perfetto) to this path")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits before Parse returns
+	if *format != "text" && *format != "json" {
+		return fmt.Errorf("unknown format %q (text, json)", *format)
+	}
+	if *name == "dot" {
+		_, err := io.WriteString(stdout, fgc.Figure1(3).DOT())
+		return err
+	}
+	alg, ok := workload.Get(*name)
+	if !ok {
+		return fmt.Errorf("unknown algorithm %q (valid: %s, dot)", *name, strings.Join(workload.Names(), ", "))
+	}
+	if *wpp == 0 {
+		*wpp = alg.WPP
+	}
+
+	inst := alg.New(*n, *seed)
+	cfg := clique.Config{N: *n, WordsPerPair: *wpp, Backend: *backend}
+	var col *trace.Collector
+	if *traceFile != "" {
+		col = trace.NewCollector(alg.Name, *n, *wpp)
+		col.SetBackend(*backend)
+		cfg.Tracer = col
+	}
+	start := time.Now()
+	res, err := clique.Run(cfg, inst.Program)
+	elapsed := time.Since(start)
+	if err != nil {
+		return err
+	}
+	if col != nil {
+		if err := writeTrace(*traceFile, col.Finish()); err != nil {
+			return err
+		}
+	}
+
+	answer := fmt.Sprint(inst.Answer())
+	if inst.Oracle != nil {
+		answer += fmt.Sprintf(" (oracle %v)", inst.Oracle())
+	}
+	roundsPerSec := float64(res.Stats.Rounds) / elapsed.Seconds()
+	if *format == "json" {
+		// A single-run sibling of the cliquebench report schema: the
+		// model costs are deterministic, the wall block is measured.
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(runReport{
+			Schema: "cliquerun/v2", Algorithm: alg.Name, Backend: *backend,
+			N: *n, Seed: *seed, WordsPerPair: *wpp, Answer: answer,
+			Rounds: res.Stats.Rounds, Words: res.Stats.WordsSent,
+			Bits: res.Stats.BitsSent, MaxPairWords: res.Stats.MaxPairWords,
+			WallNS: elapsed.Nanoseconds(), RoundsPerSec: roundsPerSec,
+		})
+	}
+	_, err = fmt.Fprintf(stdout, "algorithm : %s — %s\nbackend   : %s\ninstance  : n=%d seed=%d, %d words per pair\n"+
+		"answer    : %s\ncost      : %d rounds, %d words, %d bits, busiest link %d words/round\n"+
+		"wall      : %v (%.0f rounds/sec on the %s backend)\n",
+		alg.Name, alg.Title, *backend, *n, *seed, *wpp, answer,
+		res.Stats.Rounds, res.Stats.WordsSent, res.Stats.BitsSent, res.Stats.MaxPairWords,
+		elapsed.Round(time.Microsecond), roundsPerSec, *backend)
+	return err
+}
+
+// writeTrace writes one run's trace as a Chrome trace-event file.
+func writeTrace(path string, tr *trace.RunTrace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteChrome(f, []*trace.RunTrace{tr}); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/subgraph"
 	"repro/internal/vcover"
+	"repro/internal/workload"
 )
 
 // The registered experiments, in report order. Each body is the former
@@ -408,14 +409,11 @@ func expFPT(c *Ctx) {
 // Extension — deterministic MST baseline (paper conclusions).
 func expMST(c *Ctx) {
 	t := c.Table("", "n", "rounds", "forest wt", "oracle wt")
+	alg, _ := workload.Get("mst")
 	for _, n := range c.Sizes([]int{16, 64, 256}, []int{16, 32}) {
-		g := graph.GnpWeighted(n, 0.3, 60, false, uint64(n))
-		wts := make([]int64, n) // per-node: node programs run concurrently
-		r := c.Rounds(n, 1, func(nd *clique.Node) {
-			wts[nd.ID()] = mst.Weight(mst.Find(nd, g.W[nd.ID()]))
-		})
-		oracle, _ := mst.KruskalOracle(g)
-		t.Row(Int(n), Int(r), Int64(wts[0]), Int64(oracle))
+		inst := alg.New(n, uint64(n))
+		r := c.Rounds(n, alg.WPP, inst.Program)
+		t.Row(Int(n), Int(r), Int64(inst.Answer().(int64)), Int64(inst.Oracle().(int64)))
 	}
 	c.Notef("the conclusions' randomized-gap example: randomized algorithms do O(1);")
 	c.Notef("this deterministic baseline needs Theta(log n) Boruvka phases")
@@ -529,18 +527,11 @@ func expSubstrates(c *Ctx) {
 		st.Row(Int(kn), Int(r))
 	}
 	mt := c.Table("matrix multiplication, naive vs 3D", "n", "naive rounds", "3D rounds")
-	naiveW, err := Fig1Workload("Boolean MM (naive)")
-	if err != nil {
-		c.Failf("%v", err)
-	}
-	tdW, err := Fig1Workload("Boolean MM (3D)")
-	if err != nil {
-		c.Failf("%v", err)
-	}
+	naive, _ := workload.Get("boolmm-naive")
+	td, _ := workload.Get("boolmm-3d")
 	for _, n := range c.Sizes([]int{27, 64, 125, 216}, []int{8, 27}) {
-		naive := c.Rounds(n, naiveW.WPP, naiveW.Make(n))
-		td := c.Rounds(n, tdW.WPP, tdW.Make(n))
-		mt.Row(Int(n), Int(naive), Int(td))
+		mt.Row(Int(n), Int(c.Rounds(n, naive.WPP, naive.Make(n, uint64(n)))),
+			Int(c.Rounds(n, td.WPP, td.Make(n, uint64(n)))))
 	}
 }
 

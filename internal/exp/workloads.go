@@ -8,15 +8,15 @@ import (
 )
 
 // Workload is one simulated algorithm on a generated instance,
-// parameterised by n. The Figure 1 experiment, the root BenchmarkFig1
-// benchmark families, and any future caller all draw from the same
-// slice, so the report and the benchmarks cannot drift apart.
+// parameterised by n. The Figure 1 experiment draws its probe set from
+// this slice; each probe is an internal/workload entry seeded by n, the
+// instance the root BenchmarkWorkloads family benchmarks, so the report
+// and the benchmarks cannot drift apart.
 type Workload struct {
 	// Key is the fine-grained map key ("" when the problem has no
 	// Figure 1 entry to check against).
 	Key string
-	// Name is the display name used in the E1 table and as the
-	// benchmark sub-name.
+	// Name is the display name used in the E1 table.
 	Name string
 	// WPP is the per-pair word budget the workload is run with.
 	WPP int
@@ -51,15 +51,4 @@ func Fig1Workloads() []Workload {
 			Make: func(n int) clique.NodeFunc { return alg.Make(n, uint64(n)) }}
 	}
 	return ws
-}
-
-// Fig1Workload looks one probe up by display name, for benchmark
-// families that benchmark a single problem.
-func Fig1Workload(name string) (Workload, error) {
-	for _, w := range Fig1Workloads() {
-		if w.Name == name {
-			return w, nil
-		}
-	}
-	return Workload{}, fmt.Errorf("exp: no Figure 1 workload named %q", name)
 }

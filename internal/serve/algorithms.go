@@ -9,18 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Algorithm is the ad-hoc catalogue entry served by POST /v1/run. The
-// catalogue itself lives in internal/workload so the cliquegrid runner
-// sweeps exactly the programs the daemon serves; serve only adds the
-// HTTP plumbing and the ad-hoc size cap.
-type Algorithm = workload.Algorithm
-
-// Algorithms returns the ad-hoc catalogue sorted by name.
-func Algorithms() []Algorithm { return workload.All() }
-
-// AlgorithmNames returns the sorted ad-hoc algorithm names.
-func AlgorithmNames() []string { return workload.Names() }
-
 // maxAdhocN bounds ad-hoc instance sizes: an n-node run needs O(n^2)
 // mailbox words per budgeted pair, so an unbounded n would let a single
 // request exhaust the process. 1024 is ~4x the largest size any
@@ -28,16 +16,15 @@ func AlgorithmNames() []string { return workload.Names() }
 const maxAdhocN = 1024
 
 // adhocParams validates an ad-hoc request against the catalogue and
-// resolves its effective word budget. The handler resolves the
-// catalogue default before hashing; the fallback here only covers
-// direct (non-HTTP) callers.
-func adhocParams(req exp.Request) (Algorithm, int, error) {
+// resolves its effective word budget: words_per_pair 0 means the
+// entry's default. The handler calls it before hashing the request.
+func adhocParams(req exp.Request) (workload.Algorithm, int, error) {
 	alg, ok := workload.Get(req.Algorithm)
 	if !ok {
-		return Algorithm{}, 0, fmt.Errorf("unknown algorithm %q (valid: %v)", req.Algorithm, AlgorithmNames())
+		return workload.Algorithm{}, 0, fmt.Errorf("unknown algorithm %q (valid: %v)", req.Algorithm, workload.Names())
 	}
 	if req.N > maxAdhocN {
-		return Algorithm{}, 0, fmt.Errorf("n = %d exceeds the ad-hoc limit %d", req.N, maxAdhocN)
+		return workload.Algorithm{}, 0, fmt.Errorf("n = %d exceeds the ad-hoc limit %d", req.N, maxAdhocN)
 	}
 	wpp := req.WordsPerPair
 	if wpp == 0 {

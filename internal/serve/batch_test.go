@@ -13,13 +13,13 @@ import (
 )
 
 func init() {
-	workload.Register(Algorithm{
+	workload.Register(workload.Algorithm{
 		Name: "test-overflow", Title: "test-only: violates the word budget", WPP: 1,
-		Make: func(n int, seed uint64) clique.NodeFunc {
-			return func(nd *clique.Node) {
+		New: func(n int, seed uint64) workload.Instance {
+			return workload.Instance{Program: func(nd *clique.Node) {
 				nd.Send((nd.ID()+1)%nd.N(), 1, 2)
 				nd.Tick()
-			}
+			}}
 		},
 	})
 }

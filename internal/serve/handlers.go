@@ -51,7 +51,7 @@ func (s *Server) handleGetExperiment(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListAlgorithms(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"algorithms": Algorithms(), "max_n": maxAdhocN})
+	writeJSON(w, http.StatusOK, map[string]any{"algorithms": workload.All(), "max_n": maxAdhocN})
 }
 
 // runExperimentBody is the optional POST body of {id}:run. TimeoutMS
@@ -104,23 +104,17 @@ func (s *Server) handleAdhocRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &body) {
 		return
 	}
-	alg, ok := workload.Get(body.Algorithm)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "unknown algorithm %q (valid: %v)", body.Algorithm, AlgorithmNames())
-		return
-	}
-	if body.N > maxAdhocN {
-		writeError(w, http.StatusBadRequest, "n = %d exceeds the ad-hoc limit %d", body.N, maxAdhocN)
-		return
-	}
-	// Resolve the catalogue's per-algorithm word budget before hashing,
-	// so the omitted and explicit-default spellings share a cache slot.
-	if body.WordsPerPair == 0 {
-		body.WordsPerPair = alg.WPP
-	}
 	req := exp.Request{Kind: exp.KindAdhoc, Algorithm: body.Algorithm,
 		N: body.N, WordsPerPair: body.WordsPerPair, Seed: body.Seed,
 		Backend: body.Backend, Quick: body.Quick, Trace: body.Trace}
+	// Resolve the catalogue's per-algorithm word budget before hashing,
+	// so the omitted and explicit-default spellings share a cache slot.
+	_, wpp, err := adhocParams(req)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	req.WordsPerPair = wpp
 	s.scheduleAndRespond(w, r, req, body.TimeoutMS)
 }
 

@@ -30,22 +30,22 @@ func armBlockGate() (release func()) {
 }
 
 func init() {
-	workload.Register(Algorithm{
+	workload.Register(workload.Algorithm{
 		Name: "test-block", Title: "test-only: parks until the gate opens", WPP: 1,
-		Make: func(n int, seed uint64) clique.NodeFunc {
-			return func(nd *clique.Node) {
+		New: func(n int, seed uint64) workload.Instance {
+			return workload.Instance{Program: func(nd *clique.Node) {
 				blockGate.mu.Lock()
 				ch := blockGate.ch
 				blockGate.mu.Unlock()
 				if ch != nil {
 					<-ch
 				}
-			}
+			}}
 		},
 	})
-	workload.Register(Algorithm{
+	workload.Register(workload.Algorithm{
 		Name: "test-panic", Title: "test-only: panics during instance generation", WPP: 1,
-		Make: func(n int, seed uint64) clique.NodeFunc {
+		New: func(n int, seed uint64) workload.Instance {
 			panic("test-panic: instance generation exploded")
 		},
 	})
