@@ -3,16 +3,20 @@
 //
 //   - BFS tree (unweighted, O(ecc) rounds)
 //   - Bellman-Ford SSSP (weighted, O(hop depth) rounds)
-//   - exact APSP via (min,+) matrix squaring (O(n^{1/3} log n) rounds)
+//   - exact APSP via (min,+) matrix squaring to its fixed point
+//     (O(n^{1/3} log D) rounds, D the hop depth of shortest paths)
 //   - (1+eps)-approximate APSP via rounded squaring
 //
-// All four run on the same simulator and report model costs; exactness
-// and the approximation guarantee are checked against Floyd-Warshall.
+// plus the diameter via APSP. All run on the same simulator and report
+// model costs; exactness, the approximation guarantee and the diameter
+// are checked against centralized oracles, and the program exits
+// non-zero if any check fails, so it doubles as a smoke test.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/clique"
 	"repro/internal/graph"
@@ -55,6 +59,7 @@ func main() {
 	}
 	fmt.Printf("SSSP (Bellman-Ford): %5d rounds, %d/%d distances exact\n",
 		res.Stats.Rounds, check, n)
+	failIf(check != n, "SSSP: %d of %d distances wrong", n-check, n)
 
 	// Exact APSP by (min,+) squaring with the 3D schedule.
 	apsp := make([][]int64, n)
@@ -69,6 +74,7 @@ func main() {
 		}
 	}
 	fmt.Printf("APSP (min,+ squaring, 3D): %d rounds, exact=%v\n", res.Stats.Rounds, exact)
+	failIf(!exact, "APSP: rows differ from Floyd-Warshall")
 
 	// (1+eps)-approximate APSP.
 	approx := make([][]int64, n)
@@ -79,26 +85,53 @@ func main() {
 	worst := 1.0
 	for i := range truth {
 		for j := range truth[i] {
-			if truth[i][j] > 0 && truth[i][j] < graph.Inf {
-				r := float64(approx[i][j]) / float64(truth[i][j])
-				if r > worst {
-					worst = r
-				}
+			d, a := truth[i][j], approx[i][j]
+			switch {
+			case d >= graph.Inf:
+				failIf(a < graph.Inf, "APSP (1+eps): path (%d,%d) found where none exists", i, j)
+			case d == 0:
+				failIf(a != 0, "APSP (1+eps): entry (%d,%d) = %d, want 0", i, j, a)
+			case a < d:
+				failIf(true, "APSP (1+eps): entry (%d,%d) = %d below the distance %d", i, j, a, d)
+			default:
+				worst = max(worst, float64(a)/float64(d))
 			}
 		}
 	}
 	fmt.Printf("APSP (1+eps, eps=%.2f):    %d rounds, worst ratio %.4f (bound %.2f)\n",
 		eps, res.Stats.Rounds, worst, 1+eps)
+	failIf(worst > 1+eps, "APSP (1+eps): ratio %.4f exceeds %.2f", worst, 1+eps)
 
-	// Diameter, for good measure.
-	var diam int64
+	// Diameter, against the largest BFS distance.
+	wantDiam := int64(0)
+	for v := 0; v < n; v++ {
+		for _, d := range graph.BFSDistances(uw, v) {
+			wantDiam = max(wantDiam, d)
+		}
+	}
+	diam := make([]int64, n)
 	res, err = clique.Run(clique.Config{N: n, WordsPerPair: 8}, func(nd *clique.Node) {
-		row := make([]int64, n)
-		uw.Neighbors(nd.ID(), func(u int) { row[u] = 1 })
-		diam = paths.Diameter(nd, row, matmul.Mul3D)
+		diam[nd.ID()] = paths.Diameter(nd, matmul.AdjacencyRow(uw, nd.ID()), matmul.Mul3D)
 	})
 	must(err)
-	fmt.Printf("Diameter:            %5d rounds, value %d\n", res.Stats.Rounds, diam)
+	fmt.Printf("Diameter:            %5d rounds, value %d\n", res.Stats.Rounds, diam[0])
+	for v, d := range diam {
+		failIf(d != wantDiam, "Diameter: node %d answers %d, want %d", v, d, wantDiam)
+	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// failed records whether any check failed; main exits non-zero at the
+// end so that every check still prints.
+var failed bool
+
+func failIf(bad bool, format string, args ...any) {
+	if bad {
+		failed = true
+		fmt.Fprintf(os.Stderr, "FAIL: "+format+"\n", args...)
+	}
 }
 
 func must(err error) {

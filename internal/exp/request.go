@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/clique"
 )
@@ -105,12 +106,25 @@ func (r Request) Canonical() (Request, error) {
 	return r, nil
 }
 
+// modelRevision names the catalogue's model costs. Bump it when a
+// catalogue entry's model cost changes on purpose (a round count, a
+// word count), so that persisted ledgers stop serving results the
+// current code would no longer produce. It feeds only the hash; the
+// envelope layout does not change with it.
+//
+// Revisions: 1 = APSP and transitive closure stop at their fixed point.
+const modelRevision = 1
+
 // Hash returns the canonical request hash: SHA-256 over the schema
-// version and the canonicalised request's JSON. Call it on the output
-// of Canonical; hashing a non-canonical request would split the cache.
-// The schema version is mixed in so that envelope-layout changes
-// invalidate any persisted cache rather than serving stale shapes.
-func (r Request) Hash() string {
+// version, the model revision and the canonicalised request's JSON.
+// Call it on the output of Canonical; hashing a non-canonical request
+// would split the cache. The schema version and model revision are
+// mixed in so that envelope-layout changes and deliberate model-cost
+// changes invalidate any persisted cache rather than serving stale
+// results.
+func (r Request) Hash() string { return r.hashAt(modelRevision) }
+
+func (r Request) hashAt(revision int) string {
 	data, err := json.Marshal(r)
 	if err != nil {
 		// A Request is plain data; Marshal cannot fail on it.
@@ -118,6 +132,8 @@ func (r Request) Hash() string {
 	}
 	h := sha256.New()
 	h.Write([]byte(SchemaVersion))
+	h.Write([]byte{0})
+	h.Write([]byte(strconv.Itoa(revision)))
 	h.Write([]byte{0})
 	h.Write(data)
 	return hex.EncodeToString(h.Sum(nil))

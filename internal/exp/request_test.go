@@ -79,6 +79,19 @@ func TestRequestHashSensitivity(t *testing.T) {
 	}
 }
 
+// TestRequestHashModelRevision pins that a model-revision bump moves
+// every hash, so a ledger written under the old revision is never
+// served for the same request under the new one.
+func TestRequestHashModelRevision(t *testing.T) {
+	r := Request{Kind: KindAdhoc, Algorithm: "apsp", N: 27, Seed: 1, Backend: "lockstep"}
+	if r.Hash() != r.hashAt(modelRevision) {
+		t.Fatal("Hash does not use the current model revision")
+	}
+	if r.hashAt(modelRevision) == r.hashAt(modelRevision+1) {
+		t.Fatal("the same request hashes identically under two model revisions")
+	}
+}
+
 // TestRunOneContextCancellation pins that a cancelled context aborts an
 // experiment and surfaces context.Canceled.
 func TestRunOneContextCancellation(t *testing.T) {

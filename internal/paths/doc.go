@@ -4,6 +4,15 @@
 // (min,+) matrix squaring, transitive closure via Boolean squaring, and
 // (1+eps)-approximate distances via rounded squaring.
 //
+// Exact APSP, transitive closure and the diameter square until the
+// matrix stops changing: after each squaring one AND round tells every
+// node whether any row moved. With matmul.Mul3D that is
+// O(n^{1/3} log D) rounds, where D is the largest hop count a shortest
+// path needs, capped at the O(n^{1/3} log n) of ceil(log2(n-1))
+// squarings. ApproxAPSP always runs the full count, because its
+// rounding step is sized from it. Each squaring is traced as a
+// "paths/square" phase and each vote as "paths/converged".
+//
 // Inputs follow the model's convention: every algorithm takes only the
 // calling node's local view (its adjacency or weight row) plus globally
 // known parameters (source id, epsilon), and returns the node's own share

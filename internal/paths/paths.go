@@ -2,11 +2,13 @@ package paths
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/clique"
 	"repro/internal/comm"
 	"repro/internal/graph"
 	"repro/internal/matmul"
+	"repro/internal/trace"
 )
 
 // infWord encodes graph.Inf on the wire; any value >= infWord decodes to
@@ -145,31 +147,54 @@ func hopRounds(n int) int {
 
 // APSP computes this node's row of the all-pairs shortest path matrix by
 // repeated (min,+) squaring of the weight matrix: D_{2h} = D_h (x) D_h.
-// ceil(log2 (n-1)) squarings suffice because shortest paths have at most
-// n-1 edges. With mul = matmul.Mul3D this runs in O(n^{1/3} log n)
-// rounds, the implemented upper bound for weighted directed APSP in
-// Figure 1. wRow is the node's weight row (out-edges for directed
-// graphs) with 0 on the diagonal.
+// Squaring stops at the fixed point D (x) D = D, which for non-negative
+// weights and a 0 diagonal is the distance matrix. That takes
+// ceil(log2 D_hop) + 1 squarings, where D_hop is the largest number of
+// hops any pair needs on a shortest path, and never more than the
+// ceil(log2 (n-1)) that cover every simple path. With mul = matmul.Mul3D
+// this runs in O(n^{1/3} log D_hop) rounds, capped at O(n^{1/3} log n):
+// the implemented upper bound for weighted directed APSP in Figure 1.
+// wRow is the node's weight row (out-edges for directed graphs) with 0
+// on the diagonal.
 func APSP(nd clique.Endpoint, wRow []int64, mul matmul.MulFunc) []int64 {
-	row := append([]int64(nil), wRow...)
-	for i := 0; i < hopRounds(nd.N()); i++ {
-		row = mul(nd, matmul.MinPlus{}, row, row)
-	}
-	return row
+	return squareToFixedPoint(nd, matmul.MinPlus{}, append([]int64(nil), wRow...), mul)
 }
 
 // TransitiveClosure computes this node's row of the reflexive-transitive
-// closure by Boolean squaring of (A or I). adjRow is the node's Boolean
-// adjacency row. Figure 1 places transitive closure with Boolean matrix
-// multiplication; the implemented bound is O(n^{1/3} log n) rounds via
-// Mul3D.
+// closure by Boolean squaring of (A or I) up to its fixed point, as APSP
+// does: O(n^{1/3} log D_hop) rounds via Mul3D, capped at
+// O(n^{1/3} log n), where D_hop is the largest hop distance between two
+// mutually reachable nodes. adjRow is the node's Boolean adjacency row.
+// Figure 1 places transitive closure with Boolean matrix multiplication.
 func TransitiveClosure(nd clique.Endpoint, adjRow []int64, mul matmul.MulFunc) []int64 {
 	row := append([]int64(nil), adjRow...)
 	row[nd.ID()] = 1 // reflexive
-	for i := 0; i < hopRounds(nd.N()); i++ {
-		row = mul(nd, matmul.Boolean{}, row, row)
+	return squareToFixedPoint(nd, matmul.Boolean{}, row, mul)
+}
+
+// squareToFixedPoint squares the distributed matrix whose row this node
+// holds until no row changes, or hopRounds(n) squarings have run. After
+// every squaring but the last allowed one, each node checks whether its
+// own row changed and one AND round lets all nodes leave the loop
+// together. The worst case costs hopRounds squarings plus hopRounds-1
+// vote rounds.
+func squareToFixedPoint(nd clique.Endpoint, s matmul.Semiring, row []int64, mul matmul.MulFunc) []int64 {
+	limit := hopRounds(nd.N())
+	for i := 1; ; i++ {
+		endSquare := trace.Phase(nd, "paths/square")
+		next := mul(nd, s, row, row)
+		endSquare()
+		if i == limit {
+			return next
+		}
+		endVote := trace.Phase(nd, "paths/converged")
+		stable := comm.AndBool(nd, slices.Equal(next, row))
+		endVote()
+		if stable {
+			return next
+		}
+		row = next
 	}
-	return row
 }
 
 // ApproxAPSP computes a (1+eps)-approximate APSP row: exact (min,+)
@@ -213,7 +238,9 @@ func roundUpPow(d int64, delta float64) int64 {
 // graph: every node computes its row of hop distances via APSP on the
 // 0/1/Inf weight matrix, takes a local maximum of the finite entries,
 // and one max-reduction round combines them. Returns graph.Inf if the
-// graph is disconnected.
+// graph is disconnected. APSP's fixed-point stop makes this
+// O(n^{1/3} log D) rounds via Mul3D, D the largest finite hop distance,
+// capped at O(n^{1/3} log n).
 func Diameter(nd clique.Endpoint, adjRow []int64, mul matmul.MulFunc) int64 {
 	n := nd.N()
 	wRow := make([]int64, n)

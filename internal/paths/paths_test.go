@@ -1,12 +1,14 @@
 package paths
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/clique"
 	"repro/internal/graph"
 	"repro/internal/matmul"
+	"repro/internal/trace"
 )
 
 func TestBFSOnKnownGraphs(t *testing.T) {
@@ -130,11 +132,13 @@ func TestSSSPPathGraphTermination(t *testing.T) {
 	}
 }
 
-func runAPSP(t *testing.T, g *graph.Weighted, mul matmul.MulFunc) [][]int64 {
+// runRows runs one row program per node on backend and collects the
+// rows.
+func runRows(t *testing.T, backend string, n, wpp int, f func(nd *clique.Node) []int64) [][]int64 {
 	t.Helper()
-	out := make([][]int64, g.N)
-	_, err := clique.Run(clique.Config{N: g.N, WordsPerPair: 8}, func(nd *clique.Node) {
-		out[nd.ID()] = APSP(nd, g.W[nd.ID()], mul)
+	out := make([][]int64, n)
+	_, err := clique.Run(clique.Config{N: n, WordsPerPair: wpp, Backend: backend}, func(nd *clique.Node) {
+		out[nd.ID()] = f(nd)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,54 +146,198 @@ func runAPSP(t *testing.T, g *graph.Weighted, mul matmul.MulFunc) [][]int64 {
 	return out
 }
 
-func TestAPSPUndirectedWeighted(t *testing.T) {
-	g := graph.GnpWeighted(13, 0.3, 30, false, 9)
-	want := graph.FloydWarshall(g)
-	got := runAPSP(t, g, matmul.Mul3D)
+func runAPSP(t *testing.T, g *graph.Weighted, mul matmul.MulFunc) [][]int64 {
+	t.Helper()
+	return runRows(t, "", g.N, 8, func(nd *clique.Node) []int64 { return APSP(nd, g.W[nd.ID()], mul) })
+}
+
+// countingMul wraps mul and counts, per node, the products it starts.
+func countingMul(mul matmul.MulFunc, n int) (matmul.MulFunc, []int) {
+	calls := make([]int, n)
+	return func(nd clique.Endpoint, s matmul.Semiring, a, b []int64) []int64 {
+		calls[nd.ID()]++
+		return mul(nd, s, a, b)
+	}, calls
+}
+
+// squarings returns the product count every node agrees on.
+func squarings(t *testing.T, calls []int) int {
+	t.Helper()
+	for v, c := range calls {
+		if c != calls[0] {
+			t.Fatalf("node %d ran %d squarings, node 0 ran %d", v, c, calls[0])
+		}
+	}
+	return calls[0]
+}
+
+func equalRows(t *testing.T, label string, got, want [][]int64) {
+	t.Helper()
 	for i := range want {
 		for j := range want[i] {
 			if got[i][j] != want[i][j] {
-				t.Fatalf("dist(%d,%d) = %d, want %d", i, j, got[i][j], want[i][j])
+				t.Fatalf("%s: entry (%d,%d) = %d, want %d", label, i, j, got[i][j], want[i][j])
 			}
 		}
 	}
+}
+
+func TestAPSPUndirectedWeighted(t *testing.T) {
+	g := graph.GnpWeighted(13, 0.3, 30, false, 9)
+	equalRows(t, "Mul3D", runAPSP(t, g, matmul.Mul3D), graph.FloydWarshall(g))
 }
 
 func TestAPSPDirectedWeighted(t *testing.T) {
 	g := graph.GnpWeighted(12, 0.3, 30, true, 10)
-	want := graph.FloydWarshall(g)
-	got := runAPSP(t, g, matmul.MulNaive)
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("dist(%d,%d) = %d, want %d", i, j, got[i][j], want[i][j])
+	equalRows(t, "MulNaive", runAPSP(t, g, matmul.MulNaive), graph.FloydWarshall(g))
+}
+
+// TestAPSPWeightedPathRunsEverySquaring pins the worst case: on a path
+// the two end points are n-1 hops apart, so the matrix keeps changing
+// until the last of the hopRounds(n) squarings, and the cap (not the
+// vote) ends the loop.
+func TestAPSPWeightedPathRunsEverySquaring(t *testing.T) {
+	for _, n := range []int{9, 17, 30} {
+		g := graph.NewWeighted(n, false)
+		for v := 1; v < n; v++ {
+			g.SetEdge(v-1, v, int64(1+(v*7)%11))
+		}
+		want := graph.FloydWarshall(g)
+		for _, backend := range clique.Backends() {
+			mul, calls := countingMul(matmul.Mul3D, n)
+			got := runRows(t, backend, n, 8, func(nd *clique.Node) []int64 { return APSP(nd, g.W[nd.ID()], mul) })
+			equalRows(t, fmt.Sprintf("n=%d %s", n, backend), got, want)
+			if k := squarings(t, calls); k != hopRounds(n) {
+				t.Errorf("n=%d %s: %d squarings on a path, want hopRounds = %d", n, backend, k, hopRounds(n))
 			}
 		}
 	}
 }
 
-func TestTransitiveClosure(t *testing.T) {
-	g := graph.New(10)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	g.AddEdge(5, 6)
-	g.AddEdge(6, 7)
-	g.AddEdge(7, 8)
-	want := graph.TransitiveClosureOracle(g)
-	got := make([][]int64, g.N)
-	_, err := clique.Run(clique.Config{N: g.N, WordsPerPair: 4}, func(nd *clique.Node) {
-		row := make([]int64, g.N)
-		g.Neighbors(nd.ID(), func(u int) { row[u] = 1 })
-		got[nd.ID()] = TransitiveClosure(nd, row, matmul.Mul3D)
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestAPSPStopsAtFixedPoint runs the E1 instances: dense random graphs
+// whose shortest paths need only a few hops, so the fixed-point vote
+// ends the loop before the hopRounds cap, with exact answers.
+func TestAPSPStopsAtFixedPoint(t *testing.T) {
+	for _, n := range []int{27, 64} {
+		g := graph.GnpWeighted(n, 0.3, 40, false, uint64(n))
+		want := graph.FloydWarshall(g)
+		for _, backend := range clique.Backends() {
+			mul, calls := countingMul(matmul.Mul3D, n)
+			got := runRows(t, backend, n, 8, func(nd *clique.Node) []int64 { return APSP(nd, g.W[nd.ID()], mul) })
+			equalRows(t, fmt.Sprintf("n=%d %s", n, backend), got, want)
+			if k := squarings(t, calls); k >= hopRounds(n) {
+				t.Errorf("n=%d %s: %d squarings, want fewer than hopRounds = %d", n, backend, k, hopRounds(n))
+			}
+		}
 	}
-	for u := range want {
-		for v := range want[u] {
-			if (got[u][v] != 0) != want[u][v] {
-				t.Errorf("closure(%d,%d) = %d, want %v", u, v, got[u][v], want[u][v])
+}
+
+// TestAPSPPhasesCoverTheRun checks the trace marks: one "paths/square"
+// phase per squaring, one "paths/converged" phase per vote, and phase
+// rounds summing to the run's rounds.
+func TestAPSPPhasesCoverTheRun(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *graph.Weighted
+	}{
+		{"path", graph.FromUnweighted(graph.Path(12))},
+		{"gnp", graph.GnpWeighted(27, 0.3, 40, false, 27)},
+	} {
+		n := c.g.N
+		mul, calls := countingMul(matmul.MulNaive, n)
+		col := trace.NewCollector(c.name, n, 8)
+		res, err := clique.Run(clique.Config{N: n, WordsPerPair: 8, Tracer: col}, func(nd *clique.Node) {
+			APSP(nd, c.g.W[nd.ID()], mul)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := squarings(t, calls)
+		votes := k
+		if k == hopRounds(n) {
+			votes = k - 1 // no vote after the last allowed squaring
+		}
+		count := map[string]int{}
+		sum := 0
+		for _, p := range col.Finish().Summary().Phases {
+			count[p.Name]++
+			sum += p.Rounds
+		}
+		if count["paths/square"] != k || count["paths/converged"] != votes {
+			t.Errorf("%s: phases %v, want %d squarings and %d votes", c.name, count, k, votes)
+		}
+		if sum != res.Stats.Rounds {
+			t.Errorf("%s: phase rounds sum to %d, run has %d", c.name, sum, res.Stats.Rounds)
+		}
+	}
+}
+
+// reachable is the centralized oracle for transitive closure: BFS from
+// every node over directed adjacency rows.
+func reachable(adj [][]int64) [][]int64 {
+	n := len(adj)
+	out := make([][]int64, n)
+	for s := range out {
+		out[s] = make([]int64, n)
+		out[s][s] = 1
+		queue := []int{s}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for v, a := range adj[u] {
+				if a != 0 && out[s][v] == 0 {
+					out[s][v] = 1
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return out
+}
+
+func adjacencyRows(g *graph.Graph) [][]int64 {
+	rows := make([][]int64, g.N)
+	for v := range rows {
+		rows[v] = matmul.AdjacencyRow(g, v)
+	}
+	return rows
+}
+
+func TestTransitiveClosure(t *testing.T) {
+	small := graph.New(10)
+	small.AddEdge(0, 1)
+	small.AddEdge(1, 2)
+	small.AddEdge(3, 4)
+	small.AddEdge(5, 6)
+	small.AddEdge(6, 7)
+	small.AddEdge(7, 8)
+	directedPath := make([][]int64, 20)
+	for v := range directedPath {
+		directedPath[v] = make([]int64, len(directedPath))
+		if v+1 < len(directedPath) {
+			directedPath[v][v+1] = 1
+		}
+	}
+	for _, c := range []struct {
+		name string
+		adj  [][]int64
+		// worst marks inputs whose closure needs every squaring.
+		worst bool
+	}{
+		{"small", adjacencyRows(small), false},
+		{"directed-path", directedPath, true},
+		{"gnp", adjacencyRows(graph.Gnp(40, 0.1, 3)), false},
+	} {
+		n := len(c.adj)
+		want := reachable(c.adj)
+		for _, backend := range clique.Backends() {
+			mul, calls := countingMul(matmul.Mul3D, n)
+			got := runRows(t, backend, n, 4, func(nd *clique.Node) []int64 {
+				return TransitiveClosure(nd, c.adj[nd.ID()], mul)
+			})
+			equalRows(t, c.name+" "+backend, got, want)
+			if k := squarings(t, calls); c.worst && k != hopRounds(n) {
+				t.Errorf("%s %s: %d squarings, want hopRounds = %d", c.name, backend, k, hopRounds(n))
 			}
 		}
 	}
@@ -226,33 +374,48 @@ func TestApproxAPSPGuarantee(t *testing.T) {
 	}
 }
 
+// diameter is the centralized oracle: the largest BFS distance over
+// all sources, graph.Inf if some pair is disconnected.
+func diameter(g *graph.Graph) int64 {
+	d := int64(0)
+	for s := 0; s < g.N; s++ {
+		for _, x := range graph.BFSDistances(g, s) {
+			d = max(d, x)
+		}
+	}
+	return d
+}
+
 func TestDiameter(t *testing.T) {
 	cases := []struct {
+		name string
 		g    *graph.Graph
 		want int64
 	}{
-		{graph.Path(8), 7},
-		{graph.Cycle(8), 4},
-		{graph.Complete(7), 1},
-		{func() *graph.Graph {
+		{"path", graph.Path(8), 7},
+		{"long-path", graph.Path(21), 20},
+		{"cycle", graph.Cycle(8), 4},
+		{"complete", graph.Complete(7), 1},
+		{"gnp", graph.Gnp(30, 0.15, 5), -1},
+		{"disconnected", func() *graph.Graph {
 			g := graph.New(5)
 			g.AddEdge(0, 1)
 			return g
 		}(), graph.Inf},
 	}
 	for _, c := range cases {
-		got := make([]int64, c.g.N)
-		_, err := clique.Run(clique.Config{N: c.g.N, WordsPerPair: 4}, func(nd *clique.Node) {
-			row := make([]int64, c.g.N)
-			c.g.Neighbors(nd.ID(), func(u int) { row[u] = 1 })
-			got[nd.ID()] = Diameter(nd, row, matmul.MulNaive)
-		})
-		if err != nil {
-			t.Fatal(err)
+		want := diameter(c.g)
+		if c.want >= 0 && want != c.want {
+			t.Fatalf("%s: oracle diameter %d, want %d", c.name, want, c.want)
 		}
-		for v, d := range got {
-			if d != c.want {
-				t.Errorf("node %d: diameter = %d, want %d", v, d, c.want)
+		for _, backend := range clique.Backends() {
+			got := runRows(t, backend, c.g.N, 4, func(nd *clique.Node) []int64 {
+				return []int64{Diameter(nd, matmul.AdjacencyRow(c.g, nd.ID()), matmul.MulNaive)}
+			})
+			for v, d := range got {
+				if d[0] != want {
+					t.Errorf("%s %s: node %d diameter = %d, want %d", c.name, backend, v, d[0], want)
+				}
 			}
 		}
 	}

@@ -213,30 +213,25 @@ func TestPerRequestTimeoutWithoutServerCap(t *testing.T) {
 // wall-time window, and the shed is counted on its own metric beside
 // the aggregate rejected counter.
 func TestQueueFullShedsWithRetryAfter(t *testing.T) {
-	installFaults(t, "stall@job.run:ms=400")
+	release := armBlockGate()
+	defer release()
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1, JobTimeout: 0})
 
-	// Fill the single worker and the single queue slot with distinct
-	// requests, then overflow. Scheduling is synchronous (enqueue
-	// happens before the handler waits), so issuing the requests from
-	// goroutines and polling the queued metric is race-free.
-	release := make(chan struct{})
+	// Park the single worker on the gate and fill the single queue slot
+	// with distinct requests, then overflow. Scheduling is synchronous
+	// (enqueue happens before the handler waits), so issuing the
+	// requests from goroutines and polling the queued metric is
+	// race-free, and the gate holds the backlog until the test opens it.
+	finished := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			do(t, s, "POST", "/v1/run", fmt.Sprintf(`{"algorithm":"exchange","n":8,"seed":%d}`, 100+i))
-			release <- struct{}{}
+			do(t, s, "POST", "/v1/run", fmt.Sprintf(`{"algorithm":"test-block","n":1,"seed":%d}`, 100+i))
+			finished <- struct{}{}
 		}(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.metrics.jobsQueued.Value()+s.metrics.jobsRunning.Value() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog never built: queued=%d running=%d",
-				s.metrics.jobsQueued.Value(), s.metrics.jobsRunning.Value())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, func() bool { return s.metrics.jobsQueued.Value()+s.metrics.jobsRunning.Value() == 2 })
 
-	rec := do(t, s, "POST", "/v1/run", `{"algorithm":"exchange","n":8,"seed":999}`)
+	rec := do(t, s, "POST", "/v1/run", `{"algorithm":"test-block","n":1,"seed":999}`)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("overflow status %d, want 503 (body: %s)", rec.Code, rec.Body.String())
 	}
@@ -254,8 +249,9 @@ func TestQueueFullShedsWithRetryAfter(t *testing.T) {
 	if !strings.Contains(do(t, s, "GET", "/metrics", "").Body.String(), `"jobs_shed"`) {
 		t.Fatal("/metrics does not expose jobs_shed")
 	}
-	<-release
-	<-release
+	release()
+	<-finished
+	<-finished
 }
 
 // TestLedgerWriteThrough pins the durable tier: a computed envelope

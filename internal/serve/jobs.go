@@ -113,14 +113,11 @@ func (s *Server) worker() {
 		for _, g := range group {
 			s.metrics.queueWait.observe(jobLabel(g.req), time.Since(g.enqueuedAt).Nanoseconds())
 		}
-		s.metrics.jobsRunning.Add(int64(len(group)))
 		if len(group) == 1 {
 			s.runJob(e)
 		} else {
 			s.runJobBatch(group)
 		}
-		s.metrics.jobsRunning.Add(int64(-len(group)))
-		s.metrics.jobsDone.Add(int64(len(group)))
 	}
 }
 
@@ -193,6 +190,7 @@ func jobLabel(req exp.Request) string {
 // experiment, backend and quick setting — one result shape across the
 // whole system.
 func (s *Server) runJob(e *entry) {
+	s.metrics.jobsRunning.Add(1)
 	start := time.Now()
 	data, err := s.executeJob(e)
 	s.metrics.runWall.observe(jobLabel(e.req), time.Since(start).Nanoseconds())
@@ -201,6 +199,10 @@ func (s *Server) runJob(e *entry) {
 	} else {
 		s.persist(e.req, e.hash, data)
 	}
+	// Count the job done before its waiters wake, so a client holding
+	// the answer never reads it as still running in /metrics.
+	s.metrics.jobsRunning.Add(-1)
+	s.metrics.jobsDone.Add(1)
 	s.cache.markCompleted(e, err != nil)
 	e.complete(data, err)
 }
@@ -279,6 +281,7 @@ func (s *Server) persist(req exp.Request, hash string, data []byte) {
 // batched per-run results are bit-identical to serial runs, and the
 // envelope is built by the same exp/marshal path (pinned by tests).
 func (s *Server) runJobBatch(group []*entry) {
+	s.metrics.jobsRunning.Add(int64(len(group)))
 	start := time.Now()
 	data, errs := s.executeBatch(group)
 	// The group shares one shape, so jobs are comparable in cost: split
@@ -293,6 +296,11 @@ func (s *Server) runJobBatch(group []*entry) {
 		} else {
 			s.persist(e.req, e.hash, data[i])
 		}
+	}
+	// As in runJob: counted done before any waiter wakes.
+	s.metrics.jobsRunning.Add(int64(-len(group)))
+	s.metrics.jobsDone.Add(int64(len(group)))
+	for i, e := range group {
 		s.cache.markCompleted(e, errs[i] != nil)
 		e.complete(data[i], errs[i])
 	}
