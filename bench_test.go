@@ -14,6 +14,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/clique"
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/counting"
 	"repro/internal/domset"
 	"repro/internal/exp"
@@ -32,7 +33,7 @@ import (
 // `go test -bench . -args -backend=goroutine` benchmarks the reference
 // engine, the default benchmarks the lockstep engine. Model costs
 // (rounds, words) are backend-independent; wall-clock is the contrast.
-var benchBackend = flag.String("backend", "lockstep", "execution backend for the root benchmarks (goroutine, lockstep)")
+var benchBackend = flag.String("backend", clique.DefaultBackend, "execution backend for the root benchmarks (goroutine, lockstep)")
 
 // benchRounds runs one simulated execution per iteration and reports the
 // round count as a custom metric.
@@ -212,24 +213,25 @@ func BenchmarkThm3_NormalForm(b *testing.B) {
 // E7 / Theorem 6: compiled edge labelling verification stays O(1).
 
 func BenchmarkThm6_EdgeLabelling(b *testing.B) {
+	alg := nondet.KColoringVerifier(3)
+	compiled := core.CompileNCLIQUE1("3-col", alg, 1, nondet.WordSpace(3), 3)
 	for _, n := range []int{8, 16, 32} {
+		// Honest labels from the transcripts of an accepting run on the
+		// planted colouring, built outside the timer.
+		g, colors := graph.PlantedColoring(n, 3, 0.7, uint64(n))
+		z := make(nondet.Labelling, n)
+		for v, c := range colors {
+			z[v] = []uint64{uint64(c)}
+		}
+		verdict, err := nondet.RunVerifier(clique.Config{N: n, Backend: *benchBackend, RecordTranscript: true}, g, alg, z)
+		if err != nil || !verdict.Accepted {
+			b.Fatal("planted colouring rejected")
+		}
+		labels := core.LabelsFromTranscripts(verdict.Result.Transcripts, 1, 3)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			benchRounds(b, n, 1, func(nd *clique.Node) {
-				// One consistency round over incident labels, the
-				// verification skeleton of the canonical problems.
-				me := nd.ID()
-				labels := make([]uint64, n)
-				for v := 0; v < n; v++ {
-					labels[v] = uint64((me + v) % 7)
-				}
-				peers, delivered := comm.AllToAllWord(nd, labels)
-				for v := 0; v < n; v++ {
-					if v == me {
-						continue
-					}
-					if !delivered[v] || peers[v] != labels[v] {
-						nd.Fail("label mismatch")
-					}
+				if !core.VerifyCompiled(nd, g.Row(nd.ID()), compiled, labels[nd.ID()]) {
+					nd.Fail("compiled verifier rejected honest labels")
 				}
 			})
 		})

@@ -59,7 +59,7 @@ import (
 
 func main() {
 	expFlag := flag.String("exp", "all", exp.Help())
-	backend := flag.String("backend", "lockstep",
+	backend := flag.String("backend", clique.DefaultBackend,
 		"execution backend ("+strings.Join(clique.Backends(), ", ")+")")
 	format := flag.String("format", "text", "output format (text, json)")
 	parallel := flag.Int("parallel", 1, "worker-pool width; experiments are independent and results keep registry order")

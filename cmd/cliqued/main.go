@@ -45,6 +45,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/clique"
 	"repro/internal/fault"
 	"repro/internal/ledger"
 	"repro/internal/serve"
@@ -55,7 +56,7 @@ func main() {
 	workers := flag.Int("workers", 0, "job worker pool width (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "bounded job queue depth (full queue answers 503)")
 	cacheEntries := flag.Int("cache", 256, "completed-result cache capacity (FIFO eviction)")
-	backend := flag.String("backend", "lockstep",
+	backend := flag.String("backend", clique.DefaultBackend,
 		"default execution backend for requests that name none ("+strings.Join(serve.Backends(), ", ")+")")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown deadline for in-flight jobs")
 	batchWidth := flag.Int("batch-width", 1,

@@ -60,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 	n := fs.Int("n", 32, "number of nodes")
 	seed := fs.Uint64("seed", 1, "instance seed")
 	wpp := fs.Int("wpp", 0, "words per pair per round (0: the algorithm's default)")
-	backend := fs.String("backend", "lockstep", "execution backend ("+strings.Join(clique.Backends(), ", ")+")")
+	backend := fs.String("backend", clique.DefaultBackend, "execution backend ("+strings.Join(clique.Backends(), ", ")+")")
 	format := fs.String("format", "text", "output format (text, json)")
 	traceFile := fs.String("trace", "", "run with the round-level tracer and write a Chrome trace-event file (Perfetto) to this path")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits before Parse returns

@@ -33,6 +33,7 @@ func main() {
 	must(err)
 	fmt.Printf("A with honest colouring: accepted=%v in %d round(s), labels %d bits/node\n",
 		verdict.Accepted, verdict.Result.Stats.Rounds, z.SizeBits(g.N))
+	want(verdict.Accepted, "A rejected the honest colouring")
 
 	// Theorem 3: transcripts as certificates.
 	certs, err := nondet.TranscriptCertificate(clique.Config{N: g.N}, g, alg, z)
@@ -45,6 +46,7 @@ func main() {
 	must(err)
 	fmt.Printf("normal-form verifier B: accepted=%v in %d round(s)\n",
 		verdict.Accepted, verdict.Result.Stats.Rounds)
+	want(verdict.Accepted, "B rejected the honest transcript")
 
 	// Tamper with one transcript word.
 	bad := make(nondet.Labelling, len(certs))
@@ -60,6 +62,7 @@ func main() {
 	verdict, err = nondet.RunVerifier(clique.Config{N: g.N}, g, b, bad)
 	must(err)
 	fmt.Printf("B on tampered transcript: accepted=%v (want false)\n", verdict.Accepted)
+	want(!verdict.Accepted, "B accepted the tampered transcript")
 
 	// A second NCLIQUE(1) member: Hamiltonian path.
 	gh, _ := graph.PlantedHamiltonianPath(9, 0.1, 5)
@@ -68,6 +71,16 @@ func main() {
 	must(err)
 	fmt.Printf("\nHamiltonian path certificate: accepted=%v in %d round(s)\n",
 		verdict.Accepted, verdict.Result.Stats.Rounds)
+	want(verdict.Accepted, "the Hamiltonian path certificate was rejected")
+}
+
+// want exits 1 with msg when a verdict is not the one the pipeline
+// promises, so a broken verifier fails the example instead of printing
+// a wrong line.
+func want(ok bool, msg string) {
+	if !ok {
+		log.Fatal(msg)
+	}
 }
 
 func must(err error) {

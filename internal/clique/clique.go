@@ -47,8 +47,8 @@ type Config struct {
 	// (Drucker et al. [19]).
 	BroadcastOnly bool
 
-	// Backend names the execution engine: "goroutine" (the default) or
-	// "lockstep". Backends are model-equivalent; see package engine.
+	// Backend names the execution engine: "lockstep" (the default) or
+	// "goroutine". Backends are model-equivalent; see package engine.
 	Backend string
 
 	// Tracer, if non-nil, receives the run's trace: the engine reports

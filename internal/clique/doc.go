@@ -17,10 +17,11 @@
 //
 // How the n node programs are actually scheduled is the job of an
 // execution backend (package engine), selected with Config.Backend:
-// "goroutine" runs one goroutine per node with a barrier per round, and
-// "lockstep" resumes the programs as coroutines on a sharded worker pool
-// with reused mailbox buffers. The two are result-identical; lockstep is
-// deterministic and much faster at large n. RunBatch is the one entry
+// "lockstep", the default, resumes the programs as coroutines on a
+// sharded worker pool with reused mailbox buffers, and "goroutine" runs
+// one goroutine per node with a barrier per round. The two are
+// result-identical; lockstep is deterministic and much faster at large
+// n, and goroutine is the independent reference it is tested against. RunBatch is the one entry
 // point: seed sweeps of one shape run as a single lockstep execution
 // with bit-identical per-run results, and Run is a batch of one.
 package clique

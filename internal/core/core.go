@@ -30,9 +30,8 @@ type RoundBound func(n int) int
 
 // Class describes a complexity class CLIQUE(T) or NCLIQUE(T).
 type Class struct {
-	Name           string
-	Bound          RoundBound
-	Nondetermistic bool
+	Name  string
+	Bound RoundBound
 }
 
 // CLIQUE returns the deterministic class descriptor for T.
@@ -42,7 +41,7 @@ func CLIQUE(name string, T RoundBound) Class {
 
 // NCLIQUE returns the nondeterministic class descriptor for T.
 func NCLIQUE(name string, T RoundBound) Class {
-	return Class{Name: "NCLIQUE(" + name + ")", Bound: T, Nondetermistic: true}
+	return Class{Name: "NCLIQUE(" + name + ")", Bound: T}
 }
 
 // Conformance is the outcome of checking a solver against a problem on

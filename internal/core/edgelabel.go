@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/clique"
 	"repro/internal/comm"
 	"repro/internal/gather"
@@ -63,23 +65,30 @@ func (l EdgeLabelling) Set(u, v int, label uint64) {
 // accept — making this the NCLIQUE(1) verifier of the edge labelling
 // problem with the labelling itself as certificate.
 func VerifyEdgeLabelling(nd clique.Endpoint, row graph.Bitset, p EdgeLabellingProblem, myLabels []uint64) bool {
-	n := nd.N()
-	me := nd.ID()
-	peers, delivered := comm.AllToAllWord(nd, myLabels)
-	ok := true
+	if !labelsAgree(nd, myLabels) {
+		return false
+	}
+	n, me := nd.N(), nd.ID()
 	for v := 0; v < n; v++ {
-		if v == me {
-			continue
-		}
-		if !delivered[v] || peers[v] != myLabels[v] {
-			ok = false // endpoints disagree about the edge's label
-			continue
-		}
-		if myLabels[v] >= p.MaxLabel || !p.Allowed(n, me, v, row, myLabels[v]) {
-			ok = false
+		if v != me && (myLabels[v] >= p.MaxLabel || !p.Allowed(n, me, v, row, myLabels[v])) {
+			return false
 		}
 	}
-	return ok
+	return true
+}
+
+// labelsAgree is the consistency round every edge labelling verifier
+// runs: each node sends each incident label to the edge's other
+// endpoint and reports whether every peer holds the same label.
+func labelsAgree(nd clique.Endpoint, labelRow []uint64) bool {
+	peers, delivered := comm.AllToAllWord(nd, labelRow)
+	me := nd.ID()
+	for v := range peers {
+		if v != me && (!delivered[v] || peers[v] != labelRow[v]) {
+			return false
+		}
+	}
+	return true
 }
 
 // SolveEdgeLabellingTrivial realises the containment direction of
@@ -125,19 +134,14 @@ func SolveEdgeLabellingTrivial(nd clique.Endpoint, row graph.Bitset, p EdgeLabel
 	return labels[nd.ID()]
 }
 
-// CompileNCLIQUE1 converts a constant-round nondeterministic verifier
-// into an edge labelling problem, following the proof of Theorem 6: the
-// label of edge {u, v} encodes the messages of an accepting run of A on
-// that edge (both directions, all T rounds), and the constraint at u
-// demands that u's incident labels are realisable — that some original
-// certificate makes A, fed exactly these incoming messages, send
-// exactly these outgoing messages and accept.
-//
-// Because the paper's constraints are per-edge, the per-edge check here
-// is necessarily an existential projection (u checks each edge against
-// its whole incident label row via the LabelRow closure it is given at
-// verification time); the compiled problem is exposed as a RowConstraint
-// below, the natural in-model object.
+// CompiledProblem is the canonical edge labelling problem of a
+// constant-round nondeterministic verifier A (Theorem 6). Its
+// constraint is stated per node: node u accepts its incident label row
+// iff some original certificate makes A, fed exactly the incoming
+// messages the row records, send exactly the outgoing ones and accept.
+// The paper's per-edge constraint is the existential projection of this
+// row check; the row is the natural in-model object, since u holds all
+// its incident labels once the consistency round has confirmed them.
 type CompiledProblem struct {
 	Name string
 	// T is the verifier's round bound.
@@ -146,25 +150,20 @@ type CompiledProblem struct {
 	MaxLabel uint64
 	// CheckRow decides whether a node's full incident label row is
 	// realisable: some original label makes A reproduce it and accept.
+	// It is local: it replays A at this node and sends nothing.
 	CheckRow func(nd clique.Endpoint, row graph.Bitset, labelRow []uint64) bool
 }
 
 // CompileNCLIQUE1 compiles verifier A (round bound T, one word per pair
 // per round, original label space `space`) into its canonical edge
-// labelling problem. Edge labels pack the 2T message words of the edge
-// into one value via base-(maxWord+1) positional encoding; maxWord must
+// labelling problem, following the proof of Theorem 6: the label of
+// edge {u, v} encodes the messages of an accepting run of A on that
+// edge, both directions and all T rounds (see labelCodec). maxWord must
 // bound every word A sends (poly(n), so labels stay O(log n) bits for
 // constant T).
 func CompileNCLIQUE1(name string, alg nondet.Algorithm, T int, space nondet.LabelSpace, maxWord uint64) CompiledProblem {
-	base := maxWord + 2 // one slot reserved for "no message"
-	pow := func(e int) uint64 {
-		out := uint64(1)
-		for i := 0; i < e; i++ {
-			out *= base
-		}
-		return out
-	}
-	maxLabel := pow(2 * T)
+	codec := newLabelCodec(T, maxWord)
+	maxLabel := codec.maxLabel()
 
 	return CompiledProblem{
 		Name:     name,
@@ -174,7 +173,7 @@ func CompileNCLIQUE1(name string, alg nondet.Algorithm, T int, space nondet.Labe
 			n := nd.N()
 			me := nd.ID()
 			// Decode the incident labels into per-round sent/received
-			// words. Slot value 0 means "no message"; w+1 encodes word w.
+			// messages.
 			inbox := make([][][]uint64, T)
 			sent := make([][][]uint64, T)
 			for r := 0; r < T; r++ {
@@ -185,30 +184,17 @@ func CompileNCLIQUE1(name string, alg nondet.Algorithm, T int, space nondet.Labe
 				if v == me {
 					continue
 				}
-				lab := labelRow[v]
-				if lab >= maxLabel {
+				if labelRow[v] >= maxLabel {
 					return false
 				}
-				// Slots 2r (u -> v where u < v) and 2r+1 (v -> u).
-				lo, hi := me, v
-				meFirst := true
-				if lo > hi {
-					lo, hi = hi, lo
-					meFirst = false
+				msgs := codec.decode(labelRow[v])
+				out, in := 0, 1 // me is the edge's lower endpoint
+				if me > v {
+					out, in = 1, 0
 				}
 				for r := 0; r < T; r++ {
-					s0 := lab / pow(2*r) % base   // lo -> hi in round r
-					s1 := lab / pow(2*r+1) % base // hi -> lo in round r
-					mySend, myRecv := s0, s1
-					if !meFirst {
-						mySend, myRecv = s1, s0
-					}
-					if mySend > 0 {
-						sent[r][v] = []uint64{mySend - 1}
-					}
-					if myRecv > 0 {
-						inbox[r][v] = []uint64{myRecv - 1}
-					}
+					sent[r][v] = msgs[2*r+out]
+					inbox[r][v] = msgs[2*r+in]
 				}
 			}
 			// Local search over original labels, replaying A against
@@ -225,10 +211,7 @@ func CompileNCLIQUE1(name string, alg nondet.Algorithm, T int, space nondet.Labe
 				}
 				for r := 0; r < T; r++ {
 					for v := 0; v < n; v++ {
-						if v == me {
-							continue
-						}
-						if !wordsEq(rep.Sent[r][v], sent[r][v]) {
+						if v != me && !slices.Equal(rep.Sent[r][v], sent[r][v]) {
 							return true
 						}
 					}
@@ -245,19 +228,7 @@ func CompileNCLIQUE1(name string, alg nondet.Algorithm, T int, space nondet.Labe
 // consistency round for the labels plus the local realisability check.
 // Constant rounds, as Theorem 6 requires.
 func VerifyCompiled(nd clique.Endpoint, row graph.Bitset, p CompiledProblem, labelRow []uint64) bool {
-	n := nd.N()
-	me := nd.ID()
-	peers, delivered := comm.AllToAllWord(nd, labelRow)
-	ok := true
-	for v := 0; v < n; v++ {
-		if v == me {
-			continue
-		}
-		if !delivered[v] || peers[v] != labelRow[v] {
-			ok = false
-		}
-	}
-	return ok && p.CheckRow(nd, row, labelRow)
+	return labelsAgree(nd, labelRow) && p.CheckRow(nd, row, labelRow)
 }
 
 // LabelsFromTranscripts builds the edge labelling of an accepting run
@@ -265,52 +236,70 @@ func VerifyCompiled(nd clique.Endpoint, row graph.Bitset, p CompiledProblem, lab
 // Theorem 6).
 func LabelsFromTranscripts(trs []*clique.Transcript, T int, maxWord uint64) EdgeLabelling {
 	n := len(trs)
-	base := maxWord + 2
-	pow := func(e int) uint64 {
-		out := uint64(1)
-		for i := 0; i < e; i++ {
-			out *= base
+	codec := newLabelCodec(T, maxWord)
+	sentIn := func(tr *clique.Transcript, r, to int) []uint64 {
+		if r < len(tr.Rounds) {
+			return tr.Rounds[r].Sent[to]
 		}
-		return out
+		return nil
 	}
 	labels := NewEdgeLabelling(n)
+	msgs := make([][]uint64, 2*T)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			var lab uint64
-			for r := 0; r < T && r < len(trs[u].Rounds); r++ {
-				if s := trs[u].Rounds[r].Sent[v]; len(s) == 1 {
-					lab += (s[0] + 1) * pow(2*r)
-				}
-				if s := trs[v].Rounds[r].Sent[u]; len(s) == 1 {
-					lab += (s[0] + 1) * pow(2*r+1)
-				}
+			for r := 0; r < T; r++ {
+				msgs[2*r], msgs[2*r+1] = sentIn(trs[u], r, v), sentIn(trs[v], r, u)
 			}
-			labels.Set(u, v, lab)
+			labels.Set(u, v, codec.encode(msgs))
 		}
 	}
 	return labels
 }
 
-func wordsEq(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// labelCodec is the one label encoding of the compiled problems. The
+// label of clique edge {lo, hi}, lo < hi, packs the edge's 2T messages
+// base-(maxWord+2) positionally: slot 2r holds what lo sent hi in round
+// r, slot 2r+1 what hi sent lo. A one-word message w fills its slot
+// with w+1; value 0 means "no message".
+type labelCodec struct {
+	base  uint64
+	slots int
 }
 
-// SumWordsCheck is a tiny helper kept for examples: the global AND of
-// each node's verdict, computed in one round.
-func SumWordsCheck(nd clique.Endpoint, ok bool) bool {
-	votes := comm.BroadcastWord(nd, clique.BoolWord(ok))
-	for _, v := range votes {
-		if v == 0 {
-			return false
+func newLabelCodec(T int, maxWord uint64) labelCodec {
+	return labelCodec{base: maxWord + 2, slots: 2 * T}
+}
+
+// maxLabel is the exclusive bound on encoded labels, base^slots.
+func (c labelCodec) maxLabel() uint64 {
+	m := uint64(1)
+	for i := 0; i < c.slots; i++ {
+		m *= c.base
+	}
+	return m
+}
+
+// encode packs one message per slot into a label.
+func (c labelCodec) encode(msgs [][]uint64) uint64 {
+	var lab uint64
+	for i := c.slots - 1; i >= 0; i-- {
+		lab *= c.base
+		if len(msgs[i]) == 1 {
+			lab += msgs[i][0] + 1
 		}
 	}
-	return true
+	return lab
+}
+
+// decode is encode's inverse on labels below maxLabel: one message per
+// slot, nil where the slot is empty.
+func (c labelCodec) decode(lab uint64) [][]uint64 {
+	msgs := make([][]uint64, c.slots)
+	for i := range msgs {
+		if s := lab % c.base; s > 0 {
+			msgs[i] = []uint64{s - 1}
+		}
+		lab /= c.base
+	}
+	return msgs
 }

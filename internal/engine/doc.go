@@ -6,7 +6,8 @@
 // communication transcripts.
 //
 // Package clique owns the node-side API (clique.Node, clique.Run); this
-// package owns execution. Two backends are provided:
+// package owns execution. Two backends are provided; lockstep is the
+// default (DefaultBackend):
 //
 //   - "goroutine": one goroutine per node with a condition-variable
 //     barrier per round. This is the original engine; it is simple and

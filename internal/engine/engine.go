@@ -251,8 +251,10 @@ type Backend interface {
 	Run(cfg Config, body func(id int, rt NodeRuntime)) (*Result, error)
 }
 
-// DefaultBackend is the backend used when no name is given.
-const DefaultBackend = "goroutine"
+// DefaultBackend is the backend used when no name is given: lockstep,
+// the deterministic engine every command and the daemon run. goroutine
+// stays the independent reference it is checked against.
+const DefaultBackend = "lockstep"
 
 // backends is the single backend registry: New, Names, and the
 // unknown-backend error string are all derived from this map, so adding

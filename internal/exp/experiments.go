@@ -2,9 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/clique"
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/counting"
 	"repro/internal/domset"
 	"repro/internal/fgc"
@@ -271,24 +273,55 @@ func expThm3(c *Ctx) {
 
 // E7 — Theorem 6: edge labelling problems.
 func expThm6(c *Ctx) {
+	const k = 3
+	alg := nondet.KColoringVerifier(k)
+	compiled := core.CompileNCLIQUE1("3-col", alg, 1, nondet.WordSpace(k), k)
 	t := c.Table("", "n", "verify rounds", "accepted")
 	for _, n := range c.Sizes([]int{5, 8, 12}, []int{5, 8}) {
-		g, _ := graph.PlantedColoring(n, 3, 0.7, uint64(n)+40)
-		alg := nondet.KColoringVerifier(3)
-		z := nondet.KColoringProver(g, 3)
+		g, _ := graph.PlantedColoring(n, k, 0.7, uint64(n)+40)
+		z := nondet.KColoringProver(g, k)
 		verdict, err := c.Verify(clique.Config{N: n, RecordTranscript: true}, g, alg, z)
 		if err != nil || !verdict.Accepted {
 			c.Failf("accepting run failed")
 		}
-		// The compiled problem's labels and one-round verification.
+		trs := verdict.Result.Transcripts
+		labels := core.LabelsFromTranscripts(trs, 1, k)
+		forged := make([][]uint64, n)
+		for me := range forged {
+			forged[me] = forgedSendRow(trs, me, (me+1)%n, k)
+		}
+		// The compiled problem's one-round verification; each node also
+		// checks its forged row locally, which sends nothing.
+		verified, forgedOK := make([]bool, n), make([]bool, n)
 		rcount := c.Rounds(n, 1, func(nd *clique.Node) {
-			// labels built centrally from the recorded transcripts
-			labels := corelabels(verdict, n, 3)
-			coreVerify(nd, g, labels)
+			me := nd.ID()
+			verified[me] = core.VerifyCompiled(nd, g.Row(me), compiled, labels[me])
+			forgedOK[me] = compiled.CheckRow(nd, g.Row(me), forged[me])
 		})
-		t.Row(Int(n), Int(rcount), Bool(verdict.Accepted))
+		accepted := true
+		for me := range verified {
+			accepted = accepted && verified[me]
+			if forgedOK[me] {
+				c.Failf("n=%d: node %d accepted a consistent but unrealisable label row", n, me)
+			}
+		}
+		t.Row(Int(n), Int(rcount), Bool(accepted))
 	}
 	c.Notef("verification rounds stay constant in n: the canonical family is NCLIQUE(1)-checkable")
+}
+
+// forgedSendRow is node me's compiled label row for the run in which me
+// claims to have sent peer a different colour from the one it sent
+// everyone else. The labelling is consistent at both endpoints, but no
+// colour makes the verifier reproduce me's row.
+func forgedSendRow(trs []*clique.Transcript, me, peer int, k uint64) []uint64 {
+	tr := *trs[me]
+	tr.Rounds = slices.Clone(tr.Rounds)
+	tr.Rounds[0].Sent = slices.Clone(tr.Rounds[0].Sent)
+	tr.Rounds[0].Sent[peer] = []uint64{(tr.Rounds[0].Sent[peer][0] + 1) % k}
+	forged := slices.Clone(trs)
+	forged[me] = &tr
+	return core.LabelsFromTranscripts(forged, 1, k)[me]
 }
 
 // E8 — Theorem 7: the Sigma_2 collapse protocol.
@@ -559,43 +592,4 @@ func expAblation(c *Ctx) {
 		L, n, direct, balanced)
 	c.Metric("direct rounds", float64(direct), "rounds")
 	c.Metric("balanced rounds", float64(balanced), "rounds")
-}
-
-// corelabels / coreVerify adapt the Theorem 6 compilation for the
-// harness without pulling package core's full surface into the
-// registry.
-func corelabels(verdict nondet.Verdict, n, k int) [][]uint64 {
-	labels := make([][]uint64, n)
-	base := uint64(k) + 2
-	for u := 0; u < n; u++ {
-		labels[u] = make([]uint64, n)
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			var lab uint64
-			if s := verdict.Result.Transcripts[u].Rounds[0].Sent[v]; len(s) == 1 {
-				lab += s[0] + 1
-			}
-			if s := verdict.Result.Transcripts[v].Rounds[0].Sent[u]; len(s) == 1 {
-				lab += (s[0] + 1) * base
-			}
-			labels[u][v] = lab
-			labels[v][u] = lab
-		}
-	}
-	return labels
-}
-
-func coreVerify(nd *clique.Node, g *graph.Graph, labels [][]uint64) {
-	n := nd.N()
-	me := nd.ID()
-	peers, delivered := comm.AllToAllWord(nd, labels[me])
-	for v := 0; v < n; v++ {
-		if v == me {
-			continue
-		}
-		if !delivered[v] || peers[v] != labels[me][v] {
-			nd.Fail("edge label mismatch with %d", v)
-		}
-	}
 }

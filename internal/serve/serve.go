@@ -29,7 +29,7 @@ type Config struct {
 	// Default: 256.
 	CacheEntries int
 	// DefaultBackend is the engine used when a request does not name
-	// one. Default: "lockstep", the serving-optimised engine.
+	// one. Default: clique.DefaultBackend.
 	DefaultBackend string
 	// BatchWidth caps how many batchable ad-hoc jobs a worker coalesces
 	// from the queue into one batched engine execution (untraced ad-hoc
@@ -65,7 +65,7 @@ func (c Config) withDefaults() Config {
 		c.CacheEntries = 256
 	}
 	if c.DefaultBackend == "" {
-		c.DefaultBackend = "lockstep"
+		c.DefaultBackend = clique.DefaultBackend
 	}
 	if c.BatchWidth < 1 {
 		c.BatchWidth = 1
