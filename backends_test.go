@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/clique"
@@ -240,28 +241,96 @@ func fuzzBackendProgram(seed int64, n, wpp int) clique.NodeFunc {
 	return func(nd *clique.Node) { prog(nd) }
 }
 
+// roundView is what one node learned in one completed round: the peers
+// that spoke to it, ascending, and a digest of their words in that
+// order.
+type roundView struct {
+	Senders []int
+	Digest  uint64
+}
+
 // fuzzEndpointProgram is fuzzBackendProgram written against
 // clique.Endpoint, so it also runs as the virtual nodes of a simulated
-// clique. When senders is non-nil, node v appends its Senders list
-// after every Tick to senders[v].
-func fuzzEndpointProgram(seed int64, n, wpp int, senders [][][]int) func(nd clique.Endpoint) {
+// clique. Each round it may broadcast (Broadcast, BroadcastWords or a
+// staged BroadcastBuf) before and after its unicasts (Send, SendWords
+// or SendBuf), all within the per-pair budget; it reads every sender
+// with Recv or RecvInto, and in its last round it may return with words
+// still queued or staged. When views is non-nil, node v appends its
+// roundView after every Tick to views[v].
+func fuzzEndpointProgram(seed int64, n, wpp int, views [][]roundView) func(nd clique.Endpoint) {
 	return func(nd clique.Endpoint) {
-		rng := rand.New(rand.NewSource(seed<<32 | int64(nd.ID())))
+		me := nd.ID()
+		rng := rand.New(rand.NewSource(seed<<32 | int64(me)))
+		words := func(k int) []uint64 {
+			w := make([]uint64, k)
+			for i := range w {
+				w[i] = rng.Uint64() % 1000
+			}
+			return w
+		}
+		used := make([]int, n)
+		broadcast := func(k int) {
+			switch rng.Intn(3) {
+			case 0:
+				nd.Broadcast(words(k)...)
+			case 1:
+				nd.BroadcastWords(words(k))
+			default:
+				copy(nd.BroadcastBuf(k), words(k))
+			}
+			for to := range used {
+				used[to] += k
+			}
+		}
+		var in []uint64
 		rounds := 2 + rng.Intn(4)
 		for r := 0; r < rounds; r++ {
+			clear(used)
+			if rng.Intn(2) == 0 {
+				broadcast(1 + rng.Intn(min(wpp, 2)))
+			}
 			for _, to := range rng.Perm(n)[:1+rng.Intn(n-1)] {
-				if to == nd.ID() {
+				if to == me || used[to] == wpp {
 					continue
 				}
-				words := make([]uint64, 1+rng.Intn(wpp))
-				for i := range words {
-					words[i] = rng.Uint64() % 1000
+				k := 1 + rng.Intn(wpp-used[to])
+				used[to] += k
+				switch rng.Intn(3) {
+				case 0:
+					nd.Send(to, words(k)...)
+				case 1:
+					nd.SendWords(to, words(k))
+				default:
+					copy(nd.SendBuf(to, k), words(k))
 				}
-				nd.Send(to, words...)
+			}
+			// A node that leaves in its last round stages a broadcast
+			// when every link has room, and returns without Tick: its
+			// queued and staged words still reach the peers that tick.
+			last := r == rounds-1 && rng.Intn(3) == 0
+			if room := wpp - slices.Max(used); room > 0 && last {
+				copy(nd.BroadcastBuf(room), words(room))
+			} else if room > 0 && rng.Intn(3) == 0 {
+				broadcast(1 + rng.Intn(room))
+			}
+			if last {
+				return
 			}
 			nd.Tick()
-			if senders != nil {
-				senders[nd.ID()] = append(senders[nd.ID()], nd.Senders(nil))
+			senders := nd.Senders(nil)
+			var digest uint64
+			for _, p := range senders {
+				got := nd.Recv(p)
+				if rng.Intn(2) == 0 {
+					in = nd.RecvInto(p, in[:0])
+					got = in
+				}
+				for _, w := range got {
+					digest = digest*1_000_003 + uint64(p)<<32 + w
+				}
+			}
+			if views != nil {
+				views[me] = append(views[me], roundView{senders, digest})
 			}
 		}
 	}
@@ -269,23 +338,26 @@ func fuzzEndpointProgram(seed int64, n, wpp int, senders [][][]int) func(nd cliq
 
 // checkBackendEquivalence replays the seed's program on every backend
 // and compares stats and full transcripts word for word, and the
-// per-round Senders lists of every node — which must also match the
-// same program run as the virtual nodes of a simulated clique.
+// per-round views (senders and received-word digests) of every node.
+// The same program run as the virtual nodes of a simulated clique, whose
+// node handle stages and flushes on its own, is the independent oracle
+// for each backend's views.
 func checkBackendEquivalence(t *testing.T, seed int64, n, wpp int) {
 	t.Helper()
 	var refStats clique.Stats
 	var refTr []*clique.Transcript
-	var refSenders [][][]int
+	backendViews := map[string][][]roundView{}
 	for i, backend := range clique.Backends() {
-		senders := make([][][]int, n)
-		prog := fuzzEndpointProgram(seed, n, wpp, senders)
+		views := make([][]roundView, n)
+		prog := fuzzEndpointProgram(seed, n, wpp, views)
 		res, err := clique.Run(clique.Config{N: n, WordsPerPair: wpp, RecordTranscript: true, Backend: backend},
 			func(nd *clique.Node) { prog(nd) })
 		if err != nil {
 			t.Fatalf("seed %d backend %s: %v", seed, backend, err)
 		}
+		backendViews[backend] = views
 		if i == 0 {
-			refStats, refTr, refSenders = res.Stats, res.Transcripts, senders
+			refStats, refTr = res.Stats, res.Transcripts
 			continue
 		}
 		if res.Stats != refStats {
@@ -294,15 +366,12 @@ func checkBackendEquivalence(t *testing.T, seed int64, n, wpp int) {
 		if !reflect.DeepEqual(res.Transcripts, refTr) {
 			t.Errorf("seed %d: %s transcripts diverge", seed, backend)
 		}
-		if !reflect.DeepEqual(senders, refSenders) {
-			t.Errorf("seed %d: %s Senders %v != %v", seed, backend, senders, refSenders)
-		}
 	}
 	// The virtual clique: n virtual nodes hosted round-robin on a
 	// smaller real clique.
 	hosts := (n + 1) / 2
-	senders := make([][][]int, n)
-	prog := fuzzEndpointProgram(seed, n, wpp, senders)
+	views := make([][]roundView, n)
+	prog := fuzzEndpointProgram(seed, n, wpp, views)
 	_, err := clique.Run(clique.Config{N: hosts, WordsPerPair: 4, Backend: "lockstep"}, func(nd *clique.Node) {
 		virtual.Run(nd, virtual.Config{M: n, Host: func(v int) int { return v % hosts }, WordsPerPair: wpp},
 			func(vn *virtual.Node) { prog(vn) })
@@ -310,8 +379,10 @@ func checkBackendEquivalence(t *testing.T, seed int64, n, wpp int) {
 	if err != nil {
 		t.Fatalf("seed %d virtual clique: %v", seed, err)
 	}
-	if !reflect.DeepEqual(senders, refSenders) {
-		t.Errorf("seed %d: virtual clique Senders %v != %v", seed, senders, refSenders)
+	for _, backend := range clique.Backends() {
+		if got := backendViews[backend]; !reflect.DeepEqual(got, views) {
+			t.Errorf("seed %d: %s views %v, virtual clique %v", seed, backend, got, views)
+		}
 	}
 }
 

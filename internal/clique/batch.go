@@ -59,5 +59,9 @@ func RunBatch(cfg Config, programs []NodeFunc) ([]*Result, []error) {
 			nd.tr = rec
 		}
 		programs[run](nd)
+		// A staged broadcast of a returning program belongs to the round
+		// its peers are completing; a violation it raises panics inside
+		// the body, where the engine recovers it like any other.
+		nd.flush()
 	})
 }

@@ -136,6 +136,11 @@ type Node struct {
 	rt  engine.NodeRuntime
 	// completed counts rounds this node has finished with Tick.
 	completed int
+	// bcast backs the buffer BroadcastBuf hands out, reused across
+	// calls; pend is the length of its staged, not yet queued words
+	// (0 = none).
+	bcast []uint64
+	pend  int
 	// tr records phase/op spans; non-nil only at node 0 of a traced run.
 	tr trace.SpanRecorder
 }
@@ -169,6 +174,7 @@ func (nd *Node) SendWords(to int, words []uint64) {
 	if to < 0 || to >= nd.n || to == nd.id {
 		panic(engine.Violation{Err: fmt.Errorf("clique: node %d: invalid Send target %d", nd.id, to)})
 	}
+	nd.flush()
 	nd.rt.Send(nd.id, nd.completed, to, words)
 }
 
@@ -184,6 +190,7 @@ func (nd *Node) SendBuf(to, k int) []uint64 {
 	if k < 0 {
 		panic(engine.Violation{Err: fmt.Errorf("clique: node %d: negative SendBuf size %d", nd.id, k)})
 	}
+	nd.flush()
 	return nd.rt.SendBuf(nd.id, nd.completed, to, k)
 }
 
@@ -198,21 +205,36 @@ func (nd *Node) Broadcast(words ...uint64) {
 // indirection. The engine copies straight from the caller's slice into
 // each link with no intermediate buffer.
 func (nd *Node) BroadcastWords(words []uint64) {
+	nd.flush()
 	nd.rt.Broadcast(nd.id, nd.completed, words)
 }
 
 // BroadcastBuf returns a reusable k-word staging buffer to fill — the
 // allocation-free broadcast path for callers that would otherwise
-// build an argument slice per call. The filled words are delivered by
-// one fused Broadcast at the node's next send operation or Tick, with
-// exactly Broadcast's budget checks and ordering (later Sends of the
-// same round queue after them). The buffer must be fully written
-// before that point and is invalid after.
+// build an argument slice per call. The filled words are queued by one
+// Broadcast at the node's next send operation or Tick, or when its
+// program returns, with exactly Broadcast's budget checks and ordering
+// (later Sends of the same round queue after them). The buffer must be
+// fully written before that point and is invalid after.
 func (nd *Node) BroadcastBuf(k int) []uint64 {
 	if k < 0 {
 		panic(engine.Violation{Err: fmt.Errorf("clique: node %d: negative BroadcastBuf size %d", nd.id, k)})
 	}
-	return nd.rt.BroadcastBuf(nd.id, nd.completed, k)
+	nd.flush()
+	if cap(nd.bcast) < k {
+		nd.bcast = make([]uint64, k)
+	}
+	nd.pend = k
+	return nd.bcast[:k]
+}
+
+// flush queues the words staged by the last BroadcastBuf, if any, as one
+// Broadcast of the round they were staged in.
+func (nd *Node) flush() {
+	if k := nd.pend; k != 0 {
+		nd.pend = 0
+		nd.rt.Broadcast(nd.id, nd.completed, nd.bcast[:k])
+	}
 }
 
 // Tick completes the current round: all queued messages across the whole
@@ -220,6 +242,7 @@ func (nd *Node) BroadcastBuf(k int) []uint64 {
 // the barrier. After Tick, Recv reports the words received in the round
 // that just completed.
 func (nd *Node) Tick() {
+	nd.flush()
 	nd.rt.Barrier(nd.id)
 	nd.completed++
 }
@@ -248,17 +271,7 @@ func (nd *Node) RecvInto(from int, buf []uint64) []uint64 {
 	if nd.completed == 0 {
 		return buf
 	}
-	return nd.rt.RecvInto(nd.id, from, buf)
-}
-
-// RecvAll returns the full inbox of the most recently completed round,
-// indexed by sender (the entry at the node's own index is empty). The
-// returned slices are engine-owned; see Recv.
-func (nd *Node) RecvAll() [][]uint64 {
-	if nd.completed == 0 {
-		return make([][]uint64, nd.n)
-	}
-	return nd.rt.RecvAll(nd.id)
+	return append(buf, nd.rt.Recv(nd.id, from)...)
 }
 
 // Senders appends to buf the ids of the nodes that sent this node a
@@ -330,9 +343,9 @@ type Endpoint interface {
 	// BroadcastWords queues an existing slice on every outgoing link
 	// (batched Broadcast).
 	BroadcastWords(words []uint64)
-	// BroadcastBuf reserves k words on every outgoing link and returns
-	// one buffer to fill (zero-copy Broadcast); the words replicate at
-	// the next send operation or Tick.
+	// BroadcastBuf returns one staging buffer of k words to fill; the
+	// words are broadcast at the next send operation or Tick, or when
+	// the program returns.
 	BroadcastBuf(k int) []uint64
 	// Tick completes the current round.
 	Tick()

@@ -417,9 +417,11 @@ func TestRecvBeforeFirstTick(t *testing.T) {
 		if w := nd.Recv(1 - nd.ID()); w != nil {
 			nd.Fail("Recv before Tick = %v, want nil", w)
 		}
-		all := nd.RecvAll()
-		if len(all) != 2 {
-			nd.Fail("RecvAll length %d", len(all))
+		if buf := nd.RecvInto(1-nd.ID(), []uint64{7}); len(buf) != 1 || buf[0] != 7 {
+			nd.Fail("RecvInto before Tick = %v, want the buffer unchanged", buf)
+		}
+		if ids := nd.Senders(nil); ids != nil {
+			nd.Fail("Senders before Tick = %v, want nil", ids)
 		}
 	})
 	if err != nil {

@@ -15,6 +15,17 @@
 // advance to the next synchronous round. Local computation between Ticks
 // is unlimited, matching the model.
 //
+// Node is the one implementation of the allocation-free conveniences
+// over the engine's runtime. BroadcastBuf hands out the node's reused
+// staging buffer; the staged words are queued by one runtime Broadcast
+// at the node's next send or Tick (after that method's own argument
+// checks) or, through RunBatch's body wrapper, when the program
+// returns — so a returning node's staged broadcast reaches the round its
+// peers complete, and a budget violation it raises is recovered by the
+// engine like any other. RecvInto appends the runtime's Recv view to a
+// caller-owned buffer. Both backends therefore see only plain Broadcast
+// and Recv calls.
+//
 // How the n node programs are actually scheduled is the job of an
 // execution backend (package engine), selected with Config.Backend:
 // "lockstep", the default, resumes the programs as coroutines on a

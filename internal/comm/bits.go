@@ -63,57 +63,9 @@ func BroadcastBitRowsInto(nd clique.Endpoint, row bitvec.Row, bits int, into []b
 	return into
 }
 
-// GatherBits collects one packed row of `bits` bits from every node at
-// root, in ceil(bitvec.Words(bits) / wordsPerPair) rounds. The root
-// returns the table indexed by sender (its own entry a copy); other
-// nodes return nil.
-func GatherBits(nd clique.Endpoint, root int, row bitvec.Row, bits int) []bitvec.Row {
-	defer trace.Op(nd, "GatherBits", bitvec.Words(bits))()
-	k := bitvec.Words(bits)
-	if len(row) != k {
-		nd.Fail("comm: GatherBits row has %d words, contract is exactly %d for %d bits", len(row), k, bits)
-	}
-	table := Gather(nd, root, row, k)
-	if table == nil {
-		return nil
-	}
-	rows := make([]bitvec.Row, len(table))
-	for p, words := range table {
-		rows[p] = bitvec.Row(words)
-	}
-	return rows
-}
-
-// AllToAllBits is the personalised packed exchange: rows[v] is the
-// `bits`-bit row this node owes node v (the own entry is returned to
-// the caller as its own copy). Every link carries the same fixed word
-// count, so no agreement round is needed: exactly
-// ceil(bitvec.Words(bits) / wordsPerPair) rounds, on the zero-copy
-// send path.
-func AllToAllBits(nd clique.Endpoint, rows []bitvec.Row, bits int) []bitvec.Row {
-	n := nd.N()
-	k := bitvec.Words(bits)
-	if len(rows) != n {
-		nd.Fail("comm: AllToAllBits given %d rows, want one per node (n=%d)", len(rows), n)
-	}
-	out := make([][]uint64, n)
-	for v, r := range rows {
-		if len(r) != k {
-			nd.Fail("comm: AllToAllBits row for %d has %d words, contract is exactly %d for %d bits", v, len(r), k, bits)
-		}
-		out[v] = r
-	}
-	in := AllToAllFixed(nd, out, k)
-	res := make([]bitvec.Row, n)
-	for p, words := range in {
-		res[p] = bitvec.Row(words)
-	}
-	return res
-}
-
-// AllToAllFixed is the fixed-width personalised exchange underlying
-// AllToAllBits: out[v] is the exactly-k-word payload this node owes
-// node v, every link carries the same k words, and the own entry comes
+// AllToAllFixed is the fixed-width personalised exchange: out[v] is
+// the exactly-k-word payload this node owes node v (a packed row, say),
+// every link carries the same k words, and the own entry comes
 // back as a copy. Because the width is globally agreed there is no
 // max-reduction round (contrast AllToAll): exactly
 // ceil(k / wordsPerPair) rounds on the zero-copy send path. This is

@@ -68,47 +68,6 @@ func TestBroadcastBitRowsInto(t *testing.T) {
 	})
 }
 
-func TestGatherBits(t *testing.T) {
-	const n, bits, root = 7, 90, 3
-	runBoth(t, clique.Config{N: n, WordsPerPair: 2}, func(nd *clique.Node) {
-		table := GatherBits(nd, root, testRow(nd.ID(), bits), bits)
-		if nd.ID() != root {
-			if table != nil {
-				nd.Fail("non-root got a gather table")
-			}
-			return
-		}
-		for p := 0; p < n; p++ {
-			if !table[p].Equal(testRow(p, bits)) {
-				nd.Fail("gathered row from %d corrupted", p)
-			}
-		}
-	})
-}
-
-func TestAllToAllBits(t *testing.T) {
-	const n, bits = 6, 70
-	res := runBoth(t, clique.Config{N: n, WordsPerPair: 1}, func(nd *clique.Node) {
-		me := nd.ID()
-		rows := make([]bitvec.Row, n)
-		for v := range rows {
-			rows[v] = testRow(me*n+v, bits)
-		}
-		in := AllToAllBits(nd, rows, bits)
-		for p := 0; p < n; p++ {
-			if !in[p].Equal(testRow(p*n+me, bits)) {
-				nd.Fail("packed row from %d corrupted", p)
-			}
-		}
-	})
-	want := bitvec.Words(bits) // 2 words at wpp 1, no agreement round
-	for backend, r := range res {
-		if r.Stats.Rounds != want {
-			t.Errorf("%s: rounds = %d, want %d", backend, r.Stats.Rounds, want)
-		}
-	}
-}
-
 func TestAllToAllFixedWidths(t *testing.T) {
 	const n = 5
 	for _, k := range []int{0, 1, 3, 8} {
@@ -158,12 +117,6 @@ func TestPackedCollectiveBackendEquivalence(t *testing.T) {
 				me := nd.ID()
 				var log []any
 				log = append(log, BroadcastBitRows(nd, testRow(me, bits), bits))
-				log = append(log, GatherBits(nd, 1, testRow(me+2, bits), bits))
-				rows := make([]bitvec.Row, n)
-				for v := range rows {
-					rows[v] = testRow(me^v, bits)
-				}
-				log = append(log, AllToAllBits(nd, rows, bits))
 				out := make([][]uint64, n)
 				for v := range out {
 					out[v] = []uint64{uint64(me), uint64(v), uint64(me * v)}

@@ -248,106 +248,6 @@ func BroadcastFrom(nd clique.Endpoint, root int, words []uint64, k int) []uint64
 	return out
 }
 
-// Gather collects exactly k words from every node at root, in
-// ceil(k / wordsPerPair) rounds. The root returns the table indexed by
-// sender (its own entry a copy of its input); other nodes return nil.
-func Gather(nd clique.Endpoint, root int, words []uint64, k int) [][]uint64 {
-	var into [][]uint64
-	if nd.ID() == root {
-		into = make([][]uint64, nd.N())
-	}
-	return GatherTo(nd, root, words, k, into)
-}
-
-// GatherTo is Gather appending into a caller-provided table (length n,
-// entries may be pre-allocated and are appended to), so steady-state
-// callers reuse their buffers. Only the root's `into` is consulted;
-// non-root nodes return nil.
-func GatherTo(nd clique.Endpoint, root int, words []uint64, k int, into [][]uint64) [][]uint64 {
-	defer trace.Op(nd, "Gather", k)()
-	n := nd.N()
-	me := nd.ID()
-	if root < 0 || root >= n {
-		nd.Fail("comm: Gather root %d out of range", root)
-	}
-	if len(words) != k {
-		nd.Fail("comm: Gather given %d words, contract is exactly k=%d", len(words), k)
-	}
-	if me == root {
-		if len(into) != n {
-			nd.Fail("comm: GatherTo table has %d entries, want n=%d", len(into), n)
-		}
-		into[me] = append(into[me], words...)
-	}
-	wpp := nd.WordsPerPair()
-	for off := 0; off < k; off += wpp {
-		if me != root {
-			nd.SendWords(root, words[off:chunkEnd(off, k, wpp)])
-		}
-		nd.Tick()
-		if me == root {
-			for p := 0; p < n; p++ {
-				if p != me {
-					into[p] = nd.RecvInto(p, into[p])
-				}
-			}
-		}
-	}
-	if me != root {
-		return nil
-	}
-	return into
-}
-
-// Scatter distributes k words to every node from root: parts[v] is the
-// k-word slice bound for node v (only the root's parts is consulted;
-// parts[root] stays local). Takes ceil(k / wordsPerPair) rounds; every
-// node returns its part, the root its own slice.
-func Scatter(nd clique.Endpoint, root int, parts [][]uint64, k int) []uint64 {
-	defer trace.Op(nd, "Scatter", k)()
-	n := nd.N()
-	me := nd.ID()
-	if root < 0 || root >= n {
-		nd.Fail("comm: Scatter root %d out of range", root)
-	}
-	if me == root {
-		if len(parts) != n {
-			nd.Fail("comm: Scatter has %d parts, want n=%d", len(parts), n)
-		}
-		for v, part := range parts {
-			if len(part) != k {
-				nd.Fail("comm: Scatter part for %d holds %d words, contract is exactly k=%d", v, len(part), k)
-			}
-		}
-	}
-	var out []uint64
-	if me != root && k > 0 {
-		out = make([]uint64, 0, k)
-	}
-	wpp := nd.WordsPerPair()
-	for off := 0; off < k; off += wpp {
-		if me == root {
-			end := chunkEnd(off, k, wpp)
-			for v := 0; v < n; v++ {
-				if v != me {
-					nd.SendWords(v, parts[v][off:end])
-				}
-			}
-		}
-		nd.Tick()
-		if me != root {
-			out = nd.RecvInto(root, out)
-		}
-	}
-	if me == root {
-		return parts[me]
-	}
-	if len(out) != k {
-		nd.Fail("comm: Scatter received %d words from root %d, want %d", len(out), root, k)
-	}
-	return out
-}
-
 // AllToAllWord is the one-word personalised exchange: node v receives
 // out[p] from every peer p, in one round over the zero-copy send path.
 // The returned ok flags report which peers delivered exactly one word

@@ -232,44 +232,6 @@ func TestBroadcastFromChunks(t *testing.T) {
 	}
 }
 
-func TestGatherScatterRoundTrip(t *testing.T) {
-	const n, k, wpp = 5, 5, 2
-	res := runBoth(t, clique.Config{N: n, WordsPerPair: wpp}, func(nd *clique.Node) {
-		const root = 1
-		words := make([]uint64, k)
-		for i := range words {
-			words[i] = uint64(nd.ID()*100 + i)
-		}
-		table := Gather(nd, root, words, k)
-		if nd.ID() != root {
-			if table != nil {
-				nd.Fail("non-root got a gather table")
-			}
-		} else {
-			for p := 0; p < n; p++ {
-				for i := 0; i < k; i++ {
-					if table[p][i] != uint64(p*100+i) {
-						nd.Fail("gather table[%d][%d] = %d", p, i, table[p][i])
-					}
-				}
-			}
-		}
-		// Scatter the gathered table straight back; every node must
-		// recover its own contribution.
-		back := Scatter(nd, root, table, k)
-		for i, w := range back {
-			if w != words[i] {
-				nd.Fail("scatter word %d = %d, want %d", i, w, words[i])
-			}
-		}
-	})
-	for backend, r := range res {
-		if want := 2 * ((k + wpp - 1) / wpp); r.Stats.Rounds != want {
-			t.Errorf("%s: rounds = %d, want %d", backend, r.Stats.Rounds, want)
-		}
-	}
-}
-
 func TestAllToAllWord(t *testing.T) {
 	const n = 6
 	runBoth(t, clique.Config{N: n}, func(nd *clique.Node) {
@@ -554,16 +516,6 @@ func TestCollectiveBackendEquivalence(t *testing.T) {
 					wit = []uint64{3, 1, 4, 1, 5}
 				}
 				log = append(log, BroadcastFrom(nd, 1, wit, 5))
-				mine := []uint64{uint64(me), uint64(me + 1)}
-				log = append(log, Gather(nd, 0, mine, 2))
-				var parts [][]uint64
-				if me == 0 {
-					parts = make([][]uint64, n)
-					for v := range parts {
-						parts[v] = []uint64{uint64(v * 11)}
-					}
-				}
-				log = append(log, Scatter(nd, 0, parts, 1))
 				out := make([]uint64, n)
 				for v := range out {
 					out[v] = uint64(me ^ v)

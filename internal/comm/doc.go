@@ -1,7 +1,7 @@
 // Package comm is the collective-communication layer of the congested
 // clique simulator: the reusable vocabulary of communication patterns —
-// broadcasts, reductions, gather/scatter, personalised all-to-all
-// exchanges, and Lenzen-style balanced routing — that every algorithm
+// broadcasts, reductions, personalised all-to-all exchanges, sparse
+// sends, and Lenzen-style balanced routing — that every algorithm
 // package builds on instead of hand-rolling per-word Send loops.
 //
 // All collectives are global operations written against
@@ -15,10 +15,12 @@
 // into ceil(k / wordsPerPair) rounds automatically, so algorithms state
 // *what* moves and the collective owns the round schedule.
 //
-// The collectives ride the batched engine paths (BroadcastWords,
-// SendWords, SendBuf, BroadcastBuf, RecvInto), so a migrated algorithm
-// allocates nothing per round beyond its own result buffers. Which
-// collective to reach for:
+// The collectives ride the allocation-free Endpoint paths
+// (BroadcastWords, SendWords, SendBuf, BroadcastBuf, RecvInto), so a
+// migrated algorithm allocates nothing per round beyond its own result
+// buffers. Every collective here has a caller among the algorithms,
+// commands or benchmarks; one with none is deleted rather than kept for
+// later. Which collective to reach for:
 //
 //   - BroadcastAll: every node contributes k words, all nodes learn the
 //     full table (the all-gather of the suite).
@@ -32,7 +34,6 @@
 //     rounds (kernelisation-style protocols).
 //   - BroadcastFrom: one root ships k words to everyone (leader
 //     agreement, witness publication).
-//   - Gather / GatherTo / Scatter: k words per node to or from a root.
 //   - AllToAllWord: one word to every peer, one round (transposes,
 //     label-consistency checks).
 //   - AllToAll: arbitrary per-destination streams, the raw substrate
@@ -52,13 +53,12 @@
 //   - SendToFew: at most one message per destination, received as a
 //     sender-ascending list appended to a caller-reused buffer.
 //   - SampledBroadcast: only the active nodes broadcast k words.
-//   - GatherSparse: only the active nodes' payloads reach the root.
 //
 // They, Flags and BroadcastRounds receive through Endpoint.Senders, so
 // on the lockstep backend a round costs each node O(senders that spoke
 // + n/64), not a probe of all n peers. SendToFew allocates nothing in
-// proportion to n; SampledBroadcast, GatherSparse and Flags still
-// return n-entry tables, one O(n) allocation per call.
+// proportion to n; SampledBroadcast and Flags still return n-entry
+// tables, one O(n) allocation per call.
 //
 // The packed plane (bits.go) moves dense boolean payloads at 64 matrix
 // entries per word over bitvec.Row values — ceil(bits/64) words per row
@@ -67,11 +67,7 @@
 //
 //   - BroadcastBitRows / BroadcastBitRowsInto: every node broadcasts
 //     one packed row; all nodes learn the table (packed BroadcastAll).
-//   - GatherBits: one packed row per node collected at a root (the
-//     packed Gather).
-//   - AllToAllBits: one packed row to every peer (the packed
-//     personalised exchange).
-//   - AllToAllFixed: the fixed-width word exchange under AllToAllBits —
-//     no agreement round, and the transport of the packed 3D matrix
+//   - AllToAllFixed: the fixed-width personalised word exchange — no
+//     agreement round, and the transport of the packed 3D matrix
 //     multiplication's perfectly balanced block phases.
 package comm

@@ -172,51 +172,3 @@ func SampledBroadcast(nd clique.Endpoint, words []uint64, k int, active bool) []
 	}
 	return in
 }
-
-// GatherSparse collects at most one k-word payload per node at root,
-// costing only the active nodes' words: nodes pass their payload (or
-// nil to stay silent), and after ceil(k / wpp) rounds the root holds
-// the table indexed by sender (nil entries were silent; the root's
-// own payload included). Non-root nodes get a table holding only
-// their own entry. The sparse counterpart of Gather, which always
-// moves n·k words.
-func GatherSparse(nd clique.Endpoint, root int, words []uint64, k int) [][]uint64 {
-	defer trace.Op(nd, "GatherSparse", len(words))()
-	if k < 1 {
-		nd.Fail("comm: GatherSparse k = %d, need >= 1", k)
-	}
-	n := nd.N()
-	me := nd.ID()
-	if root < 0 || root >= n {
-		nd.Fail("comm: GatherSparse root = %d, need 0..%d", root, n-1)
-	}
-	if words != nil && len(words) != k {
-		nd.Fail("comm: GatherSparse active with %d words, contract is exactly k=%d", len(words), k)
-	}
-	wpp := nd.WordsPerPair()
-	in := make([][]uint64, n)
-	if words != nil {
-		in[me] = append(in[me], words...)
-	}
-	var senders []int
-	for off := 0; off < k; off += wpp {
-		if words != nil && me != root {
-			nd.SendWords(root, words[off:chunkEnd(off, k, wpp)])
-		}
-		nd.Tick()
-		if me == root {
-			senders = nd.Senders(senders[:0])
-			for _, p := range senders {
-				in[p] = nd.RecvInto(p, in[p])
-			}
-		}
-	}
-	if me == root {
-		for p := 0; p < n; p++ {
-			if got := len(in[p]); got != 0 && got != k {
-				nd.Fail("comm: GatherSparse received %d words from %d, want 0 or k=%d", got, p, k)
-			}
-		}
-	}
-	return in
-}

@@ -237,44 +237,6 @@ func TestSampledBroadcastSilenceIsFree(t *testing.T) {
 	}
 }
 
-func TestGatherSparse(t *testing.T) {
-	const n, k, root = 9, 3, 2
-	for _, backend := range clique.Backends() {
-		var atRoot [][]uint64
-		res, err := clique.Run(clique.Config{N: n, WordsPerPair: 1, Backend: backend}, func(nd *clique.Node) {
-			me := nd.ID()
-			var words []uint64
-			if me%2 == 0 {
-				words = []uint64{uint64(me), uint64(me + 1), uint64(me + 2)}
-			}
-			table := GatherSparse(nd, root, words, k)
-			if me == root {
-				atRoot = table
-			}
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		if res.Stats.Rounds != k {
-			t.Errorf("%s: rounds = %d, want %d", backend, res.Stats.Rounds, k)
-		}
-		// Word cost: the 4 active non-root senders (root's own entry is
-		// free), k words each.
-		if want := int64(4 * k); res.Stats.WordsSent != want {
-			t.Errorf("%s: WordsSent = %d, want %d", backend, res.Stats.WordsSent, want)
-		}
-		for p := 0; p < n; p++ {
-			if p%2 == 0 {
-				if len(atRoot[p]) != k || atRoot[p][0] != uint64(p) {
-					t.Fatalf("%s: root table[%d] = %v", backend, p, atRoot[p])
-				}
-			} else if atRoot[p] != nil {
-				t.Fatalf("%s: root heard silent node %d", backend, p)
-			}
-		}
-	}
-}
-
 // TestSparseCollectiveBackendEquivalence is the transcript-level
 // cross-backend gate for the sparse collectives, mirroring
 // TestCollectiveBackendEquivalence for the dense ones.
@@ -304,11 +266,6 @@ func TestSparseCollectiveBackendEquivalence(t *testing.T) {
 					words = []uint64{uint64(me), uint64(me * me), uint64(me + 42)}
 				}
 				log = append(log, SampledBroadcast(nd, words, 3, me%2 == 1))
-				var pay []uint64
-				if me >= n/2 {
-					pay = []uint64{uint64(me * 7)}
-				}
-				log = append(log, GatherSparse(nd, 0, pay, 1))
 				outputs[me] = fmt.Sprintf("%v", log)
 			})
 		if err != nil {

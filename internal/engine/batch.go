@@ -223,7 +223,6 @@ func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, 
 
 	results := make([]*Result, batch)
 	for r, e := range engines {
-		foldBatchOps(e.ops)
 		results[r] = finish(e.stats, e.transcripts, n)
 	}
 	return results, errs

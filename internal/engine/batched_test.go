@@ -34,10 +34,12 @@ func transcriptKey(ts []*Transcript) string {
 	return sb.String()
 }
 
-// TestBatchedMatchesVarargs pins the core contract of the batched
-// paths: a program written with SendBuf/BroadcastBuf/RecvInto produces
-// exactly the Stats and transcripts of its Send/Broadcast/Recv twin,
-// on every backend.
+// TestBatchedMatchesVarargs pins the runtime's zero-copy send path: a
+// program that fills SendBuf reservations produces exactly the Stats
+// and transcripts of its Send twin, on every backend, including when a
+// Broadcast earlier in the round shares the link. The node-side staging
+// paths (BroadcastBuf, RecvInto) are pinned by package clique's test of
+// the same name.
 func TestBatchedMatchesVarargs(t *testing.T) {
 	const n, wpp, rounds = 5, 3, 4
 	cfg := Config{N: n, WordsPerPair: wpp, RecordTranscript: true}
@@ -55,18 +57,11 @@ func TestBatchedMatchesVarargs(t *testing.T) {
 		}
 	})
 	batched := runAll(t, cfg, func(id int, rt NodeRuntime) {
-		var scratch []uint64
 		for r := 0; r < rounds; r++ {
-			buf := rt.BroadcastBuf(id, r, 1)
-			buf[0] = uint64(id*10 + r)
+			rt.Broadcast(id, r, []uint64{uint64(id*10 + r)})
 			sb := rt.SendBuf(id, r, (id+1)%n, 2)
 			sb[0], sb[1] = uint64(id), uint64(r)
 			rt.Barrier(id)
-			for p := 0; p < n; p++ {
-				if p != id {
-					scratch = rt.RecvInto(id, p, scratch[:0])
-				}
-			}
 		}
 	})
 
@@ -83,53 +78,6 @@ func TestBatchedMatchesVarargs(t *testing.T) {
 		}
 		if transcriptKey(res.Transcripts) != refTr {
 			t.Errorf("batched %s transcripts diverge from the varargs run", name)
-		}
-	}
-}
-
-// TestBroadcastBufOrdersBeforeLaterSends verifies the replication
-// contract: words reserved by BroadcastBuf land on every link *before*
-// words queued by later Sends of the same round, on every backend.
-func TestBroadcastBufOrdersBeforeLaterSends(t *testing.T) {
-	const n = 3
-	for name, res := range runAll(t, Config{N: n, WordsPerPair: 4, RecordTranscript: true},
-		func(id int, rt NodeRuntime) {
-			buf := rt.BroadcastBuf(id, 0, 1)
-			buf[0] = uint64(100 + id)
-			rt.Send(id, 0, (id+1)%n, []uint64{uint64(200 + id)})
-			rt.Barrier(id)
-		}) {
-		tr := res.Transcripts[1].Rounds[0]
-		want := []uint64{100, 200} // broadcast word first, then the send
-		got := tr.Recv[0]
-		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-			t.Errorf("%s: node 1 received %v from node 0, want %v", name, got, want)
-		}
-		if w := tr.Recv[2]; len(w) != 1 || w[0] != 102 {
-			t.Errorf("%s: node 1 received %v from node 2, want [102]", name, w)
-		}
-	}
-}
-
-// TestBroadcastBufFlushOnReturn: a node that fills its broadcast buffer
-// and returns without ever reaching another runtime call still delivers
-// the words to the round its peers complete.
-func TestBroadcastBufFlushOnReturn(t *testing.T) {
-	const n = 4
-	for name, res := range runAll(t, Config{N: n, RecordTranscript: true},
-		func(id int, rt NodeRuntime) {
-			if id == 0 {
-				buf := rt.BroadcastBuf(id, 0, 1)
-				buf[0] = 7
-				return // no Barrier: the leave path must flush
-			}
-			rt.Barrier(id)
-			if w := rt.Recv(id, 0); len(w) != 1 || w[0] != 7 {
-				panic(Violation{Err: fmt.Errorf("node %d saw %v from the returning broadcaster", id, w)})
-			}
-		}) {
-		if res.Stats.WordsSent != n-1 {
-			t.Errorf("%s: words = %d, want %d", name, res.Stats.WordsSent, n-1)
 		}
 	}
 }
@@ -155,8 +103,8 @@ func TestSendBufStaysAliasedAcrossLaterSends(t *testing.T) {
 	}
 }
 
-// TestBatchedBudgetViolations: SendBuf and BroadcastBuf must raise the
-// canonical budget violation, deterministically on the lockstep engine.
+// TestBatchedBudgetViolations: SendBuf must raise the canonical budget
+// violation, deterministically on the lockstep engine.
 func TestBatchedBudgetViolations(t *testing.T) {
 	for _, name := range Names() {
 		be, _ := New(name)
@@ -169,100 +117,6 @@ func TestBatchedBudgetViolations(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "bandwidth exceeded") {
 			t.Errorf("%s: SendBuf overflow error = %v", name, err)
 		}
-		_, err = be.Run(Config{N: 3, WordsPerPair: 2}, func(id int, rt NodeRuntime) {
-			rt.Send(id, 0, (id+1)%3, []uint64{1})
-			rt.BroadcastBuf(id, 0, 2) // 1 + 2 > budget on the link already used
-		})
-		if err == nil || !strings.Contains(err.Error(), "bandwidth exceeded") {
-			t.Errorf("%s: BroadcastBuf overflow error = %v", name, err)
-		}
-	}
-}
-
-// TestBroadcastBufBroadcastOnly: the zero-copy broadcast is uniform by
-// construction and must satisfy the broadcast-only model; a SendBuf to
-// a single link must violate it.
-func TestBroadcastBufBroadcastOnly(t *testing.T) {
-	for _, name := range Names() {
-		be, _ := New(name)
-		_, err := be.Run(Config{N: 4, BroadcastOnly: true}, func(id int, rt NodeRuntime) {
-			buf := rt.BroadcastBuf(id, 0, 1)
-			buf[0] = uint64(id)
-			rt.Barrier(id)
-		})
-		if err != nil {
-			t.Errorf("%s: uniform BroadcastBuf flagged in broadcast-only mode: %v", name, err)
-		}
-		_, err = be.Run(Config{N: 4, BroadcastOnly: true}, func(id int, rt NodeRuntime) {
-			if id == 0 {
-				buf := rt.SendBuf(id, 0, 1, 1)
-				buf[0] = 9
-			}
-			rt.Barrier(id)
-		})
-		if err == nil || !strings.Contains(err.Error(), "broadcast-only") {
-			t.Errorf("%s: single-link SendBuf not flagged in broadcast-only mode: %v", name, err)
-		}
-	}
-}
-
-// TestBroadcastBufSingleNode: with n == 1 there are no links; the
-// buffer must still be writable and the run clean.
-func TestBroadcastBufSingleNode(t *testing.T) {
-	for name, res := range runAll(t, Config{N: 1}, func(id int, rt NodeRuntime) {
-		buf := rt.BroadcastBuf(id, 0, 3)
-		for i := range buf {
-			buf[i] = uint64(i)
-		}
-		rt.Barrier(id)
-	}) {
-		if res.Stats.WordsSent != 0 {
-			t.Errorf("%s: single-node broadcast counted %d words", name, res.Stats.WordsSent)
-		}
-	}
-}
-
-// TestRecvIntoAppends: RecvInto must append to the caller's buffer and
-// return memory that survives the next barrier.
-func TestRecvIntoAppends(t *testing.T) {
-	const n, rounds = 3, 3
-	runAll(t, Config{N: n}, func(id int, rt NodeRuntime) {
-		var acc []uint64
-		for r := 0; r < rounds; r++ {
-			rt.Broadcast(id, r, []uint64{uint64(id*100 + r)})
-			rt.Barrier(id)
-			acc = rt.RecvInto(id, (id+1)%n, acc)
-		}
-		if len(acc) != rounds {
-			panic(Violation{Err: fmt.Errorf("accumulated %d words, want %d", len(acc), rounds)})
-		}
-		peer := (id + 1) % n
-		for r, w := range acc {
-			if w != uint64(peer*100+r) {
-				panic(Violation{Err: fmt.Errorf("acc[%d] = %d", r, w)})
-			}
-		}
-	})
-}
-
-// TestBatchedStatsCounters: completed runs fold their batched-path op
-// counts into the process totals.
-func TestBatchedStatsCounters(t *testing.T) {
-	sb0, bb0, ri0 := BatchedStats()
-	const n = 4
-	runAll(t, Config{N: n, WordsPerPair: 2}, func(id int, rt NodeRuntime) {
-		buf := rt.BroadcastBuf(id, 0, 1)
-		buf[0] = 1
-		sb := rt.SendBuf(id, 0, (id+1)%n, 1)
-		sb[0] = 2
-		rt.Barrier(id)
-		rt.RecvInto(id, (id+1)%n, nil)
-	})
-	sb1, bb1, ri1 := BatchedStats()
-	backends := int64(len(Names()))
-	if sb1-sb0 != backends*n || bb1-bb0 != backends*n || ri1-ri0 != backends*n {
-		t.Errorf("batched counters moved by (%d, %d, %d), want (%d, %d, %d)",
-			sb1-sb0, bb1-bb0, ri1-ri0, backends*n, backends*n, backends*n)
 	}
 }
 

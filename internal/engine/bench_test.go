@@ -28,7 +28,7 @@ func BenchmarkBackendExchangeFullRead(b *testing.B) {
 }
 
 // benchExchange broadcasts all-to-all and reads `reads` peers per node
-// per round (-1 = all peers, via RecvAll).
+// per round (-1 = all peers).
 func benchExchange(b *testing.B, reads int) {
 	const roundsPerRun = 256
 	for _, name := range Names() {
@@ -49,9 +49,9 @@ func benchExchange(b *testing.B, reads int) {
 							rt.Broadcast(id, r, word)
 							rt.Barrier(id)
 							if reads < 0 {
-								for p, w := range rt.RecvAll(id) {
+								for p := 0; p < n; p++ {
 									if p != id {
-										sum += w[0]
+										sum += rt.Recv(id, p)[0]
 									}
 								}
 							} else {
@@ -60,55 +60,6 @@ func benchExchange(b *testing.B, reads int) {
 									if p != id {
 										sum += rt.Recv(id, p)[0]
 									}
-								}
-							}
-						}
-						if id == 0 {
-							sink = sum
-						}
-					})
-					_ = sink
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Stats.Rounds != roundsPerRun {
-						b.Fatalf("rounds = %d", res.Stats.Rounds)
-					}
-				}
-				b.ReportMetric(float64(roundsPerRun)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
-			})
-		}
-	}
-}
-
-// BenchmarkBackendExchangeBatched is the canonical exchange rewritten
-// on the zero-copy paths (BroadcastBuf + RecvInto): the allocs/op gap
-// against BenchmarkBackendExchange is the benefit the batched engine
-// API buys the collective layer.
-func BenchmarkBackendExchangeBatched(b *testing.B) {
-	const roundsPerRun = 256
-	for _, name := range Names() {
-		be, err := New(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, n := range []int{64, 256} {
-			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var sink uint64
-					res, err := be.Run(Config{N: n, WordsPerPair: 1}, func(id int, rt NodeRuntime) {
-						var sum uint64
-						var scratch []uint64
-						for r := 0; r < roundsPerRun; r++ {
-							buf := rt.BroadcastBuf(id, r, 1)
-							buf[0] = uint64(id + r)
-							rt.Barrier(id)
-							for j := 1; j <= 8; j++ {
-								p := (id + r + j) % n
-								if p != id {
-									scratch = rt.RecvInto(id, p, scratch[:0])
-									sum += scratch[0]
 								}
 							}
 						}
@@ -228,12 +179,13 @@ func BenchmarkRunBatch(b *testing.B) {
 		cfg := Config{N: shape.n, WordsPerPair: 1}
 		body := func(run, id int, rt NodeRuntime) {
 			x := uint64(id)
+			word := make([]uint64, 1)
 			for r := 0; r < shape.rounds[run]; r++ {
 				for k := 0; k < shape.work; k++ {
 					x = x*6364136223846793005 + 1442695040888963407
 				}
-				buf := rt.BroadcastBuf(id, r, 1)
-				buf[0] = x + uint64(r)
+				word[0] = x + uint64(r)
+				rt.Broadcast(id, r, word)
 				rt.Barrier(id)
 			}
 		}
@@ -270,8 +222,8 @@ func BenchmarkRunBatch(b *testing.B) {
 }
 
 // BenchmarkBroadcast is the dense broadcast round at sweep-large scale
-// (n = 1024): each round every node stages a wpp-word BroadcastBuf,
-// ticks, and reads all n−1 Recvs — the shape of comm.BroadcastWordInto
+// (n = 1024): each round every node broadcasts wpp words from a reused
+// buffer, ticks, and reads all n−1 Recvs — the shape of comm.BroadcastWordInto
 // and of one BroadcastAllInto chunk. wpp = 1 runs on the dense arena,
 // wpp = 32 (n²·wpp past arenaThresholdWords) on the sliceBox fallback,
 // so the pair covers both layouts' broadcast plane.
@@ -289,11 +241,12 @@ func BenchmarkBroadcast(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := lockstepBackend{}.Run(Config{N: n, WordsPerPair: c.wpp}, func(id int, rt NodeRuntime) {
 					var sum uint64
+					buf := make([]uint64, c.wpp)
 					for r := 0; r < roundsPerRun; r++ {
-						buf := rt.BroadcastBuf(id, r, c.wpp)
 						for j := range buf {
 							buf[j] = uint64(id + r + j)
 						}
+						rt.Broadcast(id, r, buf)
 						rt.Barrier(id)
 						for p := 0; p < n; p++ {
 							if p != id {

@@ -6,7 +6,12 @@
 // communication transcripts.
 //
 // Package clique owns the node-side API (clique.Node, clique.Run); this
-// package owns execution. Two backends are provided; lockstep is the
+// package owns execution. NodeRuntime, the contract between the two, is
+// only what a backend must do itself: Send, Broadcast and SendBuf queue
+// words, Recv and Senders read the last round, and Barrier ends a round.
+// Node-handle conveniences built from those — BroadcastBuf's staging
+// buffer and its flush, RecvInto's append — live once in clique.Node,
+// not in each backend. Two backends are provided; lockstep is the
 // default (DefaultBackend):
 //
 //   - "goroutine": one goroutine per node with a condition-variable

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -208,29 +207,10 @@ type NodeRuntime interface {
 	// writable until the node's next Barrier. Contents left unwritten
 	// are unspecified, so callers must fill all k words.
 	SendBuf(from, round, to, k int) []uint64
-	// BroadcastBuf returns a k-word staging buffer, reused across the
-	// node's broadcasts, that the node fills in place of building an
-	// argument slice. The filled words are delivered by one fused
-	// Broadcast when the node next calls any send operation or
-	// Barrier, or when its program returns — with exactly Broadcast's
-	// budget checks, violation choice, and round attribution, and
-	// ordering before any later Send of the same round (the fused
-	// Broadcast runs first). The buffer must be fully written by that
-	// point and is invalid after it.
-	BroadcastBuf(from, round, k int) []uint64
 	// Recv returns the words `to` received from `from` in the most
 	// recently completed round, or nil if none. The slice is owned by
 	// the backend and valid only until the node's next barrier.
 	Recv(to, from int) []uint64
-	// RecvInto appends the words `to` received from `from` in the most
-	// recently completed round to buf and returns the result. The
-	// returned memory is caller-owned (unlike Recv), so collectives
-	// can accumulate multi-round streams without retaining or
-	// re-copying backend memory.
-	RecvInto(to, from int, buf []uint64) []uint64
-	// RecvAll returns node `to`'s full inbox for the most recently
-	// completed round, indexed by sender. Backend-owned, like Recv.
-	RecvAll(to int) [][]uint64
 	// Senders appends to buf, in ascending order, the ids p for which
 	// Recv(to, p) is non-empty in the most recently completed round,
 	// and returns the result. The lockstep backend reads its
@@ -359,50 +339,4 @@ func recordRound(ts []*Transcript, n int, in func(to, from int) []uint64) {
 func finish(stats Stats, ts []*Transcript, n int) *Result {
 	stats.BitsSent = stats.WordsSent * int64(WordBits(n))
 	return &Result{Stats: stats, Transcripts: ts}
-}
-
-// batchOps counts one node's batched-path operations. Each node
-// increments only its own entry (no synchronisation on the hot path);
-// the entry is padded to a cache line so neighbouring nodes do not
-// false-share. Runs fold the counts into the process-wide totals at
-// finish.
-type batchOps struct {
-	sendBuf      int64
-	broadcastBuf int64
-	recvInto     int64
-	_            [5]int64 // pad to 64 bytes
-}
-
-// Process-wide batched-path totals, the serving daemon's evidence that
-// traffic moved onto the zero-copy paths (exported at /metrics).
-var (
-	batchedSendBuf      atomic.Int64
-	batchedBroadcastBuf atomic.Int64
-	batchedRecvInto     atomic.Int64
-)
-
-// foldBatchOps adds a finished run's per-node counts to the totals.
-func foldBatchOps(ops []batchOps) {
-	var sb, bb, ri int64
-	for i := range ops {
-		sb += ops[i].sendBuf
-		bb += ops[i].broadcastBuf
-		ri += ops[i].recvInto
-	}
-	if sb != 0 {
-		batchedSendBuf.Add(sb)
-	}
-	if bb != 0 {
-		batchedBroadcastBuf.Add(bb)
-	}
-	if ri != 0 {
-		batchedRecvInto.Add(ri)
-	}
-}
-
-// BatchedStats reports the cumulative number of batched-path operations
-// (SendBuf, BroadcastBuf, RecvInto) executed by completed runs in this
-// process, across both backends.
-func BatchedStats() (sendBuf, broadcastBuf, recvInto int64) {
-	return batchedSendBuf.Load(), batchedBroadcastBuf.Load(), batchedRecvInto.Load()
 }

@@ -34,15 +34,6 @@ type goroutineEngine struct {
 	outbox [][][]uint64
 	inbox  [][][]uint64
 
-	// bcastPend[v] is the size of node v's pending BroadcastBuf
-	// (0 = none), bcastRound[v] the round it was staged in, and
-	// bcastScratch[v] the staging buffer handed to the node. All are
-	// touched only by node v itself.
-	bcastPend    []int
-	bcastRound   []int
-	bcastScratch [][]uint64
-	ops          []batchOps
-
 	stats       Stats
 	transcripts []*Transcript
 
@@ -73,10 +64,6 @@ func (goroutineBackend) Run(cfg Config, body func(id int, rt NodeRuntime)) (*Res
 	e.cond = sync.NewCond(&e.mu)
 	e.outbox = newMailbox(n)
 	e.inbox = newMailbox(n)
-	e.bcastPend = make([]int, n)
-	e.bcastRound = make([]int, n)
-	e.bcastScratch = make([][]uint64, n)
-	e.ops = make([]batchOps, n)
 	if cfg.RecordTranscript {
 		e.transcripts = make([]*Transcript, n)
 		for v := range e.transcripts {
@@ -89,7 +76,7 @@ func (goroutineBackend) Run(cfg Config, body func(id int, rt NodeRuntime)) (*Res
 	for v := 0; v < n; v++ {
 		go func() {
 			defer wg.Done()
-			defer e.leave(v)
+			defer e.leave()
 			defer func() {
 				r := recover()
 				switch r := r.(type) {
@@ -107,7 +94,6 @@ func (goroutineBackend) Run(cfg Config, body func(id int, rt NodeRuntime)) (*Res
 	}
 	wg.Wait()
 
-	foldBatchOps(e.ops)
 	return finish(e.stats, e.transcripts, n), e.err
 }
 
@@ -131,24 +117,7 @@ func (e *goroutineEngine) fail(err error) {
 
 // leave deregisters a node whose function has returned. If it was the
 // last straggler of the current barrier, the round completes without it.
-// The node's pending broadcast (if any) is flushed first, so words
-// queued by a returning node's final BroadcastBuf are delivered exactly
-// like a final Broadcast's would be — including a budget violation,
-// which here surfaces after the program body and so is recovered
-// locally rather than by the body's handler.
-func (e *goroutineEngine) leave(id int) {
-	func() {
-		defer func() {
-			switch r := recover().(type) {
-			case nil:
-			case Violation:
-				e.fail(r.Err)
-			default:
-				e.fail(fmt.Errorf("clique: node %d panicked: %v", id, r))
-			}
-		}()
-		e.flushBroadcast(id)
-	}()
+func (e *goroutineEngine) leave() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.active--
@@ -160,7 +129,6 @@ func (e *goroutineEngine) leave(id int) {
 // Barrier is called from Node.Tick. It blocks until all active nodes have
 // arrived, at which point the last arrival performs the message exchange.
 func (e *goroutineEngine) Barrier(id int) {
-	e.flushBroadcast(id)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.err != nil {
@@ -273,7 +241,6 @@ func (e *goroutineEngine) visitPairs(visit func(from, to, words int)) {
 // Send queues words for delivery; it runs on the sender's goroutine and
 // touches only the sender's outbox row, so no lock is needed.
 func (e *goroutineEngine) Send(from, round, to int, words []uint64) {
-	e.flushBroadcast(from)
 	box := e.outbox[from]
 	if len(box[to])+len(words) > e.cfg.WordsPerPair {
 		panic(budgetViolation(from, round, len(box[to])+len(words), to, e.cfg.WordsPerPair))
@@ -284,13 +251,6 @@ func (e *goroutineEngine) Send(from, round, to int, words []uint64) {
 // Broadcast queues the same words on every outgoing link, exactly as a
 // loop of Sends would, including which target a budget violation names.
 func (e *goroutineEngine) Broadcast(from, round int, words []uint64) {
-	e.flushBroadcast(from)
-	e.broadcastWords(from, round, words)
-}
-
-// broadcastWords is Broadcast without the pending-flush hook, shared by
-// the public method and flushBroadcast itself.
-func (e *goroutineEngine) broadcastWords(from, round int, words []uint64) {
 	box := e.outbox[from]
 	for to := 0; to < e.n; to++ {
 		if to == from {
@@ -310,8 +270,6 @@ func (e *goroutineEngine) broadcastWords(from, round int, words []uint64) {
 // mailbox until the barrier, as the contract promises (and as the
 // lockstep arena guarantees structurally).
 func (e *goroutineEngine) SendBuf(from, round, to, k int) []uint64 {
-	e.flushBroadcast(from)
-	e.ops[from].sendBuf++
 	box := e.outbox[from]
 	l := len(box[to])
 	if l+k > e.cfg.WordsPerPair {
@@ -326,44 +284,8 @@ func (e *goroutineEngine) SendBuf(from, round, to, k int) []uint64 {
 	return cell[l : l+k : l+k]
 }
 
-// BroadcastBuf stages k words in the node's reusable scratch buffer;
-// the flush at the node's next operation runs one fused broadcast of
-// the filled words, with the budget checks and violation choice of a
-// Broadcast issued at staging time.
-func (e *goroutineEngine) BroadcastBuf(from, round, k int) []uint64 {
-	e.flushBroadcast(from)
-	e.ops[from].broadcastBuf++
-	if k == 0 {
-		return nil
-	}
-	if cap(e.bcastScratch[from]) < k {
-		e.bcastScratch[from] = make([]uint64, k)
-	}
-	e.bcastPend[from] = k
-	e.bcastRound[from] = round
-	return e.bcastScratch[from][:k]
-}
-
-// flushBroadcast delivers a pending BroadcastBuf as one fused
-// broadcast of the staged words.
-func (e *goroutineEngine) flushBroadcast(from int) {
-	if k := e.bcastPend[from]; k != 0 {
-		e.bcastPend[from] = 0
-		e.broadcastWords(from, e.bcastRound[from], e.bcastScratch[from][:k])
-	}
-}
-
 func (e *goroutineEngine) Recv(to, from int) []uint64 {
 	return e.inbox[to][from]
-}
-
-func (e *goroutineEngine) RecvInto(to, from int, buf []uint64) []uint64 {
-	e.ops[to].recvInto++
-	return append(buf, e.inbox[to][from]...)
-}
-
-func (e *goroutineEngine) RecvAll(to int) [][]uint64 {
-	return e.inbox[to]
 }
 
 // Senders scans the (already transposed) inbox row of `to`.

@@ -67,7 +67,7 @@ const arenaThresholdWords = 1 << 24
 
 // mailbox is the storage layer of the lockstep engine. All methods are
 // called either from a single node's coroutine (send, broadcast, recv,
-// fillRow, senders — each touching only that node's rows, including its
+// senders — each touching only that node's rows, including its
 // own row of the activity mask) or from the scheduler between rounds
 // (exchange, outCell).
 type mailbox interface {
@@ -88,10 +88,6 @@ type mailbox interface {
 	sendBuf(from, round, to, k int) []uint64
 	// recv returns the words delivered from -> to last round, nil if none.
 	recv(to, from int) []uint64
-	// recvInto appends the words delivered from -> to last round to buf.
-	recvInto(to, from int, buf []uint64) []uint64
-	// fillRow fills row[from] = recv(to, from) for all senders.
-	fillRow(to int, row [][]uint64)
 	// senders appends the ids whose from -> to cell was non-empty last
 	// round to buf, ascending, reading the receiver-major activity mask:
 	// O(senders + n/64), not O(n).
@@ -269,35 +265,6 @@ func (b *arenaBox) recv(to, from int) []uint64 {
 	return b.inW[base : base+l : base+l]
 }
 
-func (b *arenaBox) recvInto(to, from int, buf []uint64) []uint64 {
-	if w, ok := b.pl.recv(to, from); ok {
-		return append(buf, w...)
-	}
-	i := from*b.n + to
-	l := int(b.inL[i])
-	if l == 0 {
-		return buf
-	}
-	base := i * b.wpp
-	return append(buf, b.inW[base:base+l]...)
-}
-
-func (b *arenaBox) fillRow(to int, row [][]uint64) {
-	n, wpp := b.n, b.wpp
-	i := to
-	for from := 0; from < n; from++ {
-		if w, ok := b.pl.recv(to, from); ok {
-			row[from] = w
-		} else if l := int(b.inL[i]); l != 0 {
-			base := i * wpp
-			row[from] = b.inW[base : base+l : base+l]
-		} else {
-			row[from] = nil
-		}
-		i += n
-	}
-}
-
 func (b *arenaBox) outCell(from, to int) []uint64 {
 	if w, ok := b.pl.queued(from, to); ok {
 		return w
@@ -464,19 +431,6 @@ func (b *sliceBox) recv(to, from int) []uint64 {
 	return nil
 }
 
-func (b *sliceBox) recvInto(to, from int, buf []uint64) []uint64 {
-	if w, ok := b.pl.recv(to, from); ok {
-		return append(buf, w...)
-	}
-	return append(buf, b.in[from*b.n+to]...)
-}
-
-func (b *sliceBox) fillRow(to int, row [][]uint64) {
-	for from := range row {
-		row[from] = b.recv(to, from)
-	}
-}
-
 func (b *sliceBox) outCell(from, to int) []uint64 {
 	if w, ok := b.pl.queued(from, to); ok {
 		return w
@@ -540,18 +494,6 @@ type lockstepEngine struct {
 	round int
 	box   mailbox
 
-	// rows[v] is node v's lazily-built RecvAll view, reused per round.
-	rows [][][]uint64
-
-	// pend[v] is the size of node v's pending BroadcastBuf (0 = none),
-	// pendRound[v] the round it was staged in, and scratch[v] the
-	// staging buffer handed to the node. Touched only by node v's
-	// coroutine (and, for the final flush, by the worker that owns it).
-	pend      []int
-	pendRound []int
-	scratch   [][]uint64
-	ops       []batchOps
-
 	// Per-node coroutine controls. yield[v] is stored by node v's
 	// coroutine on startup and invoked by Barrier to suspend it; next[v]
 	// resumes it; stop[v] cancels it (a pending yield returns false).
@@ -583,11 +525,6 @@ type lockstepEngine struct {
 // lifecycles.
 func newLockstepEngine(cfg Config, n int) *lockstepEngine {
 	e := &lockstepEngine{cfg: cfg, n: n}
-	e.rows = make([][][]uint64, n)
-	e.pend = make([]int, n)
-	e.pendRound = make([]int, n)
-	e.scratch = make([][]uint64, n)
-	e.ops = make([]batchOps, n)
 	e.yield = make([]func(struct{}) bool, n)
 	e.next = make([]func() (struct{}, bool), n)
 	e.stop = make([]func(), n)
@@ -643,9 +580,6 @@ func (e *lockstepEngine) program(v int, body func(id int, rt NodeRuntime)) iter.
 			}
 		}()
 		body(v, e)
-		// A returning node's pending BroadcastBuf still belongs to the
-		// round the scheduler is about to exchange.
-		e.flushBroadcast(v)
 	}
 }
 
@@ -714,78 +648,31 @@ func (e *lockstepEngine) visitPairs(visit func(from, to, words int)) {
 
 // Barrier suspends node id until the scheduler has exchanged the round.
 func (e *lockstepEngine) Barrier(id int) {
-	e.flushBroadcast(id)
 	if !e.yield[id](struct{}{}) {
 		panic(Abort{})
 	}
 }
 
 func (e *lockstepEngine) Send(from, round, to int, words []uint64) {
-	e.flushBroadcast(from)
 	e.box.send(from, round, to, words)
 }
 
 func (e *lockstepEngine) Broadcast(from, round int, words []uint64) {
-	e.flushBroadcast(from)
 	e.box.broadcast(from, round, words)
 }
 
 // SendBuf hands out reserved mailbox storage: on the arena layout the
 // returned slice is the link's block in the word arena itself.
 func (e *lockstepEngine) SendBuf(from, round, to, k int) []uint64 {
-	e.flushBroadcast(from)
-	e.ops[from].sendBuf++
 	return e.box.sendBuf(from, round, to, k)
-}
-
-// BroadcastBuf stages k words in the node's reusable scratch buffer;
-// the flush at the node's next operation runs one fused broadcast of
-// the filled words straight into the mailbox (see NodeRuntime).
-func (e *lockstepEngine) BroadcastBuf(from, round, k int) []uint64 {
-	e.flushBroadcast(from)
-	e.ops[from].broadcastBuf++
-	if k == 0 {
-		return nil
-	}
-	if cap(e.scratch[from]) < k {
-		e.scratch[from] = make([]uint64, k)
-	}
-	e.pend[from] = k
-	e.pendRound[from] = round
-	return e.scratch[from][:k]
-}
-
-func (e *lockstepEngine) flushBroadcast(from int) {
-	if k := e.pend[from]; k != 0 {
-		e.pend[from] = 0
-		e.box.broadcast(from, e.pendRound[from], e.scratch[from][:k])
-	}
 }
 
 func (e *lockstepEngine) Recv(to, from int) []uint64 {
 	return e.box.recv(to, from)
 }
 
-func (e *lockstepEngine) RecvInto(to, from int, buf []uint64) []uint64 {
-	e.ops[to].recvInto++
-	return e.box.recvInto(to, from, buf)
-}
-
 func (e *lockstepEngine) Senders(to int, buf []int) []int {
 	return e.box.senders(to, buf)
-}
-
-// RecvAll materialises node `to`'s inbox row into a per-node scratch
-// slice, reused across rounds; like Recv, the result is engine-owned and
-// valid until the node's next barrier.
-func (e *lockstepEngine) RecvAll(to int) [][]uint64 {
-	row := e.rows[to]
-	if row == nil {
-		row = make([][]uint64, e.n)
-		e.rows[to] = row
-	}
-	e.box.fillRow(to, row)
-	return row
 }
 
 var _ NodeRuntime = (*lockstepEngine)(nil)

@@ -106,7 +106,6 @@ func refRun(cfg Config, body func(id int, rt NodeRuntime)) (*Result, error) {
 		}
 	}
 
-	foldBatchOps(e.ops)
 	return finish(e.stats, e.transcripts, n), err
 }
 
@@ -125,9 +124,8 @@ func refRunBatch(cfg Config, batch int, body func(run, id int, rt NodeRuntime)) 
 // stream that each round's arrivals are folded into, so a misdelivered
 // word or a round settled differently steers every later choice. Per
 // round a node may return early, fail with a Violation, panic, overrun
-// its budget, broadcast (Broadcast or BroadcastBuf, the latter left
-// pending into the next operation or the program's return) and Send or
-// SendBuf to random peers within the budget.
+// its budget, broadcast (and sometimes return before the barrier) and
+// Send or SendBuf to random peers within the budget.
 func fuzzRunProgram(seed int64, n, wpp int) func(id int, rt NodeRuntime) {
 	return func(id int, rt NodeRuntime) {
 		state := uint64(seed)*0x9e3779b97f4a7c15 ^ uint64(id+1)*0xbf58476d1ce4e5b9
@@ -140,7 +138,6 @@ func fuzzRunProgram(seed int64, n, wpp int) func(id int, rt NodeRuntime) {
 		}
 		used := make([]int, n)
 		var senders []int
-		var in []uint64
 		rounds := next(12)
 		for r := 0; r < rounds; r++ {
 			switch next(24) {
@@ -158,23 +155,16 @@ func fuzzRunProgram(seed int64, n, wpp int) func(id int, rt NodeRuntime) {
 			clear(used)
 			if n > 1 && next(3) == 0 {
 				k := 1 + next(wpp)
-				if next(2) == 0 {
-					buf := rt.BroadcastBuf(id, r, k)
-					for i := range buf {
-						buf[i] = uint64(next(1 << 20))
-					}
-				} else {
-					words := make([]uint64, k)
-					for i := range words {
-						words[i] = uint64(next(1 << 20))
-					}
-					rt.Broadcast(id, r, words)
+				words := make([]uint64, k)
+				for i := range words {
+					words[i] = uint64(next(1 << 20))
 				}
+				rt.Broadcast(id, r, words)
 				for p := range used {
 					used[p] = k
 				}
 				if next(8) == 0 {
-					// Return with the BroadcastBuf possibly still pending.
+					// Return with the broadcast queued but no Barrier.
 					return
 				}
 			}
@@ -201,8 +191,7 @@ func fuzzRunProgram(seed int64, n, wpp int) func(id int, rt NodeRuntime) {
 			rt.Barrier(id)
 			senders = rt.Senders(id, senders[:0])
 			for _, p := range senders {
-				in = rt.RecvInto(id, p, in[:0])
-				for _, w := range in {
+				for _, w := range rt.Recv(id, p) {
 					state = state*31 + w + uint64(p)
 				}
 			}

@@ -114,12 +114,11 @@ func planeLayouts(n, wpp int) map[string]mailbox {
 // checkPlaneScript drives one scripted run through a mailbox and the
 // cell reference in lockstep, comparing after every round the queued
 // cells (outCell), the violation raised, the cumulative statistics and
-// every receive path: recv (which must be capacity-limited), recvInto,
-// fillRow and senders. A violation ends the script.
+// both receive paths: recv (which must be capacity-limited) and
+// senders. A violation ends the script.
 func checkPlaneScript(t *testing.T, name string, b mailbox, n, wpp int, rounds [][]planeOp) {
 	t.Helper()
 	ref := newRefCells(n, wpp)
-	row := make([][]uint64, n)
 	for round, ops := range rounds {
 		for _, op := range ops {
 			got, want := applyBox(b, op, round), applyRef(ref, op, round)
@@ -148,7 +147,6 @@ func checkPlaneScript(t *testing.T, name string, b mailbox, n, wpp int, rounds [
 		}
 		for to := 0; to < n; to++ {
 			var want []int
-			b.fillRow(to, row)
 			for from := 0; from < n; from++ {
 				cell := ref.in[from][to]
 				if len(cell) != 0 {
@@ -160,12 +158,6 @@ func checkPlaneScript(t *testing.T, name string, b mailbox, n, wpp int, rounds [
 				}
 				if cap(got) != len(got) {
 					t.Fatalf("%s round %d: recv %d<-%d has cap %d > len %d", name, round, to, from, cap(got), len(got))
-				}
-				if got := b.recvInto(to, from, []uint64{7}); !slices.Equal(got, append([]uint64{7}, cell...)) {
-					t.Fatalf("%s round %d: recvInto %d<-%d = %v, cell path %v", name, round, to, from, got, cell)
-				}
-				if !slices.Equal(row[from], cell) || (len(cell) == 0) != (row[from] == nil) {
-					t.Fatalf("%s round %d: fillRow %d<-%d = %v, cell path %v", name, round, to, from, row[from], cell)
 				}
 			}
 			if got := b.senders(to, nil); !slices.Equal(got, want) {
@@ -281,18 +273,17 @@ func TestPlaneReceiversShareOneCell(t *testing.T) {
 }
 
 // TestPlaneRunsMatchGoroutine runs the mixed broadcast rounds the plane
-// spills on — BroadcastBuf before SendBuf, and broadcast-only runs whose
+// spills on — Broadcast before SendBuf, and broadcast-only runs whose
 // spilled row is or is not uniform — on the goroutine backend, the
 // lockstep backend, and a lockstep batch, and requires the same stats,
 // transcripts and error text.
 func TestPlaneRunsMatchGoroutine(t *testing.T) {
 	// bufThenSendBuf has the nodes that sends selects follow their
-	// BroadcastBuf with a one-word SendBuf in the same round.
+	// Broadcast with a one-word SendBuf in the same round.
 	bufThenSendBuf := func(sends func(id, r int) bool) func(id int, rt NodeRuntime) {
 		return func(id int, rt NodeRuntime) {
 			for r := 0; r < 3; r++ {
-				buf := rt.BroadcastBuf(id, r, 1)
-				buf[0] = uint64(10*id + r)
+				rt.Broadcast(id, r, []uint64{uint64(10*id + r)})
 				if to := (id + r + 1) % 6; sends(id, r) && to != id {
 					copy(rt.SendBuf(id, r, to, 1), []uint64{99})
 				}

@@ -15,7 +15,7 @@ import (
 // garbage collector removes the largest per-run allocation entirely.
 //
 // Reuse is sound because the node-side API already declares every
-// engine-owned slice (Recv, RecvAll) invalid after the run: transcripts
+// engine-owned slice (Recv, SendBuf) invalid after the run: transcripts
 // are deep-copied at record time and Stats are plain values, so nothing
 // a well-behaved caller retains aliases pooled memory.
 

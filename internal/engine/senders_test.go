@@ -22,9 +22,8 @@ func sliceWPP(n int) int { return arenaThresholdWords/(n*n) + 1 }
 
 // sendersProgram is a pseudo-random node program, a pure function of
 // (seed, id, round), that mixes every send path — Send, an empty Send,
-// SendBuf of 0 and k words, Broadcast, BroadcastBuf of 0 and k words
-// (pending until the next operation or Barrier), silence, and a pending
-// BroadcastBuf flushed by the program's return — while staying inside
+// SendBuf of 0 and k words, Broadcast of 0 and k words, silence, and a
+// broadcast queued just before the program returns — while staying inside
 // the per-pair budget. Broadcasts come first in a round (the lockstep
 // mailbox's write-once plane), after unicast sends, and twice or three
 // times in one round (the plane spilled into cells). With bcastOnly it
@@ -54,18 +53,11 @@ func sendersProgram(seed int64, n, wpp int, bcastOnly bool, fail func(format str
 		for r := 0; r < rounds; r++ {
 			clear(used)
 			broadcast := func(kb int) {
-				if rng.Intn(2) == 0 {
-					words := make([]uint64, kb)
-					for i := range words {
-						words[i] = rng.Uint64()
-					}
-					rt.Broadcast(id, r, words)
-				} else {
-					buf := rt.BroadcastBuf(id, r, kb)
-					for i := range buf {
-						buf[i] = rng.Uint64()
-					}
+				words := make([]uint64, kb)
+				for i := range words {
+					words[i] = rng.Uint64()
 				}
+				rt.Broadcast(id, r, words)
 				for to := range used {
 					used[to] += kb
 				}
@@ -108,11 +100,10 @@ func sendersProgram(seed int64, n, wpp int, bcastOnly bool, fail func(format str
 				}
 			}
 			if r == rounds-1 && n > 1 && rng.Intn(2) == 0 {
-				// Stage a broadcast and return: the engine flushes it
-				// into the round the remaining nodes exchange.
+				// Broadcast and return: the words belong to the round
+				// the remaining nodes exchange.
 				if slices.Max(used) < wpp {
-					buf := rt.BroadcastBuf(id, r, 1)
-					buf[0] = uint64(id)
+					rt.Broadcast(id, r, []uint64{uint64(id)})
 				}
 				return
 			}

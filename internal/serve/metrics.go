@@ -105,14 +105,6 @@ func newMetrics() *metrics {
 		}
 		return out
 	}))
-	m.vars.Set("batched_ops", expvar.Func(func() any {
-		sendBuf, broadcastBuf, recvInto := engine.BatchedStats()
-		return map[string]int64{
-			"send_buf":      sendBuf,
-			"broadcast_buf": broadcastBuf,
-			"recv_into":     recvInto,
-		}
-	}))
 	return m
 }
 

@@ -261,9 +261,8 @@ func Run(nd clique.Endpoint, cfg Config, f NodeFunc) {
 			f(vn)
 			// Flush a pending BroadcastBuf into the outbox (with its
 			// budget check) so a returning program's staged broadcast
-			// behaves like its Sends. Like any words queued after a
-			// virtual node's final Tick, they are then dropped: a
-			// finished node's outbox is never collected.
+			// behaves like its Sends: both are delivered in the virtual
+			// round the node finishes in.
 			vn.flushBroadcast()
 		}()
 	}
@@ -271,26 +270,29 @@ func Run(nd clique.Endpoint, cfg Config, f NodeFunc) {
 	live := append([]*Node(nil), e.mine...)
 	for {
 		// Wait for each live virtual node to reach its barrier or
-		// finish.
+		// finish. Both kinds send this virtual round: a finishing node's
+		// last words are delivered like the real engines deliver a
+		// returning node's, in the round the remaining nodes complete.
 		var waiting []*Node
-		var next []*Node
+		var senders []*Node
 		for _, vn := range live {
 			select {
 			case <-vn.arrived:
 				waiting = append(waiting, vn)
-				next = append(next, vn)
 			case <-vn.finished:
 				if vn.panicked != nil {
 					nd.Fail("virtual node %d panicked: %v", vn.id, vn.panicked)
 				}
 			}
+			senders = append(senders, vn)
 		}
-		live = next
+		live = waiting
 
 		// Global termination test: stop once no virtual node anywhere
-		// is still running. (Real nodes whose virtual nodes are all done
-		// must keep participating in the max-reductions and exchanges of
-		// the remaining virtual rounds.)
+		// is still running; a round no virtual node completes with Tick
+		// is not exchanged, as on the real engines. (Real nodes whose
+		// virtual nodes are all done must keep participating in the
+		// max-reductions and exchanges of the remaining virtual rounds.)
 		stillLive := comm.MaxWord(nd, uint64(len(live)))
 		if stillLive == 0 {
 			wg.Wait()
@@ -316,7 +318,7 @@ func Run(nd clique.Endpoint, cfg Config, f NodeFunc) {
 				vn.inbox[i] = nil
 			}
 		}
-		for _, vn := range waiting {
+		for _, vn := range senders {
 			for to, words := range vn.outbox {
 				if len(words) == 0 {
 					continue

@@ -216,3 +216,53 @@ func TestNestedVirtualCliques(t *testing.T) {
 		}
 	}
 }
+
+// TestReturningNodeDeliversLastSends: a virtual node that sends (or
+// stages a BroadcastBuf) and returns without Tick delivers those words
+// in the round its peers complete, exactly as a real node does on both
+// engines.
+func TestReturningNodeDeliversLastSends(t *testing.T) {
+	const m = 3
+	for _, c := range []struct {
+		name string
+		last func(nd clique.Endpoint)
+	}{
+		{"send", func(nd clique.Endpoint) { nd.Send(1, 42) }},
+		{"broadcastbuf", func(nd clique.Endpoint) { nd.BroadcastBuf(1)[0] = 42 }},
+	} {
+		// got[0] is the real clique's reading, got[1] the virtual one's.
+		var got [2][]uint64
+		prog := func(slot int) func(nd clique.Endpoint) {
+			return func(nd clique.Endpoint) {
+				switch nd.ID() {
+				case 0:
+					c.last(nd)
+					return
+				case 1:
+					nd.Tick()
+					got[slot] = append([]uint64(nil), nd.Recv(0)...)
+				default:
+					nd.Tick()
+				}
+			}
+		}
+		for _, backend := range clique.Backends() {
+			got = [2][]uint64{}
+			if _, err := clique.Run(clique.Config{N: m, Backend: backend}, func(nd *clique.Node) { prog(0)(nd) }); err != nil {
+				t.Fatalf("%s on %s: %v", c.name, backend, err)
+			}
+			_, err := clique.Run(clique.Config{N: 2, WordsPerPair: 4, Backend: backend}, func(nd *clique.Node) {
+				Run(nd, Config{M: m, Host: func(v int) int { return v % 2 }}, func(vn *Node) { prog(1)(vn) })
+			})
+			if err != nil {
+				t.Fatalf("%s on %s, virtual: %v", c.name, backend, err)
+			}
+			if len(got[0]) != 1 || got[0][0] != 42 {
+				t.Errorf("%s on %s: real node 1 read %v from the returning node, want [42]", c.name, backend, got[0])
+			}
+			if len(got[1]) != 1 || got[1][0] != 42 {
+				t.Errorf("%s on %s: virtual node 1 read %v from the returning node, want [42]", c.name, backend, got[1])
+			}
+		}
+	}
+}
