@@ -1,7 +1,8 @@
 // Command cliquerun runs one entry of the workload catalogue
 // (internal/workload) on its generated instance and prints node 0's
 // answer, the centralized oracle's and the model costs — a
-// command-line window into the simulator.
+// command-line window into the simulator. It fails when the answer and
+// the oracle's differ.
 //
 // Usage:
 //
@@ -79,7 +80,6 @@ func run(args []string, stdout io.Writer) error {
 		*wpp = alg.WPP
 	}
 
-	inst := alg.New(*n, *seed)
 	cfg := clique.Config{N: *n, WordsPerPair: *wpp, Backend: *backend}
 	var col *trace.Collector
 	if *traceFile != "" {
@@ -87,11 +87,9 @@ func run(args []string, stdout io.Writer) error {
 		col.SetBackend(*backend)
 		cfg.Tracer = col
 	}
-	start := time.Now()
-	res, err := clique.Run(cfg, inst.Program)
-	elapsed := time.Since(start)
-	if err != nil {
-		return err
+	r := workload.RunBatch(cfg, []workload.Spec{{Alg: alg, Seed: *seed}})[0]
+	if r.Err != nil {
+		return r.Err
 	}
 	if col != nil {
 		if err := writeTrace(*traceFile, col.Finish()); err != nil {
@@ -99,31 +97,43 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	answer := fmt.Sprint(inst.Answer())
-	if inst.Oracle != nil {
-		answer += fmt.Sprintf(" (oracle %v)", inst.Oracle())
+	got := r.Answer()
+	answer := fmt.Sprint(got)
+	var wrong error
+	if r.Oracle != nil {
+		want := r.Oracle()
+		answer += fmt.Sprintf(" (oracle %v)", want)
+		if got != want {
+			wrong = fmt.Errorf("%s: answer %v (%T) differs from the oracle's %v (%T)", alg.Name, got, got, want, want)
+		}
 	}
-	roundsPerSec := float64(res.Stats.Rounds) / elapsed.Seconds()
+	res := r.Result
+	roundsPerSec := float64(res.Stats.Rounds) / r.Wall.Seconds()
+	var err error
 	if *format == "json" {
 		// A single-run sibling of the cliquebench report schema: the
 		// model costs are deterministic, the wall block is measured.
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(runReport{
+		err = enc.Encode(runReport{
 			Schema: "cliquerun/v2", Algorithm: alg.Name, Backend: *backend,
 			N: *n, Seed: *seed, WordsPerPair: *wpp, Answer: answer,
 			Rounds: res.Stats.Rounds, Words: res.Stats.WordsSent,
 			Bits: res.Stats.BitsSent, MaxPairWords: res.Stats.MaxPairWords,
-			WallNS: elapsed.Nanoseconds(), RoundsPerSec: roundsPerSec,
+			WallNS: r.Wall.Nanoseconds(), RoundsPerSec: roundsPerSec,
 		})
+	} else {
+		_, err = fmt.Fprintf(stdout, "algorithm : %s — %s\nbackend   : %s\ninstance  : n=%d seed=%d, %d words per pair\n"+
+			"answer    : %s\ncost      : %d rounds, %d words, %d bits, busiest link %d words/round\n"+
+			"wall      : %v (%.0f rounds/sec on the %s backend)\n",
+			alg.Name, alg.Title, *backend, *n, *seed, *wpp, answer,
+			res.Stats.Rounds, res.Stats.WordsSent, res.Stats.BitsSent, res.Stats.MaxPairWords,
+			r.Wall.Round(time.Microsecond), roundsPerSec, *backend)
 	}
-	_, err = fmt.Fprintf(stdout, "algorithm : %s — %s\nbackend   : %s\ninstance  : n=%d seed=%d, %d words per pair\n"+
-		"answer    : %s\ncost      : %d rounds, %d words, %d bits, busiest link %d words/round\n"+
-		"wall      : %v (%.0f rounds/sec on the %s backend)\n",
-		alg.Name, alg.Title, *backend, *n, *seed, *wpp, answer,
-		res.Stats.Rounds, res.Stats.WordsSent, res.Stats.BitsSent, res.Stats.MaxPairWords,
-		elapsed.Round(time.Microsecond), roundsPerSec, *backend)
-	return err
+	if err != nil {
+		return err
+	}
+	return wrong
 }
 
 // writeTrace writes one run's trace as a Chrome trace-event file.

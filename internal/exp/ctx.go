@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nondet"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Progress is one liveness snapshot, delivered to Options.Progress
@@ -47,7 +48,7 @@ type Ctx struct {
 	ctx      context.Context
 	progress func(Progress)
 
-	// tracing enables per-run trace collection: every Run/Verify gets a
+	// tracing enables per-run trace collection: every simulated run gets a
 	// fresh labelled collector and the finished RunTraces accumulate in
 	// traces (runIdx labels them in execution order).
 	tracing bool
@@ -90,15 +91,73 @@ func (c *Ctx) Failf(format string, args ...any) {
 
 // Run executes one simulated run on the configured backend and folds
 // its model cost into the experiment's SimCost. Every simulation an
-// experiment makes must go through here or Verify so the rounds/sec
-// summary covers the whole report.
+// experiment makes must go through here, RunWorkloads or Verify so the
+// rounds/sec summary covers the whole report.
 func (c *Ctx) Run(cfg clique.Config, f clique.NodeFunc) (*clique.Result, error) {
 	c.checkCancelled()
 	cfg.Backend = c.Backend
 	col := c.startTrace(&cfg)
 	start := time.Now()
 	res, err := clique.Run(cfg, f)
-	wall := time.Since(start)
+	c.endTrace(col)
+	c.account(res, err, time.Since(start))
+	return res, err
+}
+
+// RunWorkloads runs catalogue specs on an n-node clique with wpp words
+// per pair as one workload.RunBatch and folds each run's model cost
+// into the experiment's SimCost exactly as the equivalent serial Run
+// loop would: runs are accounted in order, and the first failing run
+// counts as a run without rounds and aborts the experiment (Failf), so
+// the deterministic Result envelope is bit-identical to the serial loop
+// that stops at the first error. Traced experiments need one collector
+// per run, so they run each spec as a batch of one.
+func (c *Ctx) RunWorkloads(n, wpp int, specs ...workload.Spec) []workload.Run {
+	cfg := clique.Config{N: n, WordsPerPair: wpp, Backend: c.Backend}
+	var runs []workload.Run
+	if c.tracing {
+		for _, s := range specs {
+			c.checkCancelled()
+			cfg := cfg
+			col := c.startTrace(&cfg)
+			runs = append(runs, workload.RunBatch(cfg, []workload.Spec{s})...)
+			c.endTrace(col)
+			c.accountOrFail(runs[len(runs)-1])
+		}
+		return runs
+	}
+	c.checkCancelled()
+	runs = workload.RunBatch(cfg, specs)
+	for _, r := range runs {
+		c.accountOrFail(r)
+	}
+	return runs
+}
+
+// accountOrFail accounts one workload run and aborts the experiment if
+// it failed.
+func (c *Ctx) accountOrFail(r workload.Run) {
+	c.account(r.Result, r.Err, r.Wall)
+	if r.Err != nil {
+		c.Failf("%v", r.Err)
+	}
+}
+
+// Record folds an already-completed run's model cost into the
+// experiment's SimCost, for callers that executed the run outside the
+// Ctx: the serving daemon's batch coalescer runs whole groups of jobs
+// through one workload.RunBatch and then builds each job's envelope
+// through its own Ctx afterwards. wall is the run's share of the
+// batch's wall clock. The Result built from a recorded run is identical
+// to the one RunWorkloads would have built running it alone, because
+// batched per-run results are bit-identical to serial ones.
+func (c *Ctx) Record(res *clique.Result, wall time.Duration) {
+	c.account(res, nil, wall)
+}
+
+// account folds one finished run into the SimCost and reports
+// progress; a failed run counts as a run without rounds.
+func (c *Ctx) account(res *clique.Result, err error, wall time.Duration) {
 	c.simWall += wall
 	c.res.Sim.Runs++
 	rounds := 0
@@ -107,93 +166,7 @@ func (c *Ctx) Run(cfg clique.Config, f clique.NodeFunc) (*clique.Result, error) 
 		c.res.Sim.Rounds += int64(rounds)
 		c.res.Sim.Words += res.Stats.WordsSent
 	}
-	c.endTrace(col)
 	c.reportProgress(rounds, wall)
-	return res, err
-}
-
-// RunBatch executes len(programs) independent runs of the same shape
-// as one batched engine execution (clique.RunBatch) and folds each
-// run's model cost into the experiment's SimCost exactly as the
-// equivalent serial Run loop would: runs are accounted in order, and on
-// the first failing run accounting stops (the failing run counts as a
-// run without rounds, later runs are not counted) so the deterministic
-// Result envelope is bit-identical to the serial loop that stops at the
-// first error. Traced experiments need one collector per run, so they
-// fall back to that serial loop outright.
-func (c *Ctx) RunBatch(cfg clique.Config, programs []clique.NodeFunc) ([]*clique.Result, error) {
-	if c.tracing {
-		results := make([]*clique.Result, 0, len(programs))
-		for _, f := range programs {
-			res, err := c.Run(cfg, f)
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, res)
-		}
-		return results, nil
-	}
-	c.checkCancelled()
-	cfg.Backend = c.Backend
-	start := time.Now()
-	results, errs := clique.RunBatch(cfg, programs)
-	wall := time.Since(start)
-	c.simWall += wall
-	// Attribute the batch wall to runs by their share of the batch's
-	// rounds, so per-run Progress throughput stays meaningful.
-	var totalRounds int64
-	for r := range results {
-		if errs[r] == nil {
-			totalRounds += int64(results[r].Stats.Rounds)
-		}
-	}
-	for r := range results {
-		c.res.Sim.Runs++
-		if errs[r] != nil {
-			c.reportProgress(0, 0)
-			return nil, errs[r]
-		}
-		rounds := results[r].Stats.Rounds
-		c.res.Sim.Rounds += int64(rounds)
-		c.res.Sim.Words += results[r].Stats.WordsSent
-		runWall := time.Duration(0)
-		if totalRounds > 0 {
-			runWall = time.Duration(int64(wall) * int64(rounds) / totalRounds)
-		}
-		c.reportProgress(rounds, runWall)
-	}
-	return results, nil
-}
-
-// Record folds an already-completed run's model cost into the
-// experiment's SimCost, for callers that executed the run outside the
-// Ctx: the serving daemon's batch coalescer runs whole groups of jobs
-// through one clique.RunBatch and then builds each job's envelope
-// through its own Ctx afterwards. wall is the run's attributed share of
-// the batch's wall clock. The Result built from a recorded run is
-// identical to the one Run would have built executing it serially,
-// because batched per-run results are bit-identical to serial ones.
-func (c *Ctx) Record(res *clique.Result, wall time.Duration) {
-	c.simWall += wall
-	c.res.Sim.Runs++
-	c.res.Sim.Rounds += int64(res.Stats.Rounds)
-	c.res.Sim.Words += res.Stats.WordsSent
-	c.reportProgress(res.Stats.Rounds, wall)
-}
-
-// RoundsBatch is the batched form of Rounds: one batched execution of
-// same-shape programs, returning each run's round count and aborting
-// the experiment on the first error.
-func (c *Ctx) RoundsBatch(n, wpp int, programs []clique.NodeFunc) []int {
-	results, err := c.RunBatch(clique.Config{N: n, WordsPerPair: wpp}, programs)
-	if err != nil {
-		c.Failf("%v", err)
-	}
-	rounds := make([]int, len(results))
-	for i, res := range results {
-		rounds[i] = res.Stats.Rounds
-	}
-	return rounds
 }
 
 // startTrace attaches a fresh labelled collector to cfg on traced
@@ -254,17 +227,8 @@ func (c *Ctx) Verify(cfg clique.Config, g *graph.Graph, alg nondet.Algorithm, z 
 	col := c.startTrace(&cfg)
 	start := time.Now()
 	v, err := nondet.RunVerifier(cfg, g, alg, z)
-	wall := time.Since(start)
-	c.simWall += wall
-	c.res.Sim.Runs++
-	rounds := 0
-	if err == nil {
-		rounds = v.Result.Stats.Rounds
-		c.res.Sim.Rounds += int64(rounds)
-		c.res.Sim.Words += v.Result.Stats.WordsSent
-	}
 	c.endTrace(col)
-	c.reportProgress(rounds, wall)
+	c.account(v.Result, err, time.Since(start))
 	return v, err
 }
 

@@ -23,8 +23,9 @@ import (
 
 // The registered experiments, in report order. Each body is the former
 // cmd/cliquebench exp* function rewritten against Ctx: simulated runs
-// go through c.Rounds / c.Run / c.Verify (per-experiment cost
-// accounting), findings land in typed tables, metrics, and notes.
+// go through c.Rounds / c.Run / c.RunWorkloads / c.Verify
+// (per-experiment cost accounting), findings land in typed tables,
+// metrics, and notes.
 func init() {
 	Register(Experiment{ID: "fig1", Artefact: "E1 / Figure 1",
 		Title: "measured exponents vs the fine-grained map", Run: expFig1})
@@ -62,6 +63,23 @@ func init() {
 		Title: "balanced router vs direct delivery on a skewed instance", Run: expAblation})
 }
 
+// fig1 is the E1 probe set in table order: each row names its
+// fine-grained map key ("" when the problem has none to check against),
+// its display name and the internal/workload catalogue entry that
+// supplies its word budget and node program, seeded by n. The root
+// BenchmarkWorkloads family benchmarks the same instances, so the
+// report and the benchmarks cannot drift apart.
+var fig1 = []struct{ key, name, alg string }{
+	{"semiring-mm", "Boolean MM (3D)", "boolmm-3d"},
+	{"", "Boolean MM (naive)", "boolmm-naive"},
+	{"apsp-w-ud", "APSP w/ud (min,+ squaring)", "apsp"},
+	{"triangle", "Triangle detection", "triangle"},
+	{"k-is", "3-IS detection", "k-is"},
+	{"k-ds", "3-DS (Theorem 9)", "k-ds"},
+	{"k-vc", "3-VC (Theorem 11)", "k-vc"},
+	{"maxis", "MaxIS (full gather)", "maxis"},
+}
+
 // E1 — Figure 1: measured scaling and fitted exponents for the
 // implemented problems, checked against the map's implemented bounds.
 func expFig1(c *Ctx) {
@@ -74,53 +92,56 @@ func expFig1(c *Ctx) {
 	cols = append(cols, "fitted", "impl bound")
 	t := c.Table("", cols...)
 
-	// Workloads sharing a (n, wpp) shape run as one batched execution:
-	// at each n, same-budget problems submit their programs together and
+	// Rows sharing a word budget run as one batched execution at each n:
 	// the engine amortises round scheduling across them. Round counts
 	// are bit-identical to serial runs (the batched≡serial invariant),
 	// so the deterministic envelope does not depend on the grouping.
-	ws := Fig1Workloads()
-	rounds := make([][]int, len(ws))
+	algs := make([]workload.Algorithm, len(fig1))
+	byWPP := map[int][]int{}
+	var order []int
+	for i, r := range fig1 {
+		alg, ok := workload.Get(r.alg)
+		if !ok {
+			c.Failf("Figure 1 row %q names unknown workload %q", r.name, r.alg)
+		}
+		algs[i] = alg
+		if len(byWPP[alg.WPP]) == 0 {
+			order = append(order, alg.WPP)
+		}
+		byWPP[alg.WPP] = append(byWPP[alg.WPP], i)
+	}
+	rounds := make([][]int, len(fig1))
 	for i := range rounds {
 		rounds[i] = make([]int, len(ns))
 	}
 	for ni, n := range ns {
-		byWPP := map[int][]int{}
-		var order []int
-		for wi, p := range ws {
-			if len(byWPP[p.WPP]) == 0 {
-				order = append(order, p.WPP)
-			}
-			byWPP[p.WPP] = append(byWPP[p.WPP], wi)
-		}
 		for _, wpp := range order {
-			idxs := byWPP[wpp]
-			progs := make([]clique.NodeFunc, len(idxs))
-			for j, wi := range idxs {
-				progs[j] = ws[wi].Make(n)
+			rows := byWPP[wpp]
+			specs := make([]workload.Spec, len(rows))
+			for j, i := range rows {
+				specs[j] = workload.Spec{Alg: algs[i], Seed: uint64(n)}
 			}
-			rs := c.RoundsBatch(n, wpp, progs)
-			for j, wi := range idxs {
-				rounds[wi][ni] = rs[j]
+			for j, run := range c.RunWorkloads(n, wpp, specs...) {
+				rounds[rows[j]][ni] = run.Result.Stats.Rounds
 			}
 		}
 	}
 
 	m := fgc.Figure1(3)
-	for wi, p := range ws {
-		rs := rounds[wi]
-		row := []Cell{Str(p.Name)}
-		for _, r := range rs {
-			row = append(row, Int(r))
+	for i, r := range fig1 {
+		rs := rounds[i]
+		row := []Cell{Str(r.name)}
+		for _, rd := range rs {
+			row = append(row, Int(rd))
 		}
 		fit := fgc.FitExponent(ns, rs)
 		bound := Str("-")
-		if prob, ok := m.Get(p.Key); ok && p.Key != "" {
+		if prob, ok := m.Get(r.key); ok && r.key != "" {
 			bound = Float(prob.ImplUpper, "%.3f")
 		}
 		row = append(row, Float(fit, "%.3f"), bound)
 		t.Row(row...)
-		c.Metric("fitted exponent: "+p.Name, fit, "exponent")
+		c.Metric("fitted exponent: "+r.name, fit, "exponent")
 	}
 
 	c.Notef("boolean-payload rows (MM, triangle, k-IS, k-DS, k-VC) ride the bit-packed plane:")
@@ -562,9 +583,11 @@ func expSubstrates(c *Ctx) {
 	mt := c.Table("matrix multiplication, naive vs 3D", "n", "naive rounds", "3D rounds")
 	naive, _ := workload.Get("boolmm-naive")
 	td, _ := workload.Get("boolmm-3d")
+	mmRounds := func(a workload.Algorithm, n int) Cell {
+		return Int(c.RunWorkloads(n, a.WPP, workload.Spec{Alg: a, Seed: uint64(n)})[0].Result.Stats.Rounds)
+	}
 	for _, n := range c.Sizes([]int{27, 64, 125, 216}, []int{8, 27}) {
-		mt.Row(Int(n), Int(c.Rounds(n, naive.WPP, naive.Make(n, uint64(n)))),
-			Int(c.Rounds(n, td.WPP, td.Make(n, uint64(n)))))
+		mt.Row(Int(n), mmRounds(naive, n), mmRounds(td, n))
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/clique"
 	"repro/internal/exp"
@@ -44,9 +43,8 @@ type Options struct {
 	// — seed sweeps — into one batched engine execution per repeat;
 	// without it every algorithm cell is a batch of one. Model costs are
 	// the same either way; each repeat's wall clock is measured per batch
-	// and attributed to cells by their share of the batch's rounds, so
-	// per-cell throughput stays comparable. Experiment cells always run
-	// alone.
+	// and split across cells by workload.RunBatch, so per-cell throughput
+	// stays comparable. Experiment cells always run alone.
 	Batch bool
 }
 
@@ -222,63 +220,51 @@ func batchGroups(cells []Cell) [][]int {
 }
 
 // runCellsBatched executes a same-shape group of algorithm cells — a
-// group of one when Batch is off: every warmup and repeat is one batched
-// engine execution covering the whole group. Per-cell model costs come
-// from the per-run results (bit-identical to serial runs); the batch's
-// wall clock is attributed to cells proportionally to their rounds. The
-// per-cell determinism check is identical to runCell's.
+// group of one when Batch is off: every warmup and repeat is one
+// workload.RunBatch covering the whole group, instance generation
+// included in its timed region. Per-cell model costs come from the
+// per-run results (bit-identical to serial runs) and per-cell walls
+// from RunBatch's split. The per-cell determinism check is identical
+// to runCell's.
 func runCellsBatched(ctx context.Context, group []Cell, backend string, repeats, warmup int, progress func()) ([][]RunRecord, error) {
 	alg, ok := workload.Get(group[0].Algorithm)
 	if !ok {
 		return nil, fmt.Errorf("grid: cell %d: unknown algorithm %q", group[0].Index, group[0].Algorithm)
 	}
 	cfg := clique.Config{N: group[0].N, WordsPerPair: group[0].WPP, Backend: backend}
+	specs := make([]workload.Spec, len(group))
+	for j, c := range group {
+		specs[j] = workload.Spec{Alg: alg, Seed: c.Seed}
+	}
 
-	one := func() ([]*clique.Result, int64, error) {
+	one := func() ([]workload.Run, error) {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, fmt.Errorf("grid: cell %d (%s): %w", group[0].Index, group[0].GroupKey(), err)
+			return nil, fmt.Errorf("grid: cell %d (%s): %w", group[0].Index, group[0].GroupKey(), err)
 		}
-		start := time.Now()
-		// Instance generation is rebuilt per execution and stays inside
-		// the timed region.
-		progs := make([]clique.NodeFunc, len(group))
-		for j, c := range group {
-			progs[j] = alg.Make(c.N, c.Seed)
-		}
-		results, errs := clique.RunBatch(cfg, progs)
-		wall := time.Since(start)
-		for j, err := range errs {
-			if err != nil {
-				return nil, 0, fmt.Errorf("grid: cell %d (%s): %w", group[j].Index, group[j].GroupKey(), err)
+		runs := workload.RunBatch(cfg, specs)
+		for j, run := range runs {
+			if run.Err != nil {
+				return nil, fmt.Errorf("grid: cell %d (%s): %w", group[j].Index, group[j].GroupKey(), run.Err)
 			}
 		}
-		return results, wall.Nanoseconds(), nil
+		return runs, nil
 	}
 
 	for i := 0; i < warmup; i++ {
-		if _, _, err := one(); err != nil {
+		if _, err := one(); err != nil {
 			return nil, err
 		}
 	}
 	recs := make([][]RunRecord, len(group))
 	for r := 0; r < repeats; r++ {
-		results, wallNS, err := one()
+		runs, err := one()
 		if err != nil {
 			return nil, err
 		}
-		var totalRounds int64
-		for _, res := range results {
-			totalRounds += int64(res.Stats.Rounds)
-		}
 		for j, c := range group {
-			rounds := int64(results[j].Stats.Rounds)
-			words := results[j].Stats.WordsSent
-			cellWall := int64(0)
-			if totalRounds > 0 {
-				cellWall = wallNS * rounds / totalRounds
-			} else if len(group) > 0 {
-				cellWall = wallNS / int64(len(group))
-			}
+			rounds := int64(runs[j].Result.Stats.Rounds)
+			words := runs[j].Result.Stats.WordsSent
+			cellWall := runs[j].Wall.Nanoseconds()
 			rec := RunRecord{Cell: c, Repeat: r, Rounds: rounds, Words: words, WallNS: cellWall}
 			if cellWall > 0 {
 				rec.RoundsPerSec = float64(rounds) / (float64(cellWall) / 1e9)

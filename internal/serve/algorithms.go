@@ -35,12 +35,13 @@ func adhocParams(req exp.Request) (workload.Algorithm, int, error) {
 
 // adhocExperiment wraps an ad-hoc request as an ephemeral Experiment so
 // it runs through the same counted exp.Ctx as registry experiments and
-// produces the same envelope shape. With res nil the body simulates the
-// request through c.Run. With a precomputed result — a run that already
-// executed inside a batched engine execution — it folds that result's
-// cost into the Ctx (exp.Ctx.Record), wall being the run's attributed
-// share of the batch's wall clock. The table and metrics come from the
-// one body either way, so the two envelopes cannot drift apart.
+// produces the same envelope shape. With res nil the body runs the
+// request as a batch of one (exp.Ctx.RunWorkloads). With a precomputed
+// result — a run that already executed inside a coalesced
+// workload.RunBatch — it folds that result's cost into the Ctx
+// (exp.Ctx.Record), wall being the run's share of the batch's wall
+// clock. The table and metrics come from the one body either way, so
+// the two envelopes cannot drift apart.
 func adhocExperiment(req exp.Request, res *clique.Result, wall time.Duration) (exp.Experiment, error) {
 	alg, wpp, err := adhocParams(req)
 	if err != nil {
@@ -54,10 +55,7 @@ func adhocExperiment(req exp.Request, res *clique.Result, wall time.Duration) (e
 			t := c.Table("", "n", "wpp", "rounds", "words", "bits", "max pair words")
 			res := res
 			if res == nil {
-				var err error
-				if res, err = c.Run(clique.Config{N: req.N, WordsPerPair: wpp}, alg.Make(req.N, req.Seed)); err != nil {
-					c.Failf("%v", err)
-				}
+				res = c.RunWorkloads(req.N, wpp, workload.Spec{Alg: alg, Seed: req.Seed})[0].Result
 			} else {
 				c.Record(res, wall)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,19 +48,27 @@ func bareServer(cfg Config) *Server {
 // TestBatchedEnvelopeBytesMatchSerial is the serving-layer equivalence
 // pin: a coalesced group's envelopes (and error strings, for a
 // violating workload) must be byte-identical to what serial runJob
-// produces for the same requests.
+// produces for the same requests. Besides the named cases, every
+// catalogue entry but the test-only ones runs at n = 16 with its
+// default budget.
 func TestBatchedEnvelopeBytesMatchSerial(t *testing.T) {
-	cases := []struct {
-		alg     string
-		n, wpp  int
-		wantErr bool
-	}{
-		{"exchange", 16, 1, false},
-		{"triangle", 24, 1, false},
-		{"test-overflow", 4, 1, true},
+	type batchCase struct {
+		name, alg string
+		n, wpp    int
+		wantErr   bool
+	}
+	cases := []batchCase{
+		{"exchange", "exchange", 16, 1, false},
+		{"triangle", "triangle", 24, 1, false},
+		{"test-overflow", "test-overflow", 4, 1, true},
+	}
+	for _, a := range workload.All() {
+		if !strings.HasPrefix(a.Name, "test-") {
+			cases = append(cases, batchCase{"catalogue/" + a.Name, a.Name, 16, a.WPP, false})
+		}
 	}
 	for _, tc := range cases {
-		t.Run(tc.alg, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			const width = 4
 			serial := bareServer(Config{Workers: 1})
 			batched := bareServer(Config{Workers: 1, BatchWidth: width})

@@ -28,8 +28,10 @@
 // down per mailbox shape and per scratch size class. With
 // Config.BatchWidth > 1 a worker additionally coalesces queued
 // same-shape untraced ad-hoc jobs into one batched engine execution
-// (clique.RunBatch) whose per-job envelopes stay byte-identical to
-// serial runs. Clients that ask for
+// whose per-job envelopes stay byte-identical to serial runs. Either
+// way an ad-hoc job runs through workload.RunBatch, a batch of one on
+// the serial path, and its simulated wall is its share of the batch's
+// wall clock, instance generation included. Clients that ask for
 // `Accept: text/event-stream` (or `?stream=sse`) get queued/progress
 // events while the job runs and the envelope as the final event.
 // Shutdown is graceful: the queue stops accepting, running jobs drain

@@ -220,16 +220,21 @@ func TestQueueFullShedsWithRetryAfter(t *testing.T) {
 	// Park the single worker on the gate and fill the single queue slot
 	// with distinct requests, then overflow. Scheduling is synchronous
 	// (enqueue happens before the handler waits), so issuing the
-	// requests from goroutines and polling the queued metric is
-	// race-free, and the gate holds the backlog until the test opens it.
+	// requests from goroutines and polling the metrics is race-free,
+	// and the gate holds the backlog until the test opens it. The
+	// second request goes out only once the worker holds the first:
+	// sent together, both could reach the one-slot queue before the
+	// worker takes the first, and the second would be shed.
 	finished := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			do(t, s, "POST", "/v1/run", fmt.Sprintf(`{"algorithm":"test-block","n":1,"seed":%d}`, 100+i))
 			finished <- struct{}{}
 		}(i)
+		waitFor(t, func() bool {
+			return s.metrics.jobsRunning.Value() == 1 && s.metrics.jobsQueued.Value() == int64(i)
+		})
 	}
-	waitFor(t, func() bool { return s.metrics.jobsQueued.Value()+s.metrics.jobsRunning.Value() == 2 })
 
 	rec := do(t, s, "POST", "/v1/run", `{"algorithm":"test-block","n":1,"seed":999}`)
 	if rec.Code != http.StatusServiceUnavailable {

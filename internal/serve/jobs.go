@@ -11,6 +11,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/fault"
 	"repro/internal/ledger"
+	"repro/internal/workload"
 )
 
 // The serving error taxonomy. Each sentinel maps to one HTTP status so
@@ -239,13 +240,20 @@ func (s *Server) executeJob(e *entry) (data []byte, err error) {
 	if err != nil {
 		return nil, s.classifyDeadline(ctx, e.timeout, err)
 	}
+	return s.finish(e.req, opts, res, tim)
+}
+
+// finish is the post-run tail the serial and batched paths share: it
+// folds the run's simulated rounds and throughput into the metrics and
+// marshals the job's envelope.
+func (s *Server) finish(req exp.Request, opts exp.Options, res *exp.Result, tim exp.Timing) ([]byte, error) {
 	s.metrics.simRounds.Add(tim.Rounds)
 	if tim.SimWall > 0 {
-		s.metrics.rpsHist.observe(jobLabel(e.req),
+		s.metrics.rpsHist.observe(jobLabel(req),
 			int64(float64(tim.Rounds)/tim.SimWall.Seconds()))
 	}
 	s.metrics.window.record(tim.Rounds, tim.SimWall.Nanoseconds())
-	return marshalEnvelope(e.req.Backend, opts, res)
+	return marshalEnvelope(req.Backend, opts, res)
 }
 
 // classifyDeadline rewrites a run failure caused by the job's own
@@ -306,8 +314,8 @@ func (s *Server) runJobBatch(group []*entry) {
 	}
 }
 
-// executeBatch is runJobBatch's fallible body: one clique.RunBatch over
-// the group's programs, then one envelope per job. A panic fails every
+// executeBatch is runJobBatch's fallible body: one workload.RunBatch
+// over the group's specs, then one envelope per job. A panic fails every
 // job that has not already been decided. Each job keeps its own
 // wall-clock budget, measured from the start of the batch and checked,
 // as on the serial path, once at the run boundary the batch's runs
@@ -359,41 +367,26 @@ func (s *Server) executeBatch(group []*entry) (data [][]byte, errs []error) {
 	// The run boundary: a job already past its deadline fails here, as
 	// a serial job does before its run, and the rest run as one batch.
 	var live []int
-	var progs []clique.NodeFunc
+	var specs []workload.Spec
 	for i, e := range group {
 		if err := ctxs[i].Err(); err != nil {
 			errs[i] = s.classifyDeadline(ctxs[i], e.timeout, fmt.Errorf("exp adhoc:%s: %w", alg.Name, err))
 			continue
 		}
 		live = append(live, i)
-		progs = append(progs, alg.Make(e.req.N, e.req.Seed))
-	}
-	if len(live) == 0 {
-		return data, errs
+		specs = append(specs, workload.Spec{Alg: alg, Seed: e.req.Seed})
 	}
 	cfg := clique.Config{N: group[0].req.N, WordsPerPair: wpp, Backend: backend}
-	start := time.Now()
-	results, runErrs := clique.RunBatch(cfg, progs)
-	wall := time.Since(start)
-	var totalRounds int64
-	for k := range live {
-		if runErrs[k] == nil {
-			totalRounds += int64(results[k].Stats.Rounds)
-		}
-	}
-	for k, i := range live {
+	for k, run := range workload.RunBatch(cfg, specs) {
+		i := live[k]
 		e := group[i]
-		if runErrs[k] != nil {
+		if run.Err != nil {
 			// The serial body Failf()s a run error under the experiment
 			// id; reproduce that exact shape.
-			errs[i] = fmt.Errorf("exp adhoc:%s: %v", alg.Name, runErrs[k])
+			errs[i] = fmt.Errorf("exp adhoc:%s: %v", alg.Name, run.Err)
 			continue
 		}
-		runWall := time.Duration(0)
-		if totalRounds > 0 {
-			runWall = time.Duration(int64(wall) * int64(results[k].Stats.Rounds) / totalRounds)
-		}
-		experiment, err := adhocExperiment(e.req, results[k], runWall)
+		experiment, err := adhocExperiment(e.req, run.Result, run.Wall)
 		if err != nil {
 			errs[i] = err
 			continue
@@ -404,13 +397,7 @@ func (s *Server) executeBatch(group []*entry) (data [][]byte, errs []error) {
 			errs[i] = err
 			continue
 		}
-		s.metrics.simRounds.Add(tim.Rounds)
-		if tim.SimWall > 0 {
-			s.metrics.rpsHist.observe(jobLabel(e.req),
-				int64(float64(tim.Rounds)/tim.SimWall.Seconds()))
-		}
-		s.metrics.window.record(tim.Rounds, tim.SimWall.Nanoseconds())
-		data[i], errs[i] = marshalEnvelope(e.req.Backend, opts, res)
+		data[i], errs[i] = s.finish(e.req, opts, res, tim)
 	}
 	return data, errs
 }

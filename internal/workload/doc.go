@@ -8,6 +8,8 @@
 //
 // Each entry builds an Instance: the node program, node 0's answer and,
 // where one exists, a centralized oracle, both read lazily after the
-// run. The Figure 1 experiment draws its probe set from here too
-// (exp.Fig1Workloads names catalogue entries and seeds them by n).
+// run. RunBatch is the one place an entry runs: it builds a batch of
+// (entry, seed) instances, runs them through one clique.RunBatch, and
+// splits the batch's wall clock across the runs by rounds. The
+// Figure 1 experiment draws its probe set from here too.
 package workload

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/clique"
 	"repro/internal/comm"
@@ -35,9 +36,11 @@ type Algorithm struct {
 	// New builds the instance for (n, seed). It must be deterministic
 	// in both and must not run the oracle.
 	New func(n int, seed uint64) Instance `json:"-"`
-	// Make is New's node program alone; Register derives it.
-	Make func(n int, seed uint64) clique.NodeFunc `json:"-"`
 }
+
+// Make is New's node program alone. Runners go through RunBatch, which
+// keeps the whole Instance; Make remains for the benchmark harness.
+func (a Algorithm) Make(n int, seed uint64) clique.NodeFunc { return a.New(n, seed).Program }
 
 // Instance is one generated instance: the node program and lazy
 // access to its answer.
@@ -51,6 +54,62 @@ type Instance struct {
 	Oracle func() any
 }
 
+// Spec is one run of a batch: a catalogue entry and its instance seed.
+// The batch's clique.Config fixes n and the word budget.
+type Spec struct {
+	Alg  Algorithm
+	Seed uint64
+}
+
+// Run is one executed Spec: its instance, whose Answer and Oracle are
+// ready to read, the run's result or error, and its share of the
+// batch's wall clock.
+type Run struct {
+	Instance
+	Result *clique.Result
+	Err    error
+	Wall   time.Duration
+}
+
+// RunBatch builds every spec's instance at cfg.N and runs them all as
+// one clique.RunBatch, so each run's Result and Err are those a serial
+// clique.Run of its program would return. It is the one place a
+// catalogue entry runs. The batch's wall clock covers instance
+// generation and the engine execution, and is split across the runs in
+// proportion to their rounds, a failed run counting none; when no run
+// completes a round, every run gets an even share. The walls thus sum
+// to at most the batch's wall. An empty spec list returns nil.
+func RunBatch(cfg clique.Config, specs []Spec) []Run {
+	if len(specs) == 0 {
+		return nil
+	}
+	start := time.Now()
+	runs := make([]Run, len(specs))
+	progs := make([]clique.NodeFunc, len(specs))
+	for i, s := range specs {
+		runs[i].Instance = s.Alg.New(cfg.N, s.Seed)
+		progs[i] = runs[i].Program
+	}
+	results, errs := clique.RunBatch(cfg, progs)
+	wall := time.Since(start)
+	var total int64
+	for i := range runs {
+		runs[i].Result, runs[i].Err = results[i], errs[i]
+		if errs[i] == nil {
+			total += int64(results[i].Stats.Rounds)
+		}
+	}
+	for i := range runs {
+		switch {
+		case total == 0:
+			runs[i].Wall = wall / time.Duration(len(runs))
+		case runs[i].Err == nil:
+			runs[i].Wall = wall * time.Duration(runs[i].Result.Stats.Rounds) / time.Duration(total)
+		}
+	}
+	return runs
+}
+
 // catalogue is the algorithm set, keyed by name. Registration-time
 // extension (Register) exists for tests; the built-in set is fixed at
 // init.
@@ -59,9 +118,8 @@ var (
 	catalogue = map[string]Algorithm{}
 )
 
-// Register adds an algorithm to the catalogue and derives its Make
-// from New; an empty name, a missing New or a duplicate name panics,
-// mirroring exp.Register.
+// Register adds an algorithm to the catalogue; an empty name, a missing
+// New or a duplicate name panics, mirroring exp.Register.
 func Register(a Algorithm) {
 	catMu.Lock()
 	defer catMu.Unlock()
@@ -71,7 +129,6 @@ func Register(a Algorithm) {
 	if _, dup := catalogue[a.Name]; dup {
 		panic(fmt.Sprintf("workload: duplicate algorithm %q", a.Name))
 	}
-	a.Make = func(n int, seed uint64) clique.NodeFunc { return a.New(n, seed).Program }
 	catalogue[a.Name] = a
 }
 

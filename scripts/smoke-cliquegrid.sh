@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # smoke-cliquegrid.sh — CI smoke test for the cliquegrid runner.
 #
-# Runs a tiny grid twice (sequential, then -parallel=4), asserts the
-# full artefact set appears under paper_runs/<stamp>/, and checks the
-# determinism contract: the -no-timing summary.json is byte-identical
-# across worker counts, and runs.csv carries one row per repeat.
+# Runs a tiny grid three times (sequential, -parallel=4, then -batch),
+# asserts the full artefact set appears under paper_runs/<stamp>/, and
+# checks the determinism contract: the -no-timing summary.json is
+# byte-identical across worker counts and with seed sweeps batched, and
+# runs.csv carries one row per repeat.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +44,11 @@ echo "smoke: -no-timing summary is byte-identical across -parallel"
 "$tmp/cliquegrid" -spec "$tmp/spec.json" -out "$tmp/runs" -stamp par \
   -parallel=4 -no-timing -progress=false >/dev/null
 cmp "$tmp/runs/seq/summary.json" "$tmp/runs/par/summary.json"
+
+echo "smoke: -no-timing summary is byte-identical with -batch"
+"$tmp/cliquegrid" -spec "$tmp/spec.json" -out "$tmp/runs" -stamp batch \
+  -batch -no-timing -progress=false >/dev/null
+cmp "$tmp/runs/seq/summary.json" "$tmp/runs/batch/summary.json"
 
 echo "smoke: -no-timing strips every wall-clock field"
 if grep -q '"timing"' "$tmp/runs/seq/summary.json"; then
