@@ -88,6 +88,27 @@ func TestBandwidthViolation(t *testing.T) {
 	}
 }
 
+// TestEveryNodeViolatesNamesLowestID: when every node breaks the
+// budget in the same round, both backends name node 0, the lowest-id
+// violator, in every run — the canonical error RunBatch's contract
+// promises — however the goroutine backend's nodes interleave.
+func TestEveryNodeViolatesNamesLowestID(t *testing.T) {
+	const n = 16
+	want := "clique: node 0 round 1: bandwidth exceeded sending 2 words to 1 (budget 1 words/pair/round)"
+	for _, backend := range Backends() {
+		for i := 0; i < 20; i++ {
+			_, err := Run(Config{N: n, WordsPerPair: 1, Backend: backend}, func(nd *Node) {
+				nd.Tick()
+				nd.Send((nd.ID()+1)%n, 1, 2)
+				nd.Tick()
+			})
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s run %d: err %v, want %q", backend, i, err, want)
+			}
+		}
+	}
+}
+
 func TestMultiWordBudget(t *testing.T) {
 	res, err := Run(Config{N: 4, WordsPerPair: 3}, func(nd *Node) {
 		nd.Broadcast(1, 2, 3)

@@ -28,6 +28,9 @@ type goroutineEngine struct {
 	active  int
 	round   int
 	err     error
+	// errNode is the node whose failure e.err is, or -1 when the
+	// exchange set it (MaxRounds, broadcast-only); only fail reads it.
+	errNode int
 
 	// outbox[from][to] and inbox[to][from] hold the words queued /
 	// delivered in the current round.
@@ -84,9 +87,9 @@ func (goroutineBackend) Run(cfg Config, body func(id int, rt NodeRuntime)) (*Res
 				case Abort:
 					// Another node failed; unwind quietly.
 				case Violation:
-					e.fail(r.Err)
+					e.fail(v, r.Err)
 				default:
-					e.fail(fmt.Errorf("clique: node %d panicked: %v", v, r))
+					e.fail(v, fmt.Errorf("clique: node %d panicked: %v", v, r))
 				}
 			}()
 			body(v, e)
@@ -105,12 +108,18 @@ func newMailbox(n int) [][][]uint64 {
 	return m
 }
 
-// fail records the first error and wakes all waiters.
-func (e *goroutineEngine) fail(err error) {
+// fail records node v's error and wakes all waiters. A failed node
+// never reaches its barrier, so the round it fails in is never
+// exchanged and every node failing later fails in the same round,
+// after running all of that round's sends. Keeping the lowest-id
+// node's error therefore gives the lockstep backend's canonical
+// error, whichever goroutine fails first. An error the exchange set
+// stays.
+func (e *goroutineEngine) fail(v int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.err == nil {
-		e.err = err
+	if e.err == nil || (e.errNode >= 0 && v < e.errNode) {
+		e.err, e.errNode = err, v
 	}
 	e.cond.Broadcast()
 }
@@ -146,7 +155,11 @@ func (e *goroutineEngine) Barrier(id int) {
 	for e.round == myRound && e.err == nil {
 		e.cond.Wait()
 	}
-	if e.err != nil {
+	// Unwind only if the run failed before this round was exchanged.
+	// Once it was, the node goes on to the next round's sends even if a
+	// faster node already failed there, so that round's every violator
+	// reaches fail, as on the lockstep backend; the next Barrier aborts.
+	if e.round == myRound {
 		panic(Abort{})
 	}
 }
@@ -157,9 +170,9 @@ func (e *goroutineEngine) Barrier(id int) {
 func (e *goroutineEngine) exchangeLocked() {
 	if e.cfg.BroadcastOnly && e.err == nil {
 		if from, to := findBroadcastViolation(e.n, func(f, t int) []uint64 { return e.outbox[f][t] }); from >= 0 {
-			e.err = fmt.Errorf(
+			e.err, e.errNode = fmt.Errorf(
 				"clique: node %d round %d: broadcast-only model violated (message to %d differs from the rest)",
-				from, e.round, to)
+				from, e.round, to), -1
 		}
 	}
 	e.inbox, e.outbox = e.outbox, e.inbox
@@ -206,7 +219,7 @@ func (e *goroutineEngine) exchangeLocked() {
 	e.round++
 	e.stats.Rounds = e.round
 	if e.round > e.cfg.MaxRounds && e.err == nil {
-		e.err = fmt.Errorf("clique: exceeded MaxRounds = %d", e.cfg.MaxRounds)
+		e.err, e.errNode = fmt.Errorf("clique: exceeded MaxRounds = %d", e.cfg.MaxRounds), -1
 	}
 	if e.tr != nil {
 		// Reported under e.mu, before waking the barrier, so the inbox

@@ -11,5 +11,6 @@
 // the minimum-weight edge leaving its current component (everyone can
 // compute component ids locally because everyone has seen all prior
 // announcements), all nodes apply the same merges, and the number of
-// components at least halves.
+// components at least halves. Every node sorts the same forest, so the
+// sorts pack each edge into one (W, U, V) uint64 key when it fits.
 package mst

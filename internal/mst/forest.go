@@ -1,10 +1,6 @@
 package mst
 
-import (
-	"slices"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // unionFind is the shared merge structure of the MST family. Roots
 // are always the minimum vertex id of their component, matching the
@@ -62,7 +58,9 @@ type boruvkaMerge struct {
 }
 
 func newBoruvkaMerge(n int) *boruvkaMerge {
-	m := &boruvkaMerge{comp: make([]int, n), uf: newUnionFind(n), best: make([]Edge, n)}
+	// A forest has at most n−1 edges, so merge never grows forest.
+	m := &boruvkaMerge{comp: make([]int, n), uf: newUnionFind(n), best: make([]Edge, n),
+		forest: make([]Edge, 0, max(n-1, 0))}
 	for v := range m.comp {
 		m.comp[v] = v
 		m.best[v] = Edge{U: -1}
@@ -115,7 +113,7 @@ func KruskalForest(g *graph.Weighted) []Edge {
 			}
 		}
 	}
-	slices.SortFunc(edges, compareEdges)
+	sortEdges(edges, g.N, nil)
 	uf := newUnionFind(g.N)
 	var forest []Edge
 	for _, e := range edges {

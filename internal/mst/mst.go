@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -73,7 +74,7 @@ func Find(nd clique.Endpoint, wRow []int64) []Edge {
 		}
 	}
 
-	slices.SortFunc(m.forest, compareEdges)
+	sortEdges(m.forest, n, pairs) // pairs is free once the phases end
 	return m.forest
 }
 
@@ -113,6 +114,37 @@ func compareEdges(a, b Edge) int {
 		return 1
 	}
 	return 0
+}
+
+// sortEdges sorts es, whose endpoints lie in [0, n), into the package
+// order (W, U, V). With b = bits.Len(n), when every weight lies in
+// [0, 2^(64−2b)), each edge packs into the key W<<2b | U<<b | V, whose
+// integer order is less's, and the keys sort without a comparator
+// call; otherwise es falls back to slices.SortFunc with compareEdges.
+// Equal keys are equal edges, so both paths give the same slice. keys
+// is scratch, used when it can hold len(es) words.
+func sortEdges(es []Edge, n int, keys []uint64) {
+	b := uint(bits.Len(uint(n)))
+	for _, e := range es {
+		// A negative weight converts with its top bit set, so it fails
+		// the width test too.
+		if bits.Len64(uint64(e.W)) > 64-int(2*b) {
+			slices.SortFunc(es, compareEdges)
+			return
+		}
+	}
+	if cap(keys) < len(es) {
+		keys = make([]uint64, len(es))
+	}
+	keys = keys[:len(es)]
+	for i, e := range es {
+		keys[i] = uint64(e.W)<<(2*b) | uint64(e.U)<<b | uint64(e.V)
+	}
+	slices.Sort(keys)
+	mask := uint64(1)<<b - 1
+	for i, k := range keys {
+		es[i] = Edge{U: int(k >> b & mask), V: int(k & mask), W: int64(k >> (2 * b))}
+	}
 }
 
 func normalize(e Edge) Edge {

@@ -1,8 +1,6 @@
 package mst
 
 import (
-	"slices"
-
 	"repro/internal/clique"
 	"repro/internal/comm"
 	"repro/internal/graph"
@@ -225,13 +223,14 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 	for _, e := range contracted {
 		edges = append(edges, e)
 	}
-	slices.SortFunc(edges, compareEdges)
+	keys := make([]uint64, max(n, len(edges))) // sort scratch for both sorts
+	sortEdges(edges, n, keys)
 	forest := m.forest
 	for _, e := range edges {
 		if m.uf.union(e.U, e.V) { // m.uf still holds the seed partition
 			forest = append(forest, e)
 		}
 	}
-	slices.SortFunc(forest, compareEdges)
+	sortEdges(forest, n, keys)
 	return forest, stats
 }

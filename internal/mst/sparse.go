@@ -1,8 +1,6 @@
 package mst
 
 import (
-	"slices"
-
 	"repro/internal/clique"
 	"repro/internal/comm"
 	"repro/internal/graph"
@@ -121,9 +119,11 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 		labels   []int
 		isolated []bool
 		forest   []Edge
+		keys     []uint64 // sortEdges scratch: a phase has at most n candidates
 	)
 	if me == 0 {
 		uf = newUnionFind(n)
+		keys = make([]uint64, n)
 		labels = make([]int, n)
 		for v := range labels {
 			labels[v] = v
@@ -288,7 +288,7 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 					nd.Fail("mst: SparseFind coordinator got %d-word report from %d", len(d.Words), d.From)
 				}
 			}
-			slices.SortFunc(cands, compareEdges)
+			sortEdges(cands, n, keys)
 			for _, e := range cands {
 				if uf.union(e.U, e.V) {
 					forest = append(forest, e)
@@ -367,7 +367,7 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 	}
 
 	if me == 0 {
-		slices.SortFunc(forest, compareEdges)
+		sortEdges(forest, n, keys)
 		stats.Merges = len(forest)
 		for v := 0; v < n; v++ {
 			if uf.find(v) == v {

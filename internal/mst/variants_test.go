@@ -2,6 +2,7 @@ package mst
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/clique"
@@ -137,6 +138,53 @@ func TestMSTVariantsAgreeExactly(t *testing.T) {
 		}
 		checkForestValid(t, tc.g, oracle, tc.name)
 	}
+
+	// The sweep sizes, on the sweep's instance shapes (mst and
+	// mst-sketch at p = 0.3, mst-sparse at p = 0.5, weights up to 60),
+	// against a Kruskal that sorts with compareEdges rather than
+	// sortEdges. Lockstep only: the goroutine engine's per-link
+	// allocation makes n = 1024 slow, and the backend tests above
+	// already pin the two engines to each other.
+	for _, n := range []int{512, 1024} {
+		g := graph.GnpWeighted(n, 0.3, 60, false, uint64(n))
+		oracle := kruskalSortFunc(g)
+		if got := KruskalForest(g); !sameForest(got, oracle) {
+			t.Fatalf("n=%d: KruskalForest differs from the SortFunc Kruskal", n)
+		}
+		if got, _ := runFind(t, g); !sameForest(got, oracle) {
+			t.Errorf("n=%d: Find forest differs from the SortFunc Kruskal", n)
+		}
+		if got, _, _ := runSketchFind(t, g, 32, "lockstep", 7); !sameForest(got, oracle) {
+			t.Errorf("n=%d: SketchFind forest differs from the SortFunc Kruskal", n)
+		}
+		dense := graph.GnpWeighted(n, 0.5, 60, false, uint64(n))
+		if got, _, _ := runSparseFind(t, dense, 8, "lockstep", 7); !sameForest(got, kruskalSortFunc(dense)) {
+			t.Errorf("n=%d: SparseFind forest differs from the SortFunc Kruskal", n)
+		}
+	}
+}
+
+// kruskalSortFunc is KruskalForest with slices.SortFunc and
+// compareEdges in place of sortEdges: the reference the packed-key
+// sort is pinned against.
+func kruskalSortFunc(g *graph.Weighted) []Edge {
+	var edges []Edge
+	for u := 0; u < g.N; u++ {
+		for v := u + 1; v < g.N; v++ {
+			if g.HasEdge(u, v) {
+				edges = append(edges, Edge{U: u, V: v, W: g.W[u][v]})
+			}
+		}
+	}
+	slices.SortFunc(edges, compareEdges)
+	uf := newUnionFind(g.N)
+	var forest []Edge
+	for _, e := range edges {
+		if uf.union(e.U, e.V) {
+			forest = append(forest, e)
+		}
+	}
+	return forest
 }
 
 // TestMSTVariantsRandomCorpus sweeps random seeds for weight equality

@@ -12,5 +12,7 @@
 // strictly cheaper than those k one-word rounds, the kernel exchange
 // rides the packed collective plane instead, capping the cost at
 // 1 + min(k, ceil(ceil(n/64)/wordsPerPair)) rounds while keeping the
-// fixed-cost shape (and thus yes/no indistinguishability) intact.
+// fixed-cost shape (and thus yes/no indistinguishability) intact. The
+// local solve builds the kernel graph over the announced edges'
+// endpoints only, O(k²) vertices on a yes-instance rather than n.
 package vcover

@@ -1,6 +1,7 @@
 package vcover
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/bitvec"
@@ -77,7 +78,7 @@ func Find(nd clique.Endpoint, row graph.Bitset, k int) Result {
 		// Degree <= k outside C, so this cannot happen on a legal run.
 		nd.Fail("vcover: %d uncovered edges at a low-degree node", len(mine))
 	}
-	kernel := graph.New(n)
+	var kedges [][2]int // the announced kernel edges, duplicates included
 	endPhase = trace.Phase(nd, "vcover/kernel-rounds")
 	defer endPhase()
 	wpp := nd.WordsPerPair()
@@ -94,7 +95,7 @@ func Find(nd clique.Endpoint, row graph.Bitset, k int) Result {
 		for v, rowMask := range table {
 			rowMask.Each(func(u int) {
 				if u != v {
-					kernel.AddEdge(v, u)
+					kedges = append(kedges, [2]int{v, u})
 				}
 			})
 		}
@@ -106,10 +107,10 @@ func Find(nd clique.Endpoint, row graph.Bitset, k int) Result {
 		}
 		comm.BroadcastRounds(nd, words, k, func(_, _ int, w uint64) {
 			a, b := clique.UnpairWord(w, n)
-			kernel.AddEdge(a, b)
+			kedges = append(kedges, [2]int{a, b})
 		})
 		for _, u := range mine {
-			kernel.AddEdge(me, u)
+			kedges = append(kedges, [2]int{me, u})
 		}
 	}
 
@@ -118,10 +119,29 @@ func Find(nd clique.Endpoint, row graph.Bitset, k int) Result {
 	}
 
 	// Local solve: minimum vertex cover of the kernel within the
-	// remaining budget. Local computation is free in the model.
+	// remaining budget. Local computation is free in the model. The
+	// kernel graph spans only the announced edges' endpoints, relabelled
+	// in ascending id — O(k²) vertices on a yes-instance instead of n —
+	// and the relabelling is monotone, so FindVertexCover branches on
+	// the same edges in the same order.
+	verts := make([]int, 0, 2*len(kedges))
+	for _, e := range kedges {
+		verts = append(verts, e[0], e[1])
+	}
+	slices.Sort(verts)
+	verts = slices.Compact(verts)
+	kernel := graph.New(len(verts))
+	for _, e := range kedges {
+		a, _ := slices.BinarySearch(verts, e[0])
+		b, _ := slices.BinarySearch(verts, e[1])
+		kernel.AddEdge(a, b)
+	}
 	rest := graph.FindVertexCover(kernel, k-len(forced))
 	if rest == nil {
 		return Result{KernelSize: len(forced)}
+	}
+	for i, v := range rest {
+		rest[i] = verts[v]
 	}
 	cover := append(append([]int(nil), forced...), rest...)
 	sort.Ints(cover)

@@ -265,11 +265,20 @@ func sum(keys []uint64) (s uint64) {
 func init() {
 	for _, a := range []Algorithm{
 		{Name: "exchange", Title: "one-round all-to-all broadcast exchange", WPP: 1, New: func(n int, seed uint64) Instance {
+			// The answer weighs each word by its sender's position: a
+			// plain sum of v XOR seed is the same for every seed < n
+			// when n is a power of two.
 			return node0(func(nd *clique.Node) []uint64 { return comm.BroadcastWord(nd, uint64(nd.ID())^seed) },
-				func(got []uint64) any { return sum(got) }, func() any {
+				func(got []uint64) any {
+					var s uint64
+					for v, w := range got {
+						s += uint64(v+1) * w
+					}
+					return s
+				}, func() any {
 					var s uint64
 					for v := 0; v < n; v++ {
-						s += uint64(v) ^ seed
+						s += uint64(v+1) * (uint64(v) ^ seed)
 					}
 					return s
 				})

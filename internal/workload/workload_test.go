@@ -81,12 +81,12 @@ func TestAnswersMatchOracle(t *testing.T) {
 	}
 }
 
-// overflow's node 0 sends one word more than the budget in round 0.
+// overflow's every node sends one word more than the budget to its
+// successor in round 0, so the run's error must name the lowest-id
+// violator on both backends.
 var overflow = Algorithm{Name: "overflow", New: func(int, uint64) Instance {
 	return Instance{Program: func(nd *clique.Node) {
-		if nd.ID() == 0 {
-			nd.SendWords(1, make([]uint64, nd.WordsPerPair()+1))
-		}
+		nd.SendWords((nd.ID()+1)%nd.N(), make([]uint64, nd.WordsPerPair()+1))
 		nd.Tick()
 	}}
 }}
