@@ -51,8 +51,17 @@ func RunBatch(cfg Config, programs []NodeFunc) ([]*Result, []error) {
 			rec = trace.NewCollector("forced", cfg.N, cfg.WordsPerPair)
 		}
 	}
+	// Replicated results are shared within a run on lockstep only; the
+	// goroutine reference backend computes them at every node.
+	var reps []replicas
+	if be.Name() == "lockstep" {
+		reps = make([]replicas, batch)
+	}
 	return engine.RunBatch(be, cfg.engineConfig(), batch, func(run, id int, rt engine.NodeRuntime) {
 		nd := &Node{id: id, n: cfg.N, wpp: cfg.WordsPerPair, rt: rt}
+		if reps != nil {
+			nd.rep = &reps[run]
+		}
 		if id == 0 {
 			// Spans are recorded from node 0 only: the model is uniform,
 			// so node 0's phase structure is the run's phase structure.

@@ -143,6 +143,11 @@ type Node struct {
 	pend  int
 	// tr records phase/op spans; non-nil only at node 0 of a traced run.
 	tr trace.SpanRecorder
+	// rep is the run's shared table of Replicated results, nil where
+	// the backend does not share; repCalls counts this node's calls of
+	// each site in the current round.
+	rep      *replicas
+	repCalls []siteCalls
 }
 
 // ID returns this node's identifier in 0..N-1. The paper uses 1..n; the

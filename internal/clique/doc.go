@@ -26,6 +26,13 @@
 // caller-owned buffer. Both backends therefore see only plain Broadcast
 // and Recv calls.
 //
+// Replicated is the one primitive for local computation every node
+// repeats on data all nodes hold (a merge over broadcast announcements,
+// say): on lockstep a run computes each such step once and hands the
+// read-only result to every node whose inputs equal the computed-from
+// inputs word for word; the goroutine reference backend and any other
+// Endpoint compute it at every node.
+//
 // How the n node programs are actually scheduled is the job of an
 // execution backend (package engine), selected with Config.Backend:
 // "lockstep", the default, resumes the programs as coroutines on a

@@ -16,7 +16,9 @@
 //
 //   - "goroutine": one goroutine per node with a condition-variable
 //     barrier per round. This is the original engine; it is simple and
-//     the reference for semantics.
+//     the reference for semantics. Its per-link cells are reused from
+//     round to round, which is safe because Recv views expire at the
+//     next barrier and transcripts copy what they record.
 //   - "lockstep": a deterministic engine that resumes node programs as
 //     pull-style coroutines on a sharded worker pool, with preallocated
 //     mailbox buffers that are reused across rounds. No per-round

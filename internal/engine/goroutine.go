@@ -188,11 +188,13 @@ func (e *goroutineEngine) exchangeLocked() {
 		}
 	}
 	// After the swap loop above, inbox[v][p] holds the words p sent to
-	// v. Clear the outbox for the next round.
+	// v. Clear the outbox for the next round, keeping each cell's
+	// storage: the cells are last round's inbox, whose Recv views
+	// expired at this barrier, and recordRound copies what it records.
 	for from := range e.outbox {
 		row := e.outbox[from]
 		for to := range row {
-			row[to] = nil
+			row[to] = row[to][:0]
 		}
 	}
 
@@ -297,8 +299,14 @@ func (e *goroutineEngine) SendBuf(from, round, to, k int) []uint64 {
 	return cell[l : l+k : l+k]
 }
 
+// Recv returns nil for a silent link and clips the view's capacity, as
+// the lockstep mailbox does: cells are reused across rounds, so an
+// append to a Recv view must copy rather than write into the cell.
 func (e *goroutineEngine) Recv(to, from int) []uint64 {
-	return e.inbox[to][from]
+	if w := e.inbox[to][from]; len(w) != 0 {
+		return w[:len(w):len(w)]
+	}
+	return nil
 }
 
 // Senders scans the (already transposed) inbox row of `to`.

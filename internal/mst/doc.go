@@ -11,6 +11,11 @@
 // the minimum-weight edge leaving its current component (everyone can
 // compute component ids locally because everyone has seen all prior
 // announcements), all nodes apply the same merges, and the number of
-// components at least halves. Every node sorts the same forest, so the
-// sorts pack each edge into one (W, U, V) uint64 key when it fits.
+// components at least halves. The merge, SketchFind's final replay and
+// the forest sort are functions of words every node holds, so they run
+// through clique.Replicated: once per run on the lockstep backend, at
+// every node on the goroutine reference backend. The sorts pack each
+// edge into one (W, U, V) uint64 key when it fits. SparseFind's
+// proposals come from a per-node cursor over the incident edges sorted
+// once by (W, id), so a node's proposals cost O(deg) over a whole run.
 package mst

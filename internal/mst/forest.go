@@ -1,6 +1,11 @@
 package mst
 
-import "repro/internal/graph"
+import (
+	"slices"
+
+	"repro/internal/clique"
+	"repro/internal/graph"
+)
 
 // unionFind is the shared merge structure of the MST family. Roots
 // are always the minimum vertex id of their component, matching the
@@ -38,65 +43,63 @@ func (u unionFind) union(a, b int) bool {
 	return true
 }
 
-// boruvkaMerge is the replicated Borůvka merge every node of Find and
-// of SketchFind's seed phases runs on the same announcements, so all
-// nodes reach the same forest and labels. A phase offers each
-// announced edge, then merge applies, in ascending component label,
-// every component's best offered edge that still joins two
-// components. Labels are minimum member ids, kept by unionFind's
-// min-id roots, and comp is rewritten once per phase, so a phase costs
-// O(n α(n)) however many edges it merges.
+// boruvkaMerge is the state of the replicated Borůvka merge every
+// node of Find and of SketchFind's seed phases runs on the same
+// announcements, so all nodes reach the same forest and labels. It is
+// immutable once built: phase returns the next state and leaves its
+// receiver alone, which lets clique.Replicated hand one state to every
+// node of a lockstep run. Labels are minimum member ids, kept by
+// unionFind's min-id roots.
 type boruvkaMerge struct {
-	// comp[v] is the label of v's component at the start of the
-	// phase; it changes only in merge.
-	comp []int
-	uf   unionFind
-	// best[c] is the best edge offered out of component c this phase
-	// (U < 0 when none); merge resets it as it drains it.
-	best   []Edge
+	// comp[v] is the label of v's component.
+	comp   []int
+	uf     unionFind
 	forest []Edge
 }
 
 func newBoruvkaMerge(n int) *boruvkaMerge {
-	// A forest has at most n−1 edges, so merge never grows forest.
-	m := &boruvkaMerge{comp: make([]int, n), uf: newUnionFind(n), best: make([]Edge, n),
-		forest: make([]Edge, 0, max(n-1, 0))}
+	// A forest has at most n−1 edges, so a phase never grows forest.
+	m := &boruvkaMerge{comp: make([]int, n), uf: newUnionFind(n), forest: make([]Edge, 0, max(n-1, 0))}
 	for v := range m.comp {
 		m.comp[v] = v
-		m.best[v] = Edge{U: -1}
 	}
 	return m
 }
 
-// offer records e, announced by its endpoint e.U, as a candidate for
-// e.U's component, keeping the better one under the package order.
-func (m *boruvkaMerge) offer(e Edge) {
-	c := m.comp[e.U]
-	if better(e, m.best[c]) {
-		m.best[c] = e
+// phase returns the state after one Borůvka phase on ann, which holds
+// n pair words (node v's announced edge, noEdge for none) followed by
+// the n matching weight words. Each announced edge is a candidate for
+// its announcer's component; the phase applies, in ascending label,
+// every component's best candidate under the package order that still
+// joins two components, then relabels once, so it costs O(n α(n))
+// however many edges it merges, plus one O(n) copy of the state.
+func (m *boruvkaMerge) phase(ann []uint64) *boruvkaMerge {
+	n := len(m.comp)
+	best := make([]Edge, n)
+	for c := range best {
+		best[c] = Edge{U: -1}
 	}
-}
-
-// merge ends the phase: it applies the best offered edges in ascending
-// label order, skipping any whose endpoints an earlier merge of the
-// phase already joined, and relabels comp. It reports whether any edge
-// joined the forest.
-func (m *boruvkaMerge) merge() bool {
-	added := false
-	for c, e := range m.best {
-		if e.U < 0 {
+	for v := 0; v < n; v++ {
+		if ann[v] == noEdge {
 			continue
 		}
-		m.best[c] = Edge{U: -1}
-		if m.uf.union(e.U, e.V) {
-			m.forest = append(m.forest, normalize(e))
-			added = true
+		u, w := clique.UnpairWord(ann[v], n)
+		e := Edge{U: u, V: w, W: int64(ann[n+v])}
+		if c := m.comp[u]; better(e, best[c]) {
+			best[c] = e
 		}
 	}
-	for v := range m.comp {
-		m.comp[v] = m.uf.find(v)
+	next := &boruvkaMerge{comp: make([]int, n), uf: slices.Clone(m.uf),
+		forest: append(make([]Edge, 0, cap(m.forest)), m.forest...)}
+	for _, e := range best {
+		if e.U >= 0 && next.uf.union(e.U, e.V) {
+			next.forest = append(next.forest, normalize(e))
+		}
 	}
-	return added
+	for v := range next.comp {
+		next.comp[v] = next.uf.find(v)
+	}
+	return next
 }
 
 // KruskalForest computes the minimum spanning forest centrally under

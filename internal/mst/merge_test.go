@@ -56,28 +56,44 @@ func stableEdges(m map[int]Edge) []Edge {
 	return out
 }
 
-// checkMergePhase offers the same edges to m and to the naive merge on
-// comp, then requires the same added edges in the same order and the
-// same labels afterwards. It reports whether the phase added an edge.
-func checkMergePhase(t testing.TB, m *boruvkaMerge, comp []int, offered []Edge, tag string) bool {
-	t.Helper()
-	before := len(m.forest)
-	for _, e := range offered {
-		m.offer(e)
+// announce encodes offered, at most n edges, as a phase's
+// announcement buffer: n pair words (noEdge in the unused slots), then
+// n weight words. Which slot carries an edge does not matter, because
+// a candidate counts for its first endpoint's component.
+func announce(offered []Edge, n int) []uint64 {
+	ann := make([]uint64, 2*n)
+	for v := 0; v < n; v++ {
+		ann[v] = noEdge
 	}
-	added := m.merge()
+	for v, e := range offered {
+		ann[v], ann[n+v] = clique.PairWord(e.U, e.V, n), uint64(e.W)
+	}
+	return ann
+}
+
+// checkMergePhase runs one phase of m on the offered edges and the
+// naive merge on comp, then requires the same added edges in the same
+// order and the same labels afterwards, and m itself unchanged. It
+// returns the next state and whether the phase added an edge.
+func checkMergePhase(t testing.TB, m *boruvkaMerge, comp []int, offered []Edge, tag string) (*boruvkaMerge, bool) {
+	t.Helper()
+	before, beforeUF, beforeForest := slices.Clone(m.comp), slices.Clone(m.uf), slices.Clone(m.forest)
+	next := m.phase(announce(offered, len(comp)))
+	if !slices.Equal(m.comp, before) || !slices.Equal(m.uf, beforeUF) || !slices.Equal(m.forest, beforeForest) {
+		t.Fatalf("%s: phase modified its receiver", tag)
+	}
 	want := mergeNaive(comp, offered)
-	got := m.forest[before:]
+	got := next.forest[len(m.forest):]
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: merge added %v, naive merge added %v", tag, got, want)
 	}
-	if added != (len(want) > 0) {
-		t.Fatalf("%s: merge reported added=%v with %d new edges", tag, added, len(want))
+	if !slices.Equal(next.forest[:len(m.forest)], m.forest) {
+		t.Fatalf("%s: phase changed earlier forest edges", tag)
 	}
-	if !slices.Equal(m.comp, comp) {
-		t.Fatalf("%s: labels %v, naive labels %v", tag, m.comp, comp)
+	if !slices.Equal(next.comp, comp) {
+		t.Fatalf("%s: labels %v, naive labels %v", tag, next.comp, comp)
 	}
-	return added
+	return next, len(want) > 0
 }
 
 // randomMergeGraph builds a weighted graph of n vertices split into
@@ -135,7 +151,8 @@ func TestBoruvkaMergeMatchesNaive(t *testing.T) {
 					offered = append(offered, best)
 				}
 			}
-			if !checkMergePhase(t, m, comp, offered, "trial") {
+			var added bool
+			if m, added = checkMergePhase(t, m, comp, offered, "trial"); !added {
 				break
 			}
 			if phase > n {
@@ -153,7 +170,8 @@ func TestBoruvkaMergeMatchesNaive(t *testing.T) {
 // FuzzBoruvkaMerge feeds arbitrary offered edges, grouped into phases,
 // to the helper and to the naive merge. The first byte picks n in
 // 2..80; every following 4 bytes are one edge (u, v, weight 0..3)
-// plus a flag byte whose low bit ends the phase after that edge.
+// plus a flag byte whose low bit ends the phase after that edge. A
+// phase also ends at n edges, one announcement per node.
 func FuzzBoruvkaMerge(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 0, 1, 2, 1, 0, 2, 3, 0, 1, 3, 4, 2, 0, 4, 0, 2, 1})
 	f.Add([]byte{79, 1, 2, 3, 0, 2, 1, 3, 0, 9, 70, 0, 1, 70, 9, 0, 0, 5, 5, 1, 1})
@@ -172,8 +190,8 @@ func FuzzBoruvkaMerge(f *testing.F) {
 		for i := 1; i+4 <= len(data); i += 4 {
 			b := data[i : i+4]
 			offered = append(offered, Edge{U: int(b[0]) % n, V: int(b[1]) % n, W: int64(b[2] % 4)})
-			if b[3]&1 == 1 {
-				checkMergePhase(t, m, comp, offered, "fuzz")
+			if b[3]&1 == 1 || len(offered) == n {
+				m, _ = checkMergePhase(t, m, comp, offered, "fuzz")
 				offered = offered[:0]
 			}
 		}
@@ -211,4 +229,26 @@ func BenchmarkSketchFind(b *testing.B) {
 		f, _ := SketchFind(nd, row, 1)
 		return f
 	})
+}
+
+// BenchmarkSparseFind runs SparseFind on a dense instance at n = 1024
+// (p = 0.5, weights up to 60, wpp 8), on the lockstep backend: the
+// proposals' cost over a run is what the incident cursor bounds.
+func BenchmarkSparseFind(b *testing.B) {
+	const n = 1024
+	g := graph.GnpWeighted(n, 0.5, 60, false, 1)
+	want, _ := KruskalOracle(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := clique.Run(clique.Config{N: n, WordsPerPair: 8, Backend: "lockstep"}, func(nd *clique.Node) {
+			forest, _ := SparseFind(nd, g.W[nd.ID()], 1)
+			if nd.ID() == 0 && Weight(forest) != want {
+				nd.Fail("forest weight %d, want %d", Weight(forest), want)
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }

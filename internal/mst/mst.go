@@ -29,10 +29,13 @@ func Find(nd clique.Endpoint, wRow []int64) []Edge {
 	n := nd.N()
 	me := nd.ID()
 
-	m := newBoruvkaMerge(n)
-	comp := m.comp // current component of each vertex, relabelled by m.merge
-	pairs := make([]uint64, n)
-	weights := make([]uint64, n)
+	// The merge state is a function of the announcements alone, so it
+	// is computed once per lockstep run (clique.Replicated) and read by
+	// every node's scan.
+	m := clique.Replicated(nd, "mst/init", nil, nil, func(*boruvkaMerge, []uint64) *boruvkaMerge {
+		return newBoruvkaMerge(n)
+	})
+	ann := make([]uint64, 2*n) // pair words, then weight words
 
 	phases := 1
 	for c := 1; c < n; c *= 2 {
@@ -41,6 +44,7 @@ func Find(nd clique.Endpoint, wRow []int64) []Edge {
 	for phase := 0; phase < phases; phase++ {
 		endPhase := trace.Phase(nd, boruvkaPhaseName(phase))
 		// My best outgoing edge under (weight, pair) order.
+		comp := m.comp
 		best := Edge{U: -1, W: graph.Inf}
 		for u := 0; u < n; u++ {
 			if comp[u] == comp[me] || wRow[u] >= graph.Inf {
@@ -56,27 +60,30 @@ func Find(nd clique.Endpoint, wRow []int64) []Edge {
 		if best.U >= 0 {
 			pairWord = clique.PairWord(best.U, best.V, n)
 		}
-		comm.BroadcastWordInto(nd, pairWord, pairs)
-		comm.BroadcastWordInto(nd, uint64(best.W), weights)
+		comm.BroadcastWordInto(nd, pairWord, ann[:n])
+		comm.BroadcastWordInto(nd, uint64(best.W), ann[n:])
 
-		// Deterministic global merge, identical at every node: for each
-		// component, the best announced outgoing edge; then union.
-		for v := 0; v < n; v++ {
-			if pairs[v] != noEdge {
-				u, w := clique.UnpairWord(pairs[v], n)
-				m.offer(Edge{U: u, V: w, W: int64(weights[v])})
-			}
-		}
-		added := m.merge()
+		// Deterministic global merge, identical at every node.
+		next := clique.Replicated(nd, "mst/phase", m, ann, mergePhase)
+		added := len(next.forest) > len(m.forest)
+		m = next
 		endPhase()
 		if !added {
 			break // no component has an outgoing edge: forest complete
 		}
 	}
-
-	sortEdges(m.forest, n, pairs) // pairs is free once the phases end
-	return m.forest
+	// The sorted forest is shared too; the caller gets its own copy.
+	sorted := clique.Replicated(nd, "mst/sort", &m.forest, nil, func(forest *[]Edge, _ []uint64) *[]Edge {
+		es := slices.Clone(*forest)
+		sortEdges(es, n, nil)
+		return &es
+	})
+	return slices.Clone(*sorted)
 }
+
+// mergePhase is the Borůvka merge step Find and SketchFind hand to
+// clique.Replicated; tests wrap it to count how often it runs.
+var mergePhase = (*boruvkaMerge).phase
 
 // better orders candidate edges by (weight, min endpoint, max endpoint);
 // the total order is what makes all nodes pick identical merges.

@@ -1,32 +1,40 @@
 package mst
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/clique"
 	"repro/internal/graph"
 )
 
+// runFind runs Find on every backend, checks that every node of every
+// backend returned the identical forest and that the backends' Stats
+// agree, and returns the forest and the first backend's result.
 func runFind(t *testing.T, g *graph.Weighted) ([]Edge, *clique.Result) {
 	t.Helper()
-	out := make([][]Edge, g.N)
-	res, err := clique.Run(clique.Config{N: g.N}, func(nd *clique.Node) {
-		out[nd.ID()] = Find(nd, g.W[nd.ID()])
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 1; v < g.N; v++ {
-		if len(out[v]) != len(out[0]) {
-			t.Fatalf("nodes 0 and %d disagree on forest size", v)
+	var forest []Edge
+	var ref *clique.Result
+	for _, backend := range clique.Backends() {
+		out := make([][]Edge, g.N)
+		res, err := clique.Run(clique.Config{N: g.N, Backend: backend}, func(nd *clique.Node) {
+			out[nd.ID()] = Find(nd, g.W[nd.ID()])
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
 		}
-		for i := range out[v] {
-			if out[v][i] != out[0][i] {
-				t.Fatalf("nodes 0 and %d disagree on edge %d", v, i)
+		if ref == nil {
+			forest, ref = out[0], res
+		} else if res.Stats != ref.Stats {
+			t.Fatalf("%s: stats %+v, want %+v", backend, res.Stats, ref.Stats)
+		}
+		for v := range out {
+			if !slices.Equal(out[v], forest) {
+				t.Fatalf("%s: node %d's forest differs from node 0's on %s", backend, v, clique.Backends()[0])
 			}
 		}
 	}
-	return out[0], res
+	return forest, ref
 }
 
 func TestMSTMatchesKruskal(t *testing.T) {

@@ -1,6 +1,8 @@
 package mst
 
 import (
+	"slices"
+
 	"repro/internal/clique"
 	"repro/internal/comm"
 	"repro/internal/graph"
@@ -51,11 +53,14 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 	// Phase A: seed contraction. Identical logic to Find's phases, but
 	// a fixed constant number of them, with pair and weight fused into
 	// one two-word broadcast.
-	m := newBoruvkaMerge(n)
-	comp := m.comp
-	var announced [][]uint64 // reused by every seed phase
+	m := clique.Replicated(nd, "mst/init", nil, nil, func(*boruvkaMerge, []uint64) *boruvkaMerge {
+		return newBoruvkaMerge(n)
+	})
+	var announced [][]uint64   // reused by every seed phase
+	ann := make([]uint64, 2*n) // announced, as pair words then weight words
 	for phase := 0; phase < seedPhases; phase++ {
 		endPhase := trace.Phase(nd, "sketchmst/seed")
+		comp := m.comp
 		best := Edge{U: -1, W: graph.Inf}
 		for u := 0; u < n; u++ {
 			if comp[u] == comp[me] || wRow[u] >= graph.Inf {
@@ -70,25 +75,18 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 			pairWord = clique.PairWord(best.U, best.V, n)
 		}
 		announced = comm.BroadcastAllInto(nd, []uint64{pairWord, uint64(best.W)}, 2, announced)
-		for v := 0; v < n; v++ {
-			if a := announced[v]; a[0] != noEdge {
-				u, w := clique.UnpairWord(a[0], n)
-				m.offer(Edge{U: u, V: w, W: int64(a[1])})
-			}
+		for v, a := range announced {
+			ann[v], ann[n+v] = a[0], a[1]
 		}
-		m.merge()
+		m = clique.Replicated(nd, "mst/phase", m, ann, mergePhase)
 		endPhase()
 	}
 
 	// Component index after seeding: labels are minimum member ids, so
 	// the label doubles as the leader's node id, and the leaders in
 	// ascending id are the components in ascending label.
-	comps := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if comp[v] == v {
-			comps = append(comps, v)
-		}
-	}
+	comp := m.comp
+	comps := m.leaders()
 	k := len(comps)
 	leader := me == comp[me]
 
@@ -187,17 +185,55 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 	table := comm.SampledBroadcast(nd, row, 2*k+2, leader)
 	endC()
 
-	// Phase E: local replay, identical everywhere. Collect the
-	// contracted edges (minimum per component pair), then Kruskal over
-	// the seed partition under the shared (W, U, V) order.
-	stats := SketchStats{Components: k}
-	type pairKey struct{ a, b int }
-	contracted := make(map[pairKey]Edge)
+	// Phase E: local replay, identical everywhere, so computed once per
+	// lockstep run from the leaders' rows in ascending leader order.
+	flat := make([]uint64, 0, k*(2*k+2))
 	for _, c := range comps {
 		r := table[c]
 		if r == nil {
 			nd.Fail("mst: SketchFind missing row from leader %d", c)
 		}
+		flat = append(flat, r...)
+	}
+	stats := SketchStats{Components: k}
+	for i := range comps {
+		if tele := flat[i*(2*k+2)+2*k]; tele&1 != 0 {
+			stats.SampleTotal++
+			if tele&2 != 0 {
+				stats.SampleOK++
+			}
+		}
+	}
+	done := clique.Replicated(nd, "mst/replay", m, flat, (*boruvkaMerge).replay)
+	return slices.Clone(done.forest), stats
+}
+
+// leaders returns the component labels in ascending order: labels are
+// minimum member ids, so these are also the leaders' node ids.
+func (m *boruvkaMerge) leaders() []int {
+	comps := make([]int, 0, len(m.comp))
+	for v, c := range m.comp {
+		if c == v {
+			comps = append(comps, v)
+		}
+	}
+	return comps
+}
+
+// replay finishes SketchFind from the seed partition m and the
+// leaders' rows, concatenated in ascending leader order: it collects
+// the contracted edges (the minimum per component pair), then runs
+// Kruskal over the seed partition under the shared (W, U, V) order.
+// The returned state's forest is the final forest, sorted; m is not
+// modified.
+func (m *boruvkaMerge) replay(rows []uint64) *boruvkaMerge {
+	n := len(m.comp)
+	comps := m.leaders()
+	k := len(comps)
+	type pairKey struct{ a, b int }
+	contracted := make(map[pairKey]Edge)
+	for j, c := range comps {
+		r := rows[j*(2*k+2) : (j+1)*(2*k+2)]
 		for i, a := range comps {
 			if r[2*i] == noEdge {
 				continue
@@ -212,12 +248,6 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 				contracted[key] = e
 			}
 		}
-		if tele := r[2*k]; tele&1 != 0 {
-			stats.SampleTotal++
-			if tele&2 != 0 {
-				stats.SampleOK++
-			}
-		}
 	}
 	edges := make([]Edge, 0, len(contracted))
 	for _, e := range contracted {
@@ -225,12 +255,15 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 	}
 	keys := make([]uint64, max(n, len(edges))) // sort scratch for both sorts
 	sortEdges(edges, n, keys)
-	forest := m.forest
+	next := &boruvkaMerge{comp: make([]int, n), uf: slices.Clone(m.uf), forest: slices.Clone(m.forest)}
 	for _, e := range edges {
-		if m.uf.union(e.U, e.V) { // m.uf still holds the seed partition
-			forest = append(forest, e)
+		if next.uf.union(e.U, e.V) {
+			next.forest = append(next.forest, e)
 		}
 	}
-	sortEdges(forest, n, keys)
-	return forest, stats
+	sortEdges(next.forest, n, keys)
+	for v := range next.comp {
+		next.comp[v] = next.uf.find(v)
+	}
+	return next
 }

@@ -1,6 +1,10 @@
 package mst
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
+
 	"repro/internal/clique"
 	"repro/internal/comm"
 	"repro/internal/graph"
@@ -71,22 +75,12 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 	stopped := false
 	replyDue := false // a rejection obliges a fresh proposal next phase
 
-	// minUnmarked is this node's current proposal: the (W, U, V)-least
-	// incident edge not yet known internal.
-	minUnmarked := func() (Edge, bool) {
-		best := Edge{U: -1, W: graph.Inf}
-		for u := 0; u < n; u++ {
-			if u == me || internal[u] || wRow[u] >= graph.Inf {
-				continue
-			}
-			if cand := (Edge{U: me, V: u, W: wRow[u]}); better(cand, best) {
-				best = cand
-			}
-		}
-		return best, best.U >= 0
-	}
+	// cur.next(internal) is this node's current proposal: the
+	// (W, U, V)-least incident edge not yet known internal. Marks only
+	// grow, so the cursor finds it in O(deg) over the whole run.
+	cur := newIncidentCursor(me, wRow)
 	proposalWords := func() []uint64 {
-		if e, ok := minUnmarked(); ok {
+		if e, ok := cur.next(internal); ok {
 			return []uint64{clique.PairWord(e.U, e.V, n), uint64(e.W)}
 		}
 		return []uint64{noEdge}
@@ -102,6 +96,7 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 	)
 	roster := make([]bool, n)
 	roster[me] = true
+	var members []int // roster without me, ascending
 	propState := make([]int, n)
 	propEdge := make([]Edge, n)
 	fp := sketch.New(sparseFingerprint(n, seed))
@@ -177,21 +172,14 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 		var localIsolated, localCandOK bool
 		var localCand Edge
 		if label == me && !stopped {
-			// My own candidate never needs the round trip: marking
-			// roster members internal keeps minUnmarked exact.
-			for u := 0; u < n; u++ {
-				if u != me && roster[u] {
-					internal[u] = true
-				}
-			}
+			// My own candidate never needs the round trip: members are
+			// marked internal as they register, which keeps cur exact.
 			if fp.Empty() {
 				// Cut is empty: component done. Hush the members and
 				// tell the coordinator once.
 				stopped = true
-				for x := 0; x < n; x++ {
-					if x != me && roster[x] {
-						msgsB = append(msgsB, comm.Msg{To: x, Words: []uint64{stopWord}})
-					}
+				for _, x := range members {
+					msgsB = append(msgsB, comm.Msg{To: x, Words: []uint64{stopWord}})
 				}
 				if !isolatedReported {
 					isolatedReported = true
@@ -205,14 +193,11 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 				pending := false
 				best := Edge{U: -1, W: graph.Inf}
 				allExhausted := true
-				if e, ok := minUnmarked(); ok {
+				if e, ok := cur.next(internal); ok {
 					best = e
 					allExhausted = false
 				}
-				for x := 0; x < n; x++ {
-					if x == me || !roster[x] {
-						continue
-					}
+				for _, x := range members {
 					switch propState[x] {
 					case propValid:
 						if roster[propEdge[x].V] {
@@ -342,10 +327,12 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 			replyDue = false
 		}
 		inD = comm.SendToFew(nd, msgsD, 1, inD[:0])
-		if label == me {
+		if label == me && len(inD) > 0 {
 			for _, d := range inD {
 				p := d.From
 				roster[p] = true
+				internal[p] = true
+				members = append(members, p)
 				words := d.Words
 				if len(words) >= 5 { // registration + fingerprint
 					fp.MergeRow(words[len(words)-4:])
@@ -359,6 +346,7 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 					propState[p] = propValid
 				}
 			}
+			slices.Sort(members)
 		}
 		endPhase()
 		if flag == 1 {
@@ -388,4 +376,69 @@ func wordsFrom(in []comm.Delivery, p int) []uint64 {
 		}
 	}
 	return nil
+}
+
+// incidentCursor walks one node's incident edges in the package order
+// (W, U, V), which for edges sharing the endpoint me is (W, far end).
+// The far ends are sorted once; next skips those marked internal, and
+// because marks only grow, what it skips stays skipped.
+type incidentCursor struct {
+	me   int
+	w    []int64
+	mask uint64
+	// keys holds the far ends in (W, id) order, each in its low bits:
+	// W<<b | id when every weight fits, the bare id otherwise.
+	keys []uint64
+	pos  int
+}
+
+// newIncidentCursor sorts me's incident edges: with b = bits.Len(n),
+// as packed keys W<<b | id when every weight lies in [0, 2^(64−b)),
+// as sortEdges does, and with a comparator otherwise.
+func newIncidentCursor(me int, wRow []int64) *incidentCursor {
+	b := uint(bits.Len(uint(len(wRow))))
+	deg, fits := 0, true
+	for u, w := range wRow {
+		if u == me || w >= graph.Inf {
+			continue
+		}
+		deg++
+		// A negative weight converts with its top bit set, so it fails
+		// the width test too.
+		if bits.Len64(uint64(w)) > 64-int(b) {
+			fits = false
+		}
+	}
+	c := &incidentCursor{me: me, w: wRow, mask: 1<<b - 1, keys: make([]uint64, 0, deg)}
+	for u, w := range wRow {
+		if u == me || w >= graph.Inf {
+			continue
+		}
+		if fits {
+			c.keys = append(c.keys, uint64(w)<<b|uint64(u))
+		} else {
+			c.keys = append(c.keys, uint64(u))
+		}
+	}
+	if fits {
+		slices.Sort(c.keys)
+	} else {
+		slices.SortFunc(c.keys, func(x, y uint64) int {
+			return cmp.Or(cmp.Compare(wRow[x], wRow[y]), cmp.Compare(x, y))
+		})
+	}
+	return c
+}
+
+// next returns the least incident edge whose far end is not marked in
+// internal, and false when none is left.
+func (c *incidentCursor) next(internal []bool) (Edge, bool) {
+	for c.pos < len(c.keys) && internal[c.keys[c.pos]&c.mask] {
+		c.pos++
+	}
+	if c.pos == len(c.keys) {
+		return Edge{U: -1, W: graph.Inf}, false
+	}
+	u := int(c.keys[c.pos] & c.mask)
+	return Edge{U: c.me, V: u, W: c.w[u]}, true
 }
