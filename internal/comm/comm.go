@@ -282,80 +282,121 @@ func AllToAllWord(nd clique.Endpoint, out []uint64) (in []uint64, ok []bool) {
 }
 
 // AllToAll delivers arbitrary per-destination word streams: queue[t] is
-// the stream this node owes node t (queue[own id] must be empty). All
-// nodes agree on the number of rounds via a one-round max-reduction,
-// then ship wordsPerPair words per link per round. Returns the
-// concatenated stream received from each sender (nil for senders that
-// owed nothing). Rounds: 1 + ceil(maxLinkLoad / wordsPerPair).
-//
-// Every non-empty stream starts in the first data round, so that round's
-// senders are the only ones. A sender whose first chunk is shorter than
-// wordsPerPair has already sent its whole stream; any other stream is
-// bounded by the agreed maximum. All streams are carved from one backing
-// array sized by those bounds; the sizes are capacity hints only, and
-// later rounds receive through Endpoint.Senders.
+// the stream this node owes node t (queue[own id] must be empty).
+// Returns the stream received from each sender (nil for senders that
+// owed nothing), every one exactly sized (cap == len) and carved in
+// sender order from one backing array. Rounds: 1 + ceil(maxLinkLoad /
+// wordsPerPair), the first being the length round (see allToAll).
 func AllToAll(nd clique.Endpoint, queue [][]uint64) [][]uint64 {
 	n := nd.N()
 	me := nd.ID()
-	local := 0
+	sizes := make([]int, n)
 	for t, q := range queue {
 		if t == me && len(q) > 0 {
 			nd.Fail("comm: AllToAll queued %d words to itself", len(q))
 		}
-		if len(q) > local {
-			local = len(q)
-		}
+		sizes[t] = len(q)
 	}
-	total := 0
-	for _, q := range queue {
-		total += len(q)
-	}
-	defer trace.Op(nd, "AllToAll", total)()
-	max := int(MaxWord(nd, uint64(local)))
-
+	backing, lens := allToAll(nd, sizes, func(t, off int, buf []uint64) {
+		copy(buf, queue[t][off:])
+	}, 0)
 	in := make([][]uint64, n)
-	wpp := nd.WordsPerPair()
-	senders := make([]int, 0, n)
-	for off := 0; off < max; off += wpp {
-		for t := 0; t < n; t++ {
-			if t == me || off >= len(queue[t]) {
-				continue
-			}
-			nd.SendWords(t, queue[t][off:chunkEnd(off, len(queue[t]), wpp)])
-		}
-		nd.Tick()
-		senders = nd.Senders(senders[:0])
-		if off == 0 {
-			carveStreams(nd, senders, wpp, max, in)
-		}
-		for _, p := range senders {
-			in[p] = nd.RecvInto(p, in[p])
+	for p, k := range lens {
+		if k > 0 {
+			in[p] = backing[:k:k]
+			backing = backing[k:]
 		}
 	}
 	return in
 }
 
-// carveStreams gives every first-round sender p an empty stream in[p]
-// carved from one backing array: room for its first chunk alone when
-// that chunk is shorter than wpp (the stream is complete), else for the
-// agreed maximum stream length max.
-func carveStreams(nd clique.Endpoint, senders []int, wpp, max int, in [][]uint64) {
-	size := func(p int) int {
-		if k := len(nd.Recv(p)); k < wpp {
-			return k
+// allToAll is the reserve-and-fill core of AllToAll, Route and
+// RouteDirect. sizes[t] is the length of the stream this node owes node
+// t (sizes[own id] must be 0), and fill(t, off, buf) writes words
+// [off, off+len(buf)) of that stream straight into the mailbox storage
+// buf. It returns one exactly sized caller-owned array holding head
+// zeroed words, for the caller to fill, followed by the streams
+// received, in sender order (nil when that is no words at all), and
+// the announced length of each sender's stream.
+//
+// The first round is the length round: node s sends each peer t the
+// single word sizes[t]<<32 | s's longest stream — a pair of poly(n)
+// counts, one word per ordered pair, as clique.PairWord packs. Every
+// node then knows the global maximum, which fixes the number of data
+// rounds, and the exact length of each stream it will receive; a stream
+// that arrives longer or shorter than announced fails the run.
+func allToAll(nd clique.Endpoint, sizes []int, fill func(t, off int, buf []uint64), head int) ([]uint64, []int) {
+	n := nd.N()
+	me := nd.ID()
+	local, total := 0, 0
+	for _, k := range sizes {
+		if k >= 1<<32 {
+			nd.Fail("comm: AllToAll stream of %d words does not fit the length round", k)
 		}
-		return max
+		local = max(local, k)
+		total += k
 	}
-	total := 0
-	for _, p := range senders {
-		total += size(p)
+	defer trace.Op(nd, "AllToAll", total)()
+	for t := 0; t < n; t++ {
+		if t != me {
+			nd.SendBuf(t, 1)[0] = uint64(sizes[t])<<32 | uint64(local)
+		}
 	}
-	backing := make([]uint64, total)
-	for _, p := range senders {
-		k := size(p)
-		in[p] = backing[:0:k]
-		backing = backing[k:]
+	nd.Tick()
+	lens := make([]int, n)
+	longest := local
+	size := head
+	for p := 0; p < n; p++ {
+		if p == me {
+			continue
+		}
+		got := nd.Recv(p)
+		if len(got) != 1 {
+			nd.Fail("comm: AllToAll length round got %d words from %d, want 1", len(got), p)
+		}
+		lens[p] = int(got[0] >> 32)
+		longest = max(longest, int(got[0]&(1<<32-1)))
+		size += lens[p]
 	}
+
+	var out []uint64
+	if size > 0 {
+		out = make([]uint64, size)
+	}
+	// next[p] is where sender p's next chunk lands, end[p] where its
+	// announced stream stops.
+	next := make([]int, 2*n)
+	end := next[n:]
+	next = next[:n]
+	for p, at := 0, head; p < n; p++ {
+		next[p] = at
+		at += lens[p]
+		end[p] = at
+	}
+	wpp := nd.WordsPerPair()
+	senders := make([]int, 0, n)
+	for off := 0; off < longest; off += wpp {
+		for t := 0; t < n; t++ {
+			if off < sizes[t] {
+				fill(t, off, nd.SendBuf(t, chunkEnd(off, sizes[t], wpp)-off))
+			}
+		}
+		nd.Tick()
+		senders = nd.Senders(senders[:0])
+		for _, p := range senders {
+			got := nd.Recv(p)
+			if len(got) > end[p]-next[p] {
+				nd.Fail("comm: AllToAll stream from %d exceeds the %d words announced", p, lens[p])
+			}
+			next[p] += copy(out[next[p]:], got)
+		}
+	}
+	for p := 0; p < n; p++ {
+		if next[p] != end[p] {
+			nd.Fail("comm: AllToAll stream from %d has %d words, %d announced", p, lens[p]-(end[p]-next[p]), lens[p])
+		}
+	}
+	return out, lens
 }
 
 // BroadcastBits has every node broadcast an arbitrary bit vector (all

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/clique"
@@ -270,6 +271,47 @@ func TestAllToAllStreams(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestAllToAllRejectsMisannouncedStreams scripts, through
+// clique.Replay, a peer that announces a one-word stream in the length
+// round and then sends more or fewer words: AllToAll must fail with its
+// typed message on every backend rather than grow or pad the stream. A
+// stream too long for the length round's 32-bit half fails before
+// anything is sent.
+func TestAllToAllRejectsMisannouncedStreams(t *testing.T) {
+	const n = 3
+	announce := uint64(1)<<32 | 1 // one word owed to node 0, longest stream 1
+	cases := []struct {
+		name string
+		data []uint64
+		want string
+	}{
+		{"longer", []uint64{7, 8}, "comm: AllToAll stream from 1 exceeds the 1 words announced"},
+		{"shorter", nil, "comm: AllToAll stream from 1 has 0 words, 1 announced"},
+	}
+	for _, c := range cases {
+		inbox := [][][]uint64{{nil, {announce}, {0}}, {nil, c.data, nil}}
+		for _, backend := range clique.Backends() {
+			cfg := clique.Config{N: n, WordsPerPair: 2, Backend: backend}
+			_, err := clique.Replay(cfg, 0, func(nd *clique.Node) {
+				AllToAll(nd, make([][]uint64, n))
+			}, inbox)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s on %s: err = %v, want %q", c.name, backend, err, c.want)
+			}
+		}
+	}
+	for _, backend := range clique.Backends() {
+		_, err := clique.Run(clique.Config{N: 2, Backend: backend}, func(nd *clique.Node) {
+			sizes := make([]int, 2)
+			sizes[1-nd.ID()] = 1 << 32
+			allToAll(nd, sizes, nil, 0)
+		})
+		if want := "does not fit the length round"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("oversized stream on %s: err = %v, want %q", backend, err, want)
+		}
+	}
 }
 
 func TestBroadcastBitsRoundTrip(t *testing.T) {
@@ -608,9 +650,10 @@ func TestRoutedPayloadsAreIndependent(t *testing.T) {
 
 // BenchmarkRoute times one balanced Route at the n = 216 shape of Figure
 // 1's APSP matrix products: every node sends 2n width-2 records to
-// destinations spread over the clique.
+// destinations spread over the clique, at APSP's 8 words per pair, on
+// every backend.
 func BenchmarkRoute(b *testing.B) {
-	const n, w = 216, 2
+	const n, w, wpp = 216, 2, 8
 	recs := make([][]uint64, n)
 	for v := range recs {
 		recs[v] = make([]uint64, 0, 2*n*(w+1))
@@ -618,16 +661,19 @@ func BenchmarkRoute(b *testing.B) {
 			recs[v] = append(recs[v], uint64((v*31+j*17)%n), uint64(j), uint64(v))
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := clique.Run(clique.Config{N: n}, func(nd *clique.Node) {
-			if got := Route(nd, recs[nd.ID()], w, 7); len(got) != 2*n*(w+1) {
-				nd.Fail("delivered %d words, want %d records", len(got), 2*n)
+	for _, backend := range clique.Backends() {
+		b.Run(backend, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := clique.Run(clique.Config{N: n, WordsPerPair: wpp, Backend: backend}, func(nd *clique.Node) {
+					if got := Route(nd, recs[nd.ID()], w, 7); len(got) != 2*n*(w+1) {
+						nd.Fail("delivered %d words, want %d records", len(got), 2*n)
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -37,13 +37,21 @@
 //   - AllToAllWord: one word to every peer, one round (transposes,
 //     label-consistency checks).
 //   - AllToAll: arbitrary per-destination streams, the raw substrate
-//     under Route. It receives through Endpoint.Senders and carves
-//     every stream from one backing array sized after the first round.
+//     under Route. Its first round is the length round: one word per
+//     ordered pair, the length of the stream owed plus the sender's
+//     longest, so every node learns the round count and the exact size
+//     of each stream it will receive. Streams are carved, exactly sized,
+//     from one backing array and received through Endpoint.Senders; a
+//     stream that does not match its announced length fails the run.
 //   - Route / RouteDirect: Lenzen's balanced routing [43] and its
 //     unbalanced ablation baseline. Both take one flat slice of
-//     [dst, payload...] records and return one caller-owned slice of
-//     [src, payload...] records, so a routed instance costs the words
-//     it moves, not a heap object per message.
+//     [dst, payload...] records and return one exactly sized,
+//     caller-owned slice of [src, payload...] records, so a routed
+//     instance costs the words it moves, not a heap object per message.
+//     They share AllToAll's core, which fills each chunk straight into
+//     the mailbox (Endpoint.SendBuf) from the records themselves, so a
+//     routed word is copied once per hop: sender's records → mailbox →
+//     the receiver's result array.
 //   - BroadcastBits: bit-packed broadcast at the honest O(log n)-bit
 //     word size.
 //

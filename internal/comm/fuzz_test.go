@@ -3,6 +3,7 @@ package comm
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/clique"
@@ -11,14 +12,17 @@ import (
 // FuzzAllToAllChunking drives AllToAll with pseudo-random stream shapes
 // under varying per-pair budgets and checks, on every backend, that (a)
 // each destination receives exactly the stream each sender owed it, in
-// order, (b) the round count matches the collective's contract
-// (1 + ceil(maxLinkLoad / wpp), zero-traffic instances pay only the
-// max-reduction round), and (c) both backends agree on Stats.
+// order, in a slice with cap == len, (b) the round count matches the
+// collective's contract (1 + ceil(maxLinkLoad / wpp), zero-traffic
+// instances pay only the length round), (c) every (round, peer) of every
+// node's transcript carries as many words as under refAllToAll, whose
+// first round is a MaxWord broadcast, and (d) both backends agree on
+// Stats.
 //
-// Every instance mixes the stream lengths AllToAll's receive sizing
-// tells apart: empty, shorter than wpp (complete after one round),
-// exactly wpp, longer than wpp, and one heaviest stream that sets the
-// agreed maximum. At wpp = 1 the short stream is empty.
+// Every instance mixes stream lengths on each side of the chunk size:
+// empty, shorter than wpp (complete after one round), exactly wpp,
+// longer than wpp, and one heaviest stream that sets the agreed
+// maximum. At wpp = 1 the short stream is empty.
 func FuzzAllToAllChunking(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(1))
 	f.Add(uint64(7), uint8(6), uint8(3))
@@ -71,17 +75,22 @@ func FuzzAllToAllChunking(f *testing.F) {
 
 		var refStats *clique.Stats
 		for _, backend := range clique.Backends() {
+			cfg := clique.Config{N: n, WordsPerPair: wpp, Backend: backend, RecordTranscript: true}
 			got := make([][][]uint64, n)
-			res, err := clique.Run(clique.Config{N: n, WordsPerPair: wpp, Backend: backend},
-				func(nd *clique.Node) {
-					mine := make([][]uint64, n)
-					for t := range mine {
-						mine[t] = queues[nd.ID()][t]
-					}
-					got[nd.ID()] = AllToAll(nd, mine)
-				})
+			res, err := clique.Run(cfg, func(nd *clique.Node) {
+				got[nd.ID()] = AllToAll(nd, slices.Clone(queues[nd.ID()]))
+			})
 			if err != nil {
 				t.Fatalf("%s: %v", backend, err)
+			}
+			refRes, err := clique.Run(cfg, func(nd *clique.Node) {
+				refAllToAll(nd, slices.Clone(queues[nd.ID()]))
+			})
+			if err != nil {
+				t.Fatalf("%s reference: %v", backend, err)
+			}
+			if have, want := sentShape(res), sentShape(refRes); !reflect.DeepEqual(have, want) {
+				t.Fatalf("%s: words per (node, round, peer) %v, reference %v", backend, have, want)
 			}
 			wantRounds := 1
 			if maxLoad > 0 {
@@ -103,6 +112,9 @@ func FuzzAllToAllChunking(f *testing.F) {
 					}
 					if !reflect.DeepEqual(have, want) {
 						t.Fatalf("%s: stream %d->%d = %v, want %v", backend, from, to, have, want)
+					}
+					if cap(have) != len(have) {
+						t.Fatalf("%s: stream %d->%d has cap %d, len %d", backend, from, to, cap(have), len(have))
 					}
 				}
 			}

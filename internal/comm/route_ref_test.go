@@ -2,6 +2,7 @@ package comm
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -128,6 +129,22 @@ func refAllToAll(nd clique.Endpoint, queue [][]uint64) [][]uint64 {
 	return in
 }
 
+// carveQueues returns one empty queue per destination with capacity
+// sizes[t], all carved from a single backing array.
+func carveQueues(sizes []int) [][]uint64 {
+	total := 0
+	for _, size := range sizes {
+		total += size
+	}
+	backing := make([]uint64, total)
+	queues := make([][]uint64, len(sizes))
+	for t, size := range sizes {
+		queues[t] = backing[:0:size]
+		backing = backing[size:]
+	}
+	return queues
+}
+
 // toRecs flattens packets into Route's input records [dst, payload...].
 func toRecs(packets []refPacket) []uint64 {
 	var recs []uint64
@@ -204,8 +221,10 @@ func withoutSelf(instance [][]refPacket) [][]refPacket {
 // checkRouteMatchesReference runs an instance through Route, and its
 // non-self-addressed part through RouteDirect, and the same through the
 // reference packet router, on every backend. It requires
-// record-for-record equal deliveries plus equal Stats.Rounds and
-// Stats.WordsSent.
+// record-for-record equal deliveries in exactly sized results
+// (cap == len), equal Stats.Rounds, Stats.WordsSent and
+// Stats.MaxPairWords, and, up to n = transcribeUpTo, the same number of
+// words on every (round, peer) of every node's transcript.
 func checkRouteMatchesReference(t *testing.T, instance [][]refPacket, w, wpp int, seed uint64) {
 	t.Helper()
 	n := len(instance)
@@ -229,7 +248,7 @@ func checkRouteMatchesReference(t *testing.T, instance [][]refPacket, w, wpp int
 			recs[v] = toRecs(r.instance[v])
 		}
 		for _, backend := range clique.Backends() {
-			cfg := clique.Config{N: n, WordsPerPair: wpp, Backend: backend}
+			cfg := clique.Config{N: n, WordsPerPair: wpp, Backend: backend, RecordTranscript: n <= transcribeUpTo}
 			want := make([][]uint64, n)
 			refRes, err := clique.Run(cfg, func(nd *clique.Node) {
 				want[nd.ID()] = fromPackets(r.ref(nd, r.instance[nd.ID()]))
@@ -249,21 +268,53 @@ func checkRouteMatchesReference(t *testing.T, instance [][]refPacket, w, wpp int
 					t.Fatalf("%s on %s (n=%d w=%d wpp=%d): node %d got %v, reference %v",
 						r.name, backend, n, w, wpp, v, got[v], want[v])
 				}
+				if cap(got[v]) != len(got[v]) {
+					t.Fatalf("%s on %s (n=%d w=%d wpp=%d): node %d's result has cap %d, len %d",
+						r.name, backend, n, w, wpp, v, cap(got[v]), len(got[v]))
+				}
 			}
-			if res.Stats.Rounds != refRes.Stats.Rounds || res.Stats.WordsSent != refRes.Stats.WordsSent {
-				t.Fatalf("%s on %s (n=%d w=%d wpp=%d): %d rounds, %d words; reference %d rounds, %d words",
-					r.name, backend, n, w, wpp, res.Stats.Rounds, res.Stats.WordsSent,
-					refRes.Stats.Rounds, refRes.Stats.WordsSent)
+			if res.Stats.Rounds != refRes.Stats.Rounds || res.Stats.WordsSent != refRes.Stats.WordsSent ||
+				res.Stats.MaxPairWords != refRes.Stats.MaxPairWords {
+				t.Fatalf("%s on %s (n=%d w=%d wpp=%d): %d rounds, %d words, %d max pair words; reference %d, %d, %d",
+					r.name, backend, n, w, wpp, res.Stats.Rounds, res.Stats.WordsSent, res.Stats.MaxPairWords,
+					refRes.Stats.Rounds, refRes.Stats.WordsSent, refRes.Stats.MaxPairWords)
+			}
+			if !reflect.DeepEqual(sentShape(res), sentShape(refRes)) {
+				t.Fatalf("%s on %s (n=%d w=%d wpp=%d): words per (node, round, peer) differ from the reference",
+					r.name, backend, n, w, wpp)
 			}
 		}
 	}
 }
 
+// transcribeUpTo is the largest clique checkRouteMatchesReference
+// records transcripts for: at n = 64 they triple the race-detector run
+// of TestRouteMatchesReference, while every FuzzRoute clique (n <= 32)
+// stays transcribed.
+const transcribeUpTo = 32
+
+// sentShape returns, per node, round and peer, how many words a
+// transcribed run sent: the schedule with the words' values left out.
+func sentShape(res *clique.Result) [][][]int {
+	shape := make([][][]int, len(res.Transcripts))
+	for v, tr := range res.Transcripts {
+		for _, round := range tr.Rounds {
+			words := make([]int, len(round.Sent))
+			for p, sent := range round.Sent {
+				words[p] = len(sent)
+			}
+			shape[v] = append(shape[v], words)
+		}
+	}
+	return shape
+}
+
 // TestRouteMatchesReference is the equivalence property of the flat
-// record routers against the packet router they replaced, over clique
-// sizes from the trivial n = 1 to n = 64, payload widths 1, 2 and 5, and
-// per-pair budgets 1, 3 and 8 (at wpp = 3 the 4-word phase-1 records of
-// w = 2 straddle rounds).
+// record routers against the packet router they replaced (deliveries,
+// exactly sized results, Stats and each (round, peer)'s word count),
+// over clique sizes from the trivial n = 1 to n = 64, payload widths 1,
+// 2 and 5, and per-pair budgets 1, 3 and 8 (at wpp = 3 the 4-word
+// phase-1 records of w = 2 straddle rounds).
 func TestRouteMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 27, 64} {
 		for _, w := range []int{1, 2, 5} {

@@ -88,8 +88,12 @@ func (MinPlus) Name() string { return "min-plus" }
 // charges nothing for it.
 func MulLocal(s Semiring, a, b [][]int64) [][]int64 {
 	n := len(a)
-	skipZero := isAnnihilating(s)
 	c := zeroBlock(s, n, len(b[0]))
+	if _, ok := s.(MinPlus); ok {
+		mulMinPlus(a, b, c)
+		return c
+	}
+	skipZero := isAnnihilating(s)
 	for i, row := range c {
 		for k, aik := range a[i] {
 			if skipZero && aik == s.Zero() {
@@ -102,6 +106,27 @@ func MulLocal(s Semiring, a, b [][]int64) [][]int64 {
 		}
 	}
 	return c
+}
+
+// mulMinPlus is MulLocal's (min, +) kernel over c, which starts at Inf:
+// the generic loop's Mul yields Inf whenever either operand is at least
+// Inf, and min with Inf leaves an entry that starts at Inf and only
+// falls unchanged, so skipping those terms gives the same product
+// without two interface calls per term.
+func mulMinPlus(a, b, c [][]int64) {
+	for i, row := range c {
+		for k, aik := range a[i] {
+			if aik >= graph.Inf {
+				continue
+			}
+			bk := b[k][:len(row)]
+			for j, bkj := range bk {
+				if bkj < graph.Inf && aik+bkj < row[j] {
+					row[j] = aik + bkj
+				}
+			}
+		}
+	}
 }
 
 // isAnnihilating reports whether Zero annihilates under Mul (true for all

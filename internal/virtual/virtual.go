@@ -215,7 +215,7 @@ func (e *engine) idOf(vn *Node) int { return vn.id }
 // node nd. Every real node must call Run together with identical cfg and
 // f. Returns after all virtual nodes globally have terminated. The real
 // round cost is measured by the enclosing clique engine; each virtual
-// round costs one max-reduction round plus ceil(maxLinkWords /
+// round costs comm.AllToAll's one length round plus ceil(maxLinkWords /
 // realWordsPerPair) stream rounds, where maxLinkWords is the largest
 // number of (tagged) virtual words any real link must carry.
 func Run(nd clique.Endpoint, cfg Config, f NodeFunc) {
