@@ -373,21 +373,3 @@ func BenchmarkFitExponent(b *testing.B) {
 		fgc.FitExponent(ns, rounds)
 	}
 }
-
-// Extension benchmark: the labelling problems.
-
-func BenchmarkExt_LabellingCheck(b *testing.B) {
-	p := nondet.MaximalMatchingProblem()
-	for _, n := range []int{16, 64} {
-		g := graph.Gnp(n, 0.4, uint64(n))
-		z := p.Solve(g)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				v, err := nondet.RunVerifier(clique.Config{N: n, Backend: *benchBackend}, g, p.Check, z)
-				if err != nil || !v.Accepted {
-					b.Fatal("checker rejected a greedy maximal matching")
-				}
-			}
-		})
-	}
-}

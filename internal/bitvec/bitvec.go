@@ -33,15 +33,12 @@ func (r Row) Clear(i int) { r[i/WordBits] &^= 1 << (i % WordBits) }
 // Zero clears every word.
 func (r Row) Zero() { clear(r) }
 
-// CopyFrom overwrites r with o (lengths must match).
-func (r Row) CopyFrom(o Row) { copy(r, o) }
-
 // Or folds o into r: r |= o. o may be shorter than r.
 //
-// The word loops of the four fold kernels (Or, Xor, And, AndNot) are
-// unrolled 4-wide — one 32-byte half cache line per step — with the
-// destination pre-sliced to the source length so the unrolled body runs
-// without per-word bounds checks.
+// The word loops of the two fold kernels (Or, Xor) are unrolled 4-wide
+// — one 32-byte half cache line per step — with the destination
+// pre-sliced to the source length so the unrolled body runs without
+// per-word bounds checks.
 func (r Row) Or(o Row) {
 	d := r[:len(o)]
 	i := 0
@@ -75,36 +72,6 @@ func (r Row) Xor(o Row) {
 	}
 }
 
-// And intersects r with o in place: r &= o.
-func (r Row) And(o Row) {
-	d := r[:len(o)]
-	i := 0
-	for ; i+4 <= len(o); i += 4 {
-		d[i] &= o[i]
-		d[i+1] &= o[i+1]
-		d[i+2] &= o[i+2]
-		d[i+3] &= o[i+3]
-	}
-	for ; i < len(o); i++ {
-		d[i] &= o[i]
-	}
-}
-
-// AndNot removes o from r in place: r &^= o.
-func (r Row) AndNot(o Row) {
-	d := r[:len(o)]
-	i := 0
-	for ; i+4 <= len(o); i += 4 {
-		d[i] &^= o[i]
-		d[i+1] &^= o[i+1]
-		d[i+2] &^= o[i+2]
-		d[i+3] &^= o[i+3]
-	}
-	for ; i < len(o); i++ {
-		d[i] &^= o[i]
-	}
-}
-
 // OnesCount returns the number of set bits.
 func (r Row) OnesCount() int {
 	var c0, c1, c2, c3 int
@@ -117,29 +84,6 @@ func (r Row) OnesCount() int {
 	}
 	for ; i < len(r); i++ {
 		c0 += bits.OnesCount64(r[i])
-	}
-	return c0 + c1 + c2 + c3
-}
-
-// AndOnesCount returns |a AND b| without materialising the
-// intersection: 64 entries per AND + OnesCount64 step. This is the
-// inner kernel of packed boolean dot products and of intersection
-// counting (common-neighbour counts, triangle counting).
-// Four independent accumulators break the popcount dependency chain so
-// the unrolled body keeps multiple OnesCount64 (POPCNT) ops in flight.
-func AndOnesCount(a, b Row) int {
-	m := min(len(a), len(b))
-	a, b = a[:m], b[:m]
-	var c0, c1, c2, c3 int
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		c0 += bits.OnesCount64(a[i] & b[i])
-		c1 += bits.OnesCount64(a[i+1] & b[i+1])
-		c2 += bits.OnesCount64(a[i+2] & b[i+2])
-		c3 += bits.OnesCount64(a[i+3] & b[i+3])
-	}
-	for ; i < m; i++ {
-		c0 += bits.OnesCount64(a[i] & b[i])
 	}
 	return c0 + c1 + c2 + c3
 }
@@ -281,26 +225,11 @@ type Matrix struct {
 	data       []uint64
 }
 
-// NewMatrix returns a zeroed rows x bits matrix over fresh storage.
-func NewMatrix(rows, bits int) *Matrix {
-	return &Matrix{R: rows, Bits: bits, W: Words(bits), data: make([]uint64, rows*Words(bits))}
-}
-
 // Row returns row i as a Row aliasing the matrix storage.
 func (m *Matrix) Row(i int) Row { return Row(m.data[i*m.W : (i+1)*m.W]) }
 
 // Zero clears the whole matrix.
 func (m *Matrix) Zero() { clear(m.data) }
-
-// Transpose writes a's transpose into dst, which must be a zeroed
-// Bits x R matrix (use GetMatrix or NewMatrix). With b transposed,
-// boolean products can run as AND + OnesCount64 over row pairs
-// (MulRowT) instead of OR-accumulation. The implementation is tiled
-// into 64x64-bit blocks (see blocked.go), so cost is per word moved,
-// not per set bit.
-func Transpose(a, dst *Matrix) {
-	transposeBlocked(a, dst)
-}
 
 // MulRowInto computes one row of the boolean product dst = aRow x b:
 // dst = OR over every set bit k of aRow of b.Row(k). dst must hold
@@ -313,20 +242,6 @@ func MulRowInto(aRow Row, b *Matrix, dst Row) {
 			dst.Or(b.Row(k))
 		}
 	})
-}
-
-// MulRowTInto is MulRowInto against a transposed right operand: bit j
-// of dst is set iff aRow intersects bT.Row(j). Each entry costs one
-// AND + OnesCount-style pass over Words(n) words; prefer MulRowInto
-// when b is available untransposed (it is O(popcount) not O(n)), and
-// this form when bT is already on hand.
-func MulRowTInto(aRow Row, bT *Matrix, dst Row) {
-	dst.Zero()
-	for j := 0; j < bT.R; j++ {
-		if aRow.Intersects(bT.Row(j)) {
-			dst.Set(j)
-		}
-	}
 }
 
 // MulInto computes the full boolean product c = a x b with the

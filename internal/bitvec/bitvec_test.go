@@ -7,6 +7,11 @@ import (
 	"repro/internal/engine"
 )
 
+// NewMatrix returns a zeroed rows x bits matrix over fresh storage.
+func NewMatrix(rows, bits int) *Matrix {
+	return &Matrix{R: rows, Bits: bits, W: Words(bits), data: make([]uint64, rows*Words(bits))}
+}
+
 // refRow is the one-bool-per-entry reference the packed operations are
 // checked against.
 type refRow []bool
@@ -64,40 +69,23 @@ func TestRowSetOps(t *testing.T) {
 	b, refB := randomPair(bits, 0.5, 2)
 
 	or := NewRow(bits)
-	or.CopyFrom(a)
+	copy(or, a)
 	or.Or(b)
-	and := NewRow(bits)
-	and.CopyFrom(a)
-	and.And(b)
-	andnot := NewRow(bits)
-	andnot.CopyFrom(a)
-	andnot.AndNot(b)
 	xor := NewRow(bits)
-	xor.CopyFrom(a)
+	copy(xor, a)
 	xor.Xor(b)
-	wantAndCount := 0
+	intersects := false
 	for i := 0; i < bits; i++ {
 		if or.Get(i) != (refA[i] || refB[i]) {
 			t.Fatalf("Or bit %d wrong", i)
 		}
-		if and.Get(i) != (refA[i] && refB[i]) {
-			t.Fatalf("And bit %d wrong", i)
-		}
-		if andnot.Get(i) != (refA[i] && !refB[i]) {
-			t.Fatalf("AndNot bit %d wrong", i)
-		}
 		if xor.Get(i) != (refA[i] != refB[i]) {
 			t.Fatalf("Xor bit %d wrong", i)
 		}
-		if refA[i] && refB[i] {
-			wantAndCount++
-		}
+		intersects = intersects || (refA[i] && refB[i])
 	}
-	if got := AndOnesCount(a, b); got != wantAndCount {
-		t.Errorf("AndOnesCount = %d, want %d", got, wantAndCount)
-	}
-	if a.Intersects(b) != (wantAndCount > 0) {
-		t.Error("Intersects disagrees with AndOnesCount")
+	if a.Intersects(b) != intersects {
+		t.Error("Intersects disagrees with the reference rows")
 	}
 	xor.Xor(b)
 	if !xor.Equal(a) {
@@ -252,29 +240,6 @@ func TestMatrixMulAgainstReference(t *testing.T) {
 				}
 			}
 		}
-		// The transposed AND+popcount kernel must agree entry for entry.
-		bt := NewMatrix(size, size)
-		Transpose(b, bt)
-		dst := NewRow(size)
-		for i := 0; i < size; i++ {
-			MulRowTInto(a.Row(i), bt, dst)
-			if !dst.Equal(c.Row(i)) {
-				t.Fatalf("size %d: MulRowTInto row %d disagrees with MulInto", size, i)
-			}
-		}
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	a, ref := randomBoolMatrix(70, 90, 0.4, 9)
-	at := NewMatrix(90, 70)
-	Transpose(a, at)
-	for i := 0; i < 70; i++ {
-		for j := 0; j < 90; j++ {
-			if at.Row(j).Get(i) != ref[i][j] {
-				t.Fatalf("transpose entry (%d,%d) wrong", j, i)
-			}
-		}
 	}
 }
 
@@ -303,7 +268,6 @@ func TestScratchPoolReuses(t *testing.T) {
 	// Same size class must be served from the pool once warm: on the
 	// first Get after a Put, or within scratchReuseCycles Put/Get cycles
 	// under the race detector.
-	engine.DisableMailboxPool(false)
 	var buf2 []uint64
 	for cycle := 1; ; cycle++ {
 		PutWords(GetWords(1 << 10))
@@ -337,15 +301,5 @@ func BenchmarkMulRowInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MulRowInto(aRow, m, dst)
-	}
-}
-
-func BenchmarkAndOnesCount(b *testing.B) {
-	const n = 4096
-	x, _ := randomPair(n, 0.5, 1)
-	y, _ := randomPair(n, 0.5, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AndOnesCount(x, y)
 	}
 }

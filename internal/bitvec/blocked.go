@@ -2,77 +2,14 @@ package bitvec
 
 import "math/bits"
 
-// Cache-blocked kernels. The packed plane's two structural operations —
-// transpose and full boolean product — used to walk the matrices bit by
-// bit or row by row with no regard for the cache hierarchy. Both are
-// reorganised here around two block sizes:
-//
-//   - tileBits (64x64 bits = 512 bytes, eight cache lines): the bit
-//     transpose works tile-at-a-time with a constant-size register
-//     kernel instead of per-bit Get/Set.
-//   - mulBlockWords (32 KiB, an L1 data cache): the boolean product
-//     streams b in row bands of at most this many words, so every band
-//     is multiplied against all of a while it is L1-hot.
-
-// tileBits is the edge of one transpose tile: 64 bits, one word.
-const tileBits = WordBits
+// Cache-blocked boolean product. The full product streams b in row
+// bands of at most mulBlockWords words (32 KiB, an L1 data cache), so
+// every band is multiplied against all of a while it is L1-hot, instead
+// of sweeping all of b once per row.
 
 // mulBlockWords is the right-operand working set per multiply band, in
 // words: 4096 words = 32 KiB, sized to a typical L1d cache.
 const mulBlockWords = 4096
-
-// transpose64 transposes a 64x64 bit tile in place: bit c of word r
-// moves to bit r of word c. Rows are little-endian (bit i = column i),
-// so the classic recursive block-swap runs with the shift directions
-// mirrored: at each level the high half-columns of the low rows swap
-// with the low half-columns of the high rows. 6 levels x 32 swaps,
-// branch-free, no memory beyond the tile itself (Hacker's Delight
-// 7-3, adapted to LSB-first bit order).
-func transpose64(a *[64]uint64) {
-	j := 32
-	m := uint64(0x00000000FFFFFFFF)
-	for j != 0 {
-		for k := 0; k < 64; k = (k + j + 1) &^ j {
-			t := (a[k]>>uint(j) ^ a[k|j]) & m
-			a[k] ^= t << uint(j)
-			a[k|j] ^= t
-		}
-		j >>= 1
-		m ^= m << uint(j)
-	}
-}
-
-// transposeBlocked is the tiled Matrix transpose behind Transpose. It
-// walks a in 64-row x 64-column tiles: each tile loads 64 words (one
-// strided column of a's row-major storage), transposes in registers,
-// and ORs the nonzero result words into dst. dst must be zeroed, which
-// the OR store preserves as a contract; zero result words are skipped,
-// so sparse matrices pay only for occupied tiles' stores.
-func transposeBlocked(a, dst *Matrix) {
-	var tile [64]uint64
-	for r0 := 0; r0 < a.R; r0 += tileBits {
-		rows := min(tileBits, a.R-r0)
-		for tj := 0; tj < a.W; tj++ {
-			src := a.data[r0*a.W+tj:]
-			for r := 0; r < rows; r++ {
-				tile[r] = src[r*a.W]
-			}
-			for r := rows; r < tileBits; r++ {
-				tile[r] = 0
-			}
-			transpose64(&tile)
-			c0 := tj * tileBits
-			cols := min(tileBits, a.Bits-c0)
-			ti := r0 / WordBits
-			d := dst.data[c0*dst.W+ti:]
-			for c := 0; c < cols; c++ {
-				if w := tile[c]; w != 0 {
-					d[c*dst.W] |= w
-				}
-			}
-		}
-	}
-}
 
 // mulBlocked is the k-blocked boolean product behind MulInto: c |= a x b
 // over bands of b rows sized to mulBlockWords. Row index bands are

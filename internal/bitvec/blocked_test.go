@@ -6,13 +6,6 @@ import (
 	"testing"
 )
 
-// transposeNaive is the per-bit reference the tiled kernel must match.
-func transposeNaive(a, dst *Matrix) {
-	for i := 0; i < a.R; i++ {
-		a.Row(i).Each(func(j int) { dst.Row(j).Set(i) })
-	}
-}
-
 func randMatrix(rows, bitCount int, density float64, rng *rand.Rand) *Matrix {
 	m := NewMatrix(rows, bitCount)
 	for i := 0; i < rows; i++ {
@@ -37,50 +30,6 @@ func matricesEqual(a, b *Matrix) bool {
 	return true
 }
 
-// TestTranspose64 pins the register kernel against per-bit extraction,
-// including asymmetric patterns that expose mirrored shift directions.
-func TestTranspose64(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 9))
-	cases := [][64]uint64{{}, {0: 1}, {63: 1 << 63}, {0: 1 << 63, 63: 1}}
-	var dense [64]uint64
-	for i := range dense {
-		dense[i] = rng.Uint64()
-	}
-	cases = append(cases, dense)
-	for ci, in := range cases {
-		tile := in
-		transpose64(&tile)
-		for r := 0; r < 64; r++ {
-			for c := 0; c < 64; c++ {
-				want := (in[c]>>uint(r))&1 != 0
-				got := (tile[r]>>uint(c))&1 != 0
-				if got != want {
-					t.Fatalf("case %d: transposed[%d] bit %d = %v, want %v", ci, r, c, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestTransposeBlockedMatchesNaive sweeps shapes across tile boundaries
-// (exact multiples of 64, one off, tiny, tall, wide) and densities.
-func TestTransposeBlockedMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	shapes := [][2]int{{1, 1}, {3, 5}, {64, 64}, {63, 65}, {65, 63}, {128, 128}, {130, 7}, {7, 130}, {200, 77}}
-	for _, s := range shapes {
-		for _, density := range []float64{0, 0.05, 0.5, 1} {
-			a := randMatrix(s[0], s[1], density, rng)
-			want := NewMatrix(s[1], s[0])
-			transposeNaive(a, want)
-			got := NewMatrix(s[1], s[0])
-			Transpose(a, got)
-			if !matricesEqual(got, want) {
-				t.Fatalf("Transpose(%dx%d, density %.2f) diverges from naive", s[0], s[1], density)
-			}
-		}
-	}
-}
-
 // TestMulBlockedMatchesRowKernel forces shapes past mulBlockWords so
 // the banded path runs, and checks bit-identity with the per-row
 // kernel (the pre-blocking implementation).
@@ -103,76 +52,6 @@ func TestMulBlockedMatchesRowKernel(t *testing.T) {
 		if !matricesEqual(got, want) {
 			t.Fatalf("MulInto(n=%d) diverges from the row kernel", n)
 		}
-	}
-}
-
-// TestPackLanesRoundTrip pins lane semantics: bit i of lane r is bit i
-// of input row r, and unpacking restores the inputs exactly.
-func TestPackLanesRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	for _, runs := range []int{1, 2, 63, 64} {
-		const bitCount = 200
-		rows := make([]Row, runs)
-		for r := range rows {
-			rows[r] = NewRow(bitCount)
-			for j := 0; j < bitCount; j++ {
-				if rng.Float64() < 0.4 {
-					rows[r].Set(j)
-				}
-			}
-		}
-		l := PackLanes(rows, bitCount)
-		if l.R != bitCount || l.Bits != runs {
-			t.Fatalf("runs=%d: lane matrix is %dx%d, want %dx%d", runs, l.R, l.Bits, bitCount, runs)
-		}
-		for r := range rows {
-			for j := 0; j < bitCount; j++ {
-				if l.Row(j).Get(r) != rows[r].Get(j) {
-					t.Fatalf("runs=%d: lane %d bit %d mismatched", runs, r, j)
-				}
-			}
-		}
-		back := make([]Row, runs)
-		for r := range back {
-			back[r] = NewRow(bitCount)
-		}
-		UnpackLanes(l, back)
-		for r := range rows {
-			if !rows[r].Equal(back[r]) {
-				t.Fatalf("runs=%d: lane round trip mutated row %d", runs, r)
-			}
-		}
-	}
-}
-
-func TestPackLanesBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PackLanes accepted 65 rows")
-		}
-	}()
-	PackLanes(make([]Row, 65), 8)
-}
-
-func BenchmarkTranspose(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		rng := rand.New(rand.NewPCG(11, uint64(n)))
-		a := randMatrix(n, n, 0.3, rng)
-		dst := NewMatrix(n, n)
-		b.Run(fmt.Sprintf("blocked/n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n * Words(n) * 8))
-			for i := 0; i < b.N; i++ {
-				dst.Zero()
-				Transpose(a, dst)
-			}
-		})
-		b.Run(fmt.Sprintf("naive/n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(n * Words(n) * 8))
-			for i := 0; i < b.N; i++ {
-				dst.Zero()
-				transposeNaive(a, dst)
-			}
-		})
 	}
 }
 

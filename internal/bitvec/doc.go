@@ -1,8 +1,8 @@
 // Package bitvec is the bit-packed boolean data plane: dense bit-rows
 // and bit-matrices stored 64 entries per uint64, with word-parallel
-// kernels (AND/OR/ANDNOT, population counts, transpose, boolean matrix
-// multiplication) that process 64 matrix entries per machine
-// instruction instead of one.
+// kernels (OR/XOR, population counts, boolean matrix multiplication)
+// that process 64 matrix entries per machine instruction instead of
+// one.
 //
 // It exists because the Boolean-MM family — boolean matrix
 // multiplication, triangle/subgraph detection, the kernelised

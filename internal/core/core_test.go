@@ -109,122 +109,6 @@ func TestCheckNondetSolves(t *testing.T) {
 	}
 }
 
-func TestEdgeLabellingVerify(t *testing.T) {
-	// Toy edge labelling problem: the label of {u, v} must equal
-	// (u + v) mod 3. A valid labelling verifies; a corrupted or
-	// inconsistent one does not.
-	p := EdgeLabellingProblem{
-		Name:     "sum-mod-3",
-		MaxLabel: 3,
-		Allowed: func(n, u, v int, row graph.Bitset, label uint64) bool {
-			return label == uint64((u+v)%3)
-		},
-	}
-	n := 6
-	g := graph.Gnp(n, 0.5, 2)
-	good := NewEdgeLabelling(n)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			good.Set(u, v, uint64((u+v)%3))
-		}
-	}
-	run := func(l EdgeLabelling) bool {
-		bits := make([]bool, n)
-		_, err := clique.Run(clique.Config{N: n}, func(nd *clique.Node) {
-			bits[nd.ID()] = VerifyEdgeLabelling(nd, g.Row(nd.ID()), p, l[nd.ID()])
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range bits {
-			if !b {
-				return false
-			}
-		}
-		return true
-	}
-	if !run(good) {
-		t.Error("valid labelling rejected")
-	}
-	bad := NewEdgeLabelling(n)
-	for u := 0; u < n; u++ {
-		copy(bad[u], good[u])
-	}
-	bad.Set(1, 2, uint64((1+2)%3+1)%3)
-	if run(bad) {
-		t.Error("corrupted labelling accepted")
-	}
-	// One-sided (inconsistent) labelling.
-	oneSided := NewEdgeLabelling(n)
-	for u := 0; u < n; u++ {
-		copy(oneSided[u], good[u])
-	}
-	oneSided[3][4] = (good[3][4] + 1) % 3 // only node 3's view changes
-	if run(oneSided) {
-		t.Error("inconsistent labelling accepted")
-	}
-}
-
-func TestSolveEdgeLabellingTrivial(t *testing.T) {
-	// Solvable toy problem: label must be 1 iff {u,v} is an input edge.
-	p := EdgeLabellingProblem{
-		Name:     "indicator",
-		MaxLabel: 2,
-		Allowed: func(n, u, v int, row graph.Bitset, label uint64) bool {
-			want := uint64(0)
-			if row.Has(v) {
-				want = 1
-			}
-			return label == want
-		},
-	}
-	n := 5
-	g := graph.Gnp(n, 0.5, 7)
-	rows := make([][]uint64, n)
-	_, err := clique.Run(clique.Config{N: n}, func(nd *clique.Node) {
-		rows[nd.ID()] = SolveEdgeLabellingTrivial(nd, g.Row(nd.ID()), p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < n; u++ {
-		if rows[u] == nil {
-			t.Fatal("solver found no labelling for a satisfiable problem")
-		}
-		for v := 0; v < n; v++ {
-			if u == v {
-				continue
-			}
-			want := uint64(0)
-			if g.HasEdge(u, v) {
-				want = 1
-			}
-			if rows[u][v] != want {
-				t.Errorf("label(%d,%d) = %d, want %d", u, v, rows[u][v], want)
-			}
-		}
-	}
-	// Unsatisfiable problem: labels must be both 0 and 1.
-	bad := EdgeLabellingProblem{
-		Name:     "contradiction",
-		MaxLabel: 2,
-		Allowed: func(n, u, v int, row graph.Bitset, label uint64) bool {
-			if u < v {
-				return label == 0
-			}
-			return label == 1
-		},
-	}
-	_, err = clique.Run(clique.Config{N: 4}, func(nd *clique.Node) {
-		if got := SolveEdgeLabellingTrivial(nd, graph.New(4).Row(nd.ID()), bad); got != nil {
-			nd.Fail("contradictory problem solved: %v", got)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCompileNCLIQUE1RoundTrip(t *testing.T) {
 	// Theorem 6 completeness: transcripts of an accepting k-colouring
 	// run yield labels that every node's CheckRow accepts and that the
@@ -232,7 +116,9 @@ func TestCompileNCLIQUE1RoundTrip(t *testing.T) {
 	// check: if sender s claims to have sent receiver r a colour other
 	// than the one it sent everyone else, the labelling stays consistent
 	// but no colour reproduces s's row, so s rejects. r cannot tell: its
-	// row is realisable, so only a full run catches the forgery.
+	// row is realisable, so only a full run catches the forgery. Labels
+	// that disagree across an edge are rejected by the consistency round
+	// even when every row is realisable.
 	const k = 3
 	alg := nondet.KColoringVerifier(k)
 	compiled := CompileNCLIQUE1("kcol-canonical", alg, 1, nondet.WordSpace(k), k)
@@ -277,6 +163,31 @@ func TestCompileNCLIQUE1RoundTrip(t *testing.T) {
 				}
 				if rounds != 1 {
 					t.Errorf("compiled verification took %d rounds, want 1", rounds)
+				}
+
+				// Consistency: node a's row comes from the accepting
+				// run with every colour shifted by one, all other rows
+				// from the honest run. Every row is realisable on its
+				// own, so only the consistency round can reject.
+				shifted := make(nondet.Labelling, n)
+				for v := range z {
+					shifted[v] = []uint64{(z[v][0] + 1) % k}
+				}
+				sv, err := nondet.RunVerifier(rec, g, alg, shifted)
+				if err != nil || !sv.Accepted {
+					t.Fatalf("shifted colouring run failed: %v %v", err, sv.Accepted)
+				}
+				a := n / 2
+				mixed := slices.Clone(honest)
+				mixed[a] = LabelsFromTranscripts(sv.Result.Transcripts, 1, k)[a]
+				rowOK, verified, _ = run(mixed)
+				for v := 0; v < n; v++ {
+					if !rowOK[v] {
+						t.Errorf("node %d rejected a realisable row of the mixed labelling", v)
+					}
+				}
+				if !slices.Contains(verified, false) {
+					t.Errorf("labels disagreeing on node %d's edges accepted by the compiled verifier", a)
 				}
 
 				for _, sr := range [][2]int{{0, n - 1}, {n - 1, 0}} {

@@ -5,36 +5,19 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/comm"
-	"repro/internal/gather"
 	"repro/internal/graph"
 	"repro/internal/nondet"
 )
 
 // This file implements Theorem 6's canonical problem family for
-// NCLIQUE(1): edge labelling problems. A neighbourhood constraint C
-// gives, for each clique edge {u, v} and each endpoint's input
-// neighbourhood, the set of allowed O(log n)-bit edge labels; the
-// problem is to label ALL edges of the communication clique (not just
-// the input graph's edges) so that every edge's label is allowed at both
-// endpoints. Theorem 6: NCLIQUE(1) is contained in CLIQUE(T) iff all
-// edge labelling problems are solvable in O(T) rounds — so these
-// problems are "complete" for constant-round nondeterminism.
-
-// Constraint decides whether `label` is allowed on the clique edge
-// {u, v} from u's side, given u's input row. It must be computable (and
-// is evaluated locally by u, which knows its own row).
-type Constraint func(n, u, v int, row graph.Bitset, label uint64) bool
-
-// EdgeLabellingProblem bundles a constraint with the label alphabet
-// size.
-type EdgeLabellingProblem struct {
-	Name string
-	// MaxLabel bounds labels: valid labels are < MaxLabel. The model
-	// requires MaxLabel = poly(n) so labels fit in O(log n) bits.
-	MaxLabel uint64
-	// Allowed is the neighbourhood constraint C_{n,u,v,row}.
-	Allowed Constraint
-}
+// NCLIQUE(1): edge labelling problems. A problem labels ALL edges of the
+// communication clique (not just the input graph's edges) with
+// O(log n)-bit labels, and each node checks the labels of its incident
+// edges against a local constraint on its input neighbourhood. Theorem
+// 6: NCLIQUE(1) is contained in CLIQUE(T) iff all edge labelling
+// problems are solvable in O(T) rounds — so these problems are
+// "complete" for constant-round nondeterminism. CompileNCLIQUE1 builds
+// the problem of a given verifier as a CompiledProblem.
 
 // EdgeLabelling assigns a label to every unordered clique edge; the
 // in-model representation gives node v the labels of its incident
@@ -57,26 +40,6 @@ func (l EdgeLabelling) Set(u, v int, label uint64) {
 	l[v][u] = label
 }
 
-// VerifyEdgeLabelling checks a proposed labelling in-model in O(1)
-// rounds: one round in which each node sends each incident label to the
-// other endpoint (consistency), plus local constraint evaluation at
-// both endpoints. myLabels is this node's row of the labelling. Every
-// node returns its local verdict; the labelling is valid iff all nodes
-// accept — making this the NCLIQUE(1) verifier of the edge labelling
-// problem with the labelling itself as certificate.
-func VerifyEdgeLabelling(nd clique.Endpoint, row graph.Bitset, p EdgeLabellingProblem, myLabels []uint64) bool {
-	if !labelsAgree(nd, myLabels) {
-		return false
-	}
-	n, me := nd.N(), nd.ID()
-	for v := 0; v < n; v++ {
-		if v != me && (myLabels[v] >= p.MaxLabel || !p.Allowed(n, me, v, row, myLabels[v])) {
-			return false
-		}
-	}
-	return true
-}
-
 // labelsAgree is the consistency round every edge labelling verifier
 // runs: each node sends each incident label to the edge's other
 // endpoint and reports whether every peer holds the same label.
@@ -89,49 +52,6 @@ func labelsAgree(nd clique.Endpoint, labelRow []uint64) bool {
 		}
 	}
 	return true
-}
-
-// SolveEdgeLabellingTrivial realises the containment direction of
-// Theorem 6 at T(n) = n / log n: every node gathers the entire input
-// graph, deterministically enumerates labellings of its incident edges
-// in a globally consistent way (all nodes run the same enumeration over
-// the same reconstructed input), and returns its incident labels of the
-// lexicographically-first valid labelling, or nil if none exists.
-// Exponential local search; instances must stay tiny.
-func SolveEdgeLabellingTrivial(nd clique.Endpoint, row graph.Bitset, p EdgeLabellingProblem) []uint64 {
-	n := nd.N()
-	full := gather.Full(nd, row)
-
-	type edge struct{ u, v int }
-	var edges []edge
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			edges = append(edges, edge{u, v})
-		}
-	}
-	labels := NewEdgeLabelling(n)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(edges) {
-			return true
-		}
-		e := edges[i]
-		for lab := uint64(0); lab < p.MaxLabel; lab++ {
-			if !p.Allowed(n, e.u, e.v, full.Row(e.u), lab) ||
-				!p.Allowed(n, e.v, e.u, full.Row(e.v), lab) {
-				continue
-			}
-			labels.Set(e.u, e.v, lab)
-			if rec(i + 1) {
-				return true
-			}
-		}
-		return false
-	}
-	if !rec(0) {
-		return nil
-	}
-	return labels[nd.ID()]
 }
 
 // CompiledProblem is the canonical edge labelling problem of a

@@ -204,6 +204,12 @@ func TestVerifyHardOnEasyFunctions(t *testing.T) {
 	}
 }
 
+// evalTable evaluates a truth table as a function of the two nodes'
+// inputs.
+func evalTable(table uint64, L, x0, x1 int) int {
+	return int(table>>(x0<<L|x1)) & 1
+}
+
 func TestEvalTable(t *testing.T) {
 	// Table for XOR of the low bits at L=2.
 	var tbl uint64
@@ -216,8 +222,8 @@ func TestEvalTable(t *testing.T) {
 	}
 	for x0 := 0; x0 < 4; x0++ {
 		for x1 := 0; x1 < 4; x1++ {
-			if EvalTable(tbl, 2, x0, x1) != (x0^x1)&1 {
-				t.Fatalf("EvalTable wrong at (%d,%d)", x0, x1)
+			if evalTable(tbl, 2, x0, x1) != (x0^x1)&1 {
+				t.Fatalf("evalTable wrong at (%d,%d)", x0, x1)
 			}
 		}
 	}

@@ -121,12 +121,6 @@ func Diagonalise(L int) DiagonalisationResult {
 	return res
 }
 
-// EvalTable evaluates a truth table as a function of the two nodes'
-// inputs.
-func EvalTable(table uint64, L, x0, x1 int) int {
-	return int(table>>(x0<<L|x1)) & 1
-}
-
 // HammingWeight counts the ones of a truth table, used by experiments to
 // describe the first hard function.
 func HammingWeight(table uint64) int { return bits.OnesCount64(table) }

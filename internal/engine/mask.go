@@ -135,9 +135,12 @@ func (a *activity) reset() {
 }
 
 // transpose64 transposes a 64x64 bit tile in place: bit c of word r
-// moves to bit r of word c, with rows little-endian (bit i = column i).
-// It is package bitvec's kernel (Hacker's Delight 7-3, LSB-first),
-// copied because bitvec imports engine.
+// moves to bit r of word c. Rows are little-endian (bit i = column i),
+// so the classic recursive block-swap runs with the shift directions
+// mirrored: at each level the high half-columns of the low rows swap
+// with the low half-columns of the high rows. 6 levels x 32 swaps,
+// branch-free, no memory beyond the tile itself (Hacker's Delight 7-3,
+// adapted to LSB-first bit order).
 func transpose64(a *[64]uint64) {
 	j := 32
 	m := uint64(0x00000000FFFFFFFF)

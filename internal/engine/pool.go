@@ -36,15 +36,7 @@ type shapeCounter struct {
 var (
 	boxPools    sync.Map // boxKey -> *sync.Pool
 	boxCounters sync.Map // boxKey -> *shapeCounter
-
-	boxPoolStops atomic.Bool
 )
-
-// DisableMailboxPool turns engine pooling off process-wide (every
-// acquire allocates fresh) — both the mailbox pool and the word-scratch
-// pool below. It exists for A/B benchmarking and for tests that need
-// allocation isolation; production callers never need it.
-func DisableMailboxPool(off bool) { boxPoolStops.Store(off) }
 
 // PoolStats reports how many lockstep runs reused a pooled mailbox and
 // how many had to allocate one, summed over every shape. The split is a
@@ -121,12 +113,10 @@ func boxCounterFor(key boxKey) *shapeCounter {
 func getBox(n, wpp int) mailbox {
 	arena := int64(n)*int64(n)*int64(wpp) <= arenaThresholdWords
 	key := boxKey{n: n, wpp: wpp, arena: arena}
-	if !boxPoolStops.Load() {
-		if b, _ := boxPoolFor(key).Get().(mailbox); b != nil {
-			boxCounterFor(key).hits.Add(1)
-			b.reset()
-			return b
-		}
+	if b, _ := boxPoolFor(key).Get().(mailbox); b != nil {
+		boxCounterFor(key).hits.Add(1)
+		b.reset()
+		return b
 	}
 	boxCounterFor(key).misses.Add(1)
 	if arena {
@@ -138,9 +128,6 @@ func getBox(n, wpp int) mailbox {
 // putBox retires a run's mailbox to the pool for the next run of the
 // same shape.
 func putBox(b mailbox) {
-	if boxPoolStops.Load() {
-		return
-	}
 	switch x := b.(type) {
 	case *arenaBox:
 		boxPoolFor(boxKey{n: x.n, wpp: x.wpp, arena: true}).Put(b)
@@ -192,13 +179,11 @@ func GetScratch(k int) []uint64 {
 		scratchCounters[scratchClasses].misses.Add(1)
 		return make([]uint64, k)
 	}
-	if !boxPoolStops.Load() {
-		if buf, _ := scratchPools[c].Get().([]uint64); buf != nil {
-			scratchCounters[c].hits.Add(1)
-			buf = buf[:k]
-			clear(buf)
-			return buf
-		}
+	if buf, _ := scratchPools[c].Get().([]uint64); buf != nil {
+		scratchCounters[c].hits.Add(1)
+		buf = buf[:k]
+		clear(buf)
+		return buf
 	}
 	scratchCounters[c].misses.Add(1)
 	return make([]uint64, k, 1<<c)
@@ -207,7 +192,7 @@ func GetScratch(k int) []uint64 {
 // PutScratch retires a buffer obtained from GetScratch. The buffer must
 // not be used after the call.
 func PutScratch(buf []uint64) {
-	if buf == nil || boxPoolStops.Load() {
+	if buf == nil {
 		return
 	}
 	c := scratchClass(cap(buf))

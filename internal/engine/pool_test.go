@@ -86,29 +86,8 @@ func TestMailboxPoolResetIsolation(t *testing.T) {
 	}
 }
 
-// TestMailboxPoolDisable pins the A/B escape hatch.
-func TestMailboxPoolDisable(t *testing.T) {
-	DisableMailboxPool(true)
-	defer DisableMailboxPool(false)
-
-	be := lockstepBackend{}
-	cfg := Config{N: 4, WordsPerPair: 1}
-	if _, err := be.Run(cfg, exchangeBody(2)); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	h0, _ := PoolStats()
-	if _, err := be.Run(cfg, exchangeBody(2)); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	h1, _ := PoolStats()
-	if h1 != h0 {
-		t.Fatalf("pool disabled but hit count moved: %d -> %d", h0, h1)
-	}
-}
-
 // TestScratchPoolRoundTrip pins the word-scratch pool: buffers come
-// back zeroed, same-class requests reuse pooled storage, and the
-// disable switch covers it too.
+// back zeroed and same-class requests reuse pooled storage.
 func TestScratchPoolRoundTrip(t *testing.T) {
 	buf := GetScratch(100)
 	if len(buf) != 100 {
@@ -149,16 +128,6 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 		t.Errorf("GetScratch(0) = %v, want nil", got)
 	}
 	PutScratch(nil) // must be a no-op
-
-	DisableMailboxPool(true)
-	defer DisableMailboxPool(false)
-	b := GetScratch(64)
-	PutScratch(b)
-	h2, _ := ScratchStats()
-	GetScratch(64)
-	if h3, _ := ScratchStats(); h3 != h2 {
-		t.Errorf("scratch pool disabled but hit count moved: %d -> %d", h2, h3)
-	}
 }
 
 func TestScratchClassBounds(t *testing.T) {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"repro/internal/clique"
@@ -389,7 +390,8 @@ func expThm7(c *Ctx) {
 	c.Notef("honest yes-instances survive every challenge; a lying prover is caught by at least one")
 }
 
-// E10 — Theorem 9: k-DS scaling.
+// E10 — Theorem 9: k-DS scaling. Every instance is planted, so every
+// node must find a dominating set of size k, and they must agree.
 func expThm9(c *Ctx) {
 	ns := c.Sizes([]int{27, 64, 125, 216}, []int{8, 27})
 	cols := []string{"k"}
@@ -403,9 +405,11 @@ func expThm9(c *Ctx) {
 		row := []Cell{Int(k)}
 		for _, n := range ns {
 			g, _ := graph.PlantedDominatingSet(n, k, 0.1, uint64(n))
+			res := make([]domset.Result, n)
 			r := c.Rounds(n, 8, func(nd *clique.Node) {
-				domset.Find(nd, g.Row(nd.ID()), k)
+				res[nd.ID()] = domset.Find(nd, g.Row(nd.ID()), k)
 			})
+			checkPlanted(c, "k-DS", n, k, res, dominatingOK(g, k))
 			rs = append(rs, r)
 			row = append(row, Int(r))
 		}
@@ -416,7 +420,8 @@ func expThm9(c *Ctx) {
 	}
 }
 
-// E11 — Theorem 11: k-VC rounds depend only on k.
+// E11 — Theorem 11: k-VC rounds depend only on k. Every instance is
+// planted; every node must return the same cover of size at most k.
 func expThm11(c *Ctx) {
 	ns := c.Sizes([]int{16, 32, 64, 128}, []int{8, 16})
 	ks := c.Sizes([]int{2, 4, 8}, []int{2, 4})
@@ -430,9 +435,11 @@ func expThm11(c *Ctx) {
 		row := []Cell{Int(k)}
 		for _, n := range ns {
 			g, _ := graph.PlantedVertexCover(n, k, 0.4, uint64(n)+uint64(k))
+			res := make([]vcover.Result, n)
 			r := c.Rounds(n, 1, func(nd *clique.Node) {
-				vcover.Find(nd, g.Row(nd.ID()), k)
+				res[nd.ID()] = vcover.Find(nd, g.Row(nd.ID()), k)
 			})
+			checkPlanted(c, "k-VC", n, k, res, coverOK(g, k))
 			if r > 1+k {
 				c.Failf("thm11: %d rounds at n=%d k=%d exceed the 1+k bound", r, n, k)
 			}
@@ -445,7 +452,9 @@ func expThm11(c *Ctx) {
 	c.Notef("broadcasts the uncovered-edge mask when cheaper than the k one-word rounds")
 }
 
-// E12 — the Section 7.3 FPT contrast table.
+// E12 — the Section 7.3 FPT contrast table. Every instance is planted,
+// so all three searches must answer yes, agreed by every node, with a
+// valid witness where the algorithm returns one.
 func expFPT(c *Ctx) {
 	k := 3
 	t := c.Table("", "n", "k-VC", "k-IS", "k-DS")
@@ -453,10 +462,45 @@ func expFPT(c *Ctx) {
 		gv, _ := graph.PlantedVertexCover(n, k, 0.4, uint64(n))
 		gi, _ := graph.PlantedIndependentSet(n, k, 0.5, uint64(n)+1)
 		gd, _ := graph.PlantedDominatingSet(n, k, 0.1, uint64(n)+2)
+		vc := make([]vcover.Result, n)
+		is := make([]bool, n)
+		ds := make([]domset.Result, n)
 		t.Row(Int(n),
-			Int(c.Rounds(n, 1, func(nd *clique.Node) { vcover.Find(nd, gv.Row(nd.ID()), k) })),
-			Int(c.Rounds(n, 8, func(nd *clique.Node) { subgraph.DetectIndependentSet(nd, gi.Row(nd.ID()), k) })),
-			Int(c.Rounds(n, 8, func(nd *clique.Node) { domset.Find(nd, gd.Row(nd.ID()), k) })))
+			Int(c.Rounds(n, 1, func(nd *clique.Node) { vc[nd.ID()] = vcover.Find(nd, gv.Row(nd.ID()), k) })),
+			Int(c.Rounds(n, 8, func(nd *clique.Node) { is[nd.ID()] = subgraph.DetectIndependentSet(nd, gi.Row(nd.ID()), k) })),
+			Int(c.Rounds(n, 8, func(nd *clique.Node) { ds[nd.ID()] = domset.Find(nd, gd.Row(nd.ID()), k) })))
+		checkPlanted(c, "k-VC", n, k, vc, coverOK(gv, k))
+		checkPlanted(c, "k-IS", n, k, is, func(found bool) bool { return found })
+		checkPlanted(c, "k-DS", n, k, ds, dominatingOK(gd, k))
+	}
+}
+
+// checkPlanted fails the experiment unless every node of a run on a
+// planted yes-instance returned node 0's answer and ok accepts it.
+func checkPlanted[R any](c *Ctx, problem string, n, k int, res []R, ok func(R) bool) {
+	for v := range res {
+		if !reflect.DeepEqual(res[v], res[0]) {
+			c.Failf("%s n=%d k=%d: node %d answered %+v, node 0 %+v", problem, n, k, v, res[v], res[0])
+		}
+	}
+	if !ok(res[0]) {
+		c.Failf("%s n=%d k=%d: wrong answer %+v on a planted yes-instance", problem, n, k, res[0])
+	}
+}
+
+// dominatingOK accepts a k-DS answer that found a dominating set of g
+// with at most k vertices.
+func dominatingOK(g *graph.Graph, k int) func(domset.Result) bool {
+	return func(r domset.Result) bool {
+		return r.Found && len(r.Witness) <= k && graph.IsDominatingSet(g, r.Witness)
+	}
+}
+
+// coverOK accepts a k-VC answer that found a vertex cover of g with at
+// most k vertices.
+func coverOK(g *graph.Graph, k int) func(vcover.Result) bool {
+	return func(r vcover.Result) bool {
+		return r.Found && len(r.Cover) <= k && graph.IsVertexCover(g, r.Cover)
 	}
 }
 

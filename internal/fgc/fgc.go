@@ -7,9 +7,6 @@ import (
 	"strings"
 )
 
-// Unbounded marks a missing upper bound.
-var Unbounded = math.Inf(1)
-
 // Problem is one node of the Figure 1 map.
 type Problem struct {
 	Key  string
@@ -18,7 +15,7 @@ type Problem struct {
 	// ([k] references in the Why fields of edges).
 	LitUpper float64
 	// ImplUpper is the exponent realised by this repository's
-	// implementation (Unbounded if the problem has no direct
+	// implementation (+Inf if the problem has no direct
 	// implementation here).
 	ImplUpper float64
 	// ImplRef names the implementing function.
@@ -79,7 +76,7 @@ func Figure1(k int) *Map {
 			{Key: "k-vc", Name: fmt.Sprintf("%d-VC", k), LitUpper: 0, ImplUpper: 0, ImplRef: "vcover.Find", Note: "Theorem 11 (this paper): O(k) rounds"},
 
 			{Key: "maxis", Name: "MaxIS", LitUpper: 1, ImplUpper: 1, ImplRef: "gather.MaxIndependentSetSize"},
-			{Key: "minvc", Name: "MinVC", LitUpper: 1, ImplUpper: 1, ImplRef: "gather.MinVertexCoverSize"},
+			{Key: "minvc", Name: "MinVC", LitUpper: 1, ImplUpper: 1, ImplRef: "gather.Full + graph.MinVertexCoverSize"},
 			{Key: "k-col", Name: fmt.Sprintf("%d-COL", k), LitUpper: 1, ImplUpper: 1, ImplRef: "gather.KColorable / reduction.KColorableViaMaxIS"},
 		},
 		Relations: []Relation{

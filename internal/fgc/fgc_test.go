@@ -83,7 +83,7 @@ func TestImpliedUpperPropagates(t *testing.T) {
 		Problems: []Problem{
 			{Key: "a", LitUpper: 1, ImplUpper: 1},
 			{Key: "b", LitUpper: 0.5, ImplUpper: 0.5},
-			{Key: "c", LitUpper: 0.25, ImplUpper: Unbounded},
+			{Key: "c", LitUpper: 0.25, ImplUpper: math.Inf(1)},
 		},
 		Relations: []Relation{
 			{Lo: "a", Hi: "b"}, // delta(a) <= delta(b)

@@ -33,11 +33,6 @@ func MaxIndependentSetSize(nd clique.Endpoint, row graph.Bitset) int {
 	return graph.MaxIndependentSetSize(Full(nd, row))
 }
 
-// MinVertexCoverSize computes the vertex cover number at every node.
-func MinVertexCoverSize(nd clique.Endpoint, row graph.Bitset) int {
-	return graph.MinVertexCoverSize(Full(nd, row))
-}
-
 // KColorable decides k-colourability at every node.
 func KColorable(nd clique.Endpoint, row graph.Bitset, k int) bool {
 	return graph.IsKColorable(Full(nd, row), k)

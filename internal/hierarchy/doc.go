@@ -8,7 +8,9 @@
 // Sigma_2 = Pi_2, via the guess-the-whole-graph protocol implemented
 // here as SigmaTwoUniversal), and the *logarithmic* hierarchy, whose
 // labels are capped at O(n log n) bits per node and which, by Theorem 8,
-// does not contain all problems. The label-budget accounting for the
-// logarithmic variant is FitsLogBudget; the counting argument behind
-// Theorem 8 lives in package counting.
+// does not contain all problems: the guess labels need n^2 bits, past
+// that cap (GuessBits). The counting argument behind Theorem 8 lives in
+// package counting. The definition itself, exhaustive evaluation of a
+// quantified formula on micro instances, is the ground truth of the
+// package's tests.
 package hierarchy

@@ -282,21 +282,14 @@ func TestLogBudgetExcludesGuessLabels(t *testing.T) {
 	if !violated {
 		t.Error("guess labels fit the logarithmic budget at every tested n")
 	}
-	// Concretely via FitsLogBudget on an actual labelling.
-	g := graph.Gnp(64, 0.5, 3)
-	z := HonestGuess(g)
-	words := len(z[0])
-	bitsPerLabel := words * clique.WordBits(64)
-	if bitsPerLabel <= c*64*clique.WordBits(64) {
-		t.Skip("n too small for the packed encoding to exceed the budget")
-	}
-	if FitsLogBudget(z, 64, c) {
-		t.Error("n^2-bit guesses reported as fitting the O(n log n) budget")
-	}
-	// Small labels do fit.
-	small := nondet.Labelling{{1}, {2}}
-	if !FitsLogBudget(small, 64, 1) {
-		t.Error("single-word labels rejected by the budget")
+	// Concretely on actual labels, each word counted at the model's
+	// ceil(log2 n) bits: a packed guess holds n^2/64 words, past the
+	// c * n * ceil(log2 n)-bit cap once n > 64c.
+	const n = 256
+	for v, l := range HonestGuess(graph.Gnp(n, 0.5, 3)) {
+		if len(l)*clique.WordBits(n) <= c*n*clique.WordBits(n) {
+			t.Fatalf("node %d's n^2-bit guess fits the O(n log n) budget", v)
+		}
 	}
 }
 

@@ -41,21 +41,6 @@ func (Boolean) Zero() int64 { return 0 }
 // Name implements Semiring.
 func (Boolean) Name() string { return "boolean" }
 
-// Ring is the ordinary (Z, +, *) ring.
-type Ring struct{}
-
-// Add implements Semiring.
-func (Ring) Add(a, b int64) int64 { return a + b }
-
-// Mul implements Semiring.
-func (Ring) Mul(a, b int64) int64 { return a * b }
-
-// Zero implements Semiring.
-func (Ring) Zero() int64 { return 0 }
-
-// Name implements Semiring.
-func (Ring) Name() string { return "ring" }
-
 // MinPlus is the tropical (min, +) semiring with Inf as the additive
 // identity; powers of a weight matrix over MinPlus give shortest path
 // distances.
@@ -129,33 +114,12 @@ func mulMinPlus(a, b, c [][]int64) {
 	}
 }
 
-// isAnnihilating reports whether Zero annihilates under Mul (true for all
-// three semirings here), enabling the sparse skip in MulLocal.
+// isAnnihilating reports whether Zero annihilates under Mul (true for
+// every semiring the package and its tests use), enabling the sparse skip
+// in MulLocal.
 func isAnnihilating(s Semiring) bool {
 	z := s.Zero()
 	return s.Mul(z, 1) == z && s.Mul(1, z) == z
-}
-
-// Identity returns the n x n multiplicative identity over s: Mul-unit on
-// the diagonal, Zero elsewhere. The unit is 1 for Boolean and Ring, 0 for
-// MinPlus.
-func Identity(s Semiring, n int) [][]int64 {
-	unit := int64(1)
-	if (s == MinPlus{}) {
-		unit = 0
-	}
-	m := make([][]int64, n)
-	for i := range m {
-		m[i] = make([]int64, n)
-		for j := range m[i] {
-			if i == j {
-				m[i][j] = unit
-			} else {
-				m[i][j] = s.Zero()
-			}
-		}
-	}
-	return m
 }
 
 // AdjacencyRow returns row v of g's Boolean adjacency matrix.
@@ -163,10 +127,4 @@ func AdjacencyRow(g *graph.Graph, v int) []int64 {
 	row := make([]int64, g.N)
 	g.Neighbors(v, func(u int) { row[u] = 1 })
 	return row
-}
-
-// WeightRow returns row v of a weighted graph's (min,+) matrix: 0 on the
-// diagonal, edge weights, Inf otherwise.
-func WeightRow(g *graph.Weighted, v int) []int64 {
-	return append([]int64(nil), g.W[v]...)
 }

@@ -85,28 +85,6 @@ func WordSpace(max uint64) LabelSpace {
 	}
 }
 
-// TupleSpace is the label space of all width-length word vectors with
-// values below max.
-func TupleSpace(max uint64, width int) LabelSpace {
-	return func(emit func([]uint64) bool) {
-		label := make([]uint64, width)
-		var rec func(i int) bool
-		rec = func(i int) bool {
-			if i == width {
-				return emit(append([]uint64(nil), label...))
-			}
-			for w := uint64(0); w < max; w++ {
-				label[i] = w
-				if !rec(i + 1) {
-					return false
-				}
-			}
-			return true
-		}
-		rec(0)
-	}
-}
-
 // ExhaustiveDecide realises the "exists z" semantics by brute force:
 // it enumerates every labelling with per-node labels drawn from space
 // and reports whether any is accepted. Exponential in n; usable only on

@@ -105,85 +105,6 @@ func TestHamPathVerifier(t *testing.T) {
 	}
 }
 
-func TestConnectivityVerifier(t *testing.T) {
-	g := graph.Gnp(10, 0.35, 3)
-	z := ConnectivityProver(g)
-	if z == nil {
-		t.Skip("random graph happened to be disconnected")
-	}
-	if !accept(t, g, ConnectivityVerifier(), z, 1).Accepted {
-		t.Error("honest spanning tree rejected")
-	}
-	// Disconnected graph: prover fails, and forged trees are rejected.
-	h := graph.New(6)
-	h.AddEdge(0, 1)
-	h.AddEdge(2, 3)
-	if ConnectivityProver(h) != nil {
-		t.Error("prover produced a tree for a disconnected graph")
-	}
-	forged := make(Labelling, h.N)
-	for v := range forged {
-		forged[v] = []uint64{0, 1} // everyone claims parent 0 depth 1
-	}
-	forged[0] = []uint64{0, 0}
-	if accept(t, h, ConnectivityVerifier(), forged, 1).Accepted {
-		t.Error("forged spanning tree accepted on disconnected graph")
-	}
-}
-
-func TestPerfectMatchingVerifier(t *testing.T) {
-	// C6 has a perfect matching; C5 has odd order.
-	c6 := graph.Cycle(6)
-	z := PerfectMatchingProver(c6)
-	if z == nil {
-		t.Fatal("prover failed on C6")
-	}
-	if !accept(t, c6, PerfectMatchingVerifier(), z, 1).Accepted {
-		t.Error("honest matching rejected")
-	}
-	if PerfectMatchingProver(graph.Cycle(5)) != nil {
-		t.Error("odd graph has no perfect matching")
-	}
-	// Non-mutual mates rejected.
-	bad := make(Labelling, 6)
-	for v := range bad {
-		bad[v] = []uint64{uint64((v + 1) % 6)}
-	}
-	if accept(t, c6, PerfectMatchingVerifier(), bad, 1).Accepted {
-		t.Error("rotation accepted as matching")
-	}
-}
-
-func TestKCliqueVerifier(t *testing.T) {
-	g := graph.Gnp(10, 0.6, 12)
-	k := 3
-	if !graph.HasCliqueOfSize(g, k) {
-		t.Skip("no 3-clique in random graph")
-	}
-	z := KCliqueProver(g, k)
-	if !accept(t, g, KCliqueVerifier(k), z, 1).Accepted {
-		t.Error("honest clique certificate rejected")
-	}
-	// Wrong count rejected.
-	badCount := make(Labelling, g.N)
-	for v := range badCount {
-		badCount[v] = []uint64{0}
-	}
-	if accept(t, g, KCliqueVerifier(k), badCount, 1).Accepted {
-		t.Error("empty set accepted as 3-clique")
-	}
-	// A claimed clique with a missing edge rejected.
-	tf := graph.PlantedTriangleFree(9, 0.5, 4)
-	claim := make(Labelling, tf.N)
-	for v := range claim {
-		claim[v] = []uint64{0}
-	}
-	claim[0], claim[1], claim[2] = []uint64{1}, []uint64{1}, []uint64{1}
-	if accept(t, tf, KCliqueVerifier(3), claim, 1).Accepted {
-		t.Error("triangle claimed in triangle-free graph accepted")
-	}
-}
-
 func TestExhaustiveDecideMatchesOracle(t *testing.T) {
 	// The "exists z" semantics on every 4-node graph for 2-colouring.
 	for mask := 0; mask < 64; mask += 5 {
@@ -215,17 +136,6 @@ func TestLabellingSizes(t *testing.T) {
 	}
 	if z.SizeBits(16) != 3*4 {
 		t.Errorf("SizeBits = %d", z.SizeBits(16))
-	}
-}
-
-func TestTupleSpace(t *testing.T) {
-	var got [][]uint64
-	TupleSpace(2, 2)(func(l []uint64) bool {
-		got = append(got, l)
-		return true
-	})
-	if len(got) != 4 {
-		t.Fatalf("TupleSpace(2,2) emitted %d labels", len(got))
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 
 // This file implements constant-round verifiers for the natural
 // NCLIQUE(1) problems Section 6.1 of the paper names: k-colouring and
-// Hamiltonian path (both NP-complete centrally), plus connectivity,
-// perfect matching and k-clique. Each comes with a centralized Prover
-// that constructs an accepting certificate for yes-instances, used by
-// tests and experiments. Every verifier runs O(1) rounds with one word
-// per pair — witnessing membership in NCLIQUE(1).
+// Hamiltonian path (both NP-complete centrally). Each comes with a
+// centralized Prover that constructs an accepting certificate for
+// yes-instances, used by tests and experiments. Every verifier runs
+// O(1) rounds with one word per pair — witnessing membership in
+// NCLIQUE(1).
 
 // KColoringVerifier accepts iff the labelling is a proper k-colouring:
 // every node broadcasts its colour (one round) and checks its own colour
@@ -134,203 +134,4 @@ func HamPathProver(g *graph.Graph) Labelling {
 		z[v] = []uint64{uint64(i)}
 	}
 	return z
-}
-
-// ConnectivityVerifier accepts iff the labels encode a spanning tree
-// rooted anywhere: node labels are (parent, depth); each node broadcasts
-// both (two rounds at one word per pair), then checks there is exactly
-// one root (parent = self, depth 0), that its own parent is a
-// G-neighbour with depth exactly one less, and that depths are bounded.
-// A valid certificate exists iff G is connected.
-func ConnectivityVerifier() Algorithm {
-	return func(nd clique.Endpoint, row graph.Bitset, label []uint64) bool {
-		n := nd.N()
-		me := nd.ID()
-		var parent, depth uint64 = ^uint64(0), ^uint64(0)
-		if len(label) == 2 {
-			parent, depth = label[0], label[1]
-		}
-		parents := broadcastCollect(nd, parent%uint64(n))
-		depths := broadcastCollect(nd, depth%uint64(n))
-		if len(label) != 2 || parent >= uint64(n) || depth >= uint64(n) {
-			return false
-		}
-		parents[me] = parent
-		depths[me] = depth
-
-		roots := 0
-		for v := 0; v < n; v++ {
-			if parents[v] == uint64(v) {
-				roots++
-				if depths[v] != 0 {
-					return false
-				}
-			}
-		}
-		if roots != 1 {
-			return false
-		}
-		if parent == uint64(me) {
-			return true // I am the root
-		}
-		// My parent must be a real neighbour one level up.
-		return row.Has(int(parent)) && depths[parent]+1 == depth
-	}
-}
-
-// ConnectivityProver returns an accepting labelling for a connected
-// graph (a BFS tree from node 0), or nil for a disconnected one.
-func ConnectivityProver(g *graph.Graph) Labelling {
-	dist := graph.BFSDistances(g, 0)
-	parent := make([]int, g.N)
-	parent[0] = 0
-	for v := 1; v < g.N; v++ {
-		if dist[v] >= graph.Inf {
-			return nil
-		}
-		p := -1
-		g.Neighbors(v, func(u int) {
-			if p < 0 && dist[u]+1 == dist[v] {
-				p = u
-			}
-		})
-		parent[v] = p
-	}
-	z := make(Labelling, g.N)
-	for v := range z {
-		z[v] = []uint64{uint64(parent[v]), uint64(dist[v])}
-	}
-	return z
-}
-
-// PerfectMatchingVerifier accepts iff the labels form a perfect
-// matching: node v's label is its mate; one broadcast round, then each
-// node checks mutuality and that its matching edge exists.
-func PerfectMatchingVerifier() Algorithm {
-	return func(nd clique.Endpoint, row graph.Bitset, label []uint64) bool {
-		n := nd.N()
-		me := nd.ID()
-		var mate uint64 = ^uint64(0)
-		if len(label) == 1 {
-			mate = label[0]
-		}
-		mates := broadcastCollect(nd, mate%uint64(n))
-		if len(label) != 1 || mate >= uint64(n) || int(mate) == me {
-			return false
-		}
-		mates[me] = mate
-		return mates[mate] == uint64(me) && row.Has(int(mate))
-	}
-}
-
-// PerfectMatchingProver returns an accepting labelling for a graph with
-// a perfect matching, or nil.
-func PerfectMatchingProver(g *graph.Graph) Labelling {
-	n := g.N
-	if n%2 == 1 {
-		return nil
-	}
-	mate := make([]int, n)
-	for i := range mate {
-		mate[i] = -1
-	}
-	var rec func(v int) bool
-	rec = func(v int) bool {
-		if v == n {
-			return true
-		}
-		if mate[v] >= 0 {
-			return rec(v + 1)
-		}
-		ok := false
-		g.Neighbors(v, func(u int) {
-			if ok || u < v || mate[u] >= 0 {
-				return
-			}
-			mate[v], mate[u] = u, v
-			if rec(v + 1) {
-				ok = true
-				return
-			}
-			mate[v], mate[u] = -1, -1
-		})
-		return ok
-	}
-	if !rec(0) {
-		return nil
-	}
-	z := make(Labelling, n)
-	for v, m := range mate {
-		z[v] = []uint64{uint64(m)}
-	}
-	return z
-}
-
-// KCliqueVerifier accepts iff the labelled nodes (label word 1) form a
-// clique of size exactly k: one membership broadcast round, then each
-// member checks its adjacency to all other members, and everyone checks
-// the count.
-func KCliqueVerifier(k int) Algorithm {
-	return func(nd clique.Endpoint, row graph.Bitset, label []uint64) bool {
-		n := nd.N()
-		me := nd.ID()
-		var mine uint64
-		if len(label) == 1 && label[0] == 1 {
-			mine = 1
-		}
-		members := broadcastCollect(nd, mine)
-		if len(label) != 1 || label[0] > 1 {
-			return false
-		}
-		members[me] = mine
-		count := 0
-		for _, m := range members {
-			if m == 1 {
-				count++
-			}
-		}
-		if count != k {
-			return false
-		}
-		if mine == 1 {
-			for v := 0; v < n; v++ {
-				if v != me && members[v] == 1 && !row.Has(v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-}
-
-// KCliqueProver returns an accepting labelling for a graph containing a
-// k-clique, or nil.
-func KCliqueProver(g *graph.Graph, k int) Labelling {
-	set := graph.FindClique(g, k)
-	if set == nil {
-		return nil
-	}
-	z := make(Labelling, g.N)
-	for v := range z {
-		z[v] = []uint64{0}
-	}
-	for _, v := range set {
-		z[v] = []uint64{1}
-	}
-	return z
-}
-
-// broadcastCollect broadcasts one word and gathers one word per node,
-// recording ^uint64(0) for peers that did not deliver exactly one word
-// (reachable when a verifier is replayed against an adversarial
-// transcript). The node's own slot holds the word it broadcast;
-// callers overwrite it when they need the raw label instead.
-func broadcastCollect(nd clique.Endpoint, w uint64) []uint64 {
-	vals, ok := comm.BroadcastWordOK(nd, w)
-	for i := range vals {
-		if !ok[i] {
-			vals[i] = ^uint64(0)
-		}
-	}
-	return vals
 }

@@ -1,7 +1,6 @@
 // Package sketch implements ℓ₀-sampling linear graph sketches in the
-// AGM (Ahn–Guilbas–McGregor) style, plus KKT (Karger–Klein–Tarjan)
-// edge subsampling — the randomized primitives behind the O(1)-round
-// and o(m)-message congested-clique MST algorithms
+// AGM (Ahn–Guilbas–McGregor) style — the randomized primitive behind
+// the O(1)-round and o(m)-message congested-clique MST algorithms
 // (Jurdziński–Nowicki, arXiv:1707.08484; Pemmaraju–Sardeshmukh,
 // arXiv:1610.03897).
 //

@@ -206,34 +206,6 @@ func TestPairHashUniformity(t *testing.T) {
 	}
 }
 
-// TestSamplerConcentration: KKT subsampling keeps about rate·m edges,
-// identically from every node's point of view.
-func TestSamplerConcentration(t *testing.T) {
-	const n = 64
-	g := graph.GnpWeighted(n, 0.5, 1<<20, false, 3)
-	m := 0
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if g.HasEdge(u, v) {
-				m++
-			}
-		}
-	}
-	for _, rate := range []float64{0.25, 0.5} {
-		kept := SampleEdges(g, rate, 11)
-		want := rate * float64(m)
-		if got := float64(len(kept)); got < want*0.6 || got > want*1.4 {
-			t.Errorf("rate %.2f: kept %d of %d edges, want about %.0f", rate, len(kept), m, want)
-		}
-		s := NewSampler(n, rate, 11)
-		for _, e := range kept {
-			if !s.Keep(e.U, e.V) || !s.Keep(e.V, e.U) {
-				t.Fatalf("Keep(%d,%d) disagrees with SampleEdges or is asymmetric", e.U, e.V)
-			}
-		}
-	}
-}
-
 // FuzzSketchLinearity fuzzes the core linearity and validity
 // properties over arbitrary toggle sequences: the fuzzer controls the
 // vertex count, seed, and two edge streams (with duplicates, which

@@ -257,68 +257,3 @@ func DetectPath(nd clique.Endpoint, row graph.Bitset, k int) bool {
 	}
 	return DetectPattern(nd, row, pattern)
 }
-
-// FindWitness runs Detect and additionally publishes a concrete witness
-// tuple: the lowest-id successful node broadcasts its k vertices over
-// ceil(k / wordsPerPair) rounds, so every node returns the same
-// (found, witness) pair — the same agreement pattern as Theorem 9's
-// dominating set search. Returns (false, nil) if no witness exists.
-func FindWitness(nd clique.Endpoint, row graph.Bitset, k int, check func(sel []int, local *graph.Graph) bool) (bool, []int) {
-	n := nd.N()
-	me := nd.ID()
-	s := partition.New(n, k)
-	local := GatherEdges(nd, row, s, ScopeWithin)
-	var mine []int
-	if lbl := s.Label(me); lbl != nil {
-		tuples(s, lbl, func(sel []int) bool {
-			if check(sel, local) {
-				mine = append([]int(nil), sel...)
-				return true
-			}
-			return false
-		})
-	}
-	// Success is announced presence-coded: only successful nodes spend
-	// budget on the vote round.
-	flags := comm.Flags(nd, mine != nil)
-	leader := -1
-	for v := 0; v < n; v++ {
-		if flags[v] {
-			leader = v
-			break
-		}
-	}
-	if leader < 0 {
-		return false, nil
-	}
-	// The leader ships its k witness vertices to everyone; the
-	// collective chunks them against the word budget.
-	var words []uint64
-	if me == leader {
-		words = make([]uint64, k)
-		for i, v := range mine {
-			words[i] = uint64(v)
-		}
-	}
-	got := comm.BroadcastFrom(nd, leader, words, k)
-	witness := make([]int, k)
-	for i, w := range got {
-		witness[i] = int(w)
-	}
-	return true, witness
-}
-
-// FindIndependentSet returns an agreed independent set of size k, or
-// (false, nil).
-func FindIndependentSet(nd clique.Endpoint, row graph.Bitset, k int) (bool, []int) {
-	return FindWitness(nd, row, k, func(sel []int, local *graph.Graph) bool {
-		return graph.IsIndependentSet(local, sel)
-	})
-}
-
-// FindClique returns an agreed clique of size k, or (false, nil).
-func FindClique(nd clique.Endpoint, row graph.Bitset, k int) (bool, []int) {
-	return FindWitness(nd, row, k, func(sel []int, local *graph.Graph) bool {
-		return graph.IsClique(local, sel)
-	})
-}

@@ -269,56 +269,3 @@ func TestDetectPath(t *testing.T) {
 		}
 	}
 }
-
-func TestFindWitnessAgreement(t *testing.T) {
-	for seed := uint64(0); seed < 4; seed++ {
-		g := graph.Gnp(12, 0.5, seed+200)
-		k := 3
-		wantIS := graph.HasIndependentSetOfSize(g, k)
-		founds := make([]bool, g.N)
-		wits := make([][]int, g.N)
-		_, err := clique.Run(clique.Config{N: g.N, WordsPerPair: 4}, func(nd *clique.Node) {
-			founds[nd.ID()], wits[nd.ID()] = FindIndependentSet(nd, g.Row(nd.ID()), k)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < g.N; v++ {
-			if founds[v] != wantIS {
-				t.Fatalf("seed %d node %d: found=%v oracle=%v", seed, v, founds[v], wantIS)
-			}
-			if wantIS {
-				if len(wits[v]) != k || !graph.IsIndependentSet(g, wits[v]) {
-					t.Fatalf("seed %d node %d: invalid witness %v", seed, v, wits[v])
-				}
-				for i := range wits[v] {
-					if wits[v][i] != wits[0][i] {
-						t.Fatalf("seed %d: witnesses disagree", seed)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestFindCliqueWitness(t *testing.T) {
-	g := graph.PlantedTriangleFree(10, 0.5, 31)
-	g.AddEdge(2, 5)
-	g.AddEdge(5, 8)
-	g.AddEdge(2, 8)
-	// One slot per node: every node computes the answer, and each writes
-	// only its own slot.
-	founds := make([]bool, g.N)
-	wits := make([][]int, g.N)
-	_, err := clique.Run(clique.Config{N: g.N, WordsPerPair: 4}, func(nd *clique.Node) {
-		founds[nd.ID()], wits[nd.ID()] = FindClique(nd, g.Row(nd.ID()), 3)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range founds {
-		if !founds[v] || !graph.IsClique(g, wits[v]) {
-			t.Fatalf("node %d: planted triangle not found: %v %v", v, founds[v], wits[v])
-		}
-	}
-}
