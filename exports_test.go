@@ -44,6 +44,7 @@ var reserved = map[string]string{
 	"reduction.BMMViaApproxAPSP":     "ROADMAP: Figure 1's arrows, executed and checked",
 	"reduction.ProductFromDistances": "ROADMAP: Figure 1's arrows, executed and checked",
 	"reduction.DHZLayout":            "ROADMAP: Figure 1's arrows, executed and checked",
+	"gather.Full":                    "ROADMAP: Figure 1's arrows, executed and checked (reduction.KColorableViaMaxIS's per-node gather)",
 
 	"fault.Install":     "seam: fault injection for the ledger and serve tests",
 	"grid.ParseRunsCSV": "seam: the documented inverse of WriteRunsCSV",

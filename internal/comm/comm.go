@@ -400,16 +400,18 @@ func allToAll(nd clique.Endpoint, sizes []int, fill func(t, off int, buf []uint6
 }
 
 // BroadcastBits has every node broadcast an arbitrary bit vector (all
-// nodes must pass the same length); it returns the table indexed by
-// sender. Bits are packed clique.WordBits(n) per word — the honest
-// O(log n)-bit packing — so broadcasting b bits takes
-// ceil(b / WordBits(n) / wordsPerPair) rounds. Broadcasting the full
-// input graph this way (b = n) realises the trivial O(n / log n)
-// upper bound that every problem has in the model.
-func BroadcastBits(nd clique.Endpoint, bits []bool) [][]bool {
+// nodes must pass the same length); it returns the table of the words
+// on the wire, indexed by sender: bit i of sender p's vector is bit
+// i mod WordBits(n) of table[p][i / WordBits(n)]. Bits are packed
+// clique.WordBits(n) per word — the honest O(log n)-bit packing — so
+// broadcasting b bits takes ceil(b / WordBits(n) / wordsPerPair)
+// rounds. Broadcasting the full input graph this way (b = n) realises
+// the trivial O(n / log n) upper bound that every problem has in the
+// model. The table is identical at every node, so a caller can key
+// replicated local work on it (clique.Replicated).
+func BroadcastBits(nd clique.Endpoint, bits []bool) [][]uint64 {
 	defer trace.Op(nd, "BroadcastBits", (len(bits)+clique.WordBits(nd.N())-1)/clique.WordBits(nd.N()))()
-	n := nd.N()
-	wb := clique.WordBits(n)
+	wb := clique.WordBits(nd.N())
 	nwords := (len(bits) + wb - 1) / wb
 	words := make([]uint64, nwords)
 	for i, b := range bits {
@@ -417,14 +419,5 @@ func BroadcastBits(nd clique.Endpoint, bits []bool) [][]bool {
 			words[i/wb] |= 1 << (i % wb)
 		}
 	}
-	table := BroadcastAll(nd, words, nwords)
-	out := make([][]bool, n)
-	for p := 0; p < n; p++ {
-		row := make([]bool, len(bits))
-		for i := range row {
-			row[i] = table[p][i/wb]&(1<<(i%wb)) != 0
-		}
-		out[p] = row
-	}
-	return out
+	return BroadcastAll(nd, words, nwords)
 }

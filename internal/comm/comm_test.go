@@ -317,7 +317,7 @@ func TestAllToAllRejectsMisannouncedStreams(t *testing.T) {
 func TestBroadcastBitsRoundTrip(t *testing.T) {
 	const n, k = 9, 23
 	for _, backend := range clique.Backends() {
-		tables := make([][][]bool, n)
+		tables := make([][][]uint64, n)
 		res, err := clique.Run(clique.Config{N: n, Backend: backend}, func(nd *clique.Node) {
 			bits := make([]bool, k)
 			for i := range bits {
@@ -328,10 +328,11 @@ func TestBroadcastBitsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wb := clique.WordBits(n)
 		for v := 0; v < n; v++ {
 			for p := 0; p < n; p++ {
 				for i := 0; i < k; i++ {
-					if tables[v][p][i] != ((p+i)%3 == 0) {
+					if got := tables[v][p][i/wb]>>(i%wb)&1 == 1; got != ((p+i)%3 == 0) {
 						t.Fatalf("%s: node %d sees wrong bit %d of %d", backend, v, i, p)
 					}
 				}

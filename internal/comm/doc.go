@@ -43,6 +43,16 @@
 //     of each stream it will receive. Streams are carved, exactly sized,
 //     from one backing array and received through Endpoint.Senders; a
 //     stream that does not match its announced length fails the run.
+//   - TwoHop: a fixed personalised exchange that every node knows from
+//     a Plan, the runs of equal streams into each destination. Each
+//     word moves alone at a position both ends derive — no headers, no
+//     length round — through intermediate (P_t(s) + Q_s(t) + y) mod n
+//     for word y of stream (s, t), P and Q the words t receives from
+//     senders below s and s sends to destinations below t. The plan's
+//     heaviest link in each hop fixes the rounds; a link that carries
+//     any other number of words fails the run. Nothing is kept between
+//     calls: each derives its node's share of the plan afresh, without
+//     a per-word index. int64 matmul.Mul3D's three phases run on it.
 //   - Route / RouteDirect: Lenzen's balanced routing [43] and its
 //     unbalanced ablation baseline. Both take one flat slice of
 //     [dst, payload...] records and return one exactly sized,
@@ -51,9 +61,11 @@
 //     They share AllToAll's core, which fills each chunk straight into
 //     the mailbox (Endpoint.SendBuf) from the records themselves, so a
 //     routed word is copied once per hop: sender's records → mailbox →
-//     the receiver's result array.
+//     the receiver's result array. Their callers are subgraph's edge
+//     gathering, routing's sort and the sub and ablation tables.
 //   - BroadcastBits: bit-packed broadcast at the honest O(log n)-bit
-//     word size.
+//     word size, returned as the words on the wire (gather keys its
+//     replicated solvers on them).
 //
 // The sparse collectives (sparse.go) charge only the words actually
 // sent, for the message-frugal protocols whose silence must be free:

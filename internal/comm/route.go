@@ -163,7 +163,8 @@ func groupSizes(start []int, me, width int) []int {
 // writes record id whole into dst. Whole records go straight into buf;
 // only a record that a chunk boundary cuts is built in stage and copied
 // in part. The put functions copy their few payload words in a loop:
-// at Mul3D's two payload words that beats a memmove call per record.
+// at the two payload words of subgraph's edge records that beats a
+// memmove call per record.
 func fillRecords(buf []uint64, off int, ids []int32, stage []uint64, put func(id int32, dst []uint64)) {
 	width := len(stage)
 	i, skip := off/width, off%width

@@ -112,8 +112,9 @@ func (r Request) Canonical() (Request, error) {
 // current code would no longer produce. It feeds only the hash; the
 // envelope layout does not change with it.
 //
-// Revisions: 1 = APSP and transitive closure stop at their fixed point.
-const modelRevision = 1
+// Revisions: 1 = APSP and transitive closure stop at their fixed point;
+// 2 = int64 Mul3D on a fixed two-hop schedule.
+const modelRevision = 2
 
 // Hash returns the canonical request hash: SHA-256 over the schema
 // version, the model revision and the canonicalised request's JSON.

@@ -9,16 +9,49 @@ import (
 // Full reconstructs the whole input graph at this node. row is the
 // node's adjacency bitset.
 func Full(nd clique.Endpoint, row graph.Bitset) *graph.Graph {
-	n := nd.N()
-	bits := make([]bool, n)
-	for u := 0; u < n; u++ {
+	return graphOf(nd.N(), announce(nd, row))
+}
+
+// MaxIndependentSetSize computes the independence number at every node;
+// all nodes return the same value because they solve the same local
+// instance deterministically, which a lockstep run solves once.
+func MaxIndependentSetSize(nd clique.Endpoint, row graph.Bitset) int {
+	return solve(nd, row, "gather.MaxIndependentSetSize", 0, func(g *graph.Graph, _ int) int {
+		return graph.MaxIndependentSetSize(g)
+	})
+}
+
+// KColorable decides k-colourability at every node.
+func KColorable(nd clique.Endpoint, row graph.Bitset, k int) bool {
+	return solve(nd, row, "gather.KColorable", k, func(g *graph.Graph, k int) int {
+		return int(clique.BoolWord(graph.IsKColorable(g, k)))
+	}) != 0
+}
+
+// announce broadcasts this node's neighbours, never itself, with
+// comm.BroadcastBits and returns every node's words end to end, with
+// room for one word more.
+func announce(nd clique.Endpoint, row graph.Bitset) []uint64 {
+	bits := make([]bool, nd.N())
+	for u := range bits {
 		bits[u] = u != nd.ID() && row.Has(u)
 	}
 	table := comm.BroadcastBits(nd, bits)
+	words := make([]uint64, 0, len(table)*len(table[0])+1)
+	for _, w := range table {
+		words = append(words, w...)
+	}
+	return words
+}
+
+// graphOf decodes the graph from the n announced rows laid end to end,
+// each of len(words)/n words of comm.BroadcastBits' packing.
+func graphOf(n int, words []uint64) *graph.Graph {
+	wb, w := clique.WordBits(n), len(words)/n
 	g := graph.New(n)
 	for v := 0; v < n; v++ {
 		for u := 0; u < n; u++ {
-			if table[v][u] && u != v {
+			if words[v*w+u/wb]&(1<<(u%wb)) != 0 && u != v {
 				g.AddEdge(v, u)
 			}
 		}
@@ -26,14 +59,14 @@ func Full(nd clique.Endpoint, row graph.Bitset) *graph.Graph {
 	return g
 }
 
-// MaxIndependentSetSize computes the independence number at every node;
-// all nodes return the same value because they solve the same local
-// instance deterministically.
-func MaxIndependentSetSize(nd clique.Endpoint, row graph.Bitset) int {
-	return graph.MaxIndependentSetSize(Full(nd, row))
-}
-
-// KColorable decides k-colourability at every node.
-func KColorable(nd clique.Endpoint, row graph.Bitset, k int) bool {
-	return graph.IsKColorable(Full(nd, row), k)
+// solve gathers the graph as Full does and returns f(graph, k),
+// computed once per lockstep run from the broadcast words, which are
+// the same at every node (clique.Replicated).
+func solve(nd clique.Endpoint, row graph.Bitset, site string, k int, f func(*graph.Graph, int) int) int {
+	n := nd.N()
+	key := append(announce(nd, row), uint64(k))
+	return *clique.Replicated(nd, site, nil, key, func(_ *int, key []uint64) *int {
+		out := f(graphOf(n, key[:len(key)-1]), int(key[len(key)-1]))
+		return &out
+	})
 }

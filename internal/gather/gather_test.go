@@ -55,3 +55,40 @@ func TestGlobalSolvers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSolversCostWhatFullCosts holds the replicated solvers to Full's
+// broadcast and to the oracle: on every backend each answers as
+// graph's solver does on the whole graph, at exactly the rounds and
+// words Full spends.
+func TestSolversCostWhatFullCosts(t *testing.T) {
+	for seed := uint64(0); seed < 3; seed++ {
+		g := graph.Gnp(21, 0.4, seed)
+		for _, backend := range clique.Backends() {
+			cfg := clique.Config{N: g.N, Backend: backend}
+			full, err := clique.Run(cfg, func(nd *clique.Node) { Full(nd, g.Row(nd.ID())) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, solve := range map[string]func(*clique.Node) bool{
+				"MaxIndependentSetSize": func(nd *clique.Node) bool {
+					return MaxIndependentSetSize(nd, g.Row(nd.ID())) == graph.MaxIndependentSetSize(g)
+				},
+				"KColorable": func(nd *clique.Node) bool {
+					return KColorable(nd, g.Row(nd.ID()), 4) == graph.IsKColorable(g, 4)
+				},
+			} {
+				res, err := clique.Run(cfg, func(nd *clique.Node) {
+					if !solve(nd) {
+						nd.Fail("%s differs from the oracle", name)
+					}
+				})
+				if err != nil {
+					t.Fatalf("%s on %s: %v", name, backend, err)
+				}
+				if res.Stats != full.Stats {
+					t.Errorf("%s on %s: stats %+v, Full %+v", name, backend, res.Stats, full.Stats)
+				}
+			}
+		}
+	}
+}

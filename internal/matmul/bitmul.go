@@ -69,7 +69,7 @@ func MulNaiveBits(nd clique.Endpoint, aRow, bRow bitvec.Row) bitvec.Row {
 // of the q^3 cube multiplies blocks A[P_i][P_k] x B[P_k][P_j], the
 // k-dimension is OR-reduced, results return to their row owners — but
 // every exchange ships bit-packed row segments over fixed-width
-// personalised collectives instead of routing per-entry packets. Each
+// personalised collectives instead of one word per entry. Each
 // of the three phases is perfectly balanced (at most one A and one B
 // segment per ordered pair in phase 1, one block-row chunk in phase 2,
 // one result segment in phase 3), so comm.AllToAllFixed applies and

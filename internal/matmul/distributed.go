@@ -1,8 +1,12 @@
 package matmul
 
 import (
+	"sync"
+	"weak"
+
 	"repro/internal/clique"
 	"repro/internal/comm"
+	"repro/internal/trace"
 )
 
 // The distributed layout throughout this package is row-major: node i
@@ -63,6 +67,12 @@ func newPart(n, q int) part { return part{n: n, q: q, size: (n + q - 1) / q} }
 // of returns which interval index i belongs to.
 func (p part) of(i int) int { return i / p.size }
 
+// lo, hi and sz are the first index, the end and the size of
+// interval t.
+func (p part) lo(t int) int { lo, _ := p.bounds(t); return lo }
+func (p part) hi(t int) int { _, hi := p.bounds(t); return hi }
+func (p part) sz(t int) int { lo, hi := p.bounds(t); return hi - lo }
+
 // bounds returns the half-open range of interval t, clipped to n.
 func (p part) bounds(t int) (lo, hi int) {
 	lo = t * p.size
@@ -88,15 +98,18 @@ func idOf(i, j, k, q int) int { return i*q*q + j*q + k }
 // of Censor-Hillel et al. [10]: node (i, j, k) of a q x q x q cube
 // (q = floor(n^{1/3})) multiplies blocks A[P_i][P_k] * B[P_k][P_j]
 // locally, the k-dimension is reduced by semiring addition, and results
-// return to their row owners. All traffic moves as individual
-// O(log n)-bit entries through the routing substrate, exactly as the
-// original algorithm invokes Lenzen routing; per-node send and receive
-// volumes are O(n^{4/3}) words, giving O(n^{1/3}) rounds. This realises
-// delta <= 1/3 for semiring matrix multiplication in Figure 1.
-//
-// Entries equal to the semiring zero are not transmitted (receivers
-// default to zero), so sparse instances cost proportionally less — the
-// asymptotic worst case is unchanged.
+// return to their row owners. Each of the three phases is a fixed
+// function of n, so every entry, the semiring zero included, moves as
+// one word at a position both ends derive, over comm.TwoHop: word y of
+// the stream from s to t goes through node (P_t(s) + Q_s(t) + y) mod n,
+// where P_t(s) counts the words t receives from senders below s and
+// Q_s(t) the words s sends to destinations below t. The Valiant-style
+// spread keeps every link's load near the O(n^{1/3}) average that the
+// original algorithm reaches through Lenzen routing, so a product takes
+// O(n^{1/3}) rounds: exactly the sum of the three plans' Rounds, a
+// function of n and the per-pair budget alone (at 8 words per pair, 6
+// at n = 27 and 64, 8 from n = 125 to 343). This realises delta <= 1/3
+// for semiring matrix multiplication in Figure 1.
 //
 // Over the Boolean semiring the schedule dispatches to Mul3DBits, the
 // bit-packed variant whose block exchanges ship 64 entries per word
@@ -110,174 +123,203 @@ func Mul3D(nd clique.Endpoint, s Semiring, aRow, bRow []int64) []int64 {
 	if len(aRow) != n || len(bRow) != n {
 		nd.Fail("matmul: rows have lengths %d, %d; want %d", len(aRow), len(bRow), n)
 	}
-	q := cube(n)
-	p := newPart(n, q)
-	seg := p.size
-	zero := s.Zero()
-	const seedBase = 0x3d3d
-	un := uint64(n)
+	c := newGeometry(n)
+	q, p := c.q, c.p
+	plans := plansFor(n)
 
-	// Step 1: distribute input entries. Entry A[r][c] goes to nodes
-	// (part(r), x, part(c)) for all x; entry B[r][c] goes to
-	// (x, part(c), part(r)) for all x. Record: [dst, tag*n^2 + r*n + c,
-	// value] where tag 0 marks A, 1 marks B.
-	nz := 0
-	for c := 0; c < n; c++ {
-		if aRow[c] != zero {
-			nz++
-		}
-		if bRow[c] != zero {
-			nz++
-		}
-	}
-	recs := make([]uint64, 0, nz*q*3)
-	myPart := p.of(me)
-	for c := 0; c < n; c++ {
-		cp := p.of(c)
-		if aRow[c] != zero {
-			key := uint64(me)*un + uint64(c)
-			for x := 0; x < q; x++ {
-				recs = append(recs, uint64(idOf(myPart, x, cp, q)), key, uint64(aRow[c]))
-			}
-		}
-		if bRow[c] != zero {
-			key := un*un + uint64(me)*un + uint64(c)
-			for x := 0; x < q; x++ {
-				recs = append(recs, uint64(idOf(x, cp, myPart, q)), key, uint64(bRow[c]))
+	// Phase 1: distribute input entries. A[me][P_k] goes to every
+	// (part(me), x, k) and B[me][P_j] to every (x, j, part(me)); node
+	// (i, j, i) gets both, A first.
+	endPhase := trace.Phase(nd, "mul3d/distribute")
+	a := p.of(me)
+	out := make([]int64, 0, 2*q*n)
+	for i := range q {
+		for j := range q {
+			for k := range q {
+				if i == a {
+					out = append(out, aRow[p.lo(k):p.hi(k)]...)
+				}
+				if k == a {
+					out = append(out, bRow[p.lo(j):p.hi(j)]...)
+				}
 			}
 		}
 	}
-	in := comm.Route(nd, recs, 2, seedBase)
+	in := comm.TwoHop(nd, plans.distribute, out)
+	endPhase()
 
-	// Step 2: assemble local blocks and multiply. Node (i, j, k) holds
-	// aBlk = A[P_i][P_k] and bBlk = B[P_k][P_j], both padded to
-	// seg x seg with zeros (which annihilate). Delivered records are
-	// [src, key, value].
-	var partial [][]int64
+	// Step 2: node (i, j, k) multiplies A[P_i][P_k] by B[P_k][P_j]. Its
+	// input holds one stream per sender of P_i and of P_k, in sender
+	// order; a row of P_i carries its A segment, a row of P_k its B
+	// segment, and a row of both (i = k) carries the two in turn.
 	isWorker := me < q*q*q
 	var ti, tj, tk int
+	var partial []int64
 	if isWorker {
 		ti, tj, tk = tripleOf(me, q)
-		aBlk := zeroBlock(s, seg, seg)
-		bBlk := zeroBlock(s, seg, seg)
-		iLo, _ := p.bounds(ti)
-		jLo, _ := p.bounds(tj)
-		kLo, _ := p.bounds(tk)
-		for off := 0; off < len(in); off += 3 {
-			key := in[off+1]
-			val := int64(in[off+2])
-			tag := key / (un * un)
-			r := int(key / un % un)
-			c := int(key % un)
-			if tag == 0 {
-				aBlk[r-iLo][c-kLo] = val
-			} else {
-				bBlk[r-kLo][c-jLo] = val
-			}
+		si, sj, sk := p.sz(ti), p.sz(tj), p.sz(tk)
+		aOff, aStride, bOff, bStride := 0, sk, si*sk, sj
+		switch {
+		case ti == tk:
+			aStride, bOff, bStride = sk+sj, sk, sk+sj
+		case ti > tk:
+			aOff, bOff = sk*sj, 0
 		}
-		partial = MulLocal(s, aBlk, bBlk)
+		partial = make([]int64, 0, si*sj)
+		for _, row := range MulLocal(s, blockRows(in, aOff, aStride, si, sk), blockRows(in, bOff, bStride, sk, sj)) {
+			partial = append(partial, row...)
+		}
 	}
 
-	// Step 3: reduce over k. Within the (i, j, *) fibre the block rows
-	// are split into q chunks; chunk c is summed at node (i, j, c).
-	// Record: [dst, localRow*seg + col, value].
-	chunk := (seg + q - 1) / q
-	var redRecs []uint64
+	// Phase 3: reduce over k. Within the (i, j, *) fibre the block rows
+	// are split into q chunks of c.chunk rows; chunk x is summed at node
+	// (i, j, x), which receives it from all q fibre nodes, its own
+	// included, in k order.
+	endPhase = trace.Phase(nd, "mul3d/reduce")
+	red := comm.TwoHop(nd, plans.reduce, partial)
+	var sum []int64
 	if isWorker {
-		// eachRemote visits the nonzero partial entries of every chunk
-		// but my own, which is summed locally below.
-		eachRemote := func(f func(dst, lr, col int)) {
-			for c := 0; c < q; c++ {
-				dst := idOf(ti, tj, c, q)
-				if dst == me {
-					continue
-				}
-				for lr := c * chunk; lr < (c+1)*chunk && lr < seg; lr++ {
-					for col, v := range partial[lr] {
-						if v != zero {
-							f(dst, lr, col)
-						}
-					}
-				}
+		w := c.rows(ti, tk) * p.sz(tj)
+		sum = red[:w]
+		for k := 1; k < q; k++ {
+			for x, v := range red[k*w : (k+1)*w] {
+				sum[x] = s.Add(sum[x], v)
 			}
 		}
-		nz := 0
-		eachRemote(func(int, int, int) { nz++ })
-		redRecs = make([]uint64, 0, nz*3)
-		eachRemote(func(dst, lr, col int) {
-			redRecs = append(redRecs, uint64(dst), uint64(lr*seg+col), uint64(partial[lr][col]))
-		})
 	}
-	redIn := comm.Route(nd, redRecs, 2, seedBase+1)
+	endPhase()
 
-	// Sum my chunk: block rows [tk*chunk, (tk+1)*chunk).
-	var sum [][]int64
-	if isWorker {
-		sum = zeroBlock(s, chunk, seg)
-		for lr := tk * chunk; lr < (tk+1)*chunk && lr < seg; lr++ {
-			copy(sum[lr-tk*chunk], partial[lr])
-		}
-		for off := 0; off < len(redIn); off += 3 {
-			lr := int(redIn[off+1]) / seg
-			col := int(redIn[off+1]) % seg
-			r := lr - tk*chunk
-			if r < 0 || r >= chunk {
-				nd.Fail("matmul: reduction row %d outside chunk %d", lr, tk)
-			}
-			sum[r][col] = s.Add(sum[r][col], int64(redIn[off+2]))
-		}
-	}
-
-	// Step 4: ship result entries to row owners. After the reduction,
-	// node (i, j, k) exclusively holds C entries for global rows
-	// iLo + k*chunk .. and columns P_j. Record: [dst, col, value].
-	var outRecs []uint64
-	if isWorker {
-		iLo, _ := p.bounds(ti)
-		jLo, jHi := p.bounds(tj)
-		rows := min(chunk, seg-tk*chunk, n-iLo-tk*chunk)
-		nz := 0
-		for r := 0; r < rows; r++ {
-			for _, v := range sum[r][:jHi-jLo] {
-				if v != zero {
-					nz++
-				}
-			}
-		}
-		outRecs = make([]uint64, 0, nz*3)
-		for r := 0; r < rows; r++ {
-			global := iLo + tk*chunk + r
-			for col := jLo; col < jHi; col++ {
-				if v := sum[r][col-jLo]; v != zero {
-					outRecs = append(outRecs, uint64(global), uint64(col), uint64(v))
-				}
-			}
-		}
-	}
-	outIn := comm.Route(nd, outRecs, 2, seedBase+2)
-
-	out := make([]int64, n)
-	for j := range out {
-		out[j] = zero
-	}
-	for off := 0; off < len(outIn); off += 3 {
-		out[outIn[off+1]] = int64(outIn[off+2])
-	}
-	return out
+	// Phase 4: node (i, j, k) exclusively holds C rows
+	// lo(i) + k*chunk + r over columns P_j; each goes to its row owner,
+	// whose input is then its whole row in column order.
+	endPhase = trace.Phase(nd, "mul3d/return")
+	row := comm.TwoHop(nd, plans.ret, sum)
+	endPhase()
+	return row
 }
 
-// zeroBlock returns a rows x cols block filled with the semiring zero,
-// its cap-limited rows carved from one backing array.
-func zeroBlock(s Semiring, rows, cols int) [][]int64 {
-	backing := make([]int64, rows*cols)
-	if zero := s.Zero(); zero != 0 {
-		for i := range backing {
-			backing[i] = zero
-		}
+// geometry is the 3D decomposition at n nodes: q = floor(n^{1/3}), the
+// split p of 0..n-1 into q intervals of up to seg rows, and the
+// reduction's chunk of ceil(seg / q) block rows.
+type geometry struct {
+	q, chunk int
+	p        part
+}
+
+func newGeometry(n int) geometry {
+	q := cube(n)
+	p := newPart(n, q)
+	return geometry{q: q, chunk: (p.size + q - 1) / q, p: p}
+}
+
+// rows is the number of real rows of block i's chunk x.
+func (c geometry) rows(i, x int) int {
+	return max(0, min(c.chunk, c.p.sz(i)-x*c.chunk))
+}
+
+// mul3dPlans is the traffic of Mul3D's three phases at one n.
+type mul3dPlans struct {
+	distribute, reduce, ret *comm.Plan
+}
+
+// sharedPlans holds Mul3D's plans by size, weakly: a size's plans are
+// built once and shared by every node of every run and backend that
+// uses them while any of those holds them, and the garbage collector
+// frees them once none does, leaving only the size's map entry. A plan
+// depends on n alone and costs O(n²) time to build, so building it at
+// each node, as the goroutine backend would under clique.Replicated,
+// costs O(n³) per product.
+var sharedPlans struct {
+	sync.Mutex
+	of map[int]weak.Pointer[mul3dPlans]
+}
+
+// plansFor returns Mul3D's plans at n, shared or built.
+func plansFor(n int) *mul3dPlans {
+	sharedPlans.Lock()
+	defer sharedPlans.Unlock()
+	if pl := sharedPlans.of[n].Value(); pl != nil {
+		return pl
 	}
-	blk := make([][]int64, rows)
-	for i := range blk {
-		blk[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
+	pl := newMul3DPlans(n)
+	if sharedPlans.of == nil {
+		sharedPlans.of = make(map[int]weak.Pointer[mul3dPlans])
+	}
+	sharedPlans.of[n] = weak.Make(pl)
+	return pl
+}
+
+// newMul3DPlans builds Mul3D's plans at n.
+func newMul3DPlans(n int) *mul3dPlans {
+	c := newGeometry(n)
+	return &mul3dPlans{
+		distribute: comm.NewPlan(n, c.distributeRuns),
+		reduce:     comm.NewPlan(n, c.reduceRuns),
+		ret:        comm.NewPlan(n, c.returnRuns),
+	}
+}
+
+// The runs of each phase, in sender order. A run's Shift is Q_s(t), the
+// words its sender s owes the destinations below t, which is the same
+// for every sender of the run modulo n.
+
+// distributeRuns: node (i, j, k) receives sz(k) words (A) from each row
+// of P_i and sz(j) words (B) from each row of P_k. Modulo n, a sender
+// of part a owes the destinations below (i, j, k) lo(j) words when
+// i != a, and lo(j) + lo(k) + [k > a] sz(j) when i = a.
+func (c geometry) distributeRuns(t int, runs []comm.Run) []comm.Run {
+	q, p := c.q, c.p
+	if t >= q*q*q {
+		return runs
+	}
+	i, j, k := tripleOf(t, q)
+	aRun := comm.Run{From: p.lo(i), Stride: 1, Count: p.sz(i), Len: p.sz(k), Shift: p.lo(j) + p.lo(k)}
+	if k > i {
+		aRun.Shift += p.sz(j)
+	}
+	bRun := comm.Run{From: p.lo(k), Stride: 1, Count: p.sz(k), Len: p.sz(j), Shift: p.lo(j)}
+	switch {
+	case i == k:
+		aRun.Len += p.sz(j)
+		return append(runs, aRun)
+	case i < k:
+		return append(runs, aRun, bRun)
+	default:
+		return append(runs, bRun, aRun)
+	}
+}
+
+// reduceRuns: node (i, j, x) receives chunk x of the partial block from
+// each node (i, j, k); the chunks before x come first in every sender's
+// block.
+func (c geometry) reduceRuns(t int, runs []comm.Run) []comm.Run {
+	q, p := c.q, c.p
+	if t >= q*q*q {
+		return runs
+	}
+	i, j, x := tripleOf(t, q)
+	return append(runs, comm.Run{From: idOf(i, j, 0, q), Stride: 1, Count: q,
+		Len: c.rows(i, x) * p.sz(j), Shift: min(x*c.chunk, p.sz(i)) * p.sz(j)})
+}
+
+// returnRuns: row g, row r of chunk x of part i, receives columns P_j
+// from node (i, j, x), j ascending; r rows precede it in every sender's
+// chunk. Only the last part can be shorter than seg.
+func (c geometry) returnRuns(g int, runs []comm.Run) []comm.Run {
+	q, p := c.q, c.p
+	i := p.of(g)
+	x, r := (g-p.lo(i))/c.chunk, (g-p.lo(i))%c.chunk
+	return append(runs,
+		comm.Run{From: idOf(i, 0, x, q), Stride: q, Count: q - 1, Len: p.size, Shift: r * p.size},
+		comm.Run{From: idOf(i, q-1, x, q), Stride: q, Count: 1, Len: p.sz(q - 1), Shift: r * p.sz(q-1)})
+}
+
+// blockRows returns the n x cols block whose row r is
+// words[off+r*stride:][:cols], as views.
+func blockRows(words []int64, off, stride, n, cols int) [][]int64 {
+	blk := make([][]int64, n)
+	for r := range blk {
+		blk[r] = words[off+r*stride:][:cols:cols]
 	}
 	return blk
 }

@@ -7,6 +7,12 @@
 // broadcast at Theta(n) rounds and the 3D block decomposition of
 // Censor-Hillel, Kaski, Korhonen, Lenzen, Paz and Suomela (PODC 2015,
 // reference [10] of the paper) at O(n^{1/3}) rounds for any semiring.
+// The 3D schedule's traffic is a function of n alone, so its three
+// phases run over comm.TwoHop on plans that every node and run using a
+// size shares, built once while in use and left to the garbage
+// collector when none holds them: each entry ships as one word at an
+// implicit position, through an intermediate chosen by the prefix rule
+// in Mul3D's doc.
 // The paper additionally cites an O(n^{1-2/omega}) schedule for ring
 // matrix multiplication; we record that as a literature bound in package
 // fgc rather than re-implementing fast bilinear algorithms — see

@@ -19,10 +19,11 @@ func (genericMinPlus) Zero() int64          { return graph.Inf }
 func (genericMinPlus) Name() string         { return "min-plus-generic" }
 
 // minPlusEntry draws one matrix entry from the classes the kernel's
-// skips tell apart: Inf, values above Inf, zero, small weights and
-// large finite weights whose sums reach past Inf.
+// skips tell apart: Inf, values above Inf, zero, small weights, large
+// finite weights whose sums reach past Inf, and negative weights, whose
+// sums with Inf fall below it.
 func minPlusEntry(rng *rand.Rand) int64 {
-	switch rng.IntN(6) {
+	switch rng.IntN(7) {
 	case 0:
 		return graph.Inf
 	case 1:
@@ -31,6 +32,8 @@ func minPlusEntry(rng *rand.Rand) int64 {
 		return 0
 	case 3:
 		return graph.Inf - 1 - rng.Int64N(8)
+	case 4:
+		return -1 - rng.Int64N(100)
 	default:
 		return rng.Int64N(100)
 	}
@@ -107,13 +110,16 @@ func BenchmarkMulLocal(b *testing.B) {
 
 // BenchmarkMul3D times one (min, +) Mul3D at Figure 1's APSP shape:
 // n = 216, dense rows (every entry finite), 8 words per pair, on the
-// default backend.
+// default backend, and reports the product's model cost beside it.
 func BenchmarkMul3D(b *testing.B) {
 	const n = 216
 	a := randomMatrix(n, 100, 1, MinPlus{}, 216)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var res *clique.Result
 	for i := 0; i < b.N; i++ {
-		runMulOn(b, clique.DefaultBackend, n, 8, Mul3D, MinPlus{}, a, a)
+		_, res = runMulOn(b, clique.DefaultBackend, n, 8, Mul3D, MinPlus{}, a, a)
 	}
+	b.ReportMetric(float64(res.Stats.Rounds), "rounds")
+	b.ReportMetric(float64(res.Stats.WordsSent), "words")
 }

@@ -128,3 +128,19 @@ func AdjacencyRow(g *graph.Graph, v int) []int64 {
 	g.Neighbors(v, func(u int) { row[u] = 1 })
 	return row
 }
+
+// zeroBlock returns a rows x cols block filled with the semiring zero,
+// its cap-limited rows carved from one backing array.
+func zeroBlock(s Semiring, rows, cols int) [][]int64 {
+	backing := make([]int64, rows*cols)
+	if zero := s.Zero(); zero != 0 {
+		for i := range backing {
+			backing[i] = zero
+		}
+	}
+	blk := make([][]int64, rows)
+	for i := range blk {
+		blk[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return blk
+}

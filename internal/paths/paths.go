@@ -154,6 +154,9 @@ func hopRounds(n int) int {
 // ceil(log2 (n-1)) that cover every simple path. With mul = matmul.Mul3D
 // this runs in O(n^{1/3} log D_hop) rounds, capped at O(n^{1/3} log n):
 // the implemented upper bound for weighted directed APSP in Figure 1.
+// Exactly, k squarings cost k times the rounds of one Mul3D product, a
+// function of n and the per-pair budget alone, plus one vote round after
+// each squaring but the last allowed one.
 // wRow is the node's weight row (out-edges for directed graphs) with 0
 // on the diagonal.
 func APSP(nd clique.Endpoint, wRow []int64, mul matmul.MulFunc) []int64 {

@@ -48,21 +48,7 @@ func GatherEdges(nd clique.Endpoint, row graph.Bitset, s partition.Scheme, scope
 		}
 	})
 
-	// covered reports whether labelled node w must learn this node's
-	// owned edges into part t — the per-edge rule of the paper lifted to
-	// whole parts, since every u in P_t has the same InUnion(w, u).
-	inT := func(w, t int) bool {
-		lo, hi := s.PartBounds(t)
-		return lo < hi && s.InUnion(w, lo)
-	}
-	covered := func(w, t int) bool {
-		switch scope {
-		case ScopeWithin:
-			return s.InUnion(w, me) && inT(w, t)
-		default:
-			return s.InUnion(w, me) || inT(w, t)
-		}
-	}
+	to := recipients(s, me, scope)
 
 	// slots is the per-part mask-word count; record key = t*slots + slot.
 	// visit walks the records in order: a counting pass sizes recs
@@ -78,10 +64,8 @@ func GatherEdges(nd clique.Endpoint, row graph.Bitset, s partition.Scheme, scope
 					continue
 				}
 				key := uint64(t*slots + slot)
-				for w := 0; w < s.NumLabels(); w++ {
-					if covered(w, t) {
-						emit(w, key, mask)
-					}
+				for _, w := range to[t] {
+					emit(int(w), key, mask)
 				}
 			}
 		}
@@ -105,6 +89,49 @@ func GatherEdges(nd clique.Endpoint, row graph.Bitset, s partition.Scheme, scope
 		}
 	}
 	return local
+}
+
+// recipients lists, for each part t and ascending, the labelled nodes w
+// that must learn node me's owned edges into part t — the per-edge
+// rule of the paper lifted to whole parts, since every u in P_t has the
+// same InUnion(w, u): with ScopeWithin, S_w holds both me and part t;
+// with ScopeIncident, either. Empty parts have none.
+func recipients(s partition.Scheme, me int, scope Scope) [][]int32 {
+	mine := s.PartOf(me)
+	nonEmpty := make([]bool, s.P)
+	for t := range nonEmpty {
+		lo, hi := s.PartBounds(t)
+		nonEmpty[t] = lo < hi
+	}
+	to := make([][]int32, s.P)
+	named := make([]int, s.P) // named[t] = w+1 once w's label names part t
+	var parts []int
+	for w := range s.NumLabels() {
+		parts = parts[:0]
+		hasMine := false
+		for i, v := 0, w; i < s.K; i, v = i+1, v/s.P {
+			if t := v % s.P; named[t] != w+1 {
+				named[t] = w + 1
+				parts = append(parts, t)
+				hasMine = hasMine || t == mine
+			}
+		}
+		switch {
+		case scope == ScopeIncident && hasMine:
+			for t := range s.P {
+				if nonEmpty[t] {
+					to[t] = append(to[t], int32(w))
+				}
+			}
+		case scope == ScopeIncident || hasMine:
+			for _, t := range parts {
+				if nonEmpty[t] {
+					to[t] = append(to[t], int32(w))
+				}
+			}
+		}
+	}
+	return to
 }
 
 // orReduce combines one bit per node: one broadcast round; every node

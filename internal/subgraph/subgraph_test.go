@@ -1,6 +1,7 @@
 package subgraph
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/clique"
@@ -265,6 +266,35 @@ func TestDetectPath(t *testing.T) {
 			})
 			if got != want {
 				t.Errorf("seed %d k=%d: detect=%v oracle=%v", seed, k, got, want)
+			}
+		}
+	}
+}
+
+// TestRecipientsFollowInUnion holds recipients to the per-edge rule it
+// lifts to whole parts: label w learns node me's owned edges into part
+// t when S_w holds both me and part t (ScopeWithin), or either
+// (ScopeIncident), read through partition.InUnion label by label.
+func TestRecipientsFollowInUnion(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{5, 2}, {12, 2}, {27, 3}, {30, 3}, {64, 2}, {17, 4}} {
+		s := partition.New(c.n, c.k)
+		for me := range c.n {
+			for _, scope := range []Scope{ScopeWithin, ScopeIncident} {
+				got := recipients(s, me, scope)
+				for part := range s.P {
+					lo, hi := s.PartBounds(part)
+					var want []int32
+					for w := range s.NumLabels() {
+						inT := lo < hi && s.InUnion(w, lo)
+						if (scope == ScopeWithin && s.InUnion(w, me) && inT) ||
+							(scope == ScopeIncident && (s.InUnion(w, me) || inT)) {
+							want = append(want, int32(w))
+						}
+					}
+					if !slices.Equal(got[part], want) {
+						t.Fatalf("n=%d k=%d me=%d scope=%d part %d: recipients %v, want %v", c.n, c.k, me, scope, part, got[part], want)
+					}
+				}
 			}
 		}
 	}
