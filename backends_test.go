@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/clique"
@@ -237,7 +238,7 @@ func TestBackendEquivalenceNondetVerifier(t *testing.T) {
 // per-round send patterns and message lengths, derived purely from
 // (seed, id, round) — so each backend replays the identical program.
 func fuzzBackendProgram(seed int64, n, wpp int) clique.NodeFunc {
-	prog := fuzzEndpointProgram(seed, n, wpp, nil)
+	prog := fuzzEndpointProgram(seed, n, wpp, nil, nil)
 	return func(nd *clique.Node) { prog(nd) }
 }
 
@@ -255,9 +256,18 @@ type roundView struct {
 // staged BroadcastBuf) before and after its unicasts (Send, SendWords
 // or SendBuf), all within the per-pair budget; it reads every sender
 // with Recv or RecvInto, and in its last round it may return with words
-// still queued or staged. When views is non-nil, node v appends its
-// roundView after every Tick to views[v].
-func fuzzEndpointProgram(seed int64, n, wpp int, views [][]roundView) func(nd clique.Endpoint) {
+// still queued or staged. One round in three, chosen by the seed and
+// the round alone so every node agrees, is uniform: every node
+// broadcasts the same number of words and nothing else, the round the
+// lockstep engine keeps a shared table for. When views is non-nil,
+// node v appends its roundView after every Tick to views[v].
+//
+// After every Tick a *clique.Node also checks the engine's shared
+// table at every width against its Recv loop: when the table exists,
+// each peer's slot must equal its Recv words and the node's own slot
+// the words it broadcast, which must have been its only traffic. Each
+// table seen is counted in tables, when non-nil.
+func fuzzEndpointProgram(seed int64, n, wpp int, views [][]roundView, tables *atomic.Int64) func(nd clique.Endpoint) {
 	return func(nd clique.Endpoint) {
 		me := nd.ID()
 		rng := rand.New(rand.NewSource(seed<<32 | int64(me)))
@@ -269,14 +279,16 @@ func fuzzEndpointProgram(seed int64, n, wpp int, views [][]roundView) func(nd cl
 			return w
 		}
 		used := make([]int, n)
+		var mine []uint64 // this round's broadcast, when it was the node's only traffic
 		broadcast := func(k int) {
+			mine = words(k)
 			switch rng.Intn(3) {
 			case 0:
-				nd.Broadcast(words(k)...)
+				nd.Broadcast(mine...)
 			case 1:
-				nd.BroadcastWords(words(k))
+				nd.BroadcastWords(mine)
 			default:
-				copy(nd.BroadcastBuf(k), words(k))
+				copy(nd.BroadcastBuf(k), mine)
 			}
 			for to := range used {
 				used[to] += k
@@ -286,37 +298,54 @@ func fuzzEndpointProgram(seed int64, n, wpp int, views [][]roundView) func(nd cl
 		rounds := 2 + rng.Intn(4)
 		for r := 0; r < rounds; r++ {
 			clear(used)
-			if rng.Intn(2) == 0 {
-				broadcast(1 + rng.Intn(min(wpp, 2)))
-			}
-			for _, to := range rng.Perm(n)[:1+rng.Intn(n-1)] {
-				if to == me || used[to] == wpp {
-					continue
-				}
-				k := 1 + rng.Intn(wpp-used[to])
-				used[to] += k
-				switch rng.Intn(3) {
-				case 0:
-					nd.Send(to, words(k)...)
-				case 1:
-					nd.SendWords(to, words(k))
-				default:
-					copy(nd.SendBuf(to, k), words(k))
-				}
-			}
-			// A node that leaves in its last round stages a broadcast
-			// when every link has room, and returns without Tick: its
-			// queued and staged words still reach the peers that tick.
+			mine = nil
 			last := r == rounds-1 && rng.Intn(3) == 0
-			if room := wpp - slices.Max(used); room > 0 && last {
-				copy(nd.BroadcastBuf(room), words(room))
-			} else if room > 0 && rng.Intn(3) == 0 {
-				broadcast(1 + rng.Intn(room))
-			}
-			if last {
-				return
+			if u := seed + int64(r); u%3 == 0 {
+				broadcast(1 + int(u/3&1)%min(wpp, 2))
+				if last {
+					return
+				}
+			} else {
+				if rng.Intn(2) == 0 {
+					broadcast(1 + rng.Intn(min(wpp, 2)))
+				}
+				for _, to := range rng.Perm(n)[:1+rng.Intn(n-1)] {
+					if to == me || used[to] == wpp {
+						continue
+					}
+					k := 1 + rng.Intn(wpp-used[to])
+					used[to] += k
+					mine = nil
+					switch rng.Intn(3) {
+					case 0:
+						nd.Send(to, words(k)...)
+					case 1:
+						nd.SendWords(to, words(k))
+					default:
+						copy(nd.SendBuf(to, k), words(k))
+					}
+				}
+				// A node that leaves in its last round stages a
+				// broadcast when every link has room, and returns
+				// without Tick: its queued and staged words still reach
+				// the peers that tick.
+				if room := wpp - slices.Max(used); room > 0 && last {
+					copy(nd.BroadcastBuf(room), words(room))
+				} else if room > 0 && rng.Intn(3) == 0 {
+					before := len(mine)
+					broadcast(1 + rng.Intn(room))
+					if before > 0 {
+						mine = nil // two broadcasts: the second spills the first
+					}
+				}
+				if last {
+					return
+				}
 			}
 			nd.Tick()
+			if node, ok := nd.(*clique.Node); ok {
+				checkSharedTable(node, wpp, mine, tables)
+			}
 			senders := nd.Senders(nil)
 			var digest uint64
 			for _, p := range senders {
@@ -336,26 +365,66 @@ func fuzzEndpointProgram(seed int64, n, wpp int, views [][]roundView) func(nd cl
 	}
 }
 
+// checkSharedTable fails the run unless the engine's shared table of
+// the round nd just completed, at every width up to wpp, is either nil
+// or exactly what nd's per-peer Recv loop reads, with nd's own slot
+// holding mine, its only traffic of the round.
+func checkSharedTable(nd *clique.Node, wpp int, mine []uint64, tables *atomic.Int64) {
+	me := nd.ID()
+	for k := 1; k <= wpp; k++ {
+		t := nd.BroadcastTable(k)
+		if t == nil {
+			continue
+		}
+		if tables != nil {
+			tables.Add(1)
+		}
+		if len(t) != nd.N()*k || !slices.Equal(t[me*k:(me+1)*k], mine) {
+			nd.Fail("shared table %v of width %d: own slot is not this node's only broadcast %v", t, k, mine)
+		}
+		for p := 0; p < nd.N(); p++ {
+			if p == me {
+				continue
+			}
+			if got := nd.Recv(p); !slices.Equal(t[p*k:(p+1)*k], got) {
+				nd.Fail("shared table slot %d = %v, Recv(%d) = %v", p, t[p*k:(p+1)*k], p, got)
+			}
+		}
+	}
+}
+
 // checkBackendEquivalence replays the seed's program on every backend
 // and compares stats and full transcripts word for word, and the
 // per-round views (senders and received-word digests) of every node.
 // The same program run as the virtual nodes of a simulated clique, whose
 // node handle stages and flushes on its own, is the independent oracle
 // for each backend's views.
-func checkBackendEquivalence(t *testing.T, seed int64, n, wpp int) {
+//
+// It returns how many shared tables the lockstep nodes saw, each
+// checked against its Recv loop; the goroutine backend must see none.
+func checkBackendEquivalence(t *testing.T, seed int64, n, wpp int) (lockstepTables int64) {
 	t.Helper()
 	var refStats clique.Stats
 	var refTr []*clique.Transcript
 	backendViews := map[string][][]roundView{}
 	for i, backend := range clique.Backends() {
 		views := make([][]roundView, n)
-		prog := fuzzEndpointProgram(seed, n, wpp, views)
+		var tables atomic.Int64
+		prog := fuzzEndpointProgram(seed, n, wpp, views, &tables)
 		res, err := clique.Run(clique.Config{N: n, WordsPerPair: wpp, RecordTranscript: true, Backend: backend},
 			func(nd *clique.Node) { prog(nd) })
 		if err != nil {
 			t.Fatalf("seed %d backend %s: %v", seed, backend, err)
 		}
 		backendViews[backend] = views
+		switch backend {
+		case "lockstep":
+			lockstepTables = tables.Load()
+		case "goroutine":
+			if c := tables.Load(); c != 0 {
+				t.Errorf("seed %d: goroutine backend handed out %d shared tables", seed, c)
+			}
+		}
 		if i == 0 {
 			refStats, refTr = res.Stats, res.Transcripts
 			continue
@@ -371,7 +440,7 @@ func checkBackendEquivalence(t *testing.T, seed int64, n, wpp int) {
 	// smaller real clique.
 	hosts := (n + 1) / 2
 	views := make([][]roundView, n)
-	prog := fuzzEndpointProgram(seed, n, wpp, views)
+	prog := fuzzEndpointProgram(seed, n, wpp, views, nil)
 	_, err := clique.Run(clique.Config{N: hosts, WordsPerPair: 4, Backend: "lockstep"}, func(nd *clique.Node) {
 		virtual.Run(nd, virtual.Config{M: n, Host: func(v int) int { return v % hosts }, WordsPerPair: wpp},
 			func(vn *virtual.Node) { prog(vn) })
@@ -384,13 +453,18 @@ func checkBackendEquivalence(t *testing.T, seed int64, n, wpp int) {
 			t.Errorf("seed %d: %s views %v, virtual clique %v", seed, backend, got, views)
 		}
 	}
+	return lockstepTables
 }
 
 // TestBackendEquivalenceFuzz is the always-on slice of the fuzz target:
 // a fixed seed sweep that runs under plain `go test`.
 func TestBackendEquivalenceFuzz(t *testing.T) {
+	var tables int64
 	for seed := int64(0); seed < 12; seed++ {
-		checkBackendEquivalence(t, seed, 3+int(seed%5), 3)
+		tables += checkBackendEquivalence(t, seed, 3+int(seed%5), 3)
+	}
+	if tables == 0 {
+		t.Error("no lockstep node saw a shared broadcast table: the table check is vacuous")
 	}
 }
 

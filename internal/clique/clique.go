@@ -292,6 +292,22 @@ func (nd *Node) Senders(buf []int) []int {
 	return nd.rt.Senders(nd.id, buf)
 }
 
+// BroadcastTable returns the engine's shared table of the most
+// recently completed round when every node broadcast exactly k > 0
+// words in it and sent nothing else: n·k words, sender p's (this
+// node's own included) at [p·k, (p+1)·k). It is nil for any other
+// round, before the first Tick, and on the goroutine backend. The
+// table is shared by every node of the run and valid until the next
+// Tick: copy it, never write it. Collectives read it to fill their
+// tables with one copy instead of n−1 Recv calls, and fall back to
+// Recv when it is nil.
+func (nd *Node) BroadcastTable(k int) []uint64 {
+	if nd.completed == 0 {
+		return nil
+	}
+	return nd.rt.BroadcastTable(k)
+}
+
 // Fail aborts the entire run with an algorithm-level error, e.g. when a
 // node detects its input violates a documented precondition.
 func (nd *Node) Fail(format string, args ...any) {

@@ -47,8 +47,19 @@ func BroadcastBitRowsInto(nd clique.Endpoint, row bitvec.Row, bits int, into []b
 	into[me] = append(into[me], row...)
 	wpp := nd.WordsPerPair()
 	for off := 0; off < k; off += wpp {
-		nd.BroadcastWords(row[off:chunkEnd(off, k, wpp)])
+		end := chunkEnd(off, k, wpp)
+		nd.BroadcastWords(row[off:end])
 		nd.Tick()
+		// A round whose shared table the engine kept appends each
+		// sender's chunk from it; any other reads each peer.
+		if t := broadcastTable(nd, end-off); t != nil {
+			for p, c := 0, end-off; p < n; p++ {
+				if p != me {
+					into[p] = append(into[p], t[p*c:(p+1)*c]...)
+				}
+			}
+			continue
+		}
 		for p := 0; p < n; p++ {
 			if p != me {
 				into[p] = bitvec.Row(nd.RecvInto(p, into[p]))

@@ -15,19 +15,36 @@ func chunkEnd(off, k, wpp int) int {
 	return end
 }
 
+// broadcastTable returns the engine's shared table of the last round
+// when every node broadcast exactly k words in it (clique.Node's
+// BroadcastTable), nil otherwise. Endpoints other than *clique.Node —
+// a virtual clique's nodes — never have one, and the collectives fall
+// back to their per-peer Recv loops, which also cover every round a
+// peer spoke out of turn in.
+func broadcastTable(nd clique.Endpoint, k int) []uint64 {
+	if node, ok := nd.(*clique.Node); ok {
+		return node.BroadcastTable(k)
+	}
+	return nil
+}
+
 // BroadcastAll has every node contribute exactly k words; it returns,
-// at every node, the full table indexed by sender. Each node's own
-// entry is a copy of its input. Takes ceil(k / wordsPerPair) rounds:
-// optimal up to constants, since every node must receive (n-1)k words
-// over n-1 links.
-func BroadcastAll(nd clique.Endpoint, words []uint64, k int) [][]uint64 {
+// at every node, the flat sender-major table of n·k words: sender p's
+// words are t[p*k : (p+1)*k], the own entry a copy of the input. Takes
+// ceil(k / wordsPerPair) rounds: optimal up to constants, since every
+// node must receive (n-1)k words over n-1 links.
+func BroadcastAll(nd clique.Endpoint, words []uint64, k int) []uint64 {
 	return BroadcastAllInto(nd, words, k, nil)
 }
 
 // BroadcastAllInto is BroadcastAll refilling a caller-provided table of
-// n rows (allocated when nil), each row truncated and reused, so
-// protocols that broadcast every phase allocate the table once.
-func BroadcastAllInto(nd clique.Endpoint, words []uint64, k int, out [][]uint64) [][]uint64 {
+// n·k words (allocated when nil), so protocols that broadcast every
+// phase allocate the table once. A round whose shared table the engine
+// kept (every node broadcast its chunk and nothing else) fills the
+// caller's table with one copy per sender chunk; any other round reads
+// each peer with Recv, and a peer whose words do not add up to k fails
+// the run after the last round.
+func BroadcastAllInto(nd clique.Endpoint, words []uint64, k int, out []uint64) []uint64 {
 	defer trace.Op(nd, "BroadcastAll", k)()
 	if len(words) != k {
 		nd.Fail("comm: BroadcastAll given %d words, contract is exactly k=%d", len(words), k)
@@ -35,38 +52,52 @@ func BroadcastAllInto(nd clique.Endpoint, words []uint64, k int, out [][]uint64)
 	n := nd.N()
 	me := nd.ID()
 	if out == nil {
-		out = make([][]uint64, n)
-	} else if len(out) != n {
-		nd.Fail("comm: BroadcastAllInto table has %d entries, want n=%d", len(out), n)
+		out = make([]uint64, n*k)
+	} else if len(out) != n*k {
+		nd.Fail("comm: BroadcastAllInto table has %d words, want n*k=%d", len(out), n*k)
 	}
-	// Fresh rows are carved from one n·k-word array instead of n
-	// allocations: SketchFind builds an n-row table per node per run.
-	var fresh []uint64
-	for i := range out {
-		if out[i] == nil {
-			if fresh == nil {
-				fresh = make([]uint64, n*k)
-			}
-			out[i] = fresh[i*k : i*k : (i+1)*k]
-		} else {
-			out[i] = out[i][:0]
-		}
-	}
-	out[me] = append(out[me], words...)
+	copy(out[me*k:(me+1)*k], words)
 
+	// got[p] counts sender p's words so far; it is made by the first
+	// round without a shared table, every earlier round having
+	// delivered each sender's full chunk.
+	var got []int
 	wpp := nd.WordsPerPair()
 	for off := 0; off < k; off += wpp {
-		nd.BroadcastWords(words[off:chunkEnd(off, k, wpp)])
+		end := chunkEnd(off, k, wpp)
+		c := end - off
+		nd.BroadcastWords(words[off:end])
 		nd.Tick()
-		for p := 0; p < n; p++ {
-			if p != me {
-				out[p] = nd.RecvInto(p, out[p])
+		if got == nil {
+			if t := broadcastTable(nd, c); t != nil {
+				if c == k {
+					copy(out, t)
+					continue
+				}
+				for p := 0; p < n; p++ {
+					copy(out[p*k+off:p*k+end], t[p*c:(p+1)*c])
+				}
+				continue
+			}
+			got = make([]int, n)
+			for p := range got {
+				got[p] = off
 			}
 		}
+		for p := 0; p < n; p++ {
+			if p == me {
+				continue
+			}
+			w := nd.Recv(p)
+			if got[p] < k {
+				copy(out[p*k+got[p]:(p+1)*k], w)
+			}
+			got[p] += len(w)
+		}
 	}
-	for p := 0; p < n; p++ {
-		if len(out[p]) != k {
-			nd.Fail("comm: BroadcastAll received %d words from %d, want %d", len(out[p]), p, k)
+	for p, g := range got {
+		if p != me && g != k {
+			nd.Fail("comm: BroadcastAll received %d words from %d, want %d", g, p, k)
 		}
 	}
 	return out
@@ -80,18 +111,23 @@ func BroadcastWord(nd clique.Endpoint, w uint64) []uint64 {
 
 // BroadcastWordInto is BroadcastWord writing into a caller-provided
 // table of length n (allocated when nil), so iterative protocols that
-// broadcast every round reuse one buffer.
+// broadcast every round reuse one buffer. A table of the wrong length
+// fails the run before the round is spent.
 func BroadcastWordInto(nd clique.Endpoint, w uint64, into []uint64) []uint64 {
 	defer trace.Op(nd, "BroadcastWord", 1)()
 	n := nd.N()
 	me := nd.ID()
-	buf := nd.BroadcastBuf(1)
-	buf[0] = w
-	nd.Tick()
 	if into == nil {
 		into = make([]uint64, n)
 	} else if len(into) != n {
 		nd.Fail("comm: BroadcastWordInto table has %d entries, want n=%d", len(into), n)
+	}
+	buf := nd.BroadcastBuf(1)
+	buf[0] = w
+	nd.Tick()
+	if t := broadcastTable(nd, 1); t != nil {
+		copy(into, t)
+		return into
 	}
 	into[me] = w
 	for p := 0; p < n; p++ {
@@ -121,6 +157,13 @@ func BroadcastWordOK(nd clique.Endpoint, w uint64) (words []uint64, ok []bool) {
 	nd.Tick()
 	words = make([]uint64, n)
 	ok = make([]bool, n)
+	if t := broadcastTable(nd, 1); t != nil {
+		copy(words, t)
+		for p := range ok {
+			ok[p] = true
+		}
+		return words, ok
+	}
 	words[me], ok[me] = w, true
 	for p := 0; p < n; p++ {
 		if p == me {
@@ -400,16 +443,17 @@ func allToAll(nd clique.Endpoint, sizes []int, fill func(t, off int, buf []uint6
 }
 
 // BroadcastBits has every node broadcast an arbitrary bit vector (all
-// nodes must pass the same length); it returns the table of the words
-// on the wire, indexed by sender: bit i of sender p's vector is bit
-// i mod WordBits(n) of table[p][i / WordBits(n)]. Bits are packed
+// nodes must pass the same length); it returns BroadcastAll's flat
+// table of the words on the wire, w = ceil(len(bits) / WordBits(n))
+// words per sender: bit i of sender p's vector is bit i mod
+// WordBits(n) of t[p*w + i/WordBits(n)]. Bits are packed
 // clique.WordBits(n) per word — the honest O(log n)-bit packing — so
 // broadcasting b bits takes ceil(b / WordBits(n) / wordsPerPair)
 // rounds. Broadcasting the full input graph this way (b = n) realises
 // the trivial O(n / log n) upper bound that every problem has in the
 // model. The table is identical at every node, so a caller can key
 // replicated local work on it (clique.Replicated).
-func BroadcastBits(nd clique.Endpoint, bits []bool) [][]uint64 {
+func BroadcastBits(nd clique.Endpoint, bits []bool) []uint64 {
 	defer trace.Op(nd, "BroadcastBits", (len(bits)+clique.WordBits(nd.N())-1)/clique.WordBits(nd.N()))()
 	wb := clique.WordBits(nd.N())
 	nwords := (len(bits) + wb - 1) / wb

@@ -37,61 +37,64 @@ func runBoth(t *testing.T, cfg clique.Config, f clique.NodeFunc) map[string]*cli
 	return out
 }
 
+// TestBroadcastAll: the flat table holds each sender's k words laid end
+// to end at every node, in ceil(k/wpp) rounds on both backends, with a
+// short last chunk where wpp does not divide k.
 func TestBroadcastAll(t *testing.T) {
-	const n, k = 6, 5
-	for _, backend := range clique.Backends() {
-		tables := make([][][]uint64, n)
-		res, err := clique.Run(clique.Config{N: n, Backend: backend}, func(nd *clique.Node) {
-			words := make([]uint64, k)
-			for i := range words {
-				words[i] = uint64(nd.ID()*100 + i)
+	for _, c := range []struct{ n, k, wpp int }{{6, 5, 1}, {5, 7, 3}, {4, 5, 2}, {3, 4, 4}, {6, 1, 3}} {
+		want := make([]uint64, 0, c.n*c.k)
+		for p := 0; p < c.n; p++ {
+			for i := 0; i < c.k; i++ {
+				want = append(want, uint64(p*100+i))
 			}
-			tables[nd.ID()] = BroadcastAll(nd, words, k)
+		}
+		res := runBoth(t, clique.Config{N: c.n, WordsPerPair: c.wpp}, func(nd *clique.Node) {
+			got := BroadcastAll(nd, want[nd.ID()*c.k:(nd.ID()+1)*c.k], c.k)
+			if !slices.Equal(got, want) {
+				nd.Fail("n=%d k=%d wpp=%d: table %v, want %v", c.n, c.k, c.wpp, got, want)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Rounds != k {
-			t.Errorf("%s: BroadcastAll rounds = %d, want %d", backend, res.Stats.Rounds, k)
-		}
-		for v := 0; v < n; v++ {
-			for p := 0; p < n; p++ {
-				for i := 0; i < k; i++ {
-					if tables[v][p][i] != uint64(p*100+i) {
-						t.Fatalf("%s: node %d table[%d][%d] = %d", backend, v, p, i, tables[v][p][i])
-					}
-				}
+		for backend, r := range res {
+			if rounds := (c.k + c.wpp - 1) / c.wpp; r.Stats.Rounds != rounds {
+				t.Errorf("%s n=%d k=%d wpp=%d: BroadcastAll rounds = %d, want %d", backend, c.n, c.k, c.wpp, r.Stats.Rounds, rounds)
 			}
 		}
 	}
 }
 
 // TestBroadcastAllIntoReusesTable pins the Into form: a table reused
-// across calls, rows of any capacity, must hold exactly the latest
-// broadcast, under a budget that splits each payload over two rounds.
+// across calls must hold exactly the latest broadcast, under a budget
+// that splits each payload over two rounds, and a table of the wrong
+// length fails the run before any round is spent.
 func TestBroadcastAllIntoReusesTable(t *testing.T) {
 	const n, k = 5, 3
 	runBoth(t, clique.Config{N: n, WordsPerPair: 2}, func(nd *clique.Node) {
-		table := make([][]uint64, n)
-		table[0] = make([]uint64, 7) // longer than k: must be truncated
+		table := make([]uint64, n*k)
 		for call := 0; call < 3; call++ {
 			words := make([]uint64, k)
 			for i := range words {
 				words[i] = uint64(call*1000 + nd.ID()*10 + i)
 			}
-			table = BroadcastAllInto(nd, words, k, table)
+			if got := BroadcastAllInto(nd, words, k, table); &got[0] != &table[0] {
+				nd.Fail("call %d: BroadcastAllInto did not fill the caller's table", call)
+			}
 			for p := 0; p < n; p++ {
-				if len(table[p]) != k {
-					nd.Fail("call %d: row %d has %d words, want %d", call, p, len(table[p]), k)
-				}
-				for i, w := range table[p] {
+				for i, w := range table[p*k : (p+1)*k] {
 					if w != uint64(call*1000+p*10+i) {
-						nd.Fail("call %d: table[%d][%d] = %d", call, p, i, w)
+						nd.Fail("call %d: table[%d*k+%d] = %d", call, p, i, w)
 					}
 				}
 			}
 		}
 	})
+	for _, backend := range clique.Backends() {
+		res, err := clique.Run(clique.Config{N: n, Backend: backend}, func(nd *clique.Node) {
+			BroadcastAllInto(nd, make([]uint64, k), k, make([]uint64, n*k+1))
+		})
+		if want := "table has 16 words, want n*k=15"; err == nil || !strings.Contains(err.Error(), want) || res.Stats.Rounds != 0 {
+			t.Errorf("%s: wrong-length table: err = %v after %d rounds, want %q after 0", backend, err, res.Stats.Rounds, want)
+		}
+	}
 }
 
 func TestBroadcastAllChunksAgainstBudget(t *testing.T) {
@@ -317,7 +320,7 @@ func TestAllToAllRejectsMisannouncedStreams(t *testing.T) {
 func TestBroadcastBitsRoundTrip(t *testing.T) {
 	const n, k = 9, 23
 	for _, backend := range clique.Backends() {
-		tables := make([][][]uint64, n)
+		tables := make([][]uint64, n)
 		res, err := clique.Run(clique.Config{N: n, Backend: backend}, func(nd *clique.Node) {
 			bits := make([]bool, k)
 			for i := range bits {
@@ -329,10 +332,14 @@ func TestBroadcastBitsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		wb := clique.WordBits(n)
+		w := (k + wb - 1) / wb
 		for v := 0; v < n; v++ {
+			if len(tables[v]) != n*w {
+				t.Fatalf("%s: node %d table has %d words, want n*w = %d", backend, v, len(tables[v]), n*w)
+			}
 			for p := 0; p < n; p++ {
 				for i := 0; i < k; i++ {
-					if got := tables[v][p][i/wb]>>(i%wb)&1 == 1; got != ((p+i)%3 == 0) {
+					if got := tables[v][p*w+i/wb]>>(i%wb)&1 == 1; got != ((p+i)%3 == 0) {
 						t.Fatalf("%s: node %d sees wrong bit %d of %d", backend, v, i, p)
 					}
 				}

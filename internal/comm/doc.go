@@ -18,12 +18,21 @@
 // The collectives ride the allocation-free Endpoint paths
 // (BroadcastWords, SendWords, SendBuf, BroadcastBuf, RecvInto), so a
 // migrated algorithm allocates nothing per round beyond its own result
-// buffers. Every collective here has a caller among the algorithms,
+// buffers. The broadcast collectives (BroadcastWordInto,
+// BroadcastWordOK, BroadcastAllInto and so BroadcastBits, and
+// BroadcastBitRowsInto) receive a round in which every node broadcast
+// its chunk and nothing else from the lockstep engine's shared table
+// (clique.Node.BroadcastTable), one copy into the caller's table in
+// place of n−1 Recv calls; every other round, the goroutine backend
+// and a virtual clique's nodes take the per-peer Recv loop, which
+// raises the same failure at the same node. Results are always the
+// caller's own copies. Every collective here has a caller among the algorithms,
 // commands or benchmarks; one with none is deleted rather than kept for
 // later. Which collective to reach for:
 //
 //   - BroadcastAll: every node contributes k words, all nodes learn the
-//     full table (the all-gather of the suite).
+//     full table (the all-gather of the suite), one flat sender-major
+//     slice of n·k words: sender p's words are t[p*k : (p+1)*k].
 //   - BroadcastWord / BroadcastWordOK: the one-word special case, with
 //     OK-flags when peers may legally stay silent.
 //   - MaxWord / SumWord / OrBool / AndBool: one-round reductions,
@@ -64,8 +73,8 @@
 //     the receiver's result array. Their callers are subgraph's edge
 //     gathering, routing's sort and the sub and ablation tables.
 //   - BroadcastBits: bit-packed broadcast at the honest O(log n)-bit
-//     word size, returned as the words on the wire (gather keys its
-//     replicated solvers on them).
+//     word size, returned as BroadcastAll's flat table of the words on
+//     the wire (gather keys its replicated solvers on them).
 //
 // The sparse collectives (sparse.go) charge only the words actually
 // sent, for the message-frugal protocols whose silence must be free:

@@ -249,10 +249,10 @@ func newBatchBoxes(batch, n, wpp int) (boxes []mailbox, release func()) {
 	if total := int64(batch) * perRun; batch > 1 && perRun <= arenaThresholdWords && total <= batchArenaThresholdWords {
 		n2 := n * n
 		chunk := n2 * wpp
-		// The broadcast planes (2·n·wpp words per run) follow every
-		// run's arenas in the same allocation.
-		planes := 2 * batch * chunk
-		words := GetScratch(planes + 2*batch*n*wpp)
+		// The broadcast planes (planeWords per run) follow every run's
+		// arenas in the same allocation.
+		planes, pw := 2*batch*chunk, planeWords(n, wpp)
+		words := GetScratch(planes + batch*pw)
 		lens := make([]int32, 2*batch*n2)
 		sents := make([]senderStats, batch*n)
 		masks := make([]uint64, 3*batch*maskWords(n))
@@ -261,7 +261,7 @@ func newBatchBoxes(batch, n, wpp int) (boxes []mailbox, release func()) {
 			base := 2 * r * chunk
 			lbase := 2 * r * n2
 			mbase := 3 * r * maskWords(n)
-			pbase := planes + 2*r*n*wpp
+			pbase := planes + r*pw
 			boxes[r] = &arenaBox{
 				n: n, wpp: wpp,
 				outW: words[base : base+chunk : base+chunk],
@@ -271,7 +271,7 @@ func newBatchBoxes(batch, n, wpp int) (boxes []mailbox, release func()) {
 				sent: sents[r*n : (r+1)*n : (r+1)*n],
 				act:  newActivity(n, masks[mbase:mbase+3*maskWords(n)]),
 				pl: newPlane(n, wpp, cells[2*r*n:2*(r+1)*n:2*(r+1)*n],
-					words[pbase:pbase+2*n*wpp:pbase+2*n*wpp]),
+					words[pbase:pbase+pw:pbase+pw]),
 			}
 		}
 		return boxes, func() { PutScratch(words) }

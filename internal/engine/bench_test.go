@@ -223,8 +223,10 @@ func BenchmarkRunBatch(b *testing.B) {
 
 // BenchmarkBroadcast is the dense broadcast round at sweep-large scale
 // (n = 1024): each round every node broadcasts wpp words from a reused
-// buffer, ticks, and reads all n−1 Recvs — the shape of comm.BroadcastWordInto
-// and of one BroadcastAllInto chunk. wpp = 1 runs on the dense arena,
+// buffer, ticks, and reads all n−1 Recvs — the per-peer receive the
+// comm broadcast collectives fall back to when a round has no shared
+// table (comm's BenchmarkBroadcastWord times the table path). wpp = 1
+// runs on the dense arena,
 // wpp = 32 (n²·wpp past arenaThresholdWords) on the sliceBox fallback,
 // so the pair covers both layouts' broadcast plane.
 func BenchmarkBroadcast(b *testing.B) {

@@ -8,7 +8,8 @@
 // Package clique owns the node-side API (clique.Node, clique.Run); this
 // package owns execution. NodeRuntime, the contract between the two, is
 // only what a backend must do itself: Send, Broadcast and SendBuf queue
-// words, Recv and Senders read the last round, and Barrier ends a round.
+// words, Recv, Senders and BroadcastTable read the last round, and
+// Barrier ends a round.
 // Node-handle conveniences built from those — BroadcastBuf's staging
 // buffer and its flush, RecvInto's append — live once in clique.Node,
 // not in each backend. Two backends are provided; lockstep is the
@@ -47,6 +48,18 @@
 // path's word order, budget checks, violations, Stats and transcripts.
 // Receivers of one broadcast may therefore be handed the same slice;
 // NodeRuntime.Recv's results were always read-only.
+//
+// A round in which every one of the n senders broadcast exactly k > 0
+// words on the plane — the model's all-gather round — is also laid end
+// to end, at exchange and on the scheduler goroutine, into one
+// sender-major table of n·k words that the mailbox holds and reuses
+// (the arena layouts carve it beside the plane, the sliceBox grows it
+// once). NodeRuntime.BroadcastTable(k) hands that one table to every
+// node of the run, so a broadcast collective fills its own table with
+// one copy instead of n−1 Recv calls. Any other round has no table —
+// the scan of the cells' lengths stops at the first sender that differs
+// — and the goroutine backend never has one; callers then read each
+// peer with Recv.
 //
 // Both backends are required to be result- and round-count-identical for
 // every node program; the cross-backend tests in the repository root

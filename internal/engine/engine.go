@@ -217,6 +217,17 @@ type NodeRuntime interface {
 	// receiver-major activity mask, so the cost is O(senders + n/64)
 	// rather than a probe of all n senders.
 	Senders(to int, buf []int) []int
+	// BroadcastTable returns, when every one of the n nodes broadcast
+	// exactly k > 0 words and queued nothing else in the most recently
+	// completed round, one sender-major table of those n·k words:
+	// sender p's words, its own included, are [p·k, (p+1)·k). It is nil
+	// for any other round and on backends that keep no such table. The
+	// table is the backend's, shared by every node and valid only until
+	// the node's next barrier, so callers copy it and never write it.
+	// It lets a broadcast collective fill its table with one copy
+	// instead of n−1 Recv calls; the lockstep backend builds it once per
+	// round from its broadcast plane.
+	BroadcastTable(k int) []uint64
 	// Barrier blocks (or suspends) node `id` until every active node
 	// has arrived and the round's messages have been exchanged. It
 	// panics with Abort if the run was cancelled.

@@ -319,4 +319,9 @@ func (e *goroutineEngine) Senders(to int, buf []int) []int {
 	return buf
 }
 
+// BroadcastTable is always nil: the reference backend keeps no shared
+// table, so every collective on it takes the per-node Recv path that
+// the lockstep table is checked against.
+func (e *goroutineEngine) BroadcastTable(int) []uint64 { return nil }
+
 var _ NodeRuntime = (*goroutineEngine)(nil)

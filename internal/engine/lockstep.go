@@ -92,16 +92,20 @@ type mailbox interface {
 	// round to buf, ascending, reading the receiver-major activity mask:
 	// O(senders + n/64), not O(n).
 	senders(to int, buf []int) []int
+	// table returns the last round's shared broadcast table of n·k
+	// words when every sender broadcast exactly k words on the plane,
+	// nil otherwise (see plane.table).
+	table(k int) []uint64
 	// outCell reads a queued (not yet delivered) cell; scheduler only.
 	outCell(from, to int) []uint64
 	// exchange delivers the queued round: swap buffers and planes,
-	// rebuild the receiver-major activity mask from the sender-major one
-	// (a 64x64 tile transpose, O(n²/64) words), and reset only the
-	// plane cells and the length rows (arenaBox) or cells (sliceBox) of
-	// the senders that spoke in the retired round. It returns the run's
-	// cumulative word count and per-pair high-water mark, tracked
-	// incrementally at send time so no per-cell statistics pass is
-	// needed. Scheduler only.
+	// build the plane's shared table, rebuild the receiver-major
+	// activity mask from the sender-major one (a 64x64 tile transpose,
+	// O(n²/64) words), and reset only the plane cells and the length
+	// rows (arenaBox) or cells (sliceBox) of the senders that spoke in
+	// the retired round. It returns the run's cumulative word count and
+	// per-pair high-water mark, tracked incrementally at send time so
+	// no per-cell statistics pass is needed. Scheduler only.
 	exchange() (cumWords int64, maxPair int)
 	// reset returns the box to its just-allocated state so a pooled box
 	// can be reused by a fresh run (see pool.go).
@@ -136,7 +140,7 @@ func newArenaBox(n, wpp int) *arenaBox {
 		inL:  make([]int32, n*n),
 		sent: make([]senderStats, n),
 		act:  newActivity(n, make([]uint64, 3*maskWords(n))),
-		pl:   newPlane(n, wpp, make([][]uint64, 2*n), make([]uint64, 2*n*wpp)),
+		pl:   newPlane(n, wpp, make([][]uint64, 2*n), make([]uint64, planeWords(n, wpp))),
 	}
 }
 
@@ -275,6 +279,8 @@ func (b *arenaBox) outCell(from, to int) []uint64 {
 }
 
 func (b *arenaBox) senders(to int, buf []int) []int { return b.act.senders(to, buf) }
+
+func (b *arenaBox) table(k int) []uint64 { return b.pl.table(k) }
 
 func (b *arenaBox) exchange() (int64, int) {
 	b.inW, b.outW = b.outW, b.inW
@@ -439,6 +445,8 @@ func (b *sliceBox) outCell(from, to int) []uint64 {
 }
 
 func (b *sliceBox) senders(to int, buf []int) []int { return b.act.senders(to, buf) }
+
+func (b *sliceBox) table(k int) []uint64 { return b.pl.table(k) }
 
 func (b *sliceBox) exchange() (int64, int) {
 	b.in, b.out = b.out, b.in
@@ -673,6 +681,13 @@ func (e *lockstepEngine) Recv(to, from int) []uint64 {
 
 func (e *lockstepEngine) Senders(to int, buf []int) []int {
 	return e.box.senders(to, buf)
+}
+
+// BroadcastTable reads the shared table the mailbox built at the last
+// exchange, on the scheduler goroutine while every node was suspended;
+// nodes only read it, until their next Barrier.
+func (e *lockstepEngine) BroadcastTable(k int) []uint64 {
+	return e.box.table(k)
 }
 
 var _ NodeRuntime = (*lockstepEngine)(nil)

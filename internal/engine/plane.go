@@ -23,23 +23,43 @@ package engine
 // Receivers of one broadcast share the delivered plane cell, so the
 // slice Recv returns for it is the same memory for every receiver; the
 // Recv contract already makes it read-only.
+//
+// When every one of the n senders broadcast exactly k > 0 words on the
+// plane in a round — the all-gather round of the model — deliver also
+// lays the n cells end to end in one sender-major table of n·k words,
+// the round's shared table (see table). A collective then fills its
+// caller's table with one copy instead of n−1 reads. The table buffer
+// belongs to the box: the arena layouts carve it beside the cells, the
+// sliceBox grows it on first use, and a pooled box keeps it.
 type plane struct {
 	out, in [][]uint64 // per-sender words, queued / delivered round; empty = no plane
+	// tab holds the delivered round's shared table, tabK words per
+	// sender; tabK is 0 when the round had none.
+	tab  []uint64
+	tabK int
 }
 
 // newPlane builds an n-sender plane on cells, which must hold 2n
-// entries. With words (2·n·wpp of them) every cell is carved from it at
-// a fixed capacity of wpp words, the arena layouts' preallocated plane;
-// with words nil the cells grow on first use and keep their backing
-// arrays, as sliceBox cells do.
+// entries. With words (3·n·wpp of them) every cell is carved from it at
+// a fixed capacity of wpp words and the shared table takes the last
+// n·wpp, the arena layouts' preallocated plane; with words nil the
+// cells and the table grow on first use and keep their backing arrays,
+// as sliceBox cells do.
 func newPlane(n, wpp int, cells [][]uint64, words []uint64) plane {
+	var tab []uint64
 	if words != nil {
 		for i := range cells {
 			cells[i] = words[i*wpp : i*wpp : (i+1)*wpp]
 		}
+		tab = words[2*n*wpp : 2*n*wpp : 3*n*wpp]
 	}
-	return plane{out: cells[:n:n], in: cells[n : 2*n : 2*n]}
+	return plane{out: cells[:n:n], in: cells[n : 2*n : 2*n], tab: tab}
 }
+
+// planeWords is the preallocated word count newPlane takes for an
+// n-sender plane of wpp-word cells: two directions of cells and the
+// shared table.
+func planeWords(n, wpp int) int { return 3 * n * wpp }
 
 // broadcast queues the non-empty words on from's plane cell if from has
 // queued nothing yet this round, charging s and marking a as the cell
@@ -108,10 +128,47 @@ func planeCell(cells [][]uint64, from, to int) ([]uint64, bool) {
 	return w[:len(w):len(w)], true
 }
 
-// deliver swaps the queued round in. Afterwards out holds the previous
-// delivered round's cells, which the caller retires (see retire) before
-// the next round is queued.
-func (p *plane) deliver() { p.out, p.in = p.in, p.out }
+// deliver swaps the queued round in and builds its shared table.
+// Afterwards out holds the previous delivered round's cells, which the
+// caller retires (see retire) before the next round is queued.
+func (p *plane) deliver() {
+	p.out, p.in = p.in, p.out
+	p.share()
+}
+
+// share lays the delivered cells end to end in the shared table when
+// every sender's cell holds the same k > 0 words, and clears the table
+// otherwise. The length scan stops at the first sender that differs,
+// so a round without the table costs little more than its first cell.
+func (p *plane) share() {
+	p.tabK = 0
+	k := len(p.in[0])
+	if k == 0 {
+		return
+	}
+	for _, w := range p.in[1:] {
+		if len(w) != k {
+			return
+		}
+	}
+	t := p.tab[:0]
+	for _, w := range p.in {
+		t = append(t, w...)
+	}
+	p.tab, p.tabK = t, k
+}
+
+// table returns the delivered round's shared table of n·k words,
+// sender p's words at [p·k, (p+1)·k), or nil when the round did not
+// have every sender broadcast exactly k words on the plane. The slice
+// is capacity-limited and shared by every node of the run; it is valid
+// until the next exchange.
+func (p *plane) table(k int) []uint64 {
+	if k <= 0 || k != p.tabK {
+		return nil
+	}
+	return p.tab[: len(p.in)*k : len(p.in)*k]
+}
 
 // retire empties from's retired plane cell and reports whether it held
 // a broadcast, in which case from's retired cells are already empty.
@@ -125,4 +182,5 @@ func (p *plane) reset() {
 	for i, w := range p.in {
 		p.in[i] = w[:0]
 	}
+	p.tabK = 0
 }

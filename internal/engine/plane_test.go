@@ -111,11 +111,61 @@ func planeLayouts(n, wpp int) map[string]mailbox {
 	}
 }
 
+// sharedK is the width of the shared table a round of ops must leave:
+// k when every one of the n senders' only non-empty op is one plane
+// broadcast of k words, 0 when the round has no table. An empty
+// broadcast queues nothing, but an empty send or sendBuf spills.
+func sharedK(n int, ops []planeOp) int {
+	if n < 2 {
+		return 0
+	}
+	k := make([]int, n) // words broadcast per sender; -1 disqualifies
+	for _, op := range ops {
+		switch {
+		case op.kind == 'B' && len(op.words) == 0:
+		case op.kind == 'B' && k[op.from] == 0:
+			k[op.from] = len(op.words)
+		default:
+			k[op.from] = -1
+		}
+	}
+	for _, x := range k[1:] {
+		if x != k[0] {
+			return 0
+		}
+	}
+	return max(k[0], 0)
+}
+
+// checkTable holds a box's shared table after an exchange to the cell
+// reference: for the round's width k (sharedK) it is every sender's
+// delivered words laid end to end, capacity-limited; for every other
+// width, and for every width when the round has none, it is nil.
+func checkTable(t *testing.T, name string, round int, b mailbox, ref *refCells, k int) {
+	t.Helper()
+	for c := 0; c <= ref.wpp+1; c++ {
+		got := b.table(c)
+		if c != k || k == 0 {
+			if got != nil {
+				t.Fatalf("%s round %d: table(%d) = %v, want nil (round width %d)", name, round, c, got, k)
+			}
+			continue
+		}
+		var want []uint64
+		for p := 0; p < ref.n; p++ {
+			want = append(want, ref.in[p][(p+1)%ref.n]...)
+		}
+		if !slices.Equal(got, want) || cap(got) != len(got) {
+			t.Fatalf("%s round %d: table(%d) = %v (cap %d), cell path %v", name, round, c, got, cap(got), want)
+		}
+	}
+}
+
 // checkPlaneScript drives one scripted run through a mailbox and the
 // cell reference in lockstep, comparing after every round the queued
-// cells (outCell), the violation raised, the cumulative statistics and
-// both receive paths: recv (which must be capacity-limited) and
-// senders. A violation ends the script.
+// cells (outCell), the violation raised, the cumulative statistics,
+// both receive paths — recv (which must be capacity-limited) and
+// senders — and the shared table. A violation ends the script.
 func checkPlaneScript(t *testing.T, name string, b mailbox, n, wpp int, rounds [][]planeOp) {
 	t.Helper()
 	ref := newRefCells(n, wpp)
@@ -145,6 +195,7 @@ func checkPlaneScript(t *testing.T, name string, b mailbox, n, wpp int, rounds [
 			t.Fatalf("%s round %d: stats (%d words, max pair %d), cell path (%d, %d)",
 				name, round, words, maxPair, ref.words, ref.maxPair)
 		}
+		checkTable(t, name, round, b, ref, sharedK(n, ops))
 		for to := 0; to < n; to++ {
 			var want []int
 			for from := 0; from < n; from++ {
@@ -209,6 +260,16 @@ var planeCases = []struct {
 	{"send-then-overflow", 4, 2, [][]planeOp{
 		{{'s', 0, 2, w(1, 2)}, {'B', 0, 0, w(3)}},
 	}},
+	{"uniform", 4, 3, [][]planeOp{
+		{{'B', 0, 0, w(1, 2)}, {'B', 1, 0, w(3, 4)}, {'B', 2, 0, w(5, 6)}, {'B', 3, 0, w(7, 8)}},
+		{{'B', 3, 0, w(9)}, {'B', 1, 0, nil}, {'B', 1, 0, w(10)}, {'B', 0, 0, w(11)}, {'B', 2, 0, w(12)}},
+		{{'B', 0, 0, w(1)}, {'B', 1, 0, w(2)}, {'B', 2, 0, w(3)}},
+		{{'B', 0, 0, w(1)}, {'B', 1, 0, w(2)}, {'B', 2, 0, w(3, 4)}, {'B', 3, 0, w(5)}},
+		{{'B', 0, 0, w(1)}, {'B', 1, 0, w(2)}, {'B', 2, 0, w(3)}, {'B', 3, 0, w(4)}, {'s', 3, 0, nil}},
+		{{'B', 0, 0, w(1)}, {'B', 1, 0, w(2)}, {'B', 2, 0, w(3)}, {'B', 3, 0, w(4)}, {'b', 2, 1, nil}},
+		{{'B', 0, 0, w(1)}, {'B', 1, 0, w(2)}, {'B', 2, 0, w(3)}, {'B', 3, 0, w(4)}, {'B', 0, 0, w(5)}},
+		{{'B', 0, 0, w(1, 2, 3)}, {'B', 1, 0, w(4, 5, 6)}, {'B', 2, 0, w(7, 8, 9)}, {'B', 3, 0, w(1, 2, 3)}},
+	}},
 	{"n=1", 1, 1, [][]planeOp{
 		{{'B', 0, 0, w(1, 2, 3)}},
 		{{'B', 0, 0, w(4)}},
@@ -217,6 +278,7 @@ var planeCases = []struct {
 		{{'B', 0, 0, w(1, 2)}, {'B', 1, 0, w(3)}, {'s', 1, 0, w(4)}},
 		{{'B', 1, 0, w(5)}},
 		{{'b', 0, 1, w(6)}, {'B', 0, 0, w(7)}},
+		{{'B', 1, 0, w(8, 9)}, {'B', 0, 0, w(10, 11)}},
 	}},
 }
 
@@ -239,14 +301,23 @@ func TestPlaneAfterReset(t *testing.T) {
 			continue
 		}
 		for layout, b := range planeLayouts(c.n, c.wpp) {
-			// Stop mid-run, with a plane delivered, one queued and one
-			// spilled into cells.
-			b.broadcast(0, 0, w(1))
+			// Stop mid-run, with a plane and its shared table
+			// delivered, one broadcast queued and one spilled into
+			// cells.
+			for from := 0; from < c.n; from++ {
+				b.broadcast(from, 0, w(uint64(from)))
+			}
 			b.exchange()
+			if b.table(1) == nil {
+				t.Fatalf("%s/%s: no shared table after a uniform round", c.name, layout)
+			}
 			b.broadcast(1, 1, w(2))
 			b.broadcast(0, 1, w(3))
 			b.send(0, 1, 1, nil)
 			b.reset()
+			if got := b.table(1); got != nil {
+				t.Fatalf("%s/%s: reset box keeps the last run's table %v", c.name, layout, got)
+			}
 			checkPlaneScript(t, c.name+"/reused-"+layout, b, c.n, c.wpp, c.rounds)
 		}
 	}

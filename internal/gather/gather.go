@@ -29,19 +29,13 @@ func KColorable(nd clique.Endpoint, row graph.Bitset, k int) bool {
 }
 
 // announce broadcasts this node's neighbours, never itself, with
-// comm.BroadcastBits and returns every node's words end to end, with
-// room for one word more.
+// comm.BroadcastBits and returns every node's words end to end.
 func announce(nd clique.Endpoint, row graph.Bitset) []uint64 {
 	bits := make([]bool, nd.N())
 	for u := range bits {
 		bits[u] = u != nd.ID() && row.Has(u)
 	}
-	table := comm.BroadcastBits(nd, bits)
-	words := make([]uint64, 0, len(table)*len(table[0])+1)
-	for _, w := range table {
-		words = append(words, w...)
-	}
-	return words
+	return comm.BroadcastBits(nd, bits)
 }
 
 // graphOf decodes the graph from the n announced rows laid end to end,

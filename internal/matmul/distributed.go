@@ -40,7 +40,7 @@ func MulNaive(nd clique.Endpoint, s Semiring, aRow, bRow []int64) []int64 {
 	}
 	for k := 0; k < n; k++ {
 		aik := aRow[k]
-		bk := table[k]
+		bk := table[k*n : (k+1)*n]
 		for j := 0; j < n; j++ {
 			out[j] = s.Add(out[j], s.Mul(aik, int64(bk[j])))
 		}

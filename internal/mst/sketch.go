@@ -56,8 +56,7 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 	m := clique.Replicated(nd, "mst/init", nil, nil, func(*boruvkaMerge, []uint64) *boruvkaMerge {
 		return newBoruvkaMerge(n)
 	})
-	var announced [][]uint64   // reused by every seed phase
-	ann := make([]uint64, 2*n) // announced, as pair words then weight words
+	announced := make([]uint64, 2*n) // (pair, weight) per node, reused by every seed phase
 	for phase := 0; phase < seedPhases; phase++ {
 		endPhase := trace.Phase(nd, "sketchmst/seed")
 		comp := m.comp
@@ -74,11 +73,8 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 		if best.U >= 0 {
 			pairWord = clique.PairWord(best.U, best.V, n)
 		}
-		announced = comm.BroadcastAllInto(nd, []uint64{pairWord, uint64(best.W)}, 2, announced)
-		for v, a := range announced {
-			ann[v], ann[n+v] = a[0], a[1]
-		}
-		m = clique.Replicated(nd, "mst/phase", m, ann, mergePhase)
+		comm.BroadcastAllInto(nd, []uint64{pairWord, uint64(best.W)}, 2, announced)
+		m = clique.Replicated(nd, "mst/phase", m, announced, (*boruvkaMerge).seedPhase)
 		endPhase()
 	}
 
@@ -206,6 +202,18 @@ func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchSt
 	}
 	done := clique.Replicated(nd, "mst/replay", m, flat, (*boruvkaMerge).replay)
 	return slices.Clone(done.forest), stats
+}
+
+// seedPhase is phase on BroadcastAll's table of one (pair, weight)
+// word pair per node, split into phase's pair words then weight words
+// inside the replicated merge, so once per lockstep run.
+func (m *boruvkaMerge) seedPhase(table []uint64) *boruvkaMerge {
+	n := len(m.comp)
+	ann := make([]uint64, 2*n)
+	for v := 0; v < n; v++ {
+		ann[v], ann[n+v] = table[2*v], table[2*v+1]
+	}
+	return mergePhase(m, ann)
 }
 
 // leaders returns the component labels in ascending order: labels are
