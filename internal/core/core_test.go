@@ -82,7 +82,7 @@ func TestCheckSolvesVertexCoverFPT(t *testing.T) {
 		return graph.HasVertexCoverOfSize(g, k)
 	}}
 	s := func(nd clique.Endpoint, row graph.Bitset) bool {
-		return vcover.Decide(nd, row, k)
+		return vcover.Find(nd, row, k).Found
 	}
 	cls := CLIQUE("1", func(n int) int { return 1 })
 	conf := CheckSolves(clique.Config{}, p, s, cls, 1+k, instances(14, 4))

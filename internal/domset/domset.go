@@ -144,9 +144,3 @@ func agreeOnWitness(nd clique.Endpoint, witness []int, k int) Result {
 	}
 	return Result{Found: true, Witness: out}
 }
-
-// Decide is the decision version: does a dominating set of size at most
-// k exist?
-func Decide(nd clique.Endpoint, row graph.Bitset, k int) bool {
-	return Find(nd, row, k).Found
-}

@@ -61,7 +61,7 @@ type Ctx struct {
 }
 
 // checkCancelled aborts the experiment when its context has been
-// cancelled; Run and Verify call it before starting a simulated run so
+// cancelled; every simulated run calls it before it starts, so
 // cancellation takes effect at the next run boundary.
 func (c *Ctx) checkCancelled() {
 	if c.ctx != nil {
@@ -89,57 +89,66 @@ func (c *Ctx) Failf(format string, args ...any) {
 	panic(failure{fmt.Errorf("exp %s: %s", c.res.ID, fmt.Sprintf(format, args...))})
 }
 
-// Run executes one simulated run on the configured backend and folds
-// its model cost into the experiment's SimCost. Every simulation an
-// experiment makes must go through here, RunWorkloads or Verify so the
-// rounds/sec summary covers the whole report.
-func (c *Ctx) Run(cfg clique.Config, f clique.NodeFunc) (*clique.Result, error) {
+// Rounds runs f on an n-node clique with wpp words per pair on the
+// configured backend, folds its model cost into the experiment's
+// SimCost and returns the round count, aborting the experiment on
+// error. Every simulation an experiment makes must go through here,
+// RunWorkloads or Verify so the rounds/sec summary covers the whole
+// report.
+func (c *Ctx) Rounds(n, wpp int, f clique.NodeFunc) int {
 	c.checkCancelled()
-	cfg.Backend = c.Backend
+	cfg := clique.Config{N: n, WordsPerPair: wpp, Backend: c.Backend}
 	col := c.startTrace(&cfg)
 	start := time.Now()
 	res, err := clique.Run(cfg, f)
 	c.endTrace(col)
 	c.account(res, err, time.Since(start))
-	return res, err
+	if err != nil {
+		c.Failf("%v", err)
+	}
+	return res.Stats.Rounds
 }
 
 // RunWorkloads runs catalogue specs on an n-node clique with wpp words
 // per pair as one workload.RunBatch and folds each run's model cost
-// into the experiment's SimCost exactly as the equivalent serial Run
-// loop would: runs are accounted in order, and the first failing run
-// counts as a run without rounds and aborts the experiment (Failf), so
-// the deterministic Result envelope is bit-identical to the serial loop
-// that stops at the first error. Traced experiments need one collector
-// per run, so they run each spec as a batch of one.
+// into the experiment's SimCost exactly as the equivalent serial loop
+// of runs would: runs are accounted in order, and the first failing
+// run counts as a run without rounds and aborts the experiment (Failf),
+// so the deterministic Result envelope is bit-identical to the serial
+// loop that stops at the first error. A run whose instance has a Check
+// that fails aborts the experiment too. Traced experiments need one
+// collector per run, so they run each spec as a batch of one.
 func (c *Ctx) RunWorkloads(n, wpp int, specs ...workload.Spec) []workload.Run {
-	cfg := clique.Config{N: n, WordsPerPair: wpp, Backend: c.Backend}
 	var runs []workload.Run
-	if c.tracing {
-		for _, s := range specs {
-			c.checkCancelled()
-			cfg := cfg
-			col := c.startTrace(&cfg)
-			runs = append(runs, workload.RunBatch(cfg, []workload.Spec{s})...)
-			c.endTrace(col)
-			c.accountOrFail(runs[len(runs)-1])
+	for len(runs) < len(specs) {
+		batch := specs[len(runs):]
+		if c.tracing {
+			batch = batch[:1]
 		}
-		return runs
-	}
-	c.checkCancelled()
-	runs = workload.RunBatch(cfg, specs)
-	for _, r := range runs {
-		c.accountOrFail(r)
+		c.checkCancelled()
+		cfg := clique.Config{N: n, WordsPerPair: wpp, Backend: c.Backend}
+		col := c.startTrace(&cfg)
+		done := workload.RunBatch(cfg, batch)
+		c.endTrace(col)
+		for i, r := range done {
+			c.accountOrFail(n, batch[i], r)
+		}
+		runs = append(runs, done...)
 	}
 	return runs
 }
 
 // accountOrFail accounts one workload run and aborts the experiment if
-// it failed.
-func (c *Ctx) accountOrFail(r workload.Run) {
+// it failed or its Check does.
+func (c *Ctx) accountOrFail(n int, s workload.Spec, r workload.Run) {
 	c.account(r.Result, r.Err, r.Wall)
 	if r.Err != nil {
 		c.Failf("%v", r.Err)
+	}
+	if r.Check != nil {
+		if err := r.Check(); err != nil {
+			c.Failf("%s n=%d seed=%d: %v", s.Alg.Name, n, s.Seed, err)
+		}
 	}
 }
 
@@ -207,29 +216,20 @@ func (c *Ctx) reportProgress(rounds int, wall time.Duration) {
 	c.progress(Progress{SimCost: c.res.Sim, WallNS: c.simWall.Nanoseconds(), RoundsPerSec: rps})
 }
 
-// Rounds runs f on an n-node clique and returns the round count,
-// aborting the experiment on error.
-func (c *Ctx) Rounds(n, wpp int, f clique.NodeFunc) int {
-	res, err := c.Run(clique.Config{N: n, WordsPerPair: wpp}, f)
-	if err != nil {
-		c.Failf("%v", err)
-	}
-	return res.Stats.Rounds
-}
-
-// Verify is Run for nondeterministic verifier executions.
-func (c *Ctx) Verify(cfg clique.Config, g *graph.Graph, alg nondet.Algorithm, z nondet.Labelling) (nondet.Verdict, error) {
+// Verify is Rounds for nondeterministic verifier executions: it runs
+// alg on g with labelling z and returns the verdict.
+func (c *Ctx) Verify(cfg clique.Config, g *graph.Graph, alg nondet.Algorithm, z nondet.Labelling) nondet.Verdict {
 	c.checkCancelled()
 	cfg.Backend = c.Backend
-	if cfg.N == 0 {
-		cfg.N = g.N
-	}
 	col := c.startTrace(&cfg)
 	start := time.Now()
 	v, err := nondet.RunVerifier(cfg, g, alg, z)
 	c.endTrace(col)
 	c.account(v.Result, err, time.Since(start))
-	return v, err
+	if err != nil {
+		c.Failf("%v", err)
+	}
+	return v
 }
 
 // Table starts a new typed table and returns a builder for its rows.

@@ -2,7 +2,9 @@ package exp_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/clique"
 	"repro/internal/exp"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // TestRegistryComplete pins the registered experiment set: the E1-E13
@@ -316,5 +319,37 @@ func TestCompareVarianceAware(t *testing.T) {
 	}
 	if warns := exp.Compare(zbase, mk(90, nil), exp.Gate{}); len(warns) != 1 {
 		t.Errorf("10%% drop under a zero-variance baseline should warn: %v", warns)
+	}
+}
+
+// TestRunWorkloadsFailsOnCheck runs three specs through RunWorkloads,
+// batched and traced, where only the second's Check fails: the
+// experiment must fail naming that run, and its SimCost must stop at
+// that run as a serial loop's would.
+func TestRunWorkloadsFailsOnCheck(t *testing.T) {
+	alg := workload.Algorithm{Name: "checked", WPP: 1, New: func(n int, seed uint64) workload.Instance {
+		return workload.Instance{
+			Program: func(nd *clique.Node) { nd.Tick() },
+			Check: func() error {
+				if seed == 2 {
+					return errors.New("forged witness")
+				}
+				return nil
+			},
+		}
+	}}
+	var runs int
+	e := exp.Experiment{ID: "check-fails", Run: func(c *exp.Ctx) {
+		c.RunWorkloads(4, 1, workload.Spec{Alg: alg, Seed: 1}, workload.Spec{Alg: alg, Seed: 2}, workload.Spec{Alg: alg, Seed: 3})
+	}}
+	for _, traced := range []bool{false, true} {
+		opts := exp.Options{Backend: "lockstep", Trace: traced, Progress: func(p exp.Progress) { runs = p.SimCost.Runs }}
+		_, _, err := exp.RunExperiment(context.Background(), e, opts)
+		if err == nil || !strings.Contains(err.Error(), "checked n=4 seed=2: forged witness") {
+			t.Errorf("traced=%v: error %v, want the seed-2 Check failure", traced, err)
+		}
+		if runs != 2 {
+			t.Errorf("traced=%v: %d runs accounted, want 2", traced, runs)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 
 	"repro/internal/clique"
@@ -18,15 +17,13 @@ import (
 	"repro/internal/reduction"
 	"repro/internal/routing"
 	"repro/internal/subgraph"
-	"repro/internal/vcover"
 	"repro/internal/workload"
 )
 
 // The registered experiments, in report order. Each body is the former
 // cmd/cliquebench exp* function rewritten against Ctx: simulated runs
-// go through c.Rounds / c.Run / c.RunWorkloads / c.Verify
-// (per-experiment cost accounting), findings land in typed tables,
-// metrics, and notes.
+// go through c.RunWorkloads / c.Rounds / c.Verify (per-experiment cost
+// accounting), findings land in typed tables, metrics, and notes.
 func init() {
 	Register(Experiment{ID: "fig1", Artefact: "E1 / Figure 1",
 		Title: "measured exponents vs the fine-grained map", Run: expFig1})
@@ -86,12 +83,7 @@ var fig1 = []struct{ key, name, alg string }{
 func expFig1(c *Ctx) {
 	ns := c.Sizes([]int{27, 64, 125, 216}, []int{8, 16})
 
-	cols := []string{"problem"}
-	for _, n := range ns {
-		cols = append(cols, fmt.Sprintf("n=%d", n))
-	}
-	cols = append(cols, "fitted", "impl bound")
-	t := c.Table("", cols...)
+	t := sweepTable(c, "problem", ns, "fitted", "impl bound")
 
 	// Rows sharing a word budget run as one batched execution at each n:
 	// the engine amortises round scheduling across them. Round counts
@@ -156,6 +148,16 @@ func expFig1(c *Ctx) {
 		c.Notef("figure-1 map: all %d arrows consistent (literature and implemented bounds)", len(m.Relations))
 		c.Metric("figure-1 map issues", 0, "issues")
 	}
+}
+
+// sweepTable is an unnamed table with one "n=…" column per size in ns
+// between first and last.
+func sweepTable(c *Ctx, first string, ns []int, last ...string) *TableBuilder {
+	cols := []string{first}
+	for _, n := range ns {
+		cols = append(cols, fmt.Sprintf("n=%d", n))
+	}
+	return c.Table("", append(cols, last...)...)
 }
 
 // E2 — Figure 2 / Theorem 10: gadget reduction, exhaustive equivalence,
@@ -271,10 +273,7 @@ func expThm3(c *Ctx) {
 		}
 		// TranscriptCertificate, inlined through Verify so the
 		// accepting run is part of the throughput report.
-		accepting, err := c.Verify(clique.Config{N: n, RecordTranscript: true}, g, alg, z)
-		if err != nil {
-			c.Failf("%v", err)
-		}
+		accepting := c.Verify(clique.Config{N: n, RecordTranscript: true}, g, alg, z)
 		if !accepting.Accepted {
 			c.Failf("nondet: A rejected the labelling; no certificate to extract")
 		}
@@ -283,10 +282,7 @@ func expThm3(c *Ctx) {
 			certs[v] = nondet.EncodeTranscript(tr, n)
 		}
 		b := nondet.NormalForm(alg, 1, nondet.WordSpace(3))
-		verdict, err := c.Verify(clique.Config{N: n}, g, b, certs)
-		if err != nil {
-			c.Failf("%v", err)
-		}
+		verdict := c.Verify(clique.Config{N: n}, g, b, certs)
 		t.Row(Int(n), Int(z.SizeBits(n)), Int(certs.SizeBits(n)),
 			Int(1*n*clique.WordBits(n)), Bool(verdict.Accepted))
 	}
@@ -302,8 +298,8 @@ func expThm6(c *Ctx) {
 	for _, n := range c.Sizes([]int{5, 8, 12}, []int{5, 8}) {
 		g, _ := graph.PlantedColoring(n, k, 0.7, uint64(n)+40)
 		z := nondet.KColoringProver(g, k)
-		verdict, err := c.Verify(clique.Config{N: n, RecordTranscript: true}, g, alg, z)
-		if err != nil || !verdict.Accepted {
+		verdict := c.Verify(clique.Config{N: n, RecordTranscript: true}, g, alg, z)
+		if !verdict.Accepted {
 			c.Failf("accepting run failed")
 		}
 		trs := verdict.Result.Transcripts
@@ -355,18 +351,10 @@ func expThm7(c *Ctx) {
 		alg := hierarchy.SigmaTwoUniversal(graph.HasTriangle)
 		run := func(g *graph.Graph, z1, z2 []([]uint64)) bool {
 			bits := make([]bool, g.N)
-			_, err := c.Run(clique.Config{N: g.N}, func(nd *clique.Node) {
+			c.Rounds(g.N, 1, func(nd *clique.Node) {
 				bits[nd.ID()] = alg(nd, g.Row(nd.ID()), [][]uint64{z1[nd.ID()], z2[nd.ID()]})
 			})
-			if err != nil {
-				c.Failf("%v", err)
-			}
-			for _, b := range bits {
-				if !b {
-					return false
-				}
-			}
-			return true
+			return !slices.Contains(bits, false)
 		}
 		honest := hierarchy.HonestGuess(yes)
 		rejected := 0
@@ -394,22 +382,12 @@ func expThm7(c *Ctx) {
 // node must find a dominating set of size k, and they must agree.
 func expThm9(c *Ctx) {
 	ns := c.Sizes([]int{27, 64, 125, 216}, []int{8, 27})
-	cols := []string{"k"}
-	for _, n := range ns {
-		cols = append(cols, fmt.Sprintf("n=%d", n))
-	}
-	cols = append(cols, "fitted delta", "bound")
-	t := c.Table("", cols...)
+	t := sweepTable(c, "k", ns, "fitted delta", "bound")
 	for _, k := range []int{2, 3} {
 		var rs []int
 		row := []Cell{Int(k)}
 		for _, n := range ns {
-			g, _ := graph.PlantedDominatingSet(n, k, 0.1, uint64(n))
-			res := make([]domset.Result, n)
-			r := c.Rounds(n, 8, func(nd *clique.Node) {
-				res[nd.ID()] = domset.Find(nd, g.Row(nd.ID()), k)
-			})
-			checkPlanted(c, "k-DS", n, k, res, dominatingOK(g, k))
+			r := planted(c, n, workload.KDS(k), uint64(n))
 			rs = append(rs, r)
 			row = append(row, Int(r))
 		}
@@ -425,25 +403,11 @@ func expThm9(c *Ctx) {
 func expThm11(c *Ctx) {
 	ns := c.Sizes([]int{16, 32, 64, 128}, []int{8, 16})
 	ks := c.Sizes([]int{2, 4, 8}, []int{2, 4})
-	cols := []string{`k\n`}
-	for _, n := range ns {
-		cols = append(cols, fmt.Sprintf("n=%d", n))
-	}
-	cols = append(cols, "bound 1+k")
-	t := c.Table("", cols...)
+	t := sweepTable(c, `k\n`, ns, "bound 1+k")
 	for _, k := range ks {
 		row := []Cell{Int(k)}
 		for _, n := range ns {
-			g, _ := graph.PlantedVertexCover(n, k, 0.4, uint64(n)+uint64(k))
-			res := make([]vcover.Result, n)
-			r := c.Rounds(n, 1, func(nd *clique.Node) {
-				res[nd.ID()] = vcover.Find(nd, g.Row(nd.ID()), k)
-			})
-			checkPlanted(c, "k-VC", n, k, res, coverOK(g, k))
-			if r > 1+k {
-				c.Failf("thm11: %d rounds at n=%d k=%d exceed the 1+k bound", r, n, k)
-			}
-			row = append(row, Int(r))
+			row = append(row, Int(kVC(c, n, k, uint64(n)+uint64(k))))
 		}
 		row = append(row, Int(1+k))
 		t.Row(row...)
@@ -459,49 +423,56 @@ func expFPT(c *Ctx) {
 	k := 3
 	t := c.Table("", "n", "k-VC", "k-IS", "k-DS")
 	for _, n := range c.Sizes([]int{27, 64, 125}, []int{27}) {
-		gv, _ := graph.PlantedVertexCover(n, k, 0.4, uint64(n))
+		vc := kVC(c, n, k, uint64(n))
 		gi, _ := graph.PlantedIndependentSet(n, k, 0.5, uint64(n)+1)
-		gd, _ := graph.PlantedDominatingSet(n, k, 0.1, uint64(n)+2)
-		vc := make([]vcover.Result, n)
 		is := make([]bool, n)
-		ds := make([]domset.Result, n)
-		t.Row(Int(n),
-			Int(c.Rounds(n, 1, func(nd *clique.Node) { vc[nd.ID()] = vcover.Find(nd, gv.Row(nd.ID()), k) })),
-			Int(c.Rounds(n, 8, func(nd *clique.Node) { is[nd.ID()] = subgraph.DetectIndependentSet(nd, gi.Row(nd.ID()), k) })),
-			Int(c.Rounds(n, 8, func(nd *clique.Node) { ds[nd.ID()] = domset.Find(nd, gd.Row(nd.ID()), k) })))
-		checkPlanted(c, "k-VC", n, k, vc, coverOK(gv, k))
-		checkPlanted(c, "k-IS", n, k, is, func(found bool) bool { return found })
-		checkPlanted(c, "k-DS", n, k, ds, dominatingOK(gd, k))
-	}
-}
-
-// checkPlanted fails the experiment unless every node of a run on a
-// planted yes-instance returned node 0's answer and ok accepts it.
-func checkPlanted[R any](c *Ctx, problem string, n, k int, res []R, ok func(R) bool) {
-	for v := range res {
-		if !reflect.DeepEqual(res[v], res[0]) {
-			c.Failf("%s n=%d k=%d: node %d answered %+v, node 0 %+v", problem, n, k, v, res[v], res[0])
+		ir := c.Rounds(n, 8, func(nd *clique.Node) { is[nd.ID()] = subgraph.DetectIndependentSet(nd, gi.Row(nd.ID()), k) })
+		if slices.Contains(is, false) {
+			c.Failf("k-IS n=%d k=%d: a node found no independent set on a planted yes-instance", n, k)
 		}
-	}
-	if !ok(res[0]) {
-		c.Failf("%s n=%d k=%d: wrong answer %+v on a planted yes-instance", problem, n, k, res[0])
+		t.Row(Int(n), Int(vc), Int(ir), Int(planted(c, n, workload.KDS(k), uint64(n)+2)))
 	}
 }
 
-// dominatingOK accepts a k-DS answer that found a dominating set of g
-// with at most k vertices.
-func dominatingOK(g *graph.Graph, k int) func(domset.Result) bool {
-	return func(r domset.Result) bool {
-		return r.Found && len(r.Witness) <= k && graph.IsDominatingSet(g, r.Witness)
-	}
+// runEntry runs one catalogue entry on an n-node clique at the entry's
+// word budget.
+func runEntry(c *Ctx, n int, alg workload.Algorithm, seed uint64) workload.Run {
+	return c.RunWorkloads(n, alg.WPP, workload.Spec{Alg: alg, Seed: seed})[0]
 }
 
-// coverOK accepts a k-VC answer that found a vertex cover of g with at
-// most k vertices.
-func coverOK(g *graph.Graph, k int) func(vcover.Result) bool {
-	return func(r vcover.Result) bool {
-		return r.Found && len(r.Cover) <= k && graph.IsVertexCover(g, r.Cover)
+// planted runs a k-DS or k-VC entry on its planted yes-instance and
+// returns the rounds. RunWorkloads has run the instance's Check, so
+// every node agreed and a witness is valid; planted also fails the
+// experiment unless the search found one.
+func planted(c *Ctx, n int, alg workload.Algorithm, seed uint64) int {
+	r := runEntry(c, n, alg, seed)
+	if r.Answer() != true {
+		c.Failf("%s n=%d seed=%d: no solution on a planted yes-instance", alg.Title, n, seed)
 	}
+	return r.Result.Stats.Rounds
+}
+
+// kVC runs KVC(k) on its planted instance and fails the experiment
+// unless it took exactly vcover.Find's 1 + min(k, ⌈⌈n/64⌉/wpp⌉) rounds.
+func kVC(c *Ctx, n, k int, seed uint64) int {
+	alg := workload.KVC(k)
+	r := planted(c, n, alg, seed)
+	if want := 1 + min(k, ((n+63)/64+alg.WPP-1)/alg.WPP); r != want {
+		c.Failf("k-VC n=%d k=%d: %d rounds, want 1 + min(k, ceil(ceil(n/64)/wpp)) = %d", n, k, r, want)
+	}
+	return r
+}
+
+// forest runs an MST-family entry at seed n and fails the experiment
+// unless node 0's forest weight is the Kruskal oracle's, which it
+// returns.
+func forest(c *Ctx, n int, alg workload.Algorithm) (workload.Run, int64) {
+	r := runEntry(c, n, alg, uint64(n))
+	wt, oracle := r.Answer().(int64), r.Oracle().(int64)
+	if wt != oracle {
+		c.Failf("%s n=%d: forest weight %d, oracle %d", alg.Name, n, wt, oracle)
+	}
+	return r, wt
 }
 
 // Extension — deterministic MST baseline (paper conclusions).
@@ -509,9 +480,8 @@ func expMST(c *Ctx) {
 	t := c.Table("", "n", "rounds", "forest wt", "oracle wt")
 	alg, _ := workload.Get("mst")
 	for _, n := range c.Sizes([]int{16, 64, 256}, []int{16, 32}) {
-		inst := alg.New(n, uint64(n))
-		r := c.Rounds(n, alg.WPP, inst.Program)
-		t.Row(Int(n), Int(r), Int64(inst.Answer().(int64)), Int64(inst.Oracle().(int64)))
+		r, wt := forest(c, n, alg)
+		t.Row(Int(n), Int(r.Result.Stats.Rounds), Int64(wt), Int64(wt))
 	}
 	c.Notef("the conclusions' randomized-gap example: randomized algorithms do O(1);")
 	c.Notef("this deterministic baseline needs Theta(log n) Boruvka phases")
@@ -522,35 +492,16 @@ func expMST(c *Ctx) {
 // Boruvka's grows with log n. Every forest weight is checked against
 // the Kruskal oracle.
 func expMSTSketch(c *Ctx) {
-	const wpp = 32
 	t := c.Table("", "n", "rounds", "boruvka rounds", "samples ok", "forest wt", "oracle wt")
+	sketch, _ := workload.Get("mst-sketch")
+	boruvka, _ := workload.Get("mst")
 	var maxRounds int
 	for _, n := range c.Sizes([]int{16, 64, 128, 256}, []int{16, 32, 64}) {
-		g := graph.GnpWeighted(n, 0.3, 60, false, uint64(n))
-		wts := make([]int64, n)
-		stats := make([]mst.SketchStats, n)
-		res, err := c.Run(clique.Config{N: n, WordsPerPair: wpp}, func(nd *clique.Node) {
-			forest, st := mst.SketchFind(nd, g.W[nd.ID()], uint64(n))
-			wts[nd.ID()] = mst.Weight(forest)
-			stats[nd.ID()] = st
-		})
-		if err != nil {
-			c.Failf("n=%d: %v", n, err)
-			return
-		}
-		boruvka := c.Rounds(n, 1, func(nd *clique.Node) {
-			mst.Find(nd, g.W[nd.ID()])
-		})
-		oracle, _ := mst.KruskalOracle(g)
-		if wts[0] != oracle {
-			c.Failf("n=%d: SketchFind weight %d, oracle %d", n, wts[0], oracle)
-		}
-		if res.Stats.Rounds > maxRounds {
-			maxRounds = res.Stats.Rounds
-		}
-		t.Row(Int(n), Int(res.Stats.Rounds), Int(boruvka),
-			Str(fmt.Sprintf("%d/%d", stats[0].SampleOK, stats[0].SampleTotal)),
-			Int64(wts[0]), Int64(oracle))
+		r, wt := forest(c, n, sketch)
+		st := r.Telemetry().(mst.SketchStats)
+		maxRounds = max(maxRounds, r.Result.Stats.Rounds)
+		t.Row(Int(n), Int(r.Result.Stats.Rounds), Int(runEntry(c, n, boruvka, uint64(n)).Result.Stats.Rounds),
+			Strf("%d/%d", st.SampleOK, st.SampleTotal), Int64(wt), Int64(wt))
 	}
 	c.Metric("sketch MST max rounds", float64(maxRounds), "rounds")
 	c.Notef("rounds stay single-digit across the sweep while Boruvka grows with log n;")
@@ -561,40 +512,15 @@ func expMSTSketch(c *Ctx) {
 // dense inputs because components stop probing as soon as their
 // XOR-merged cut fingerprint empties.
 func expMSTSparse(c *Ctx) {
-	const wpp = 8
 	t := c.Table("", "n", "m", "words", "words/m", "phases", "forest wt", "oracle wt")
-	var lastRatio float64
+	alg := workload.MSTSparse(0.6)
 	for _, n := range c.Sizes([]int{48, 96, 192}, []int{24, 48}) {
-		g := graph.GnpWeighted(n, 0.6, 60, false, uint64(n))
-		m := 0
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if g.HasEdge(u, v) {
-					m++
-				}
-			}
-		}
-		var wt int64
-		var phases int
-		res, err := c.Run(clique.Config{N: n, WordsPerPair: wpp}, func(nd *clique.Node) {
-			forest, st := mst.SparseFind(nd, g.W[nd.ID()], uint64(n))
-			if nd.ID() == 0 {
-				wt = mst.Weight(forest)
-				phases = st.Phases
-			}
-		})
-		if err != nil {
-			c.Failf("n=%d: %v", n, err)
-			return
-		}
-		oracle, _ := mst.KruskalOracle(g)
-		if wt != oracle {
-			c.Failf("n=%d: SparseFind weight %d, oracle %d", n, wt, oracle)
-		}
-		lastRatio = float64(res.Stats.WordsSent) / float64(m)
-		t.Row(Int(n), Int(m), Int64(res.Stats.WordsSent),
-			Float(lastRatio, "%.3f"), Int(phases), Int64(wt), Int64(oracle))
-		c.Metric(fmt.Sprintf("sparse MST words/m at n=%d", n), lastRatio, "ratio")
+		r, wt := forest(c, n, alg)
+		tel := r.Telemetry().(workload.SparseTelemetry)
+		ratio := float64(r.Result.Stats.WordsSent) / float64(tel.Edges)
+		t.Row(Int(n), Int(tel.Edges), Int64(r.Result.Stats.WordsSent),
+			Float(ratio, "%.3f"), Int(tel.Phases), Int64(wt), Int64(wt))
+		c.Metric(fmt.Sprintf("sparse MST words/m at n=%d", n), ratio, "ratio")
 	}
 	c.Notef("words/m falls as n grows: per-phase traffic is O(active components),")
 	c.Notef("not O(m), and cut fingerprints silence finished components")
@@ -627,9 +553,7 @@ func expSubstrates(c *Ctx) {
 	mt := c.Table("matrix multiplication, naive vs 3D", "n", "naive rounds", "3D rounds")
 	naive, _ := workload.Get("boolmm-naive")
 	td, _ := workload.Get("boolmm-3d")
-	mmRounds := func(a workload.Algorithm, n int) Cell {
-		return Int(c.RunWorkloads(n, a.WPP, workload.Spec{Alg: a, Seed: uint64(n)})[0].Result.Stats.Rounds)
-	}
+	mmRounds := func(a workload.Algorithm, n int) Cell { return Int(runEntry(c, n, a, uint64(n)).Result.Stats.Rounds) }
 	for _, n := range c.Sizes([]int{27, 64, 125, 216}, []int{8, 27}) {
 		mt.Row(Int(n), mmRounds(naive, n), mmRounds(td, n))
 	}

@@ -147,9 +147,3 @@ func Find(nd clique.Endpoint, row graph.Bitset, k int) Result {
 	sort.Ints(cover)
 	return Result{Found: true, Cover: cover, KernelSize: len(forced)}
 }
-
-// Decide is the decision version: does a vertex cover of size at most k
-// exist?
-func Decide(nd clique.Endpoint, row graph.Bitset, k int) bool {
-	return Find(nd, row, k).Found
-}

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"sort"
 	"sync"
@@ -43,15 +44,24 @@ type Algorithm struct {
 func (a Algorithm) Make(n int, seed uint64) clique.NodeFunc { return a.New(n, seed).Program }
 
 // Instance is one generated instance: the node program and lazy
-// access to its answer.
+// access to what the run produced. Answer, Check and Telemetry are read
+// after the run.
 type Instance struct {
-	// Program is the node program. Node 0 keeps its output.
+	// Program is the node program. Node 0 keeps its output; entries
+	// with a Check keep every node's.
 	Program clique.NodeFunc
-	// Answer returns node 0's output; call it after the run.
+	// Answer returns node 0's output.
 	Answer func() any
 	// Oracle computes the centralized answer that Answer must equal;
 	// nil when the entry has none.
 	Oracle func() any
+	// Check verifies the outputs beyond Answer, without an oracle: that
+	// every node agrees and that a witness is a solution. Nil when the
+	// entry has none.
+	Check func() error
+	// Telemetry returns the run's entry-specific findings, such as node
+	// 0's algorithm statistics; nil when the entry has none.
+	Telemetry func() any
 }
 
 // Spec is one run of a batch: a catalogue entry and its instance seed.
@@ -190,6 +200,77 @@ func rowProgram[T any](g *graph.Graph, f func(clique.Endpoint, graph.Bitset) T, 
 		func() any { return oracle(g) })
 }
 
+// agreed is the shape of a search that every node runs to the same
+// result: each node runs find on its row of g and keeps its result.
+// Answer is node 0's found bit and the oracle decides on g. Check fails
+// unless every node returned node 0's result and, if node 0 found a
+// witness, it has at most k vertices and valid accepts it.
+func agreed[R any](g *graph.Graph, k int, find func(clique.Endpoint, graph.Bitset, int) R,
+	witness func(R) (bool, []int), oracle func(*graph.Graph, int) bool, valid func(*graph.Graph, []int) bool) Instance {
+	res := make([]R, g.N)
+	return Instance{
+		Program: func(nd *clique.Node) { res[nd.ID()] = find(nd, g.Row(nd.ID()), k) },
+		Answer:  func() any { found, _ := witness(res[0]); return found },
+		Oracle:  func() any { return oracle(g, k) },
+		Check: func() error {
+			for v := range res {
+				if !reflect.DeepEqual(res[v], res[0]) {
+					return fmt.Errorf("node %d answered %+v, node 0 %+v", v, res[v], res[0])
+				}
+			}
+			if found, w := witness(res[0]); found && (len(w) > k || !valid(g, w)) {
+				return fmt.Errorf("node 0's witness %v is not a solution of size at most %d", w, k)
+			}
+			return nil
+		},
+	}
+}
+
+func dsWitness(r domset.Result) (bool, []int) { return r.Found, r.Witness }
+
+func vcWitness(r vcover.Result) (bool, []int) { return r.Found, r.Cover }
+
+// KDS is the k-dominating set entry (Theorem 9) on a planted instance.
+// The catalogue registers it at k = 3; E10 and E12 vary k.
+func KDS(k int) Algorithm {
+	return Algorithm{Name: "k-ds", Title: fmt.Sprintf("%d-dominating set (Theorem 9)", k), WPP: 8, New: func(n int, seed uint64) Instance {
+		g, _ := graph.PlantedDominatingSet(n, k, 0.1, seed)
+		return agreed(g, k, domset.Find, dsWitness, graph.HasDominatingSetOfSize, graph.IsDominatingSet)
+	}}
+}
+
+// KVC is the k-vertex cover entry (Theorem 11) on a planted instance.
+// The catalogue registers it at k = 3; E11 and E12 vary k.
+func KVC(k int) Algorithm {
+	return Algorithm{Name: "k-vc", Title: fmt.Sprintf("%d-vertex cover (Theorem 11)", k), WPP: 1, New: func(n int, seed uint64) Instance {
+		g, _ := graph.PlantedVertexCover(n, k, 0.4, seed)
+		return agreed(g, k, vcover.Find, vcWitness, graph.HasVertexCoverOfSize, graph.IsVertexCover)
+	}}
+}
+
+// SparseTelemetry is mst-sparse's telemetry: node 0's SparseFind
+// statistics and the instance's edge count.
+type SparseTelemetry struct {
+	mst.SparseStats
+	Edges int
+}
+
+// MSTSparse is the message-frugal MST entry on G(n, density) with
+// weights in [1, 60]. The catalogue registers it at density 0.5; the
+// mstsparse experiment runs it at 0.6.
+func MSTSparse(density float64) Algorithm {
+	return Algorithm{Name: "mst-sparse", Title: "minimum spanning forest (message-frugal, o(m) words)", WPP: 8, New: func(n int, seed uint64) Instance {
+		w := graph.GnpWeighted(n, density, 60, false, seed)
+		return mstStats(w, seed, mst.SparseFind, func(st mst.SparseStats) any {
+			m := 0
+			for u, row := range w.W {
+				m += count(row[u+1:], func(x int64) bool { return x < graph.Inf })
+			}
+			return SparseTelemetry{st, m}
+		})
+	}}
+}
+
 // kRow is rowProgram for a detector with parameter k.
 func kRow(g *graph.Graph, k int, f func(clique.Endpoint, graph.Bitset, int) bool, oracle func(*graph.Graph, int) bool) Instance {
 	return rowProgram(g, func(nd clique.Endpoint, row graph.Bitset) bool { return f(nd, row, k) },
@@ -206,6 +287,21 @@ func weightedRow[T any](w *graph.Weighted, f func(clique.Endpoint, []int64) T, a
 func mstOf(w *graph.Weighted, find func(clique.Endpoint, []int64) []mst.Edge) Instance {
 	return weightedRow(w, find, func(f []mst.Edge) any { return mst.Weight(f) },
 		func() any { wt, _ := mst.KruskalOracle(w); return wt })
+}
+
+// mstStats is mstOf for a finder that also returns statistics; the
+// instance's Telemetry is tel of node 0's.
+func mstStats[S any](w *graph.Weighted, seed uint64, find func(clique.Endpoint, []int64, uint64) ([]mst.Edge, S), tel func(S) any) Instance {
+	var st S
+	inst := mstOf(w, func(nd clique.Endpoint, row []int64) []mst.Edge {
+		f, s := find(nd, row, seed)
+		if nd.ID() == 0 {
+			st = s
+		}
+		return f
+	})
+	inst.Telemetry = func() any { return tel(st) }
+	return inst
 }
 
 // boolSquare multiplies the adjacency matrix by itself with mul; the
@@ -298,14 +394,8 @@ func init() {
 		{Name: "k-path", Title: "3-vertex path detection", WPP: 8, New: func(n int, seed uint64) Instance {
 			return kRow(graph.Gnp(n, 0.2, seed), 3, subgraph.DetectPath, graph.HasSimplePathOfLength)
 		}},
-		{Name: "k-ds", Title: "3-dominating set (Theorem 9)", WPP: 8, New: func(n int, seed uint64) Instance {
-			g, _ := graph.PlantedDominatingSet(n, 3, 0.1, seed)
-			return kRow(g, 3, domset.Decide, graph.HasDominatingSetOfSize)
-		}},
-		{Name: "k-vc", Title: "3-vertex cover (Theorem 11)", WPP: 1, New: func(n int, seed uint64) Instance {
-			g, _ := graph.PlantedVertexCover(n, 3, 0.4, seed)
-			return kRow(g, 3, vcover.Decide, graph.HasVertexCoverOfSize)
-		}},
+		KDS(3),
+		KVC(3),
 		{Name: "k-col", Title: "3-colourability (full gather)", WPP: 8, New: func(n int, seed uint64) Instance {
 			g, _ := graph.PlantedColoring(n, 3, 0.7, seed)
 			return kRow(g, 3, gather.KColorable, graph.IsKColorable)
@@ -344,17 +434,9 @@ func init() {
 			return mstOf(graph.GnpWeighted(n, 0.3, 60, false, seed), mst.Find)
 		}},
 		{Name: "mst-sketch", Title: "minimum spanning forest (ℓ₀-sketch, O(1) rounds)", WPP: 32, New: func(n int, seed uint64) Instance {
-			return mstOf(graph.GnpWeighted(n, 0.3, 60, false, seed), func(nd clique.Endpoint, row []int64) []mst.Edge {
-				f, _ := mst.SketchFind(nd, row, seed)
-				return f
-			})
+			return mstStats(graph.GnpWeighted(n, 0.3, 60, false, seed), seed, mst.SketchFind, same[mst.SketchStats])
 		}},
-		{Name: "mst-sparse", Title: "minimum spanning forest (message-frugal, o(m) words)", WPP: 8, New: func(n int, seed uint64) Instance {
-			return mstOf(graph.GnpWeighted(n, 0.5, 60, false, seed), func(nd clique.Endpoint, row []int64) []mst.Edge {
-				f, _ := mst.SparseFind(nd, row, seed)
-				return f
-			})
-		}},
+		MSTSparse(0.5),
 		{Name: "sort", Title: "global radix sort of 8 keys per node", WPP: 4, New: func(n int, seed uint64) Instance {
 			return node0(func(nd *clique.Node) routing.SortResult {
 				return routing.Sort(nd, sortKeys(n, seed, nd.ID()), uint64(n*n))

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"repro/internal/clique"
+	"repro/internal/domset"
+	"repro/internal/graph"
+	"repro/internal/vcover"
 )
 
 func TestAllAndNamesSortedAndAgree(t *testing.T) {
@@ -37,16 +40,29 @@ func TestRegisterPanics(t *testing.T) {
 }
 
 // TestAnswersMatchOracle checks node 0's answer against the oracle for
-// every entry that has one, on both backends. Each seed sweep runs both
-// as batches of one and as one RunBatch, so an answer closure that
-// leaks across the runs of a batch fails the second. n = 64 leaves out
-// k-col and maxis, whose oracles are exponential.
+// every entry that has one, and runs every Check, on both backends. It
+// covers the catalogue and the parameterised entries the paper tables
+// run away from their registered defaults. Each seed sweep runs both as
+// batches of one and as one RunBatch, so an answer closure or per-node
+// answer slot that leaks across the runs of a batch fails the second.
+// n = 64 leaves out k-col and maxis, whose oracles are exponential.
 func TestAnswersMatchOracle(t *testing.T) {
+	type entry struct {
+		label string
+		alg   Algorithm
+	}
+	var entries []entry
 	for _, a := range All() {
+		entries = append(entries, entry{a.Name, a})
+	}
+	entries = append(entries, entry{"k-ds(k=2)", KDS(2)}, entry{"k-vc(k=2)", KVC(2)},
+		entry{"k-vc(k=4)", KVC(4)}, entry{"mst-sparse(p=0.6)", MSTSparse(0.6)})
+	for _, e := range entries {
+		a := e.alg
 		if a.New(8, 1).Oracle == nil {
 			continue
 		}
-		t.Run(a.Name, func(t *testing.T) {
+		t.Run(e.label, func(t *testing.T) {
 			t.Parallel()
 			ns := []int{8, 16, 64}
 			if a.Name == "k-col" || a.Name == "maxis" {
@@ -68,6 +84,11 @@ func TestAnswersMatchOracle(t *testing.T) {
 							t.Errorf("%s %s n=%d seed=%d: answer %v (%T), oracle %v (%T)",
 								backend, mode, n, specs[i].Seed, got, got, want[i], want[i])
 						}
+						if r.Check != nil {
+							if err := r.Check(); err != nil {
+								t.Errorf("%s %s n=%d seed=%d: %v", backend, mode, n, specs[i].Seed, err)
+							}
+						}
 					}
 					for i, s := range specs {
 						check("alone", i, RunBatch(cfg, []Spec{s})[0])
@@ -79,6 +100,57 @@ func TestAnswersMatchOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckRejectsForgeries runs the k-DS and k-VC checks over forged
+// per-node results on planted instances: the planted witness at every
+// node passes, and every forgery must fail.
+func TestCheckRejectsForgeries(t *testing.T) {
+	const n, k = 16, 3
+	gd, ds := graph.PlantedDominatingSet(n, k, 0.1, 1)
+	gv, vc := graph.PlantedVertexCover(n, k, 0.4, 1)
+	for _, m := range []struct {
+		name  string
+		forge func(v int, w []int) []int
+		ok    bool
+	}{
+		{"planted", func(_ int, w []int) []int { return w }, true},
+		{"node 1 disagrees", func(v int, w []int) []int {
+			if v == 1 {
+				return append(slices.Clone(w[1:]), w[0])
+			}
+			return w
+		}, false},
+		{"witness missing a vertex", func(_ int, w []int) []int { return w[1:] }, false},
+		{"witness emptied", func(int, []int) []int { return nil }, false},
+		{"k+1 vertices", func(_ int, w []int) []int { return append(slices.Clone(w), k) }, false},
+	} {
+		errs := map[string]error{
+			"k-DS": forgedCheck(t, gd, k, func(v int) domset.Result {
+				return domset.Result{Found: true, Witness: m.forge(v, ds)}
+			}, dsWitness, graph.IsDominatingSet),
+			"k-VC": forgedCheck(t, gv, k, func(v int) vcover.Result {
+				return vcover.Result{Found: true, Cover: m.forge(v, vc)}
+			}, vcWitness, graph.IsVertexCover),
+		}
+		for problem, err := range errs {
+			if (err == nil) != m.ok {
+				t.Errorf("%s, %s: Check returned %v", problem, m.name, err)
+			}
+		}
+	}
+}
+
+// forgedCheck runs agreed's program on g with every node returning
+// forge(its id) and returns the instance's Check.
+func forgedCheck[R any](t *testing.T, g *graph.Graph, k int, forge func(v int) R,
+	witness func(R) (bool, []int), valid func(*graph.Graph, []int) bool) error {
+	inst := agreed(g, k, func(nd clique.Endpoint, _ graph.Bitset, _ int) R { return forge(nd.ID()) },
+		witness, nil, valid)
+	if _, err := clique.Run(clique.Config{N: g.N}, inst.Program); err != nil {
+		t.Fatal(err)
+	}
+	return inst.Check()
 }
 
 // overflow's every node sends one word more than the budget to its
