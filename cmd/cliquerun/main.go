@@ -1,8 +1,8 @@
 // Command cliquerun runs one entry of the workload catalogue
 // (internal/workload) on its generated instance and prints node 0's
-// answer, the centralized oracle's and the model costs — a
-// command-line window into the simulator. It fails when the answer and
-// the oracle's differ.
+// answer, whether the centralized oracle agrees, and the model costs —
+// a command-line window into the simulator. It fails when the run
+// fails its Check or the oracle disagrees (workload.Run.Confirm).
 //
 // Usage:
 //
@@ -97,15 +97,14 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	got := r.Answer()
-	answer := fmt.Sprint(got)
-	var wrong error
-	if r.Oracle != nil {
-		want := r.Oracle()
-		answer += fmt.Sprintf(" (oracle %v)", want)
-		if got != want {
-			wrong = fmt.Errorf("%s: answer %v (%T) differs from the oracle's %v (%T)", alg.Name, got, got, want, want)
-		}
+	answer := fmt.Sprint(r.Answer())
+	wrong := r.Confirm()
+	switch {
+	case wrong != nil:
+		answer += " (oracle disagrees)"
+		wrong = fmt.Errorf("%s n=%d seed=%d: %w", alg.Name, *n, *seed, wrong)
+	case r.Oracle != nil:
+		answer += " (oracle agrees)"
 	}
 	res := r.Result
 	roundsPerSec := float64(res.Stats.Rounds) / r.Wall.Seconds()

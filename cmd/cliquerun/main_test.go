@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +13,12 @@ import (
 	"repro/internal/workload"
 )
 
-// wrongAnswer is a test-only entry whose oracle disagrees with node 0.
-const wrongAnswer = "test-wrong-answer"
+// Test-only entries: wrongAnswer's oracle disagrees with node 0, and
+// failedCheck's Check rejects every run.
+const (
+	wrongAnswer = "test-wrong-answer"
+	failedCheck = "test-failed-check"
+)
 
 func init() {
 	workload.Register(workload.Algorithm{
@@ -23,16 +28,23 @@ func init() {
 				Answer: func() any { return 1 }, Oracle: func() any { return 2 }}
 		},
 	})
+	workload.Register(workload.Algorithm{
+		Name: failedCheck, Title: "test-only: every Check fails", WPP: 1,
+		New: func(int, uint64) workload.Instance {
+			return workload.Instance{Program: func(*clique.Node) {}, Answer: func() any { return 1 },
+				Check: func() error { return errors.New("forged witness") }}
+		},
+	})
 }
 
 // TestEveryCatalogueEntry drives the CLI over the whole catalogue on
 // both backends and in both formats; every answer must match its oracle
-// (run fails otherwise) and the JSON costs must equal a direct
+// and pass its Check (run fails otherwise) and the JSON costs must equal a direct
 // clique.Run of the catalogue program. Under -race it is also the
 // regression test for node programs sharing one answer variable.
 func TestEveryCatalogueEntry(t *testing.T) {
 	for _, alg := range workload.All() {
-		if alg.Name == wrongAnswer {
+		if strings.HasPrefix(alg.Name, "test-") {
 			continue
 		}
 		want, err := clique.Run(clique.Config{N: 16, WordsPerPair: alg.WPP}, alg.New(16, 5).Program)
@@ -41,7 +53,7 @@ func TestEveryCatalogueEntry(t *testing.T) {
 		}
 		for _, backend := range clique.Backends() {
 			args := []string{"-alg", alg.Name, "-n", "16", "-seed", "5", "-backend", backend}
-			if text := runCLI(t, args...); !strings.Contains(text, "algorithm : "+alg.Name) || !strings.Contains(text, "(oracle ") {
+			if text := runCLI(t, args...); !strings.Contains(text, "algorithm : "+alg.Name) || !strings.Contains(text, "(oracle agrees)") {
 				t.Errorf("%s: text output:\n%s", alg.Name, text)
 			}
 			var rep runReport
@@ -57,16 +69,21 @@ func TestEveryCatalogueEntry(t *testing.T) {
 }
 
 // TestWrongAnswerFails checks that a run whose answer differs from the
-// oracle's still prints its report and then fails, naming both values.
+// oracle's still prints its report and then fails, naming both values,
+// and that a run whose Check fails fails with the typed verdict.
 func TestWrongAnswerFails(t *testing.T) {
 	for _, format := range []string{"text", "json"} {
 		var out bytes.Buffer
 		err := run([]string{"-alg", wrongAnswer, "-n", "4", "-format", format}, &out)
-		if err == nil || !strings.Contains(err.Error(), "answer 1 (int)") || !strings.Contains(err.Error(), "oracle's 2 (int)") {
+		if !errors.Is(err, workload.ErrWrongAnswer) || !strings.Contains(err.Error(), "n=4 seed=1: wrong answer: answer 1 (int) differs from the oracle's 2 (int)") {
 			t.Errorf("%s: err %v", format, err)
 		}
-		if !strings.Contains(out.String(), "1 (oracle 2)") {
+		if !strings.Contains(out.String(), "1 (oracle disagrees)") {
 			t.Errorf("%s: output:\n%s", format, out.String())
+		}
+		err = run([]string{"-alg", failedCheck, "-n", "4", "-format", format}, new(bytes.Buffer))
+		if !errors.Is(err, workload.ErrFailedCheck) || !strings.Contains(err.Error(), failedCheck+" n=4 seed=1: failed check: forged witness") {
+			t.Errorf("%s: failed check: err %v", format, err)
 		}
 	}
 }

@@ -112,12 +112,11 @@ func (c *Ctx) Rounds(n, wpp int, f clique.NodeFunc) int {
 // RunWorkloads runs catalogue specs on an n-node clique with wpp words
 // per pair as one workload.RunBatch and folds each run's model cost
 // into the experiment's SimCost exactly as the equivalent serial loop
-// of runs would: runs are accounted in order, and the first failing
-// run counts as a run without rounds and aborts the experiment (Failf),
-// so the deterministic Result envelope is bit-identical to the serial
-// loop that stops at the first error. A run whose instance has a Check
-// that fails aborts the experiment too. Traced experiments need one
-// collector per run, so they run each spec as a batch of one.
+// of runs would: runs are recorded in order, and the first failing run
+// (a failed Check included) counts as a run without rounds and aborts
+// the experiment, so the deterministic Result envelope is bit-identical
+// to the serial loop that stops at the first error. Traced experiments
+// need one collector per run, so they run each spec as a batch of one.
 func (c *Ctx) RunWorkloads(n, wpp int, specs ...workload.Spec) []workload.Run {
 	var runs []workload.Run
 	for len(runs) < len(specs) {
@@ -130,38 +129,24 @@ func (c *Ctx) RunWorkloads(n, wpp int, specs ...workload.Spec) []workload.Run {
 		col := c.startTrace(&cfg)
 		done := workload.RunBatch(cfg, batch)
 		c.endTrace(col)
-		for i, r := range done {
-			c.accountOrFail(n, batch[i], r)
+		for _, r := range done {
+			c.Record(r)
 		}
 		runs = append(runs, done...)
 	}
 	return runs
 }
 
-// accountOrFail accounts one workload run and aborts the experiment if
-// it failed or its Check does.
-func (c *Ctx) accountOrFail(n int, s workload.Spec, r workload.Run) {
+// Record folds a workload run's model cost into the experiment's
+// SimCost and aborts the experiment (Failf) if the run failed or failed
+// its Check. The serving daemon's batch coalescer records runs it made
+// through one workload.RunBatch; batched runs are bit-identical to
+// serial ones, so the outcome is RunWorkloads' for the run alone.
+func (c *Ctx) Record(r workload.Run) {
 	c.account(r.Result, r.Err, r.Wall)
 	if r.Err != nil {
 		c.Failf("%v", r.Err)
 	}
-	if r.Check != nil {
-		if err := r.Check(); err != nil {
-			c.Failf("%s n=%d seed=%d: %v", s.Alg.Name, n, s.Seed, err)
-		}
-	}
-}
-
-// Record folds an already-completed run's model cost into the
-// experiment's SimCost, for callers that executed the run outside the
-// Ctx: the serving daemon's batch coalescer runs whole groups of jobs
-// through one workload.RunBatch and then builds each job's envelope
-// through its own Ctx afterwards. wall is the run's share of the
-// batch's wall clock. The Result built from a recorded run is identical
-// to the one RunWorkloads would have built running it alone, because
-// batched per-run results are bit-identical to serial ones.
-func (c *Ctx) Record(res *clique.Result, wall time.Duration) {
-	c.account(res, nil, wall)
 }
 
 // account folds one finished run into the SimCost and reports

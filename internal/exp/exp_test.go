@@ -345,7 +345,7 @@ func TestRunWorkloadsFailsOnCheck(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		opts := exp.Options{Backend: "lockstep", Trace: traced, Progress: func(p exp.Progress) { runs = p.SimCost.Runs }}
 		_, _, err := exp.RunExperiment(context.Background(), e, opts)
-		if err == nil || !strings.Contains(err.Error(), "checked n=4 seed=2: forged witness") {
+		if err == nil || !strings.Contains(err.Error(), "checked n=4 seed=2: failed check: forged witness") {
 			t.Errorf("traced=%v: error %v, want the seed-2 Check failure", traced, err)
 		}
 		if runs != 2 {

@@ -441,7 +441,7 @@ func runEntry(c *Ctx, n int, alg workload.Algorithm, seed uint64) workload.Run {
 }
 
 // planted runs a k-DS or k-VC entry on its planted yes-instance and
-// returns the rounds. RunWorkloads has run the instance's Check, so
+// returns the rounds. RunBatch has run the instance's Check, so
 // every node agreed and a witness is valid; planted also fails the
 // experiment unless the search found one.
 func planted(c *Ctx, n int, alg workload.Algorithm, seed uint64) int {
@@ -464,15 +464,14 @@ func kVC(c *Ctx, n, k int, seed uint64) int {
 }
 
 // forest runs an MST-family entry at seed n and fails the experiment
-// unless node 0's forest weight is the Kruskal oracle's, which it
-// returns.
+// unless node 0's forest weight is the Kruskal oracle's (Run.Confirm),
+// which it returns.
 func forest(c *Ctx, n int, alg workload.Algorithm) (workload.Run, int64) {
 	r := runEntry(c, n, alg, uint64(n))
-	wt, oracle := r.Answer().(int64), r.Oracle().(int64)
-	if wt != oracle {
-		c.Failf("%s n=%d: forest weight %d, oracle %d", alg.Name, n, wt, oracle)
+	if err := r.Confirm(); err != nil {
+		c.Failf("%s n=%d: %v", alg.Name, n, err)
 	}
-	return r, wt
+	return r, r.Answer().(int64)
 }
 
 // Extension — deterministic MST baseline (paper conclusions).

@@ -113,11 +113,12 @@ func PlantedIndependentSet(n, k int, p float64, seed uint64) (*Graph, []int) {
 
 // PlantedDominatingSet returns a graph in which vertices 0..k-1 form a
 // dominating set: every other vertex gets at least one edge into the
-// planted set, plus G(n, p) noise.
+// planted set, plus G(n, p) noise. When k > n it plants all n vertices.
 func PlantedDominatingSet(n, k int, p float64, seed uint64) (*Graph, []int) {
-	if k < 1 || k > n {
+	if k < 1 || n < 1 {
 		panic(fmt.Sprintf("graph: planted dominating set k=%d n=%d", k, n))
 	}
+	k = min(k, n)
 	r := rng(seed)
 	g := Gnp(n, p, seed+1)
 	for v := k; v < n; v++ {

@@ -138,6 +138,9 @@ func TestPlantedInstances(t *testing.T) {
 	if !IsDominatingSet(g2, ds) {
 		t.Error("planted DS does not dominate")
 	}
+	if g, ds := PlantedDominatingSet(2, 3, 0.15, 4); len(ds) != 2 || !IsDominatingSet(g, ds) {
+		t.Errorf("planted DS at k > n: %v", ds)
+	}
 	g3, vc := PlantedVertexCover(14, 4, 0.5, 5)
 	if !IsVertexCover(g3, vc) {
 		t.Error("planted VC does not cover")
@@ -194,6 +197,16 @@ func TestOraclesOnKnownGraphs(t *testing.T) {
 	}
 	if !HasDominatingSetOfSize(p4, 2) {
 		t.Error("P4 dominated by two vertices")
+	}
+	// "Of size k" means at most k, also when k exceeds n.
+	for n := 1; n <= 3; n++ {
+		empty := New(n)
+		if ds := FindDominatingSet(empty, n+1); len(ds) != n || !IsDominatingSet(empty, ds) {
+			t.Errorf("edgeless n=%d, k=%d: FindDominatingSet returned %v", n, n+1, ds)
+		}
+		if HasDominatingSetOfSize(empty, n-1) {
+			t.Errorf("edgeless n=%d dominated by %d vertices", n, n-1)
+		}
 	}
 	if !HasHamiltonianPath(p4) {
 		t.Error("P4 is a Hamiltonian path")

@@ -228,10 +228,10 @@ func HasCliqueOfSize(g *Graph, k int) bool {
 // HasTriangle reports whether g contains a triangle.
 func HasTriangle(g *Graph) bool { return HasCliqueOfSize(g, 3) }
 
-// FindDominatingSet returns a dominating set of size exactly k, or nil.
+// FindDominatingSet returns a dominating set of size at most k, or nil.
 func FindDominatingSet(g *Graph, k int) []int {
 	var found []int
-	combinations(g.N, k, func(sel []int) bool {
+	combinations(g.N, min(k, g.N), func(sel []int) bool {
 		if IsDominatingSet(g, sel) {
 			found = append([]int(nil), sel...)
 			return true
@@ -241,7 +241,7 @@ func FindDominatingSet(g *Graph, k int) []int {
 	return found
 }
 
-// HasDominatingSetOfSize reports whether g has a dominating set of size k.
+// HasDominatingSetOfSize reports whether g has a dominating set of size ≤ k.
 func HasDominatingSetOfSize(g *Graph, k int) bool {
 	return FindDominatingSet(g, k) != nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,8 +12,24 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/clique"
 	"repro/internal/grid"
+	"repro/internal/workload"
 )
+
+func init() {
+	workload.Register(workload.Algorithm{
+		Name: "test-failed-check", Title: "test-only: seed 2's Check fails", WPP: 1,
+		New: func(n int, seed uint64) workload.Instance {
+			return workload.Instance{Program: func(nd *clique.Node) { nd.Tick() }, Check: func() error {
+				if seed == 2 {
+					return errors.New("forged witness")
+				}
+				return nil
+			}}
+		},
+	})
+}
 
 // makeSynthetic builds a fixed sweep by hand: exchange at
 // n ∈ {8, 16, 32} × seeds {1, 2} with rounds = n² (exact power law)
@@ -333,5 +350,25 @@ func TestRunGridBatchMatchesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(bufS.Bytes(), bufB.Bytes()) {
 		t.Fatalf("stripped summaries differ under -batch:\n%s\n---\n%s", bufS.Bytes(), bufB.Bytes())
+	}
+}
+
+// TestRunGridFailsOnCheck runs a grid whose second cell's Check fails,
+// batched and serially: the grid must fail, naming that cell and the
+// typed verdict.
+func TestRunGridFailsOnCheck(t *testing.T) {
+	spec, err := grid.ParseSpec([]byte(`{
+	  "repeats": 1, "warmup": 0,
+	  "experiments": [{"algorithm": "test-failed-check", "ns": [4], "seeds": [1, 2, 3]}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []bool{false, true} {
+		_, _, err := grid.Run(context.Background(), spec, grid.Options{Batch: batch})
+		if !errors.Is(err, workload.ErrFailedCheck) ||
+			!strings.Contains(err.Error(), "grid: cell 1 (test-failed-check/n=4/wpp=1): test-failed-check n=4 seed=2: failed check: forged witness") {
+			t.Errorf("batch=%v: err %v", batch, err)
+		}
 	}
 }

@@ -49,6 +49,10 @@ type SketchStats struct {
 func SketchFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SketchStats) {
 	n := nd.N()
 	me := nd.ID()
+	if n == 1 {
+		// No edges, and the cut sketches need n >= 2.
+		return nil, SketchStats{Components: 1}
+	}
 
 	// Phase A: seed contraction. Identical logic to Find's phases, but
 	// a fixed constant number of them, with pair and weight fused into

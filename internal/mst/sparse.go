@@ -68,6 +68,10 @@ func SparseFind(nd clique.Endpoint, wRow []int64, seed uint64) ([]Edge, SparseSt
 	if wpp < 6 {
 		nd.Fail("mst: SparseFind needs wpp >= 6, got %d", wpp)
 	}
+	if n == 1 {
+		// No edges, and the fingerprints need n >= 2.
+		return nil, SparseStats{Components: 1}
+	}
 
 	// Per-node state.
 	label := me

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/clique"
 	"repro/internal/exp"
@@ -35,14 +34,12 @@ func adhocParams(req exp.Request) (workload.Algorithm, int, error) {
 
 // adhocExperiment wraps an ad-hoc request as an ephemeral Experiment so
 // it runs through the same counted exp.Ctx as registry experiments and
-// produces the same envelope shape. With res nil the body runs the
-// request as a batch of one (exp.Ctx.RunWorkloads). With a precomputed
-// result — a run that already executed inside a coalesced
-// workload.RunBatch — it folds that result's cost into the Ctx
-// (exp.Ctx.Record), wall being the run's share of the batch's wall
-// clock. The table and metrics come from the one body either way, so
-// the two envelopes cannot drift apart.
-func adhocExperiment(req exp.Request, res *clique.Result, wall time.Duration) (exp.Experiment, error) {
+// produces the same envelope shape. With run nil the body runs the
+// request as a batch of one (exp.Ctx.RunWorkloads); with a run from a
+// coalesced workload.RunBatch it records that run (exp.Ctx.Record).
+// RunBatch has judged the run either way, and the envelope or failure
+// comes from the one body, so the two paths cannot drift apart.
+func adhocExperiment(req exp.Request, run *workload.Run) (exp.Experiment, error) {
 	alg, wpp, err := adhocParams(req)
 	if err != nil {
 		return exp.Experiment{}, err
@@ -53,11 +50,12 @@ func adhocExperiment(req exp.Request, res *clique.Result, wall time.Duration) (e
 		Title:    fmt.Sprintf("%s (n=%d, seed=%d)", alg.Title, req.N, req.Seed),
 		Run: func(c *exp.Ctx) {
 			t := c.Table("", "n", "wpp", "rounds", "words", "bits", "max pair words")
-			res := res
-			if res == nil {
+			var res *clique.Result
+			if run == nil {
 				res = c.RunWorkloads(req.N, wpp, workload.Spec{Alg: alg, Seed: req.Seed})[0].Result
 			} else {
-				c.Record(res, wall)
+				c.Record(*run)
+				res = run.Result
 			}
 			t.Row(exp.Int(req.N), exp.Int(wpp), exp.Int(res.Stats.Rounds),
 				exp.Int64(res.Stats.WordsSent), exp.Int64(res.Stats.BitsSent),

@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +24,20 @@ func init() {
 				nd.Send((nd.ID()+1)%nd.N(), 1, 2)
 				nd.Tick()
 			}}
+		},
+	})
+	workload.Register(workload.Algorithm{
+		Name: "test-failed-check", Title: "test-only: every Check fails", WPP: 1,
+		New: func(n int, seed uint64) workload.Instance {
+			return workload.Instance{Program: func(nd *clique.Node) { nd.Tick() },
+				Check: func() error { return errors.New("forged witness") }}
+		},
+	})
+	workload.Register(workload.Algorithm{
+		Name: "test-wrong-answer", Title: "test-only: answers 1, oracle says 2", WPP: 1,
+		New: func(n int, seed uint64) workload.Instance {
+			return workload.Instance{Program: func(nd *clique.Node) { nd.Tick() },
+				Answer: func() any { return 1 }, Oracle: func() any { return 2 }}
 		},
 	})
 }
@@ -205,5 +222,55 @@ func TestBatchWidthEndToEnd(t *testing.T) {
 		if rec.Body.String() != bodies[i] {
 			t.Fatalf("seed %d: batched response differs from serial", i)
 		}
+	}
+}
+
+// TestForgedAnswersServedAlike runs forged entries alone and coalesced:
+// a run whose Check fails answers 500 on both paths with the same
+// error, naming the run, and leaves the ledger empty. A wrong
+// answer has no Check, and the daemon does not run the oracle, so both
+// paths serve it unconfirmed with the same bytes.
+func TestForgedAnswersServedAlike(t *testing.T) {
+	const width = 3
+	run := func(alg string, batched bool) ([]*entry, int64) {
+		l := openLedger(t, filepath.Join(t.TempDir(), "ledger.clq"))
+		group := make([]*entry, width)
+		for i := range group {
+			group[i] = adhocEntry(alg, 4, 1, uint64(i+1))
+		}
+		if batched {
+			bareServer(Config{Workers: 1, BatchWidth: width, Ledger: l}).runJobBatch(group)
+		} else {
+			s := bareServer(Config{Workers: 1, Ledger: l})
+			for _, e := range group {
+				s.runJob(e)
+			}
+		}
+		for _, e := range group {
+			<-e.done
+		}
+		return group, l.Len()
+	}
+	for _, batched := range []bool{false, true} {
+		group, records := run("test-failed-check", batched)
+		for i, e := range group {
+			if e.err == nil || runErrorStatus(e.err) != http.StatusInternalServerError ||
+				!strings.Contains(e.err.Error(), fmt.Sprintf("exp adhoc:test-failed-check: test-failed-check n=4 seed=%d: failed check: forged witness", i+1)) {
+				t.Errorf("batched=%v seed %d: err %v", batched, i+1, e.err)
+			}
+		}
+		if records != 0 {
+			t.Errorf("batched=%v: %d ledger records after failed checks", batched, records)
+		}
+	}
+	alone, _ := run("test-wrong-answer", false)
+	coalesced, records := run("test-wrong-answer", true)
+	for i := range alone {
+		if a, c := alone[i], coalesced[i]; a.err != nil || c.err != nil || !bytes.Equal(a.data, c.data) {
+			t.Errorf("wrong answer seed %d: alone %v, coalesced %v", i+1, a.err, c.err)
+		}
+	}
+	if records != width {
+		t.Errorf("wrong answer: %d ledger records, want %d", records, width)
 	}
 }

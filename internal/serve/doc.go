@@ -29,11 +29,11 @@
 // Config.BatchWidth > 1 a worker additionally coalesces queued
 // same-shape untraced ad-hoc jobs into one batched engine execution
 // whose per-job envelopes stay byte-identical to serial runs. Either
-// way an ad-hoc job runs through workload.RunBatch, a batch of one on
-// the serial path, and its simulated wall is its share of the batch's
-// wall clock, instance generation included. Clients that ask for
-// `Accept: text/event-stream` (or `?stream=sse`) get queued/progress
-// events while the job runs and the envelope as the final event.
+// way an ad-hoc job runs through workload.RunBatch (a batch of one when
+// serial), which judges it: a failed Check is a 500, not a ledger record.
+// Its wall is its share of the batch's, instance generation included.
+// Clients that ask for `Accept: text/event-stream` (or `?stream=sse`)
+// get queued/progress events while it runs and the envelope last.
 // Shutdown is graceful: the queue stops accepting, running jobs drain
 // (or are cancelled at the drain deadline), pending ledger appends are
 // fsync'd, and waiters are notified.

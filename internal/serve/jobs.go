@@ -380,13 +380,7 @@ func (s *Server) executeBatch(group []*entry) (data [][]byte, errs []error) {
 	for k, run := range workload.RunBatch(cfg, specs) {
 		i := live[k]
 		e := group[i]
-		if run.Err != nil {
-			// The serial body Failf()s a run error under the experiment
-			// id; reproduce that exact shape.
-			errs[i] = fmt.Errorf("exp adhoc:%s: %v", alg.Name, run.Err)
-			continue
-		}
-		experiment, err := adhocExperiment(e.req, run.Result, run.Wall)
+		experiment, err := adhocExperiment(e.req, &run)
 		if err != nil {
 			errs[i] = err
 			continue
@@ -412,7 +406,7 @@ func (s *Server) experimentFor(req exp.Request) (exp.Experiment, error) {
 		}
 		return e, nil
 	case exp.KindAdhoc:
-		return adhocExperiment(req, nil, 0)
+		return adhocExperiment(req, nil)
 	}
 	return exp.Experiment{}, fmt.Errorf("unknown request kind %q", req.Kind)
 }

@@ -10,9 +10,9 @@
 // where one exists, a centralized oracle, a Check that needs no oracle
 // (every node agreed, a witness is a solution) and a telemetry value
 // such as node 0's algorithm statistics, all read lazily after the run.
-// RunBatch is the one place an entry runs: it builds a batch of
-// (entry, seed) instances, runs them through one clique.RunBatch, and
-// splits the batch's wall clock across the runs by rounds.
+// RunBatch is the one place an entry runs and is judged: it runs a
+// batch through one clique.RunBatch, splits its wall clock by rounds,
+// and makes a failed Check the run's Err; Run.Confirm adds the oracle.
 //
 // The paper tables draw from here too: Figure 1's probe set, E10–E13
 // and the MST tables. Where a table varies what an entry fixes, a

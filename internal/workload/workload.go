@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -44,8 +45,8 @@ type Algorithm struct {
 func (a Algorithm) Make(n int, seed uint64) clique.NodeFunc { return a.New(n, seed).Program }
 
 // Instance is one generated instance: the node program and lazy
-// access to what the run produced. Answer, Check and Telemetry are read
-// after the run.
+// access to what the run produced, read after the run. Only RunBatch
+// calls Check, and only Run.Confirm the Oracle.
 type Instance struct {
 	// Program is the node program. Node 0 keeps its output; entries
 	// with a Check keep every node's.
@@ -71,9 +72,9 @@ type Spec struct {
 	Seed uint64
 }
 
-// Run is one executed Spec: its instance, whose Answer and Oracle are
-// ready to read, the run's result or error, and its share of the
-// batch's wall clock.
+// Run is one executed Spec: its instance, whose Answer is ready to
+// read, the run's result or error (its verdict, RunBatch's), and its
+// share of the batch's wall clock.
 type Run struct {
 	Instance
 	Result *clique.Result
@@ -81,14 +82,33 @@ type Run struct {
 	Wall   time.Duration
 }
 
+// The typed verdicts of RunBatch (a failed Check) and Confirm.
+var (
+	ErrFailedCheck = errors.New("failed check")
+	ErrWrongAnswer = errors.New("wrong answer")
+)
+
+// Confirm adds the oracle's verdict, opt-in as the oracle can cost more
+// than the run: r.Err, else ErrWrongAnswer if an Oracle disagrees.
+func (r Run) Confirm() error {
+	if r.Err == nil && r.Oracle != nil {
+		if got, want := r.Answer(), r.Oracle(); got != want {
+			return fmt.Errorf("%w: answer %v (%T) differs from the oracle's %v (%T)", ErrWrongAnswer, got, got, want, want)
+		}
+	}
+	return r.Err
+}
+
 // RunBatch builds every spec's instance at cfg.N and runs them all as
 // one clique.RunBatch, so each run's Result and Err are those a serial
 // clique.Run of its program would return. It is the one place a
-// catalogue entry runs. The batch's wall clock covers instance
-// generation and the engine execution, and is split across the runs in
-// proportion to their rounds, a failed run counting none; when no run
-// completes a round, every run gets an even share. The walls thus sum
-// to at most the batch's wall. An empty spec list returns nil.
+// catalogue entry runs and is judged. The batch's wall clock covers
+// instance generation and the engine execution, and is split across the
+// runs in proportion to their rounds, a failed run counting none; when
+// no run completes a round, every run gets an even share. The walls thus
+// sum to at most the batch's wall. Then a completed run's failed Check
+// becomes its Err (ErrFailedCheck, naming entry, n and seed). An empty
+// spec list returns nil.
 func RunBatch(cfg clique.Config, specs []Spec) []Run {
 	if len(specs) == 0 {
 		return nil
@@ -109,12 +129,17 @@ func RunBatch(cfg clique.Config, specs []Spec) []Run {
 			total += int64(results[i].Stats.Rounds)
 		}
 	}
-	for i := range runs {
+	for i, r := range runs {
 		switch {
 		case total == 0:
 			runs[i].Wall = wall / time.Duration(len(runs))
-		case runs[i].Err == nil:
-			runs[i].Wall = wall * time.Duration(runs[i].Result.Stats.Rounds) / time.Duration(total)
+		case r.Err == nil:
+			runs[i].Wall = wall * time.Duration(r.Result.Stats.Rounds) / time.Duration(total)
+		}
+		if r.Err == nil && r.Check != nil {
+			if err := r.Check(); err != nil {
+				runs[i].Err = fmt.Errorf("%s n=%d seed=%d: %w: %w", specs[i].Alg.Name, cfg.N, specs[i].Seed, ErrFailedCheck, err)
+			}
 		}
 	}
 	return runs

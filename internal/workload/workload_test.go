@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"errors"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,13 +41,16 @@ func TestRegisterPanics(t *testing.T) {
 	}
 }
 
-// TestAnswersMatchOracle checks node 0's answer against the oracle for
-// every entry that has one, and runs every Check, on both backends. It
-// covers the catalogue and the parameterised entries the paper tables
-// run away from their registered defaults. Each seed sweep runs both as
-// batches of one and as one RunBatch, so an answer closure or per-node
-// answer slot that leaks across the runs of a batch fails the second.
-// n = 64 leaves out k-col and maxis, whose oracles are exponential.
+// TestAnswersMatchOracle confirms every run of every entry against its
+// oracle (Run.Confirm, which also fails a run whose Check RunBatch
+// rejected), on both backends. It covers the catalogue and the
+// parameterised entries the paper tables run away from their
+// registered defaults, at n = 1..4, where partitions have empty or
+// ragged parts and k can exceed n, and at n ∈ {8, 16, 64}. Each seed
+// sweep runs both as batches of one and as one RunBatch, so an answer
+// closure or per-node answer slot that leaks across the runs of a batch
+// fails the second. n = 64 leaves out k-col and maxis, whose oracles
+// are exponential.
 func TestAnswersMatchOracle(t *testing.T) {
 	type entry struct {
 		label string
@@ -59,42 +64,26 @@ func TestAnswersMatchOracle(t *testing.T) {
 		entry{"k-vc(k=4)", KVC(4)}, entry{"mst-sparse(p=0.6)", MSTSparse(0.6)})
 	for _, e := range entries {
 		a := e.alg
-		if a.New(8, 1).Oracle == nil {
-			continue
-		}
 		t.Run(e.label, func(t *testing.T) {
 			t.Parallel()
-			ns := []int{8, 16, 64}
+			ns := []int{1, 2, 3, 4, 8, 16, 64}
 			if a.Name == "k-col" || a.Name == "maxis" {
-				ns = ns[:2]
+				ns = ns[:len(ns)-1]
 			}
 			specs := []Spec{{a, 1}, {a, 2}, {a, 3}}
 			for _, n := range ns {
-				want := make([]any, len(specs))
-				for i, s := range specs {
-					want[i] = a.New(n, s.Seed).Oracle()
-				}
 				for _, backend := range clique.Backends() {
 					cfg := clique.Config{N: n, WordsPerPair: a.WPP, Backend: backend}
-					check := func(mode string, i int, r Run) {
-						if r.Err != nil {
-							t.Fatalf("%s %s n=%d seed=%d: %v", backend, mode, n, specs[i].Seed, r.Err)
-						}
-						if got := r.Answer(); got != want[i] {
-							t.Errorf("%s %s n=%d seed=%d: answer %v (%T), oracle %v (%T)",
-								backend, mode, n, specs[i].Seed, got, got, want[i], want[i])
-						}
-						if r.Check != nil {
-							if err := r.Check(); err != nil {
-								t.Errorf("%s %s n=%d seed=%d: %v", backend, mode, n, specs[i].Seed, err)
-							}
+					confirm := func(mode string, i int, r Run) {
+						if err := r.Confirm(); err != nil {
+							t.Errorf("%s %s n=%d seed=%d: %v", backend, mode, n, specs[i].Seed, err)
 						}
 					}
 					for i, s := range specs {
-						check("alone", i, RunBatch(cfg, []Spec{s})[0])
+						confirm("alone", i, RunBatch(cfg, []Spec{s})[0])
 					}
 					for i, r := range RunBatch(cfg, specs) {
-						check("batched", i, r)
+						confirm("batched", i, r)
 					}
 				}
 			}
@@ -167,6 +156,50 @@ var overflow = Algorithm{Name: "overflow", New: func(int, uint64) Instance {
 var silent = Algorithm{Name: "silent", New: func(int, uint64) Instance {
 	return Instance{Program: func(*clique.Node) {}}
 }}
+
+// failedCheck's Check rejects seed 2's run; forgedAnswer has no Check
+// and answers 1 where its oracle says 2.
+var (
+	failedCheck = Algorithm{Name: "failed-check", New: func(_ int, seed uint64) Instance {
+		return Instance{Program: func(nd *clique.Node) { nd.Tick() }, Check: func() error {
+			if seed == 2 {
+				return errors.New("forged witness")
+			}
+			return nil
+		}}
+	}}
+	forgedAnswer = Algorithm{Name: "forged-answer", New: func(int, uint64) Instance {
+		return Instance{Program: func(*clique.Node) {}, Answer: func() any { return 1 }, Oracle: func() any { return 2 }}
+	}}
+)
+
+// TestRunBatchJudges pins the verdict: RunBatch turns a failed Check
+// into a typed Err naming the entry, n and seed, keeping the run's
+// Result and wall share; a run without a Check is unchecked; Confirm
+// passes Err through, returns a typed wrong answer when the oracle
+// disagrees, and nil for a run without an oracle.
+func TestRunBatchJudges(t *testing.T) {
+	for _, backend := range clique.Backends() {
+		cfg := clique.Config{N: 4, Backend: backend}
+		runs := RunBatch(cfg, []Spec{{failedCheck, 1}, {failedCheck, 2}, {forgedAnswer, 1}, {silent, 1}})
+		bad := runs[1]
+		if !errors.Is(bad.Err, ErrFailedCheck) || !strings.Contains(bad.Err.Error(), "failed-check n=4 seed=2: failed check: forged witness") ||
+			bad.Result == nil || bad.Result.Stats.Rounds != 1 || bad.Wall <= 0 || bad.Confirm() != bad.Err {
+			t.Errorf("%s: failed check: err %v, result %v, wall %v", backend, bad.Err, bad.Result, bad.Wall)
+		}
+		for _, i := range []int{0, 2, 3} {
+			if runs[i].Err != nil {
+				t.Errorf("%s run %d: err %v, want an unjudged or passing run", backend, i, runs[i].Err)
+			}
+		}
+		if err := runs[2].Confirm(); !errors.Is(err, ErrWrongAnswer) || !strings.Contains(err.Error(), "answer 1 (int) differs from the oracle's 2 (int)") {
+			t.Errorf("%s: wrong answer confirmed as %v", backend, err)
+		}
+		if err := runs[3].Confirm(); err != nil {
+			t.Errorf("%s: a run without an oracle confirmed as %v", backend, err)
+		}
+	}
+}
 
 // TestRunBatch pins RunBatch's contract: per-run results equal serial
 // runs, a failing run leaves the others alone, the walls are

@@ -6,8 +6,9 @@
 # /v1/experiments/{id}:run and checks the response is a valid
 # cliquebench/v1 envelope — byte-equal to what the cliquebench CLI
 # prints for the same request — exercises the cache, the ?trace=1
-# envelope, the SSE progress stream, the latency histograms on
-# /metrics, and verifies graceful shutdown on SIGTERM.
+# envelope, the SSE progress stream, ad-hoc runs at tiny n, the
+# latency histograms on /metrics, and verifies graceful shutdown on
+# SIGTERM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,6 +64,13 @@ grep -q '^event: progress$' "$tmp/sse.txt"
 grep -q '"rounds"' "$tmp/sse.txt"
 grep -q '"rounds_per_sec"' "$tmp/sse.txt"
 grep -q '^event: result$' "$tmp/sse.txt"
+
+echo "smoke: ad-hoc runs at n below an entry's k or at one node answer 200"
+for body in '{"algorithm":"k-ds","n":2,"seed":1}' '{"algorithm":"mst-sketch","n":1,"seed":1}'; do
+  status=$(curl -sS -o "$tmp/small.json" -w '%{http_code}' -X POST -d "$body" "$base/v1/run")
+  [ "$status" = 200 ] || { echo "$body: status $status: $(cat "$tmp/small.json")" >&2; exit 1; }
+  grep -q '"schema": "cliquebench/v1"' "$tmp/small.json"
+done
 
 echo "smoke: /metrics serves counters and latency histograms"
 curl -fsS "$base/metrics" > "$tmp/metrics.json"
