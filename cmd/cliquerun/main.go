@@ -2,7 +2,8 @@
 // (internal/workload) on its generated instance and prints node 0's
 // answer, whether the centralized oracle agrees, and the model costs —
 // a command-line window into the simulator. It fails when the run
-// fails its Check or the oracle disagrees (workload.Run.Confirm).
+// fails its Check or the oracle disagrees (workload.Run.Confirm), after
+// it has printed the report and written the -trace file.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -88,18 +90,23 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Tracer = col
 	}
 	r := workload.RunBatch(cfg, []workload.Spec{{Alg: alg, Seed: *seed}})[0]
-	if r.Err != nil {
-		return r.Err
-	}
+	// The trace and the report are the evidence of a run that fails its
+	// verdict, so both come before the verdict's error; a run that did
+	// not complete has a trace to write but no report.
 	if col != nil {
 		if err := writeTrace(*traceFile, col.Finish()); err != nil {
 			return err
 		}
 	}
+	if r.Err != nil && !errors.Is(r.Err, workload.ErrFailedCheck) {
+		return r.Err
+	}
 
 	answer := fmt.Sprint(r.Answer())
 	wrong := r.Confirm()
 	switch {
+	case errors.Is(wrong, workload.ErrFailedCheck):
+		answer += " (failed check)"
 	case wrong != nil:
 		answer += " (oracle disagrees)"
 		wrong = fmt.Errorf("%s n=%d seed=%d: %w", alg.Name, *n, *seed, wrong)

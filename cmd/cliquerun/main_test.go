@@ -70,7 +70,8 @@ func TestEveryCatalogueEntry(t *testing.T) {
 
 // TestWrongAnswerFails checks that a run whose answer differs from the
 // oracle's still prints its report and then fails, naming both values,
-// and that a run whose Check fails fails with the typed verdict.
+// and that a run whose Check fails prints its report and writes its
+// trace before it fails with the typed verdict.
 func TestWrongAnswerFails(t *testing.T) {
 	for _, format := range []string{"text", "json"} {
 		var out bytes.Buffer
@@ -81,9 +82,18 @@ func TestWrongAnswerFails(t *testing.T) {
 		if !strings.Contains(out.String(), "1 (oracle disagrees)") {
 			t.Errorf("%s: output:\n%s", format, out.String())
 		}
-		err = run([]string{"-alg", failedCheck, "-n", "4", "-format", format}, new(bytes.Buffer))
+		// A failed Check keeps its evidence: the report and the trace.
+		out.Reset()
+		path := filepath.Join(t.TempDir(), "trace.json")
+		err = run([]string{"-alg", failedCheck, "-n", "4", "-format", format, "-trace", path}, &out)
 		if !errors.Is(err, workload.ErrFailedCheck) || !strings.Contains(err.Error(), failedCheck+" n=4 seed=1: failed check: forged witness") {
 			t.Errorf("%s: failed check: err %v", format, err)
+		}
+		if !strings.Contains(out.String(), "(failed check)") || !strings.Contains(out.String(), failedCheck) {
+			t.Errorf("%s: failed check: report:\n%s", format, out.String())
+		}
+		if data, err := os.ReadFile(path); err != nil || !json.Valid(data) || !bytes.Contains(data, []byte(failedCheck)) {
+			t.Errorf("%s: failed check: trace file: %v, valid JSON %v", format, err, json.Valid(data))
 		}
 	}
 }

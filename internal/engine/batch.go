@@ -88,11 +88,10 @@ func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, 
 	}
 	n := cfg.N
 
-	boxes, releaseBoxes := newBatchBoxes(batch, n, cfg.WordsPerPair)
-	// Release the mailbox storage only after every coroutine has unwound
-	// (the stop defer below runs first, LIFO): node programs may touch
-	// their rows right up to the Abort that unwinds them.
-	defer releaseBoxes()
+	boxes := getBoxes(batch, n, cfg.WordsPerPair)
+	// Retire the mailboxes only after every coroutine has unwound: the
+	// stop defer below runs first, LIFO.
+	defer putBoxes(boxes)
 
 	engines := make([]*lockstepEngine, batch)
 	for r := range engines {
@@ -226,62 +225,4 @@ func (b lockstepBackend) RunBatch(cfg Config, batch int, body func(run, id int, 
 		results[r] = finish(e.stats, e.transcripts, n)
 	}
 	return results, errs
-}
-
-// batchArenaThresholdWords caps the shared batch arena at the same
-// 128 MiB of words per direction as a single run's arena; larger batches
-// fall back to independently pooled per-run mailboxes.
-const batchArenaThresholdWords = arenaThresholdWords
-
-// newBatchBoxes builds one mailbox per run. When a batch of two or more
-// fits the dense-arena budget, all runs share two word arenas laid out
-// run-major (run r's blocks are contiguous), carved into per-run
-// arenaBox views, each with its own slice of one shared activity-mask
-// allocation and its own broadcast plane, carved from the same word
-// allocation after the arenas — one word allocation (pooled through the
-// word-scratch pool) for the entire batch. Otherwise — a batch of one, or one over
-// the budget — each run draws an independent mailbox from the
-// per-shape pool. release retires the storage; it must be called after
-// every run's coroutines have unwound.
-func newBatchBoxes(batch, n, wpp int) (boxes []mailbox, release func()) {
-	boxes = make([]mailbox, batch)
-	perRun := int64(n) * int64(n) * int64(wpp)
-	if total := int64(batch) * perRun; batch > 1 && perRun <= arenaThresholdWords && total <= batchArenaThresholdWords {
-		n2 := n * n
-		chunk := n2 * wpp
-		// The broadcast planes (planeWords per run) follow every run's
-		// arenas in the same allocation.
-		planes, pw := 2*batch*chunk, planeWords(n, wpp)
-		words := GetScratch(planes + batch*pw)
-		lens := make([]int32, 2*batch*n2)
-		sents := make([]senderStats, batch*n)
-		masks := make([]uint64, 3*batch*maskWords(n))
-		cells := make([][]uint64, 2*batch*n)
-		for r := range boxes {
-			base := 2 * r * chunk
-			lbase := 2 * r * n2
-			mbase := 3 * r * maskWords(n)
-			pbase := planes + r*pw
-			boxes[r] = &arenaBox{
-				n: n, wpp: wpp,
-				outW: words[base : base+chunk : base+chunk],
-				inW:  words[base+chunk : base+2*chunk : base+2*chunk],
-				outL: lens[lbase : lbase+n2 : lbase+n2],
-				inL:  lens[lbase+n2 : lbase+2*n2 : lbase+2*n2],
-				sent: sents[r*n : (r+1)*n : (r+1)*n],
-				act:  newActivity(n, masks[mbase:mbase+3*maskWords(n)]),
-				pl: newPlane(n, wpp, cells[2*r*n:2*(r+1)*n:2*(r+1)*n],
-					words[pbase:pbase+pw:pbase+pw]),
-			}
-		}
-		return boxes, func() { PutScratch(words) }
-	}
-	for r := range boxes {
-		boxes[r] = getBox(n, wpp)
-	}
-	return boxes, func() {
-		for _, b := range boxes {
-			putBox(b)
-		}
-	}
 }

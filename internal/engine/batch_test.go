@@ -299,16 +299,12 @@ func TestRunBatchGoroutineFallback(t *testing.T) {
 	checkBatchEquivalence(t, batched, serial, batchedErrs, serialErrs)
 }
 
-// TestRunBatchLargeShapeFallsBackToPooledBoxes drives the per-run
-// mailbox path (batch total over the shared-arena budget) and checks
-// equivalence survives the layout switch.
+// TestRunBatchLargeShapeFallsBackToPooledBoxes drives a batch at a
+// shape whose dense n²·wpp arena, 2²⁴ words per run, once pushed
+// batches onto independently pooled boxes, and checks equivalence at
+// it: the one mailbox layout carves only the ring's groups.
 func TestRunBatchLargeShapeFallsBackToPooledBoxes(t *testing.T) {
-	// 2 * 64 * 64 * (1 << 12) words per run: two runs exceed the batch
-	// arena budget while each run alone stays dense.
 	cfg := Config{N: 64, WordsPerPair: 1 << 12}
-	if perRun := int64(cfg.N) * int64(cfg.N) * int64(cfg.WordsPerPair); 2*perRun <= batchArenaThresholdWords {
-		t.Fatalf("shape no longer exceeds the batch arena budget; fix the test (perRun=%d)", perRun)
-	}
 	body := func(run, id int, rt NodeRuntime) {
 		rt.Send(id, 0, (id+1)%64, []uint64{uint64(run)})
 		rt.Barrier(id)
@@ -317,46 +313,35 @@ func TestRunBatchLargeShapeFallsBackToPooledBoxes(t *testing.T) {
 	checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
 }
 
-// TestRunBatchSharesArena checks that a dense batch really takes the
-// run-major shared-arena layout (all runs on *arenaBox views) rather
-// than silently falling back.
+// TestRunBatchSharesArena checks that the mailboxes a batch builds
+// share their fixed storage: on a shape no pooled box has, every run's
+// group tables are views of one allocation, run r's starting 2·r·n·w
+// entries after run 0's.
 func TestRunBatchSharesArena(t *testing.T) {
-	const n, wpp = 8, 2
-	chunk := n * n * wpp
-	boxes, release := newBatchBoxes(4, n, wpp)
-	defer release()
-	var base *arenaBox
+	const n, wpp = 9, 5 // a shape no other test uses
+	const w = (n + 63) / 64
+	boxes := getBoxes(4, n, wpp) // not retired, so a rerun misses again
 	for r, b := range boxes {
-		ab, ok := b.(*arenaBox)
-		if !ok {
-			t.Fatalf("run %d: got %T, want *arenaBox", r, b)
+		if len(b.out) != n*w || len(b.in) != n*w {
+			t.Fatalf("run %d: group tables of %d and %d entries, want %d", r, len(b.out), len(b.in), n*w)
 		}
-		if r == 0 {
-			base = ab
-			continue
-		}
-		// Run-major: run r's out arena starts exactly 2*r*chunk words
-		// after run 0's in one shared backing array.
-		want := uintptr(unsafe.Pointer(&base.outW[0])) + uintptr(2*r*chunk)*unsafe.Sizeof(uint64(0))
-		if got := uintptr(unsafe.Pointer(&ab.outW[0])); got != want {
-			t.Fatalf("run %d: outW not run-major in the shared arena", r)
+		want := uintptr(unsafe.Pointer(&boxes[0].out[0])) + uintptr(2*r*n*w)*unsafe.Sizeof(b.out[0])
+		if got := uintptr(unsafe.Pointer(&b.out[0])); got != want {
+			t.Fatalf("run %d: group table not run-major in the shared allocation", r)
 		}
 	}
 }
 
 // TestRunBatchOfOneTakesPooledBox checks that a batch of one — every
-// serial Run — draws its mailbox from the per-shape pool, as the serial
-// scheduler always did, rather than a one-run slice of a shared arena.
+// serial Run — draws its mailbox from the per-shape pool, as every
+// batch does.
 func TestRunBatchOfOneTakesPooledBox(t *testing.T) {
 	h0, m0 := PoolStats()
-	boxes, release := newBatchBoxes(1, 8, 2)
+	boxes := getBoxes(1, 8, 2)
 	h1, m1 := PoolStats()
-	release()
-	if got := (h1 + m1) - (h0 + m0); got != 1 {
-		t.Fatalf("batch of one drew %d pooled mailboxes, want 1", got)
-	}
-	if _, ok := boxes[0].(*arenaBox); !ok {
-		t.Fatalf("got %T, want *arenaBox", boxes[0])
+	putBoxes(boxes)
+	if got := (h1 + m1) - (h0 + m0); got != 1 || len(boxes) != 1 {
+		t.Fatalf("batch of one drew %d pooled mailboxes (%d boxes), want 1", got, len(boxes))
 	}
 }
 

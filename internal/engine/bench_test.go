@@ -225,20 +225,12 @@ func BenchmarkRunBatch(b *testing.B) {
 // (n = 1024): each round every node broadcasts wpp words from a reused
 // buffer, ticks, and reads all n−1 Recvs — the per-peer receive the
 // comm broadcast collectives fall back to when a round has no shared
-// table (comm's BenchmarkBroadcastWord times the table path). wpp = 1
-// runs on the dense arena,
-// wpp = 32 (n²·wpp past arenaThresholdWords) on the sliceBox fallback,
-// so the pair covers both layouts' broadcast plane.
+// table (comm's BenchmarkBroadcastWord times the table path), at a
+// one-word and a 32-word budget.
 func BenchmarkBroadcast(b *testing.B) {
 	const n, roundsPerRun = 1024, 8
-	for _, c := range []struct {
-		layout string
-		wpp    int
-	}{{"arena", 1}, {"slice", 32}} {
-		b.Run(fmt.Sprintf("%s/n=%d/wpp=%d", c.layout, n, c.wpp), func(b *testing.B) {
-			if arena := n*n*c.wpp <= arenaThresholdWords; arena != (c.layout == "arena") {
-				b.Fatalf("wpp=%d does not select the %s layout", c.wpp, c.layout)
-			}
+	for _, c := range []struct{ wpp int }{{1}, {32}} {
+		b.Run(fmt.Sprintf("n=%d/wpp=%d", n, c.wpp), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := lockstepBackend{}.Run(Config{N: n, WordsPerPair: c.wpp}, func(id int, rt NodeRuntime) {

@@ -21,17 +21,19 @@
 //     round to round, which is safe because Recv views expire at the
 //     next barrier and transcripts copy what they record.
 //   - "lockstep": a deterministic engine that resumes node programs as
-//     pull-style coroutines on a sharded worker pool, with preallocated
-//     mailbox buffers that are reused across rounds. No per-round
-//     allocation on the exchange path and no contended barrier, which
-//     makes large instances (n >= 256) practical.
+//     pull-style coroutines on a sharded worker pool, with mailboxes
+//     that are reused across rounds and runs and hold what the traffic
+//     touches: words are carved per (sender, 64-receiver group) on the
+//     group's first send, never n²·wpp of them. No per-round allocation
+//     on the exchange path and no contended barrier, which makes large
+//     instances (n >= 256) practical.
 //
 // The lockstep mailbox also records who sent to whom: an activity mask
 // of one bit per ordered pair, which each sender sets in its own
 // sender-major row as it queues a non-empty message. At exchange the
 // scheduler transposes it, 64x64 bits per tile, into a receiver-major
-// mask and resets only the mailbox rows or cells of the senders that
-// spoke, so a round costs the exchange O(active pairs + n²/64) instead
+// mask and resets only the groups of the senders that spoke, so a
+// round costs the exchange O(active pairs + n²/64) instead
 // of O(n²). NodeRuntime.Senders reads the receiver-major mask: a node
 // lists the peers that spoke to it in O(senders + n/64), which is what
 // lets the sparse collectives in package comm pay for silence nothing,
@@ -53,10 +55,9 @@
 // words on the plane — the model's all-gather round — is also laid end
 // to end, at exchange and on the scheduler goroutine, into one
 // sender-major table of n·k words that the mailbox holds and reuses
-// (the arena layouts carve it beside the plane, the sliceBox grows it
-// once). NodeRuntime.BroadcastTable(k) hands that one table to every
-// node of the run, so a broadcast collective fills its own table with
-// one copy instead of n−1 Recv calls. Any other round has no table —
+// (it grows on first use). NodeRuntime.BroadcastTable(k) hands that one
+// table to every node of the run, so a broadcast collective fills its
+// own table with one copy instead of n−1 Recv calls. Any other round has no table —
 // the scan of the cells' lengths stops at the first sender that differs
 // — and the goroutine backend never has one; callers then read each
 // peer with Recv.
@@ -70,8 +71,9 @@
 // round, its workers sharding node ids (each owns the same id range of
 // every run), amortising per-round dispatch while keeping every run's
 // result bit-identical to running it alone. A serial Run is a batch of
-// one, and the only kind that carries a tracer; batches of two or more
-// share a run-major mailbox arena, a batch of one draws a pooled
-// per-run mailbox. Backends without native batching, and traced
-// batches, run one Run per entry.
+// one, and the only kind that carries a tracer. Every run of a batch
+// takes a mailbox from a per-shape cache that holds retired boxes
+// strongly up to a byte cap, and the boxes a batch has to build share
+// their tables. Backends without native batching, and traced batches,
+// run one Run per entry.
 package engine

@@ -5,7 +5,9 @@ import (
 	"iter"
 	"math/bits"
 	"slices"
+	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -28,100 +30,127 @@ import (
 // earliest failing round) are fully deterministic regardless of worker
 // count or OS scheduling.
 //
-// Mailboxes are double-buffered flat tables indexed from-major
-// (from*n+to) and reused across rounds, so the steady-state exchange
-// path allocates nothing. The words are never transposed: delivery
-// swaps the two tables and Recv computes the sender-major index. Beside
-// the words, every box keeps an activity mask, one bit per ordered pair
-// (see mask.go): senders set their own sender-major row as they queue,
-// and exchange transposes it, 64x64 bits at a time, into a
-// receiver-major mask, so Senders lists who spoke to a node in
-// O(senders + n/64) and exchange resets only the rows or cells of the
-// senders that spoke. A round in which s nodes send therefore costs the
-// mailbox O(active pairs + n²/64), not O(n²). A broadcast is stored
-// once: when its sender has queued nothing else yet in the round, its
-// words go to the sender's cell of a write-once broadcast plane (see
-// plane.go) instead of n−1 pair cells, and every receiver reads that
-// one cell, so receivers of one broadcast share the same read-only
-// slice. Any later send, sendBuf or broadcast from the sender in the
-// same round first spills the plane into its n−1 cells, so word order,
-// budget checks, violation text, Stats and transcripts are the cell
-// path's. Storage is one of two layouts picked at Run time, each with
-// its own plane:
-//
-//   - arenaBox: one word arena with a fixed wpp-word block per ordered
-//     pair plus an int32 length table. Sends copy into the block;
-//     retiring a round clears the length rows of its senders. This is
-//     the fast path and covers every realistic budget.
-//   - sliceBox: a [][]uint64 cell table whose cells keep their backing
-//     arrays (length reset, capacity reused). Fallback when n^2 * wpp
-//     is too large to preallocate densely.
+// The mailbox is double-buffered and reused across rounds, so the
+// steady-state exchange path allocates nothing. Its words live in
+// groups: one per (sender, 64-receiver group), the unit one word of the
+// activity mask covers, carved on the group's first send and sized by
+// the words queued into it (see group), so a run costs the mailbox
+// what its traffic touches and never n²·wpp words. The words are never
+// transposed: delivery swaps the two group tables and Recv computes the
+// sender-major index. Beside the words, every box keeps an activity
+// mask, one bit per ordered pair (see mask.go): senders set their own
+// sender-major row as they queue, and exchange transposes it, 64x64
+// bits at a time, into a receiver-major mask, so Senders lists who
+// spoke to a node in O(senders + n/64) and exchange resets only the
+// groups of the senders that spoke. A round in which s nodes send
+// therefore costs the mailbox O(active pairs + n²/64), not O(n²). A
+// broadcast is stored once: when its sender has queued nothing else yet
+// in the round, its words go to the sender's cell of a write-once
+// broadcast plane (see plane.go) instead of n−1 pair cells, and every
+// receiver reads that one cell, so receivers of one broadcast share the
+// same read-only slice. Any later send, sendBuf or broadcast from the
+// sender in the same round first spills the plane into its n−1 cells,
+// so word order, budget checks, violation text, Stats and transcripts
+// are the cell path's.
 type lockstepBackend struct{}
 
 func (lockstepBackend) Name() string { return "lockstep" }
 
-// arenaThresholdWords caps the dense arena at 128 MiB of words per
-// direction; beyond that the sliceBox fallback allocates per link on
-// first use instead.
-const arenaThresholdWords = 1 << 24
-
 // mailbox is the storage layer of the lockstep engine. All methods are
-// called either from a single node's coroutine (send, broadcast, recv,
-// senders — each touching only that node's rows, including its
-// own row of the activity mask) or from the scheduler between rounds
-// (exchange, outCell).
-type mailbox interface {
-	// send queues words on the (from, to) link, panicking with the
-	// canonical budget Violation if the cell would overflow. A
-	// non-empty send sets the pair's bit in the activity mask. Like
-	// every queueing method, it first spills a plane broadcast of from
-	// queued earlier in the round into from's cells.
-	send(from, round, to int, words []uint64)
-	// broadcast queues words on every outgoing link of `from`; a
-	// non-empty broadcast fills from's mask row word by word. A sender
-	// that has queued nothing yet in the round stores the words once,
-	// on the box's broadcast plane.
-	broadcast(from, round int, words []uint64)
-	// sendBuf reserves k words on the (from, to) link and returns the
-	// reserved storage for the caller to fill in place; k > 0 marks the
-	// pair like send.
-	sendBuf(from, round, to, k int) []uint64
-	// recv returns the words delivered from -> to last round, nil if none.
-	recv(to, from int) []uint64
-	// senders appends the ids whose from -> to cell was non-empty last
-	// round to buf, ascending, reading the receiver-major activity mask:
-	// O(senders + n/64), not O(n).
-	senders(to int, buf []int) []int
-	// table returns the last round's shared broadcast table of n·k
-	// words when every sender broadcast exactly k words on the plane,
-	// nil otherwise (see plane.table).
-	table(k int) []uint64
-	// outCell reads a queued (not yet delivered) cell; scheduler only.
-	outCell(from, to int) []uint64
-	// exchange delivers the queued round: swap buffers and planes,
-	// build the plane's shared table, rebuild the receiver-major
-	// activity mask from the sender-major one (a 64x64 tile transpose,
-	// O(n²/64) words), and reset only the plane cells and the length
-	// rows (arenaBox) or cells (sliceBox) of the senders that spoke in
-	// the retired round. It returns the run's cumulative word count and
-	// per-pair high-water mark, tracked incrementally at send time so
-	// no per-cell statistics pass is needed. Scheduler only.
-	exchange() (cumWords int64, maxPair int)
-	// reset returns the box to its just-allocated state so a pooled box
-	// can be reused by a fresh run (see pool.go).
-	reset()
+// called either from a single node's coroutine (send, broadcast,
+// sendBuf, recv, senders, table — each touching only that node's rows,
+// including its own row of the activity mask and of the group tables)
+// or from the scheduler between rounds (exchange, outCell, reset,
+// bytes).
+//
+// out and in are the queued and the delivered round's group tables,
+// sender-major: sender from's group for receivers [64j, 64j+64) is
+// out[from*w+j], empty until the sender first queues a word for one of
+// them. A box keeps its carved groups across rounds and, cached, across
+// runs (see pool.go).
+type mailbox struct {
+	n, wpp  int
+	out, in []group
+	st      *store
+	sent    []senderStats
+	act     activity
+	pl      plane
 }
 
-// arenaBox stores each ordered pair's words in a fixed block of wpp
-// words: arena[(from*n+to)*wpp:] with the used length in lens[from*n+to],
-// and plane broadcasts in a preallocated n·wpp-word plane.
-type arenaBox struct {
-	n, wpp    int
-	outW, inW []uint64
-	outL, inL []int32
-	sent      []senderStats
-	act       activity
-	pl        plane
+// group is the storage of one (sender, 64-receiver group) pair: the
+// cells of the group's receivers, receiver 64j+c's holding lens[c]
+// queued words. A cell lives in one of two places:
+//
+//   - the grid, words[c*stride:], where every cell of the group has the
+//     same capacity. A SendBuf into a group its sender fills (see
+//     dense) widens it to the whole budget up front, and a broadcast
+//     spilled into cells to what the row needs, at least doubling:
+//     these are the dense patterns, a cell for every receiver, and the
+//     grid serves them with no per-cell state.
+//   - its own slot (bit c of over says so for the round), when a Send
+//     outgrows the grid or a SendBuf lands in a group its sender does
+//     not fill: the sparse pattern, a few messages per group, for which
+//     a grid would hold 64 cells as long as the longest. A slot holds
+//     its cell's words, doubling up to wpp (SendBuf reserves all of
+//     wpp), and is kept for the cell's later rounds until the grid
+//     reserves the whole budget.
+type group struct {
+	lens   *[64]int32
+	words  []uint64
+	stride int
+	over   uint64
+	slots  *slots
+}
+
+// slots is a group's per-cell storage: every cell in has owns one, and
+// they are kept in cell order.
+type slots struct {
+	has   uint64
+	cells [][]uint64
+}
+
+// slot returns cell c's slot, giving it an empty one if it has none.
+func (s *slots) slot(c int) *[]uint64 {
+	i := bits.OnesCount64(s.has & (1<<uint(c) - 1))
+	if s.has>>uint(c)&1 == 0 {
+		s.cells = slices.Insert(s.cells, i, nil)
+		s.has |= 1 << uint(c)
+	}
+	return &s.cells[i]
+}
+
+// store hands out the lengths and grid words that a box's groups are
+// carved from, in chunks that grow with what has been carved so far, up
+// to what the box could hold at most: a fresh box that turns out dense
+// makes a handful of allocations, not one per group, and a sparse one
+// holds little more than it carved. Carving takes the lock, since the
+// senders of a box run on several workers; it happens on a group's
+// first use or widening, not per send. Storage once handed out never
+// moves.
+type store struct {
+	mu    sync.Mutex
+	words chunks[uint64]
+	lens  chunks[int32]
+}
+
+// chunks is one kind of storage of a store: the unused tail of its last
+// chunk, the total it has allocated, and the most its box could need.
+type chunks[T any] struct {
+	free      []T
+	held, max int
+}
+
+// take hands out k elements, zeroed when first taken, allocating a new
+// chunk when the last one has too few left; the caller holds the lock.
+func (c *chunks[T]) take(k int) []T {
+	if len(c.free) < k {
+		size := max(k, min(c.held, c.max-c.held))
+		c.free = make([]T, size)
+		c.held += size
+	}
+	t := c.free[:k:k]
+	c.free = c.free[k:]
+	return t
 }
 
 // senderStats is the per-sender cumulative accounting, written only by
@@ -131,17 +160,62 @@ type senderStats struct {
 	max   int32
 }
 
-func newArenaBox(n, wpp int) *arenaBox {
-	return &arenaBox{
-		n: n, wpp: wpp,
-		outW: make([]uint64, n*n*wpp),
-		inW:  make([]uint64, n*n*wpp),
-		outL: make([]int32, n*n),
-		inL:  make([]int32, n*n),
-		sent: make([]senderStats, n),
-		act:  newActivity(n, make([]uint64, 3*maskWords(n))),
-		pl:   newPlane(n, wpp, make([][]uint64, 2*n), make([]uint64, planeWords(n, wpp))),
+// newBoxes builds k empty mailboxes of one shape that share their
+// tables: each of the group tables, the stats, the activity masks and
+// the plane cells is one allocation laid out run-major, box r's part
+// after box r−1's. Each box carves its groups from a store of its own.
+func newBoxes(k, n, wpp int) []*mailbox {
+	w, m := (n+63)/64, maskWords(n)
+	groups := make([]group, 2*k*n*w)
+	sents := make([]senderStats, k*n)
+	masks := make([]uint64, 3*k*m)
+	cells := make([][]uint64, 2*k*n)
+	boxes := make([]*mailbox, k)
+	for r := range boxes {
+		g := groups[2*r*n*w : 2*(r+1)*n*w : 2*(r+1)*n*w]
+		boxes[r] = &mailbox{
+			n: n, wpp: wpp,
+			out: g[: n*w : n*w],
+			in:  g[n*w:],
+			st: &store{
+				words: chunks[uint64]{max: 2 * n * n * wpp},
+				lens:  chunks[int32]{max: 2 * n * w * 64},
+			},
+			sent: sents[r*n : (r+1)*n : (r+1)*n],
+			act:  newActivity(n, masks[3*r*m:3*(r+1)*m:3*(r+1)*m]),
+			pl:   newPlane(n, cells[2*r*n:2*(r+1)*n:2*(r+1)*n]),
+		}
 	}
+	return boxes
+}
+
+// bytes is the storage the box holds: its tables, stats and masks, the
+// chunks its grids are carved from, its slots and its plane, at
+// capacity. Scheduler only.
+func (b *mailbox) bytes() int {
+	const header = int(unsafe.Sizeof([]uint64(nil)))
+	total := int(unsafe.Sizeof(group{}))*(len(b.out)+len(b.in)) +
+		int(unsafe.Sizeof(senderStats{}))*len(b.sent) +
+		8*(len(b.act.out)+len(b.act.in)+len(b.act.rcv)) +
+		8*b.st.words.held + 4*b.st.lens.held +
+		header*(len(b.pl.out)+len(b.pl.in)) + 8*cap(b.pl.tab)
+	for _, cells := range [][][]uint64{b.pl.out, b.pl.in} {
+		for _, c := range cells {
+			total += 8 * cap(c)
+		}
+	}
+	for _, groups := range [][]group{b.out, b.in} {
+		for _, g := range groups {
+			if g.slots == nil {
+				continue
+			}
+			total += int(unsafe.Sizeof(slots{})) + header*cap(g.slots.cells)
+			for _, c := range g.slots.cells {
+				total += 8 * cap(c)
+			}
+		}
+	}
+	return total
 }
 
 // foldSent sums per-sender accounting into run-cumulative totals.
@@ -157,337 +231,311 @@ func foldSent(sent []senderStats) (int64, int) {
 	return words, int(maxPair)
 }
 
-func (b *arenaBox) send(from, round, to int, words []uint64) {
-	b.spill(from)
-	i := from*b.n + to
-	l := int(b.outL[i])
-	if l+len(words) > b.wpp {
-		panic(budgetViolation(from, round, l+len(words), to, b.wpp))
+// carve returns from's queued group holding receiver to, giving it its
+// lengths on first use.
+func (b *mailbox) carve(from, to int) *group {
+	g := &b.out[from*b.act.w+to>>6]
+	if g.lens == nil {
+		b.carveLens(g)
 	}
-	if len(words) == 0 {
-		return
-	}
-	if len(words) == 1 {
-		b.outW[i*b.wpp+l] = words[0]
-	} else {
-		copy(b.outW[i*b.wpp+l:], words)
-	}
-	newLen := int32(l + len(words))
-	b.outL[i] = newLen
-	b.act.mark(from, to)
-	s := &b.sent[from]
-	s.words += int64(len(words))
-	if newLen > s.max {
-		s.max = newLen
-	}
+	return g
 }
 
-func (b *arenaBox) broadcast(from, round int, words []uint64) {
-	if len(words) == 0 || b.pl.broadcast(&b.act, &b.sent[from], from, round, b.wpp, words) {
-		return
-	}
-	b.spill(from)
-	n, wpp := b.n, b.wpp
-	base := from * n
-	lens := b.outL[base : base+n : base+n]
-	b.act.markAll(from)
-	var queued int64
-	maxLen := int32(0)
-	for to := 0; to < n; to++ {
-		if to == from {
-			continue
-		}
-		l := int(lens[to])
-		if l+len(words) > wpp {
-			panic(budgetViolation(from, round, l+len(words), to, wpp))
-		}
-		copy(b.outW[(base+to)*wpp+l:], words)
-		newLen := int32(l + len(words))
-		lens[to] = newLen
-		queued += int64(len(words))
-		if newLen > maxLen {
-			maxLen = newLen
-		}
-	}
-	s := &b.sent[from]
-	s.words += queued
-	if maxLen > s.max {
-		s.max = maxLen
-	}
+func (b *mailbox) carveLens(g *group) {
+	b.st.mu.Lock()
+	g.lens = (*[64]int32)(b.st.lens.take(64))
+	b.st.mu.Unlock()
 }
 
-// spill moves from's queued plane broadcast into its n−1 cells, before
-// from queues anything else in the round. The cells are empty: the
-// plane is only taken by a sender that had queued nothing.
-func (b *arenaBox) spill(from int) {
-	words := b.pl.take(from)
-	if words == nil {
-		return
-	}
-	n, wpp, k := b.n, b.wpp, len(words)
-	for to := 0; to < n; to++ {
-		if to == from {
-			continue
+// grow widens g's grid, the group holding receiver to, so that every
+// cell holds need words, need > stride: the stride at least doubles, up
+// to wpp, and the queued words of every cell in the grid move with it.
+//
+//go:noinline
+func (b *mailbox) grow(g *group, to, need int) {
+	stride, cols := min(b.wpp, max(need, 2*g.stride)), min(64, b.n-to&^63)
+	b.st.mu.Lock()
+	words := b.st.words.take(cols * stride)
+	b.st.mu.Unlock()
+	for c, l := range g.lens[:cols] {
+		if l != 0 && g.over>>uint(c)&1 == 0 {
+			copy(words[c*stride:c*stride+int(l)], g.words[c*g.stride:])
 		}
-		i := from*n + to
-		copy(b.outW[i*wpp:i*wpp+k], words)
-		b.outL[i] = int32(k)
 	}
+	g.stride, g.words = stride, words
 }
 
-func (b *arenaBox) sendBuf(from, round, to, k int) []uint64 {
+// inSlot makes receiver to's cell of g hold need words in its slot,
+// with room for at least reserve, moving the cell out of the grid if it
+// is there, and returns the slot's words past the cell's queued length.
+//
+//go:noinline
+func (b *mailbox) inSlot(g *group, to, need, reserve int) []uint64 {
+	c := to & 63
+	l := int(g.lens[c])
+	if g.slots == nil {
+		g.slots = new(slots)
+	}
+	s := g.slots.slot(c)
+	if g.over>>uint(c)&1 == 0 {
+		*s = append((*s)[:0], g.words[c*g.stride:c*g.stride+l]...)
+		g.over |= 1 << uint(c)
+	}
+	if reserve > cap(*s) {
+		*s = append(make([]uint64, 0, max(reserve, min(b.wpp, 2*cap(*s)))), (*s)[:l]...)
+	}
+	*s = (*s)[:need]
+	return (*s)[l:need:need]
+}
+
+// send queues words on the (from, to) link, panicking with the
+// canonical budget Violation if the cell would overflow. A non-empty
+// send sets the pair's bit in the activity mask. Like every queueing
+// method, it first spills a plane broadcast of from queued earlier in
+// the round into from's cells.
+func (b *mailbox) send(from, round, to int, words []uint64) {
 	b.spill(from)
-	i := from*b.n + to
-	l := int(b.outL[i])
-	if l+k > b.wpp {
+	k := len(words)
+	if k == 0 {
+		return
+	}
+	g := &b.out[from*b.act.w+to>>6]
+	if g.lens == nil {
+		b.carveLens(g)
+	}
+	c := to & 63
+	l := int(g.lens[c])
+	switch {
+	case l+k <= g.stride && g.over>>uint(c)&1 == 0:
+		if k == 1 {
+			g.words[c*g.stride+l] = words[0]
+		} else {
+			copy(g.words[c*g.stride+l:], words)
+		}
+	case l+k > b.wpp:
 		panic(budgetViolation(from, round, l+k, to, b.wpp))
+	default:
+		copy(b.inSlot(g, to, l+k, l+k), words)
 	}
 	newLen := int32(l + k)
-	b.outL[i] = newLen
-	if k != 0 {
-		b.act.mark(from, to)
-	}
+	g.lens[c] = newLen
+	b.act.mark(from, to)
 	s := &b.sent[from]
 	s.words += int64(k)
 	if newLen > s.max {
 		s.max = newLen
 	}
-	base := i*b.wpp + l
-	return b.outW[base : base+k : base+k]
 }
 
-func (b *arenaBox) recv(to, from int) []uint64 {
-	if w, ok := b.pl.recv(to, from); ok {
+// broadcast queues words on every outgoing link of from; a non-empty
+// broadcast fills from's mask row word by word. A sender that has
+// queued nothing yet in the round stores the words once, on the box's
+// broadcast plane.
+func (b *mailbox) broadcast(from, round int, words []uint64) {
+	if len(words) == 0 || b.pl.broadcast(&b.act, &b.sent[from], from, round, b.wpp, words) {
+		return
+	}
+	b.spill(from)
+	k := len(words)
+	b.act.markAll(from)
+	maxLen := int32(0)
+	for to := 0; to < b.n; to++ {
+		if to == from {
+			continue
+		}
+		g := b.carve(from, to)
+		c := to & 63
+		l := int(g.lens[c])
+		if l+k > b.wpp {
+			panic(budgetViolation(from, round, l+k, to, b.wpp))
+		}
+		if g.over>>uint(c)&1 != 0 {
+			copy(b.inSlot(g, to, l+k, l+k), words)
+		} else {
+			if l+k > g.stride {
+				b.grow(g, to, l+k)
+			}
+			copy(g.words[c*g.stride+l:], words)
+		}
+		g.lens[c] = int32(l + k)
+		maxLen = max(maxLen, int32(l+k))
+	}
+	s := &b.sent[from]
+	s.words += int64(b.n-1) * int64(k)
+	if maxLen > s.max {
+		s.max = maxLen
+	}
+}
+
+// spill moves from's queued plane broadcast, if any, into its n−1
+// grid cells, before from queues anything else in the round. The cells
+// are empty: the plane is only taken by a sender that had queued
+// nothing.
+func (b *mailbox) spill(from int) {
+	if len(b.pl.out[from]) != 0 {
+		b.spillPlane(from)
+	}
+}
+
+func (b *mailbox) spillPlane(from int) {
+	words := b.pl.take(from)
+	k := len(words)
+	for to := 0; to < b.n; to++ {
+		if to == from {
+			continue
+		}
+		g := b.carve(from, to)
+		c := to & 63
+		if k > g.stride {
+			b.grow(g, to, k)
+		}
+		copy(g.words[c*g.stride:c*g.stride+k], words)
+		g.lens[c] = int32(k)
+	}
+}
+
+// sendBuf reserves k words on the (from, to) link and returns the
+// reserved storage for the caller to fill in place; k > 0 marks the
+// pair like send. The cell's whole budget is reserved up front, so no
+// later send this round can move it and the returned slice stays the
+// mailbox's until the barrier: in the grid, widened to wpp, when the
+// sender fills the group (see dense), and otherwise in the cell's slot.
+func (b *mailbox) sendBuf(from, round, to, k int) []uint64 {
+	b.spill(from)
+	if k == 0 {
+		return []uint64{}
+	}
+	g := &b.out[from*b.act.w+to>>6]
+	if g.lens == nil {
+		b.carveLens(g)
+	}
+	c := to & 63
+	l := int(g.lens[c])
+	if l+k > b.wpp {
+		panic(budgetViolation(from, round, l+k, to, b.wpp))
+	}
+	var buf []uint64
+	if g.over>>uint(c)&1 != 0 || g.stride < b.wpp && !b.dense(g, from, to) {
+		buf = b.inSlot(g, to, l+k, b.wpp)
+	} else {
+		if g.stride < b.wpp {
+			b.grow(g, to, b.wpp)
+		}
+		base := c*g.stride + l
+		buf = g.words[base : base+k : base+k]
+	}
+	newLen := int32(l + k)
+	g.lens[c] = newLen
+	b.act.mark(from, to)
+	s := &b.sent[from]
+	s.words += int64(k)
+	if newLen > s.max {
+		s.max = newLen
+	}
+	return buf
+}
+
+// dense reports whether from's SendBuf traffic fills g, its group
+// holding receiver to, so that g's grid should reserve the whole budget
+// rather than each cell its own slot: g's twin in the delivered table or
+// from's group before g already reserved it, or with to's cell half of
+// g's cells are in slots this round.
+func (b *mailbox) dense(g *group, from, to int) bool {
+	i := from*b.act.w + to>>6
+	if b.in[i].stride == b.wpp || to >= 64 && b.out[i-1].stride == b.wpp {
+		return true
+	}
+	cols := min(64, b.n-to&^63)
+	return 2*(bits.OnesCount64(g.over)+1) >= cols
+}
+
+// cell reads the (from, to) cell of one direction of the box, its
+// group table and plane: the sender's plane cell if it broadcast on the
+// plane, its group's cell otherwise, capacity-limited; nil if empty.
+func (b *mailbox) cell(groups []group, plane [][]uint64, from, to int) []uint64 {
+	if w, ok := planeCell(plane, from, to); ok {
 		return w
 	}
-	i := from*b.n + to
-	l := int(b.inL[i])
+	g := &groups[from*b.act.w+to>>6]
+	if g.lens == nil {
+		return nil
+	}
+	c := to & 63
+	l := int(g.lens[c])
 	if l == 0 {
 		return nil
 	}
-	base := i * b.wpp
-	return b.inW[base : base+l : base+l]
+	if g.over>>uint(c)&1 != 0 {
+		return g.slots.cells[bits.OnesCount64(g.slots.has&(1<<uint(c)-1))][:l:l]
+	}
+	base := c * g.stride
+	return g.words[base : base+l : base+l]
 }
 
-func (b *arenaBox) outCell(from, to int) []uint64 {
-	if w, ok := b.pl.queued(from, to); ok {
-		return w
-	}
-	i := from*b.n + to
-	base, l := i*b.wpp, int(b.outL[i])
-	return b.outW[base : base+l : base+l]
-}
+// recv returns the words delivered from -> to last round, nil if none.
+func (b *mailbox) recv(to, from int) []uint64 { return b.cell(b.in, b.pl.in, from, to) }
 
-func (b *arenaBox) senders(to int, buf []int) []int { return b.act.senders(to, buf) }
+// outCell reads a queued (not yet delivered) cell; scheduler only.
+func (b *mailbox) outCell(from, to int) []uint64 { return b.cell(b.out, b.pl.out, from, to) }
 
-func (b *arenaBox) table(k int) []uint64 { return b.pl.table(k) }
+// senders appends the ids whose from -> to cell was non-empty last
+// round to buf, ascending, reading the receiver-major activity mask:
+// O(senders + n/64), not O(n).
+func (b *mailbox) senders(to int, buf []int) []int { return b.act.senders(to, buf) }
 
-func (b *arenaBox) exchange() (int64, int) {
-	b.inW, b.outW = b.outW, b.inW
-	b.inL, b.outL = b.outL, b.inL
-	b.act.deliver()
-	b.pl.deliver()
-	// The new out direction is last round's inbox; clearing the length
-	// rows of the senders that spoke in it retires it, except for plane
-	// broadcasters, whose rows were never written. The word arena needs
-	// no clearing at all — stale words past a cell's length are
-	// unreachable. A sender with a plane broadcast always spoke (n ≥ 2),
-	// so every plane cell is retired here.
-	n := b.n
-	for from := 0; from < n; from++ {
-		if b.act.retire(from) && !b.pl.retire(from) {
-			clear(b.outL[from*n : from*n+n])
-		}
-	}
-	return foldSent(b.sent)
-}
+// table returns the last round's shared broadcast table of n·k words
+// when every sender broadcast exactly k words on the plane, nil
+// otherwise (see plane.table).
+func (b *mailbox) table(k int) []uint64 { return b.pl.table(k) }
 
-func (b *arenaBox) reset() {
-	// The word arenas need no clearing: words past a cell's recorded
-	// length are unreachable, and lengths are zeroed here.
-	clear(b.outL)
-	clear(b.inL)
-	clear(b.sent)
-	b.act.reset()
-	b.pl.reset()
-}
-
-// sliceBox is the dynamically-sized fallback: flat from-major cell
-// tables whose cells are reset by length and keep their capacity, and
-// a plane whose cells grow on first use the same way.
-type sliceBox struct {
-	n, wpp  int
-	out, in [][]uint64
-	sent    []senderStats
-	act     activity
-	pl      plane
-}
-
-func newSliceBox(n, wpp int) *sliceBox {
-	return &sliceBox{
-		n: n, wpp: wpp,
-		out:  make([][]uint64, n*n),
-		in:   make([][]uint64, n*n),
-		sent: make([]senderStats, n),
-		act:  newActivity(n, make([]uint64, 3*maskWords(n))),
-		pl:   newPlane(n, wpp, make([][]uint64, 2*n), nil),
-	}
-}
-
-func (b *sliceBox) send(from, round, to int, words []uint64) {
-	b.spill(from)
-	i := from*b.n + to
-	cell := b.out[i]
-	if len(cell)+len(words) > b.wpp {
-		panic(budgetViolation(from, round, len(cell)+len(words), to, b.wpp))
-	}
-	if len(words) == 0 {
-		return
-	}
-	b.out[i] = append(cell, words...)
-	b.act.mark(from, to)
-	s := &b.sent[from]
-	s.words += int64(len(words))
-	if newLen := int32(len(cell) + len(words)); newLen > s.max {
-		s.max = newLen
-	}
-}
-
-func (b *sliceBox) broadcast(from, round int, words []uint64) {
-	if len(words) == 0 || b.pl.broadcast(&b.act, &b.sent[from], from, round, b.wpp, words) {
-		return
-	}
-	b.spill(from)
-	n := b.n
-	row := b.out[from*n : from*n+n : from*n+n]
-	b.act.markAll(from)
-	var queued int64
-	maxLen := int32(0)
-	for to := 0; to < n; to++ {
-		if to == from {
-			continue
-		}
-		cell := row[to]
-		if len(cell)+len(words) > b.wpp {
-			panic(budgetViolation(from, round, len(cell)+len(words), to, b.wpp))
-		}
-		row[to] = append(cell, words...)
-		queued += int64(len(words))
-		if newLen := int32(len(cell) + len(words)); newLen > maxLen {
-			maxLen = newLen
-		}
-	}
-	s := &b.sent[from]
-	s.words += queued
-	if maxLen > s.max {
-		s.max = maxLen
-	}
-}
-
-// spill moves from's queued plane broadcast into its n−1 (empty) cells,
-// like arenaBox.spill.
-func (b *sliceBox) spill(from int) {
-	words := b.pl.take(from)
-	if words == nil {
-		return
-	}
-	row := b.out[from*b.n : from*b.n+b.n]
-	for to := range row {
-		if to != from {
-			row[to] = append(row[to], words...)
-		}
-	}
-}
-
-func (b *sliceBox) sendBuf(from, round, to, k int) []uint64 {
-	b.spill(from)
-	i := from*b.n + to
-	cell := b.out[i]
-	l := len(cell)
-	if l+k > b.wpp {
-		panic(budgetViolation(from, round, l+k, to, b.wpp))
-	}
-	// Grow to the full budget up front: later sends this round can then
-	// never reallocate the cell, so the returned slice stays aliased to
-	// the mailbox until the barrier (the arena layout's structural
-	// guarantee, matched here).
-	if cap(cell) < b.wpp {
-		cell = slices.Grow(cell, b.wpp-l)
-	}
-	cell = cell[:l+k]
-	b.out[i] = cell
-	if k != 0 {
-		b.act.mark(from, to)
-	}
-	s := &b.sent[from]
-	s.words += int64(k)
-	if newLen := int32(l + k); newLen > s.max {
-		s.max = newLen
-	}
-	return cell[l : l+k : l+k]
-}
-
-func (b *sliceBox) recv(to, from int) []uint64 {
-	if w, ok := b.pl.recv(to, from); ok {
-		return w
-	}
-	if s := b.in[from*b.n+to]; len(s) != 0 {
-		return s[:len(s):len(s)]
-	}
-	return nil
-}
-
-func (b *sliceBox) outCell(from, to int) []uint64 {
-	if w, ok := b.pl.queued(from, to); ok {
-		return w
-	}
-	return b.out[from*b.n+to]
-}
-
-func (b *sliceBox) senders(to int, buf []int) []int { return b.act.senders(to, buf) }
-
-func (b *sliceBox) table(k int) []uint64 { return b.pl.table(k) }
-
-func (b *sliceBox) exchange() (int64, int) {
+// exchange delivers the queued round: swap the group tables and the
+// planes, build the plane's shared table, rebuild the receiver-major
+// activity mask from the sender-major one (a 64x64 tile transpose,
+// O(n²/64) words), and retire the previous delivered round, clearing
+// only the plane cells and the groups whose mask words say they were
+// written. It returns the run's cumulative word count and per-pair
+// high-water mark, tracked incrementally at send time so no per-cell
+// statistics pass is needed. Scheduler only.
+func (b *mailbox) exchange() (int64, int) {
 	b.in, b.out = b.out, b.in
 	b.act.deliver()
 	b.pl.deliver()
-	// Reset last round's inbox (the new outbox) by length only, visiting
-	// just the cells its sender mask marks — none for a plane
-	// broadcaster; the backing arrays stay and are appended into next
-	// round.
+	// The new out direction is last round's inbox. Words past a cell's
+	// length are unreachable, so retiring it clears only lengths and
+	// slot marks, and drops the slots of a grid that reserves the whole
+	// budget: none of it for a plane broadcaster, whose groups were
+	// never written.
 	n, w := b.n, b.act.w
 	for from := 0; from < n; from++ {
-		row := b.act.out[from*w : from*w+w]
-		if b.pl.retire(from) {
-			clear(row)
-			continue
-		}
+		row := b.act.out[from*w : from*w+w : from*w+w]
+		groups := b.out[from*w : from*w+w : from*w+w]
+		plane := b.pl.retire(from)
 		for j, x := range row {
-			if x == 0 {
-				continue
-			}
-			row[j] = 0
-			for ; x != 0; x &= x - 1 {
-				i := from*n + (j<<6 | bits.TrailingZeros64(x))
-				b.out[i] = b.out[i][:0]
+			if x != 0 {
+				row[j] = 0
+				if g := &groups[j]; !plane {
+					*g.lens = [64]int32{}
+					g.over = 0
+					if g.stride == b.wpp {
+						g.slots = nil // every cell fits the grid now
+					}
+				}
 			}
 		}
 	}
 	return foldSent(b.sent)
 }
 
-func (b *sliceBox) reset() {
-	// Cells keep their backing arrays (that is the point of reuse);
-	// only lengths and accounting are cleared.
-	for i, c := range b.out {
-		if len(c) != 0 {
-			b.out[i] = c[:0]
-		}
-	}
-	for i, c := range b.in {
-		if len(c) != 0 {
-			b.in[i] = c[:0]
+// reset returns the box to its just-allocated state, carved groups and
+// slots kept, so a cached box can be reused by a fresh run (see
+// pool.go).
+func (b *mailbox) reset() {
+	for _, groups := range [][]group{b.out, b.in} {
+		for i := range groups {
+			if g := &groups[i]; g.lens != nil {
+				*g.lens = [64]int32{}
+				g.over = 0
+			}
 		}
 	}
 	clear(b.sent)
@@ -500,7 +548,7 @@ type lockstepEngine struct {
 	n   int
 
 	round int
-	box   mailbox
+	box   *mailbox
 
 	// Per-node coroutine controls. yield[v] is stored by node v's
 	// coroutine on startup and invoked by Barrier to suspend it; next[v]
@@ -669,8 +717,8 @@ func (e *lockstepEngine) Broadcast(from, round int, words []uint64) {
 	e.box.broadcast(from, round, words)
 }
 
-// SendBuf hands out reserved mailbox storage: on the arena layout the
-// returned slice is the link's block in the word arena itself.
+// SendBuf hands out reserved mailbox storage: the returned slice is the
+// link's cell in its group itself.
 func (e *lockstepEngine) SendBuf(from, round, to, k int) []uint64 {
 	return e.box.sendBuf(from, round, to, k)
 }

@@ -31,10 +31,11 @@ func refRun(cfg Config, body func(id int, rt NodeRuntime)) (*Result, error) {
 		e.lastRound = time.Now()
 		e.pairsFn = e.visitPairs
 	}
-	e.box = getBox(n, cfg.WordsPerPair)
+	boxes := getBoxes(1, n, cfg.WordsPerPair)
+	e.box = boxes[0]
 	// Retire the mailbox to the pool once every coroutine has unwound
 	// (the stop defer below runs first, LIFO).
-	defer func() { putBox(e.box) }()
+	defer putBoxes(boxes)
 
 	e.start(body)
 	liveCount := n

@@ -4,9 +4,9 @@ import "math/bits"
 
 // activity is the lockstep mailbox's record of who sent to whom: one
 // bit per ordered pair, set exactly when the pair's cell is non-empty.
-// Both storage layouts embed it, so receivers and the scheduler can
-// iterate only the pairs that actually spoke instead of probing all n
-// senders — silence costs nothing, as in the model.
+// The mailbox embeds it, so receivers and the scheduler can iterate
+// only the pairs that actually spoke instead of probing all n senders —
+// silence costs nothing, as in the model.
 //
 // Senders write the sender-major mask `out` while a round is queued:
 // row `from` (w words) is touched only by node from's own coroutine, so
@@ -67,9 +67,9 @@ func (a *activity) markAll(from int) {
 
 // deliver swaps the queued round in and rebuilds the receiver-major
 // mask from it. Afterwards out holds the previous delivered round's
-// sender rows, which the caller retires (see retire) before the next
-// round is queued. Cost: O(n²/64) words, a 64x64 tile transpose per
-// pair of sender and receiver blocks.
+// sender rows, which the caller clears before the next round is
+// queued. Cost: O(n²/64) words, a 64x64 tile transpose per pair of
+// sender and receiver blocks.
 func (a *activity) deliver() {
 	a.out, a.in = a.in, a.out
 	clear(a.rcv)
@@ -98,21 +98,6 @@ func (a *activity) deliver() {
 			}
 		}
 	}
-}
-
-// retire clears sender from's row of the retired mask and reports
-// whether it had any bit set, i.e. whether from spoke in that round.
-func (a *activity) retire(from int) bool {
-	row := a.out[from*a.w : from*a.w+a.w]
-	var nz uint64
-	for _, x := range row {
-		nz |= x
-	}
-	if nz == 0 {
-		return false
-	}
-	clear(row)
-	return true
 }
 
 // senders appends the ids that sent to `to` in the delivered round to

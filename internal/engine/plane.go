@@ -7,15 +7,15 @@ package engine
 // stride of a whole sender row. The plane keeps one sender-major copy
 // instead: when a sender has queued nothing yet in the round,
 // broadcast copies its k words once into the sender's plane cell, and
-// every receiver reads that one cell. Both storage layouts embed a
-// plane, as they embed an activity mask.
+// every receiver reads that one cell. The mailbox embeds a plane, as it
+// embeds an activity mask.
 //
 // The plane is a storage choice, not a model change: the sender is
 // charged (n−1)·k words and a per-pair length of k exactly as the cell
 // path charges them, and its activity row is filled as for a cell
 // broadcast. A later send, sendBuf or broadcast from the same sender in
 // the same round first spills the plane into the sender's n−1 cells
-// (see the boxes' spill), so mixed rounds keep the cell path's word
+// (see the mailbox's spill), so mixed rounds keep the cell path's word
 // order, budget checks and violation text. A sender's plane cell and
 // its row of cells are therefore never both non-empty, and recv reads
 // whichever one holds the round.
@@ -28,9 +28,9 @@ package engine
 // plane in a round — the all-gather round of the model — deliver also
 // lays the n cells end to end in one sender-major table of n·k words,
 // the round's shared table (see table). A collective then fills its
-// caller's table with one copy instead of n−1 reads. The table buffer
-// belongs to the box: the arena layouts carve it beside the cells, the
-// sliceBox grows it on first use, and a pooled box keeps it.
+// caller's table with one copy instead of n−1 reads. The cells and the
+// table buffer belong to the box: they grow on first use, to the words
+// broadcast, and a pooled box keeps them.
 type plane struct {
 	out, in [][]uint64 // per-sender words, queued / delivered round; empty = no plane
 	// tab holds the delivered round's shared table, tabK words per
@@ -40,26 +40,10 @@ type plane struct {
 }
 
 // newPlane builds an n-sender plane on cells, which must hold 2n
-// entries. With words (3·n·wpp of them) every cell is carved from it at
-// a fixed capacity of wpp words and the shared table takes the last
-// n·wpp, the arena layouts' preallocated plane; with words nil the
-// cells and the table grow on first use and keep their backing arrays,
-// as sliceBox cells do.
-func newPlane(n, wpp int, cells [][]uint64, words []uint64) plane {
-	var tab []uint64
-	if words != nil {
-		for i := range cells {
-			cells[i] = words[i*wpp : i*wpp : (i+1)*wpp]
-		}
-		tab = words[2*n*wpp : 2*n*wpp : 3*n*wpp]
-	}
-	return plane{out: cells[:n:n], in: cells[n : 2*n : 2*n], tab: tab}
+// entries; cells and the shared table grow on first use.
+func newPlane(n int, cells [][]uint64) plane {
+	return plane{out: cells[:n:n], in: cells[n : 2*n : 2*n]}
 }
-
-// planeWords is the preallocated word count newPlane takes for an
-// n-sender plane of wpp-word cells: two directions of cells and the
-// shared table.
-func planeWords(n, wpp int) int { return 3 * n * wpp }
 
 // broadcast queues the non-empty words on from's plane cell if from has
 // queued nothing yet this round, charging s and marking a as the cell
@@ -100,18 +84,6 @@ func (p *plane) take(from int) []uint64 {
 	}
 	p.out[from] = w[:0]
 	return w
-}
-
-// queued reads the words from queued for to on the plane; ok is false
-// when from's round, if any, is in its cells.
-func (p *plane) queued(from, to int) (words []uint64, ok bool) {
-	return planeCell(p.out, from, to)
-}
-
-// recv reads the words from delivered to to on the plane; ok is false
-// when from's round, if any, is in its cells.
-func (p *plane) recv(to, from int) (words []uint64, ok bool) {
-	return planeCell(p.in, from, to)
 }
 
 // planeCell is one sender's plane cell as seen by to: capacity-limited,

@@ -72,7 +72,7 @@ func (r *refCells) exchange() {
 
 // applyBox runs op on a mailbox, returning the Violation text it
 // raised, if any.
-func applyBox(b mailbox, op planeOp, round int) (vio string) {
+func applyBox(b *mailbox, op planeOp, round int) (vio string) {
 	defer func() {
 		if v, ok := recover().(Violation); ok {
 			vio = v.Err.Error()
@@ -99,15 +99,32 @@ func applyRef(r *refCells, op planeOp, round int) (vio string) {
 	return ""
 }
 
-// planeLayouts builds each mailbox the lockstep engine runs on: the
-// dense arena, the sliceBox fallback, and a non-first view of a shared
-// batch arena.
-func planeLayouts(n, wpp int) map[string]mailbox {
-	views, _ := newBatchBoxes(3, n, wpp) // the GC reclaims the scratch
-	return map[string]mailbox{
-		"arena":      newArenaBox(n, wpp),
-		"slice":      newSliceBox(n, wpp),
-		"batch-view": views[1],
+// planeLayouts builds each state the lockstep engine's mailbox starts
+// a run in: fresh, with no group carved; carved, as a pooled box comes
+// back after a run that reserved every cell's budget and broadcast
+// wpp words, its groups at full stride; and a non-first view of boxes
+// a batch built together.
+func planeLayouts(n, wpp int) map[string]*mailbox {
+	carved := newBoxes(1, n, wpp)[0]
+	for from := 0; from < n; from++ {
+		carved.broadcast(from, 0, make([]uint64, wpp))
+	}
+	carved.exchange()
+	for round := 1; round <= 2; round++ { // both directions
+		for from := 0; from < n; from++ {
+			for to := 0; to < n; to++ {
+				if to != from {
+					carved.sendBuf(from, round, to, 1)
+				}
+			}
+		}
+		carved.exchange()
+	}
+	carved.reset()
+	return map[string]*mailbox{
+		"box":        newBoxes(1, n, wpp)[0],
+		"carved":     carved,
+		"batch-view": newBoxes(3, n, wpp)[1],
 	}
 }
 
@@ -141,7 +158,7 @@ func sharedK(n int, ops []planeOp) int {
 // reference: for the round's width k (sharedK) it is every sender's
 // delivered words laid end to end, capacity-limited; for every other
 // width, and for every width when the round has none, it is nil.
-func checkTable(t *testing.T, name string, round int, b mailbox, ref *refCells, k int) {
+func checkTable(t *testing.T, name string, round int, b *mailbox, ref *refCells, k int) {
 	t.Helper()
 	for c := 0; c <= ref.wpp+1; c++ {
 		got := b.table(c)
@@ -166,7 +183,7 @@ func checkTable(t *testing.T, name string, round int, b mailbox, ref *refCells, 
 // cells (outCell), the violation raised, the cumulative statistics,
 // both receive paths — recv (which must be capacity-limited) and
 // senders — and the shared table. A violation ends the script.
-func checkPlaneScript(t *testing.T, name string, b mailbox, n, wpp int, rounds [][]planeOp) {
+func checkPlaneScript(t *testing.T, name string, b *mailbox, n, wpp int, rounds [][]planeOp) {
 	t.Helper()
 	ref := newRefCells(n, wpp)
 	for round, ops := range rounds {

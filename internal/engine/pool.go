@@ -7,25 +7,31 @@ import (
 	"sync/atomic"
 )
 
-// Mailbox pooling: the lockstep engine's dominant allocation is its
-// double-buffered mailbox storage (two n*n*wpp word arenas plus length
-// tables, or the sliceBox cell tables). A long-running process such as
-// the cliqued daemon executes many runs with a handful of recurring
-// (n, wpp) shapes, so retiring boxes to a per-shape pool instead of the
-// garbage collector removes the largest per-run allocation entirely.
+// Mailbox pooling: a lockstep run's mailbox keeps the groups its
+// traffic carved (see lockstep.go), and processes such as the cliqued
+// daemon run many runs of a few recurring (n, wpp) shapes, so a retired
+// box goes to a cache, and the next run of its shape queues into groups
+// that already exist. The cache holds idle boxes strongly, one free
+// list per shape, up to idleBoxBytes, evicting the least recently
+// retired shape first. A sync.Pool would not do: the collector empties
+// it every cycle, and with boxes sized by their traffic the heap is
+// small and cycles come often, so a registry pass remade a box for most
+// runs, and their allocation brought the next cycle sooner still.
 //
 // Reuse is sound because the node-side API already declares every
 // engine-owned slice (Recv, SendBuf) invalid after the run: transcripts
 // are deep-copied at record time and Stats are plain values, so nothing
 // a well-behaved caller retains aliases pooled memory.
 
-// boxKey identifies one reusable mailbox shape. n and wpp fix every
-// buffer size; the two storage layouts are pooled separately because a
-// box must be reused as the type it was built as.
-type boxKey struct {
-	n, wpp int
-	arena  bool
-}
+// idleBoxBytes caps the bytes the cache's idle boxes hold. One registry
+// pass retires boxes of 32 shapes holding about 80 MB, so a paper
+// regeneration reuses every box; a daemon serving a stream of new
+// shapes holds no more than this in idle mailboxes.
+const idleBoxBytes = 128 << 20
+
+// boxKey identifies one reusable mailbox shape: n and wpp fix the
+// tables and bound every group's stride.
+type boxKey struct{ n, wpp int }
 
 // shapeCounter is one shape's (or size class's) hit/miss pair.
 type shapeCounter struct {
@@ -33,15 +39,30 @@ type shapeCounter struct {
 	misses atomic.Int64
 }
 
+// boxCache is the idle mailboxes by shape and the bytes they hold (an
+// idle box's bytes do not change); used orders shapes by retirement.
+type boxCache struct {
+	mu     sync.Mutex
+	shapes map[boxKey]*idleBoxes
+	bytes  int
+	clock  int
+}
+
+type idleBoxes struct {
+	boxes       []*mailbox
+	bytes, used int
+}
+
 var (
-	boxPools    sync.Map // boxKey -> *sync.Pool
+	boxes       = boxCache{shapes: map[boxKey]*idleBoxes{}}
 	boxCounters sync.Map // boxKey -> *shapeCounter
 )
 
-// PoolStats reports how many lockstep runs reused a pooled mailbox and
-// how many had to allocate one, summed over every shape. The split is a
-// cheap health signal for long-running services: a hot serving loop
-// should converge to hits.
+// PoolStats reports how many lockstep mailboxes were reused from the
+// cache and how many had to be allocated, summed over every shape; a
+// batch of B runs takes B mailboxes. The split is a cheap health signal
+// for long-running services: a hot serving loop should converge to
+// hits.
 func PoolStats() (hits, misses int64) {
 	boxCounters.Range(func(_, v any) bool {
 		c := v.(*shapeCounter)
@@ -53,26 +74,25 @@ func PoolStats() (hits, misses int64) {
 }
 
 // PoolShapeStat is one mailbox shape's pool scorecard: how often runs
-// of exactly this (n, wpp, layout) reused pooled storage. Per-shape
-// hit rates localise pool churn that the aggregate hides — one
-// odd-shaped workload missing on every run is invisible next to a hot
-// steady shape.
+// of exactly this (n, wpp) reused cached storage. Per-shape hit rates
+// localise pool churn that the aggregate hides — one odd-shaped
+// workload missing on every run is invisible next to a hot steady
+// shape.
 type PoolShapeStat struct {
 	N            int
 	WordsPerPair int
-	Arena        bool // dense-arena layout (sliceBox otherwise)
 	Hits         int64
 	Misses       int64
 }
 
 // PoolShapeStats reports the mailbox pool's per-shape hit/miss split,
-// sorted by (n, wpp, layout) for stable output.
+// sorted by (n, wpp) for stable output.
 func PoolShapeStats() []PoolShapeStat {
 	var out []PoolShapeStat
 	boxCounters.Range(func(k, v any) bool {
 		key, c := k.(boxKey), v.(*shapeCounter)
 		out = append(out, PoolShapeStat{
-			N: key.n, WordsPerPair: key.wpp, Arena: key.arena,
+			N: key.n, WordsPerPair: key.wpp,
 			Hits: c.hits.Load(), Misses: c.misses.Load(),
 		})
 		return true
@@ -82,20 +102,9 @@ func PoolShapeStats() []PoolShapeStat {
 		if a.N != b.N {
 			return a.N < b.N
 		}
-		if a.WordsPerPair != b.WordsPerPair {
-			return a.WordsPerPair < b.WordsPerPair
-		}
-		return !a.Arena && b.Arena
+		return a.WordsPerPair < b.WordsPerPair
 	})
 	return out
-}
-
-func boxPoolFor(key boxKey) *sync.Pool {
-	if p, ok := boxPools.Load(key); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := boxPools.LoadOrStore(key, &sync.Pool{})
-	return p.(*sync.Pool)
 }
 
 func boxCounterFor(key boxKey) *shapeCounter {
@@ -106,33 +115,74 @@ func boxCounterFor(key boxKey) *shapeCounter {
 	return c.(*shapeCounter)
 }
 
-// getBox returns a mailbox for the given shape, reusing a pooled one
-// when available. The returned box is always fully reset. The int64
-// product cannot overflow: Config.Validate caps n and wpp at
-// MaxN/MaxWordsPerPair (2^32 * 2^24 < 2^63).
-func getBox(n, wpp int) mailbox {
-	arena := int64(n)*int64(n)*int64(wpp) <= arenaThresholdWords
-	key := boxKey{n: n, wpp: wpp, arena: arena}
-	if b, _ := boxPoolFor(key).Get().(mailbox); b != nil {
-		boxCounterFor(key).hits.Add(1)
+// getBoxes returns k fully reset mailboxes of one shape, one per run of
+// a batch: cached ones first, and the rest built together by newBoxes,
+// so the misses of one batch share their tables.
+func getBoxes(k, n, wpp int) []*mailbox {
+	key := boxKey{n: n, wpp: wpp}
+	out := boxes.take(key, k)
+	for _, b := range out {
 		b.reset()
-		return b
 	}
-	boxCounterFor(key).misses.Add(1)
-	if arena {
-		return newArenaBox(n, wpp)
-	}
-	return newSliceBox(n, wpp)
+	c := boxCounterFor(key)
+	c.hits.Add(int64(len(out)))
+	c.misses.Add(int64(k - len(out)))
+	return append(out, newBoxes(k-len(out), n, wpp)...)
 }
 
-// putBox retires a run's mailbox to the pool for the next run of the
-// same shape.
-func putBox(b mailbox) {
-	switch x := b.(type) {
-	case *arenaBox:
-		boxPoolFor(boxKey{n: x.n, wpp: x.wpp, arena: true}).Put(b)
-	case *sliceBox:
-		boxPoolFor(boxKey{n: x.n, wpp: x.wpp, arena: false}).Put(b)
+// putBoxes retires a batch's mailboxes to the cache for the next runs
+// of the same shape. It must be called after every run's coroutines
+// have unwound: node programs may touch their rows right up to the
+// Abort that unwinds them.
+func putBoxes(retired []*mailbox) { boxes.put(retired, idleBoxBytes) }
+
+// take removes up to k idle boxes of one shape from the cache.
+func (c *boxCache) take(key boxKey, k int) []*mailbox {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []*mailbox
+	if idle := c.shapes[key]; idle != nil {
+		for len(out) < k && len(idle.boxes) > 0 {
+			b := idle.boxes[len(idle.boxes)-1]
+			size := b.bytes()
+			idle.boxes, idle.bytes, c.bytes = idle.boxes[:len(idle.boxes)-1], idle.bytes-size, c.bytes-size
+			out = append(out, b)
+		}
+		if len(idle.boxes) == 0 {
+			delete(c.shapes, key)
+		}
+	}
+	return out
+}
+
+// put adds retired boxes to the cache, then evicts the least recently
+// retired shapes while the cache holds more than limit bytes; a shape
+// whose boxes alone exceed it keeps none.
+func (c *boxCache) put(retired []*mailbox, limit int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.clock++
+	for _, b := range retired {
+		key := boxKey{n: b.n, wpp: b.wpp}
+		idle := c.shapes[key]
+		if idle == nil {
+			idle = &idleBoxes{}
+			c.shapes[key] = idle
+		}
+		size := b.bytes()
+		idle.boxes, idle.bytes, idle.used = append(idle.boxes, b), idle.bytes+size, c.clock
+		c.bytes += size
+	}
+	for c.bytes > limit {
+		var lru boxKey
+		var oldest *idleBoxes
+		for key, idle := range c.shapes {
+			if oldest == nil || idle.used < oldest.used {
+				lru, oldest = key, idle
+			}
+		}
+		c.bytes -= oldest.bytes
+		delete(c.shapes, lru)
 	}
 }
 

@@ -43,13 +43,13 @@ func TestMailboxPoolReuse(t *testing.T) {
 	reused := false
 	for attempt := 0; attempt < 5 && !reused; attempt++ {
 		h0, _ := PoolStats()
-		putBox(getBox(16, 2))
-		getBox(16, 2)
+		putBoxes(getBoxes(1, 16, 2))
+		getBoxes(1, 16, 2)
 		h1, _ := PoolStats()
 		reused = h1 == h0+1
 	}
 	if !reused {
-		t.Fatal("putBox/getBox never reused the pooled mailbox in 5 attempts")
+		t.Fatal("putBoxes/getBoxes never reused the pooled mailbox in 5 attempts")
 	}
 }
 
@@ -140,21 +140,21 @@ func TestScratchClassBounds(t *testing.T) {
 }
 
 // TestPoolShapeStats pins the per-shape scorecard: traffic on a
-// distinctive shape shows up under exactly that (n, wpp, layout) key,
+// distinctive shape shows up under exactly that (n, wpp) key,
 // and the per-shape splits sum to the aggregate PoolStats.
 func TestPoolShapeStats(t *testing.T) {
 	const n, wpp = 23, 3 // a shape no other test uses
 	find := func() (PoolShapeStat, bool) {
 		for _, s := range PoolShapeStats() {
-			if s.N == n && s.WordsPerPair == wpp && s.Arena {
+			if s.N == n && s.WordsPerPair == wpp {
 				return s, true
 			}
 		}
 		return PoolShapeStat{}, false
 	}
 	before, _ := find()
-	putBox(getBox(n, wpp))
-	getBox(n, wpp)
+	putBoxes(getBoxes(1, n, wpp))
+	getBoxes(1, n, wpp)
 	after, ok := find()
 	if !ok {
 		t.Fatalf("shape n=%d wpp=%d missing from PoolShapeStats", n, wpp)

@@ -16,9 +16,11 @@ import (
 // of the activity mask's transpose (63, 64, 65) and past two tiles.
 var sendersShapes = []int{1, 2, 63, 64, 65, 130}
 
-// sliceWPP is the smallest per-pair budget that pushes an n-node run
-// past the dense-arena threshold onto the sliceBox layout.
-func sliceWPP(n int) int { return arenaThresholdWords/(n*n) + 1 }
+// hugeWPP is the smallest per-pair budget at which an n-node run's
+// n²·wpp words pass 2²⁴, the 128 MiB per direction a dense arena of
+// every pair's budget would take; the mailbox must carve only what such
+// a run sends.
+func hugeWPP(n int) int { return 1<<24/(n*n) + 1 }
 
 // sendersProgram is a pseudo-random node program, a pure function of
 // (seed, id, round), that mixes every send path — Send, an empty Send,
@@ -176,8 +178,7 @@ func checkSenders(t *testing.T, seed int64, n, wpp int, bcastOnly bool) {
 
 // TestSendersMatchesRecv pins Senders to its definition after every
 // round, and lockstep delivery to the goroutine backend's, serial and
-// batched, across the arena and sliceBox layouts, and in the
-// broadcast-only model.
+// batched, at small and huge budgets, and in the broadcast-only model.
 func TestSendersMatchesRecv(t *testing.T) {
 	for _, n := range sendersShapes {
 		for _, wpp := range []int{1, 3} {
@@ -187,12 +188,9 @@ func TestSendersMatchesRecv(t *testing.T) {
 			checkSenders(t, 7, n, wpp, true)
 		}
 		if n >= 63 {
-			// Past the arena threshold: the lockstep engine takes the
-			// sliceBox layout (and the batch falls back to pooled boxes).
-			if wpp := sliceWPP(n); n*n*wpp <= arenaThresholdWords {
-				t.Fatalf("n=%d wpp=%d still fits the arena", n, wpp)
-			}
-			checkSenders(t, 11, n, sliceWPP(n), false)
+			// A budget no dense arena could hold: groups widen to it
+			// only where SendBuf reserves it.
+			checkSenders(t, 11, n, hugeWPP(n), false)
 		}
 	}
 }
@@ -211,7 +209,7 @@ func FuzzSenders(f *testing.F) {
 		n := sendersShapes[int(shape)%len(sendersShapes)]
 		wpp := 1 + int(budget%4)
 		if budget >= 128 && n >= 63 {
-			wpp = sliceWPP(n)
+			wpp = hugeWPP(n)
 		}
 		checkSenders(t, seed, n, wpp, bcastOnly)
 	})

@@ -99,10 +99,10 @@ func tableProgram(n int, shared bool, rounds []tableRound) func(id int, rt NodeR
 }
 
 // TestBroadcastTableAtEveryNode runs tableRounds on the lockstep
-// backend, as a Run and as every run of a batch on the shared arena,
-// and on the goroutine backend, where the table is always nil. The
-// mailbox-level scripts (checkPlaneScript) hold every layout's table,
-// the sliceBox's included, to the cell path.
+// backend, as a Run and as every run of a batch, and on the goroutine
+// backend, where the table is always nil. The mailbox-level scripts
+// (checkPlaneScript) hold the table of every state a box starts a run
+// in to the cell path.
 func TestBroadcastTableAtEveryNode(t *testing.T) {
 	const n = 5
 	cfg := Config{N: n, WordsPerPair: 2}
@@ -130,7 +130,7 @@ func TestBroadcastTableAtEveryNode(t *testing.T) {
 }
 
 // TestBroadcastTablePerRun: the runs of one batch share a scheduler and
-// an arena, but each sees only its own table — run r broadcasts words
+// their mailboxes' tables, but each sees only its own broadcast table — run r broadcasts words
 // tagged r, and run 1 has a silent node, so it has no table while its
 // siblings do.
 func TestBroadcastTablePerRun(t *testing.T) {

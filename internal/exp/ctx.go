@@ -66,7 +66,7 @@ type Ctx struct {
 func (c *Ctx) checkCancelled() {
 	if c.ctx != nil {
 		if err := c.ctx.Err(); err != nil {
-			panic(failure{fmt.Errorf("exp %s: %w", c.res.ID, err)})
+			c.fail(err)
 		}
 	}
 }
@@ -86,7 +86,13 @@ type failure struct{ err error }
 // Failf aborts the experiment with an error, e.g. when a simulated run
 // returns one. The registry runner turns it into RunOne's error.
 func (c *Ctx) Failf(format string, args ...any) {
-	panic(failure{fmt.Errorf("exp %s: %s", c.res.ID, fmt.Sprintf(format, args...))})
+	c.fail(fmt.Errorf(format, args...))
+}
+
+// fail aborts the experiment with err, wrapped so that errors.Is and
+// errors.As still see it (a failed Check stays workload.ErrFailedCheck).
+func (c *Ctx) fail(err error) {
+	panic(failure{fmt.Errorf("exp %s: %w", c.res.ID, err)})
 }
 
 // Rounds runs f on an n-node clique with wpp words per pair on the
@@ -104,7 +110,7 @@ func (c *Ctx) Rounds(n, wpp int, f clique.NodeFunc) int {
 	c.endTrace(col)
 	c.account(res, err, time.Since(start))
 	if err != nil {
-		c.Failf("%v", err)
+		c.fail(err)
 	}
 	return res.Stats.Rounds
 }
@@ -145,7 +151,7 @@ func (c *Ctx) RunWorkloads(n, wpp int, specs ...workload.Spec) []workload.Run {
 func (c *Ctx) Record(r workload.Run) {
 	c.account(r.Result, r.Err, r.Wall)
 	if r.Err != nil {
-		c.Failf("%v", r.Err)
+		c.fail(r.Err)
 	}
 }
 
@@ -212,7 +218,7 @@ func (c *Ctx) Verify(cfg clique.Config, g *graph.Graph, alg nondet.Algorithm, z 
 	c.endTrace(col)
 	c.account(v.Result, err, time.Since(start))
 	if err != nil {
-		c.Failf("%v", err)
+		c.fail(err)
 	}
 	return v
 }

@@ -227,7 +227,8 @@ func TestBatchWidthEndToEnd(t *testing.T) {
 
 // TestForgedAnswersServedAlike runs forged entries alone and coalesced:
 // a run whose Check fails answers 500 on both paths with the same
-// error, naming the run, and leaves the ledger empty. A wrong
+// error, naming the run and typed workload.ErrFailedCheck, and leaves
+// the ledger empty. A wrong
 // answer has no Check, and the daemon does not run the oracle, so both
 // paths serve it unconfirmed with the same bytes.
 func TestForgedAnswersServedAlike(t *testing.T) {
@@ -257,6 +258,9 @@ func TestForgedAnswersServedAlike(t *testing.T) {
 			if e.err == nil || runErrorStatus(e.err) != http.StatusInternalServerError ||
 				!strings.Contains(e.err.Error(), fmt.Sprintf("exp adhoc:test-failed-check: test-failed-check n=4 seed=%d: failed check: forged witness", i+1)) {
 				t.Errorf("batched=%v seed %d: err %v", batched, i+1, e.err)
+			}
+			if !errors.Is(e.err, workload.ErrFailedCheck) {
+				t.Errorf("batched=%v seed %d: err %v is not workload.ErrFailedCheck", batched, i+1, e.err)
 			}
 		}
 		if records != 0 {

@@ -79,17 +79,14 @@ func newMetrics() *metrics {
 		return map[string]int64{"hits": hits, "misses": misses}
 	}))
 	// Per-size-class splits behind the aggregates: keys are the mailbox
-	// shape ("n=64,wpp=1,arena") and the scratch class capacity in words
-	// ("4096w", "oversize"). A persistently missing key pinpoints the
-	// workload shape defeating the pools.
+	// shape ("n=64,wpp=1"; the lockstep engine has one mailbox layout, so
+	// the key no longer ends in ",arena" or ",slices") and the scratch
+	// class capacity in words ("4096w", "oversize"). A persistently
+	// missing key pinpoints the workload shape defeating the pools.
 	m.vars.Set("arena_pool_by_shape", expvar.Func(func() any {
 		out := map[string]map[string]int64{}
 		for _, s := range engine.PoolShapeStats() {
-			layout := "slices"
-			if s.Arena {
-				layout = "arena"
-			}
-			key := fmt.Sprintf("n=%d,wpp=%d,%s", s.N, s.WordsPerPair, layout)
+			key := fmt.Sprintf("n=%d,wpp=%d", s.N, s.WordsPerPair)
 			out[key] = map[string]int64{"hits": s.Hits, "misses": s.Misses}
 		}
 		return out
